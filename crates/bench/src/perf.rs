@@ -698,9 +698,13 @@ fn run_dynamic(
     let topo_pos: Vec<u32> = (0..n as u32).map(|v| dag.topo_pos(v)).collect();
     let mut truth: std::collections::BTreeSet<(u32, u32)> = dag.graph().edges().collect();
 
+    // One directory per call: concurrent runs with the same seed (the
+    // unit tests) must not remove each other's WAL.
+    static CALL: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
     let wal_root = std::env::temp_dir().join(format!(
-        "hoplite-perf-dynamic-{}-{seed}",
-        std::process::id()
+        "hoplite-perf-dynamic-{}-{seed}-{}",
+        std::process::id(),
+        CALL.fetch_add(1, Ordering::Relaxed)
     ));
     let _ = std::fs::remove_dir_all(&wal_root);
     let registry = Arc::new(Registry::new());

@@ -14,7 +14,9 @@
 //!   Δ-edges, with each static segment answered by the oracle;
 //! * once `Δ` outgrows a threshold, the oracle is rebuilt (DL's
 //!   construction is fast enough that amortized cost stays low —
-//!   that is precisely the paper's headline property).
+//!   that is precisely the paper's headline property). Each snapshot
+//!   is labeled once, as an [`Oracle`] that a durable namespace also
+//!   checkpoints and recovery adopts ([`DynamicOracle::from_index`]).
 //!
 //! Edge *deletions* use the dual trick: removing edges can only shrink
 //! reachability, so the stale oracle stays a sound *over*-approximation.
@@ -45,7 +47,8 @@ use hoplite_graph::digraph::GraphBuilder;
 use hoplite_graph::{Dag, GraphError, VertexId};
 
 use crate::distribution::{DistributionLabeling, DlConfig};
-use crate::oracle::ReachIndex;
+use crate::oracle::{Oracle, ReachIndex};
+use crate::store::{MemorySplit, Store};
 use crate::wal::{Durability, EdgeOp};
 
 /// Why a mutation was refused. Either the edge itself is invalid for
@@ -123,7 +126,10 @@ enum RemoveAction {
 /// ```
 pub struct DynamicOracle {
     dag: Dag,
+    /// The snapshot's labels, over the condensation of `dag`, which
+    /// `comp_of` renumbers original vertices into.
     dl: DistributionLabeling,
+    comp_of: Store<u32>,
     cfg: DlConfig,
     /// Edges inserted since the last rebuild.
     delta: Vec<(VertexId, VertexId)>,
@@ -156,14 +162,33 @@ impl DynamicOracle {
     /// Builds with a custom DL configuration and rebuild threshold.
     pub fn with_config(dag: Dag, cfg: DlConfig, rebuild_threshold: usize) -> Self {
         assert!(rebuild_threshold >= 1);
-        let dl = DistributionLabeling::build(&dag, &cfg);
+        let index = Oracle::with_config(dag.graph(), &cfg);
+        DynamicOracle {
+            cfg,
+            rebuild_threshold,
+            ..Self::from_index(dag, index)
+        }
+    }
+
+    /// Serves `index`, an [`Oracle`] built or opened over exactly
+    /// `dag`, without relabeling: keeps its labeling and `comp_of`
+    /// table (mapped ones stay mapped) and drops the rest. Panics if
+    /// `index` does not have one component per vertex of `dag`.
+    pub fn from_index(dag: Dag, index: Oracle) -> Self {
+        let n = dag.num_vertices();
+        assert!(
+            index.num_vertices() == n && index.num_components() == n,
+            "index is not over this DAG"
+        );
+        let (comp_of, dl) = index.into_labels();
         DynamicOracle {
             dag,
             dl,
-            cfg,
+            comp_of,
+            cfg: DlConfig::default(),
             delta: Vec::new(),
             deleted: Vec::new(),
-            rebuild_threshold,
+            rebuild_threshold: Self::DEFAULT_REBUILD_THRESHOLD,
             auto_rebuild: true,
             durability: None,
             visited: RefCell::new(Vec::new()),
@@ -199,11 +224,12 @@ impl DynamicOracle {
     }
 
     /// True byte footprint: the labeled snapshot (labels, signatures,
-    /// rank order), the DAG, and the mutation overlay. All heap — a
-    /// dynamic oracle owns every array it mutates.
-    pub fn memory(&self) -> crate::store::MemorySplit {
+    /// rank order, `comp_of`; mapped when adopted from a checkpoint),
+    /// the DAG, and the mutation overlay.
+    pub fn memory(&self) -> MemorySplit {
         let mut m = self.dl.memory();
-        m.add(crate::store::MemorySplit {
+        m.add(MemorySplit::of(&self.comp_of));
+        m.add(MemorySplit {
             heap_bytes: self.dag.graph().memory_bytes() as u64
                 + ((self.delta.capacity() + self.deleted.capacity())
                     * std::mem::size_of::<(VertexId, VertexId)>()) as u64,
@@ -408,14 +434,10 @@ impl DynamicOracle {
     /// and relabels. Called automatically at the thresholds; callable
     /// eagerly (e.g. before a query burst).
     pub fn rebuild(&mut self) {
-        if self.delta.is_empty() && self.deleted.is_empty() {
-            return;
+        if !self.delta.is_empty() || !self.deleted.is_empty() {
+            let rebuilt = self.rebuild_plan().execute();
+            self.publish(rebuilt);
         }
-        self.dag = fold_overlay(&self.dag, &self.delta, &self.deleted);
-        self.dl = DistributionLabeling::build(&self.dag, &self.cfg);
-        self.delta.clear();
-        self.deleted.clear();
-        self.rebuilds += 1;
     }
 
     /// Snapshots everything a background rebuild needs: the current
@@ -458,36 +480,18 @@ impl DynamicOracle {
     pub fn publish(&mut self, rebuilt: RebuiltIndex) -> Vec<EdgeOp> {
         let RebuiltIndex {
             dag,
-            dl,
+            index,
             base_delta,
             base_deleted,
         } = rebuilt;
-        let delta: Vec<(VertexId, VertexId)> = self
-            .delta
-            .iter()
-            .copied()
-            .filter(|e| !base_delta.contains(e))
-            .chain(
-                base_deleted
-                    .iter()
-                    .copied()
-                    .filter(|e| !self.deleted.contains(e)),
-            )
+        let delta = minus(&self.delta, &base_delta)
+            .chain(minus(&base_deleted, &self.deleted))
             .collect();
-        let deleted: Vec<(VertexId, VertexId)> = self
-            .deleted
-            .iter()
-            .copied()
-            .filter(|e| !base_deleted.contains(e))
-            .chain(
-                base_delta
-                    .iter()
-                    .copied()
-                    .filter(|e| !self.delta.contains(e)),
-            )
+        let deleted = minus(&self.deleted, &base_deleted)
+            .chain(minus(&base_delta, &self.delta))
             .collect();
         self.dag = dag;
-        self.dl = dl;
+        (self.comp_of, self.dl) = index.into_labels();
         self.delta = delta;
         self.deleted = deleted;
         self.rebuilds += 1;
@@ -521,7 +525,7 @@ impl DynamicOracle {
     /// `u → v` over the *optimistic* graph (snapshot + overlay,
     /// deletions ignored).
     fn query_optimistic(&self, u: VertexId, v: VertexId) -> bool {
-        if self.dl.query(u, v) {
+        if self.snapshot_reaches(u, v) {
             return true;
         }
         if self.delta.is_empty() {
@@ -534,24 +538,30 @@ impl DynamicOracle {
         visited.resize(self.delta.len(), false);
         let mut frontier: Vec<usize> = Vec::new();
         for (i, &(a, _)) in self.delta.iter().enumerate() {
-            if self.dl.query(u, a) {
+            if self.snapshot_reaches(u, a) {
                 visited[i] = true;
                 frontier.push(i);
             }
         }
         while let Some(i) = frontier.pop() {
             let (_, b) = self.delta[i];
-            if self.dl.query(b, v) {
+            if self.snapshot_reaches(b, v) {
                 return true;
             }
             for (j, &(a2, _)) in self.delta.iter().enumerate() {
-                if !visited[j] && self.dl.query(b, a2) {
+                if !visited[j] && self.snapshot_reaches(b, a2) {
                     visited[j] = true;
                     frontier.push(j);
                 }
             }
         }
         false
+    }
+
+    /// `u → v` in the labeled snapshot alone.
+    fn snapshot_reaches(&self, u: VertexId, v: VertexId) -> bool {
+        self.dl
+            .query(self.comp_of[u as usize], self.comp_of[v as usize])
     }
 
     /// One BFS over the logical graph (snapshot edges minus `deleted`,
@@ -618,6 +628,11 @@ fn fold_overlay(
     Dag::new(b.build()).expect("cycle-checked insertions stay acyclic")
 }
 
+/// `a \ b`, in `a`'s order.
+fn minus<'a, T: Copy + PartialEq>(a: &'a [T], b: &'a [T]) -> impl Iterator<Item = T> + 'a {
+    a.iter().copied().filter(|e| !b.contains(e))
+}
+
 /// A consistent snapshot of everything a background rebuild needs,
 /// detached from the live oracle. See [`DynamicOracle::rebuild_plan`].
 pub struct RebuildPlan {
@@ -628,20 +643,15 @@ pub struct RebuildPlan {
 }
 
 impl RebuildPlan {
-    /// Overlay operations the plan captured (diagnostics).
-    pub fn overlay_len(&self) -> usize {
-        self.delta.len() + self.deleted.len()
-    }
-
     /// The heavy part: folds the captured overlay into the base and
-    /// builds the new labeling. Runs with no lock held; readers keep
-    /// answering through the live oracle's overlay path meanwhile.
+    /// labels it, once. Runs with no lock held; readers keep answering
+    /// through the live oracle's overlay path meanwhile.
     pub fn execute(self) -> RebuiltIndex {
         let dag = fold_overlay(&self.dag, &self.delta, &self.deleted);
-        let dl = DistributionLabeling::build(&dag, &self.cfg);
+        let index = Oracle::with_config(dag.graph(), &self.cfg);
         RebuiltIndex {
             dag,
-            dl,
+            index,
             base_delta: self.delta,
             base_deleted: self.deleted,
         }
@@ -652,7 +662,7 @@ impl RebuildPlan {
 /// [`DynamicOracle::publish`].
 pub struct RebuiltIndex {
     dag: Dag,
-    dl: DistributionLabeling,
+    index: Oracle,
     /// The Δ the plan folded in — needed by publish's set algebra.
     base_delta: Vec<(VertexId, VertexId)>,
     /// The tombstones the plan folded out.
@@ -660,9 +670,16 @@ pub struct RebuiltIndex {
 }
 
 impl RebuiltIndex {
-    /// The new base DAG — what a checkpoint must capture.
+    /// The new base DAG.
     pub fn dag(&self) -> &Dag {
         &self.dag
+    }
+
+    /// The new index over [`Self::dag`]: what the namespace serves
+    /// after publish, and what a durable namespace stages as its next
+    /// checkpoint ([`crate::WalDir::prepare_checkpoint`]).
+    pub fn index(&self) -> &Oracle {
+        &self.index
     }
 }
 

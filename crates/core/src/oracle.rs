@@ -2,6 +2,7 @@
 //! workspace, and the batteries-included [`Oracle`] over arbitrary
 //! (cyclic) digraphs.
 
+use std::borrow::Cow;
 use std::sync::OnceLock;
 
 use hoplite_graph::scc::Condensation;
@@ -374,6 +375,26 @@ impl Oracle {
     /// condensation DAG.
     pub fn inner(&self) -> &DistributionLabeling {
         &self.dl
+    }
+
+    /// Keeps what a dynamic namespace queries — `comp_of` and the
+    /// labeling, mapped or owned as they are — and drops the filters
+    /// and the condensation.
+    pub(crate) fn into_labels(self) -> (Store<u32>, DistributionLabeling) {
+        (self.comp_of, self.dl)
+    }
+}
+
+impl crate::wal::Checkpoint for Oracle {
+    fn index(&self) -> Cow<'_, Oracle> {
+        Cow::Borrowed(self)
+    }
+}
+
+impl crate::wal::Checkpoint for Dag {
+    /// Labels the DAG once, with the default configuration.
+    fn index(&self) -> Cow<'_, Oracle> {
+        Cow::Owned(Oracle::new(self.graph()))
     }
 }
 

@@ -34,15 +34,18 @@
 //!   either side leaves at least one complete generation on disk, and
 //!   [`WalDir::recover`] picks the newest valid one.
 //!
-//! The checkpoint itself is the existing HOPL v3 arena
-//! ([`Oracle::save_arena`]) of an oracle built over the base DAG. A
-//! dynamic namespace is always a DAG, so every condensation component
-//! is a singleton and the original vertex numbering is recovered by
-//! inverting `comp_of` — see [`checkpoint_bytes`] / [`recover_dag`].
+//! The checkpoint itself is the HOPL v3 arena ([`Oracle::save_arena`])
+//! of the very index the namespace serves: a rebuild labels its folded
+//! base once and stages that [`Oracle`] here, and recovery opens the
+//! arena and hands it back in [`Recovered::index`] for the namespace to
+//! adopt without relabeling. A dynamic namespace is always a DAG, so
+//! every condensation component is a singleton and the original vertex
+//! numbering is recovered by inverting `comp_of` — see [`recover_dag`].
 
+use std::borrow::Cow;
 use std::fmt;
 use std::fs::{self, File, OpenOptions};
-use std::io::{self, Read, Seek, Write};
+use std::io::{self, BufWriter, Seek, Write};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
@@ -432,6 +435,9 @@ pub struct Recovered {
     pub generation: u64,
     /// The base DAG the checkpoint captured.
     pub base: Dag,
+    /// The checkpoint itself, opened (mapped on unix): the labeled
+    /// index over `base`, ready to serve as is.
+    pub index: Oracle,
     /// The valid prefix of `wal.<generation>` — a prefix of the
     /// operations acknowledged since that checkpoint.
     pub ops: Vec<EdgeOp>,
@@ -487,8 +493,9 @@ impl WalDir {
     }
 
     /// Recovers the newest valid generation: `Ok(None)` if the
-    /// directory holds no checkpoint (fresh namespace), the base DAG
-    /// plus the valid WAL prefix otherwise. Crash artifacts — a stale
+    /// directory holds no checkpoint (fresh namespace), the opened
+    /// checkpoint, its base DAG and the valid WAL prefix otherwise.
+    /// Nothing is relabeled. Crash artifacts — a stale
     /// `checkpoint.tmp`, a torn WAL tail, leftovers of a superseded
     /// generation — are tolerated, never an error. Read-only: calling
     /// it twice yields the same answer (the fault suite leans on
@@ -501,8 +508,8 @@ impl WalDir {
         }
         let mut last_err: Option<String> = None;
         for gen in gens {
-            let base = match Oracle::open(self.checkpoint_path(gen)) {
-                Ok(oracle) => recover_dag(&oracle)?,
+            let index = match Oracle::open(self.checkpoint_path(gen)) {
+                Ok(index) => index,
                 Err(e) => {
                     // A checkpoint is only ever published by an atomic
                     // rename, so an invalid one means real corruption;
@@ -511,6 +518,7 @@ impl WalDir {
                     continue;
                 }
             };
+            let base = recover_dag(&index)?;
             let wal_raw = match fs::read(self.wal_path(gen)) {
                 Ok(bytes) => bytes,
                 Err(e) if e.kind() == io::ErrorKind::NotFound => Vec::new(),
@@ -520,6 +528,7 @@ impl WalDir {
             return Ok(Some(Recovered {
                 generation: gen,
                 base,
+                index,
                 ops,
                 wal_bytes: valid as u64,
             }));
@@ -536,11 +545,11 @@ impl WalDir {
 
     /// Initializes generation 0 for a fresh namespace: stages and
     /// publishes `checkpoint.0` for `base` and creates an empty
-    /// `wal.0`. Must only be called when [`WalDir::recover`] returned
-    /// `None`.
-    pub fn initialize(&self, base: &Dag) -> io::Result<()> {
-        let arena = checkpoint_bytes(base)?;
-        self.prepare_checkpoint(&arena)?;
+    /// `wal.0`. Pass the [`Oracle`] the namespace will serve, so the
+    /// checkpoint is that index. Must only be called when
+    /// [`WalDir::recover`] returned `None`.
+    pub fn initialize(&self, base: &impl Checkpoint) -> io::Result<()> {
+        self.prepare_checkpoint(&base.index())?;
         let wal = File::create(self.wal_path(0))?;
         wal.sync_data()?;
         fs::rename(self.tmp_path(), self.checkpoint_path(0))?;
@@ -548,17 +557,15 @@ impl WalDir {
         Ok(())
     }
 
-    /// Stages the next checkpoint's bytes in `checkpoint.tmp`, fully
-    /// written and fsynced. Runs *off* the namespace lock (the bytes
-    /// capture a fixed base, so nothing here races the live overlay);
+    /// Stages `index` as the next checkpoint in `checkpoint.tmp`, fully
+    /// written and fsynced. Runs *off* the namespace lock (the index
+    /// captures a fixed base, so nothing here races the live overlay);
     /// the later [`Durability::rotate`] renames the staged file into
     /// place as its commit point.
-    pub fn prepare_checkpoint(&self, arena: &[u8]) -> io::Result<()> {
-        let tmp = self.tmp_path();
-        let mut f = File::create(&tmp)?;
-        f.write_all(arena)?;
-        f.sync_data()?;
-        Ok(())
+    pub fn prepare_checkpoint(&self, index: &Oracle) -> io::Result<()> {
+        let mut f = File::create(self.tmp_path())?;
+        index.save_arena(BufWriter::new(&mut f))?;
+        f.sync_data()
     }
 
     /// Opens the appender for `generation`, truncating the log to its
@@ -591,18 +598,12 @@ impl WalDir {
     }
 }
 
-/// Serializes the checkpoint arena for `base`: a full [`Oracle`] built
-/// over the DAG, saved through the HOPL v3 `save_arena` path (checksum
-/// sections and all). Runs a label construction — acceptable because
-/// checkpoints happen on the background rebuild worker, never on the
-/// query or mutation path.
-pub fn checkpoint_bytes(base: &Dag) -> io::Result<Vec<u8>> {
-    let oracle = Oracle::new(base.graph());
-    let mut bytes = Vec::new();
-    oracle
-        .save_arena(&mut bytes)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-    Ok(bytes)
+/// What [`WalDir::initialize`] can write as generation 0: the
+/// [`Oracle`] a namespace serves, saved as is, or a bare [`Dag`] for
+/// callers that hold no index yet, labeled once on the way.
+pub trait Checkpoint {
+    /// The index whose arena becomes the checkpoint.
+    fn index(&self) -> Cow<'_, Oracle>;
 }
 
 /// Reconstructs the original DAG a checkpoint captured. The captured
@@ -724,20 +725,6 @@ impl Durability for WalDurability {
     fn wal_records_total(&self) -> u64 {
         self.wal.records()
     }
-}
-
-/// Reads a WAL file's valid prefix directly (diagnostics / tests).
-pub fn read_wal_file(path: &Path) -> io::Result<(Vec<EdgeOp>, u64)> {
-    let mut bytes = Vec::new();
-    match File::open(path) {
-        Ok(mut f) => {
-            f.read_to_end(&mut bytes)?;
-        }
-        Err(e) if e.kind() == io::ErrorKind::NotFound => {}
-        Err(e) => return Err(e),
-    }
-    let (ops, valid) = decode_records(&bytes);
-    Ok((ops, valid as u64))
 }
 
 #[cfg(test)]
@@ -924,8 +911,7 @@ mod tests {
         // Stage the next checkpoint (base + both inserts folded in) but
         // "crash" before rotate: recovery must still see generation 0.
         let folded = Dag::from_edges(4, &[(0, 1), (1, 2), (2, 3)]).unwrap();
-        let arena = checkpoint_bytes(&folded).unwrap();
-        wd.prepare_checkpoint(&arena).unwrap();
+        wd.prepare_checkpoint(&folded.index()).unwrap();
         let rec = wd.recover().unwrap().unwrap();
         assert_eq!(rec.generation, 0);
         assert_eq!(rec.ops.len(), 2);

@@ -26,8 +26,7 @@ use hoplite_graph::{Dag, GraphError};
 
 use crate::obs::{QueryObs, SlowQuery};
 use crate::protocol::{
-    IndexBackend, MetricsReport, MetricsSummary, NamespaceInfo, NamespaceKind, NamespaceStats,
-    MAX_NAME_LEN,
+    MetricsReport, MetricsSummary, NamespaceInfo, NamespaceKind, NamespaceStats, MAX_NAME_LEN,
 };
 
 /// Why a request against the registry could not be served.
@@ -230,8 +229,8 @@ fn now_unix_ms() -> u64 {
 
 /// The background rebuild loop. Per iteration: snapshot a
 /// [`hoplite_core::RebuildPlan`] under the lock, run the expensive
-/// label construction (and, for durable namespaces, stage the next
-/// checkpoint) entirely off-lock, then re-take the lock just long
+/// label construction (and, for durable namespaces, stage that same
+/// index as the next checkpoint) entirely off-lock, then re-take the lock just long
 /// enough to publish the fresh index — mutations that landed mid-build
 /// survive as the new overlay — and rotate the WAL onto the staged
 /// checkpoint. Loops while the overlay is still past threshold (heavy
@@ -245,25 +244,17 @@ fn rebuild_worker(ns: &Arc<DynamicNs>) {
         let started = std::time::Instant::now();
         let plan = lock_unpoisoned(&ns.oracle).rebuild_plan();
         let rebuilt = plan.execute();
-        let staged = match &ns.wal {
-            None => false,
-            Some(dir) => match hoplite_core::wal::checkpoint_bytes(rebuilt.dag())
-                .and_then(|arena| dir.prepare_checkpoint(&arena))
-            {
-                Ok(()) => true,
-                Err(e) => {
-                    // Skip this rotation; the current generation's
-                    // checkpoint + WAL still reconstruct every
-                    // acknowledged op.
-                    crate::log_error!(
-                        "rebuild",
-                        "checkpoint staging failed in {}: {e}",
-                        dir.path().display()
-                    );
-                    false
-                }
-            },
-        };
+        // On a staging failure, skip this rotation: the current
+        // generation's checkpoint + WAL still reconstruct every
+        // acknowledged op.
+        let staged = ns.wal.as_ref().is_some_and(|dir| {
+            dir.prepare_checkpoint(rebuilt.index())
+                .inspect_err(|e| {
+                    let dir = dir.path().display();
+                    crate::log_error!("rebuild", "checkpoint staging failed in {dir}: {e}")
+                })
+                .is_ok()
+        });
         let more = {
             let mut oracle = lock_unpoisoned(&ns.oracle);
             let overlay = oracle.publish(rebuilt);
@@ -582,9 +573,8 @@ impl NamespaceHandle {
                     filter_hits: 0,
                     signature_hits: 0,
                     merge_runs: 0,
-                    // Dynamic oracles always own their arrays (they
-                    // mutate them).
-                    backend: IndexBackend::Heap,
+                    // Mapped after recovery until the first rebuild.
+                    backend: memory.backend().into(),
                     heap_bytes: memory.heap_bytes,
                     mapped_bytes: memory.mapped_bytes,
                     wal_bytes: oracle.wal_bytes(),
@@ -836,12 +826,14 @@ impl Registry {
     }
 
     /// Registers (or replaces) a **durable** dynamic namespace backed
-    /// by `dir`. A fresh directory is initialized with `seed` as
-    /// generation 0; a directory with history ignores `seed` and
-    /// recovers checkpoint + WAL instead — replaying the valid log
-    /// prefix (a prefix of the acknowledged ops; a torn tail from a
-    /// crash is truncated for good when the appender reopens). Every
-    /// later mutation is logged before it is applied.
+    /// by `dir`. A fresh directory labels `seed` once and checkpoints
+    /// that same index as generation 0; a directory with history
+    /// ignores `seed`, adopts the checkpoint's labels without
+    /// relabeling, and replays the valid log prefix (a prefix of the
+    /// acknowledged ops; a torn tail from a crash is truncated for
+    /// good when the appender reopens). An overlay replayed past the
+    /// threshold is folded by a background rebuild. Every later
+    /// mutation is logged before it is applied.
     /// `rebuild_threshold` overrides the overlay size that arms a
     /// background rebuild (`None` keeps the oracle default).
     pub fn open_durable(
@@ -854,34 +846,37 @@ impl Registry {
     ) -> Result<bool, ServeError> {
         Self::validate_name(name)?;
         let wal = WalDir::open(dir).map_err(ServeError::Wal)?;
-        let mut oracle = match wal.recover().map_err(ServeError::Wal)? {
-            Some(rec) => {
-                let mut oracle = DynamicOracle::new(rec.base);
-                let durability = wal
-                    .durability(rec.generation, rec.wal_bytes, rec.ops.len() as u64, cfg)
-                    .map_err(ServeError::Wal)?;
-                oracle.set_durability(Box::new(durability));
-                oracle.replay(&rec.ops)?;
-                oracle
-            }
-            None => {
-                wal.initialize(&seed).map_err(ServeError::Wal)?;
-                let mut oracle = DynamicOracle::new(seed);
-                let durability = wal.durability(0, 0, 0, cfg).map_err(ServeError::Wal)?;
-                oracle.set_durability(Box::new(durability));
-                oracle
-            }
-        };
+        let (mut oracle, generation, wal_bytes, ops) =
+            match wal.recover().map_err(ServeError::Wal)? {
+                Some(rec) => (
+                    DynamicOracle::from_index(rec.base, rec.index),
+                    rec.generation,
+                    rec.wal_bytes,
+                    rec.ops,
+                ),
+                None => {
+                    let index = Oracle::new(seed.graph());
+                    wal.initialize(&index).map_err(ServeError::Wal)?;
+                    (DynamicOracle::from_index(seed, index), 0, 0, Vec::new())
+                }
+            };
         oracle.set_auto_rebuild(false);
         if let Some(threshold) = rebuild_threshold {
             oracle.set_rebuild_threshold(threshold);
         }
-        self.insert(
-            name,
-            NamespaceHandle {
-                inner: Inner::Dynamic(Arc::new(DynamicNs::new(oracle, Some(wal)))),
-            },
-        )
+        let durability = wal
+            .durability(generation, wal_bytes, ops.len() as u64, cfg)
+            .map_err(ServeError::Wal)?;
+        oracle.set_durability(Box::new(durability));
+        oracle.replay(&ops)?;
+        let needs_rebuild = oracle.needs_rebuild();
+        let ns = Arc::new(DynamicNs::new(oracle, Some(wal)));
+        let inner = Inner::Dynamic(Arc::clone(&ns));
+        let replaced = self.insert(name, NamespaceHandle { inner })?;
+        if needs_rebuild {
+            spawn_rebuild(name, &ns);
+        }
+        Ok(replaced)
     }
 
     /// Clones the handle registered under `name`.
@@ -1153,6 +1148,36 @@ mod tests {
             assert!(!ns.reach(0, 2).unwrap(), "removal replayed");
             assert_eq!(ns.stats().wal_records, 3, "records_total survives");
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn recovered_overlay_past_threshold_folds_in_the_background() {
+        let dir = temp_dir("refold");
+        let cfg = hoplite_core::WalConfig::sync_every_record();
+        {
+            let registry = Registry::new();
+            let seed = Dag::from_edges(5, &[]).unwrap();
+            registry.open_durable("d", seed, &dir, cfg, None).unwrap();
+            let ns = registry.get("d").unwrap();
+            for (u, v) in [(0, 1), (1, 2), (2, 3)] {
+                ns.add_edge("d", u, v).unwrap();
+            }
+        }
+        // Reopened with a threshold the replayed overlay already meets:
+        // the open itself relabels nothing and hands the fold to a
+        // background worker.
+        let registry = Registry::new();
+        let seed = Dag::from_edges(5, &[]).unwrap();
+        registry
+            .open_durable("d", seed, &dir, cfg, Some(2))
+            .unwrap();
+        let ns = registry.get("d").unwrap();
+        assert!(ns.rebuild_in_flight() || ns.rebuilds_completed() == 1);
+        ns.quiesce("d");
+        assert_eq!(ns.rebuilds_completed(), 1);
+        assert_eq!(ns.stats().pending_inserts, 0);
+        assert!(ns.reach(0, 3).unwrap());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -17,11 +17,11 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use hoplite::core::wal::{decode_records, RECORD_LEN};
+use hoplite::core::wal::{decode_records, encode_record, RECORD_LEN};
 use hoplite::core::{
     Durability, DynamicOracle, EdgeOp, FailpointWriter, Oracle, Wal, WalConfig, WalDir,
 };
-use hoplite::graph::{traversal, Dag, DiGraph};
+use hoplite::graph::{gen, traversal, Dag, DiGraph};
 use hoplite::server::{Client, Registry, Server, ServerConfig};
 
 // ---------------------------------------------------------------------
@@ -274,8 +274,8 @@ fn remove_then_reverse_insert_mid_rebuild_survives_rotation_and_restart() {
         .insert_edge(1, 0)
         .expect("reverse insert 1→0 mid-rebuild");
 
-    let arena = hoplite::core::wal::checkpoint_bytes(rebuilt.dag()).expect("checkpoint bytes");
-    wal.prepare_checkpoint(&arena).expect("stage checkpoint");
+    wal.prepare_checkpoint(rebuilt.index())
+        .expect("stage checkpoint");
     let overlay = oracle.publish(rebuilt);
     assert_eq!(
         overlay,
@@ -306,6 +306,115 @@ fn remove_then_reverse_insert_mid_rebuild_survives_rotation_and_restart() {
             recovered.query(u, v)
         });
     }
+    fs::remove_dir_all(&root).ok();
+}
+
+/// A rebuild labels its snapshot once: the arena it stages is the very
+/// index the namespace publishes, so it opens with the same label
+/// entries and answers like BFS over the folded graph.
+#[test]
+fn the_staged_checkpoint_is_the_published_index() {
+    let root = temp_dir("staged");
+    let wal = WalDir::open(&root).expect("open wal dir");
+    let base = gen::random_dag(60, 180, 11);
+    let n = base.num_vertices();
+    let topo = base.topo_order().to_vec();
+    let seed: Vec<(u32, u32)> = base.graph().edges().collect();
+    let mut oracle = DynamicOracle::new(base);
+    oracle.set_auto_rebuild(false);
+    let mut ops: Vec<EdgeOp> = seed
+        .iter()
+        .step_by(5)
+        .map(|&(u, v)| EdgeOp::Remove(u, v))
+        .collect();
+    ops.extend((0..20).map(|i| EdgeOp::Insert(topo[i], topo[i + 30])));
+    oracle.replay(&ops).expect("apply mutations");
+
+    let rebuilt = oracle.rebuild_plan().execute();
+    let folded: BTreeSet<(u32, u32)> = rebuilt.dag().graph().edges().collect();
+    assert_eq!(folded, apply_ops(&seed, &ops));
+    wal.prepare_checkpoint(rebuilt.index())
+        .expect("stage checkpoint");
+    oracle.publish(rebuilt);
+
+    let arena = fs::read(root.join("checkpoint.tmp")).expect("read staged arena");
+    let staged = Oracle::open_arena_bytes(&arena).expect("staged arena opens");
+    assert_eq!(staged.label_entries(), oracle.label_entries());
+    assert_matches_bfs(n, &folded, "staged arena", |u, v| staged.reaches(u, v));
+    fs::remove_dir_all(&root).ok();
+}
+
+/// Recovery adopts the checkpoint instead of relabeling: restarted on a
+/// rotated generation with a non-empty overlay and a torn WAL tail, the
+/// namespace serves the checkpoint's own labels, mapped, and answers
+/// like BFS over the acknowledged ops.
+#[test]
+fn restart_adopts_the_rotated_checkpoint_labels() {
+    const THRESHOLD: usize = 8;
+    let root = temp_dir("adopt");
+    let n = 24usize;
+    let mut truth = apply_ops(&[(0, 1), (1, 2)], &[]);
+    {
+        let registry = Registry::new();
+        let seed = Dag::from_edges(n, &[(0, 1), (1, 2)]).unwrap();
+        let cfg = WalConfig::sync_every_record();
+        registry
+            .open_durable("live", seed, &root, cfg, Some(THRESHOLD))
+            .expect("open durable");
+        let handle = registry.get("live").unwrap();
+        // Exactly one threshold's worth: the rebuild folds all of it.
+        for u in 2..2 + THRESHOLD as u32 {
+            handle.add_edge("live", u, u + 1).expect("insert");
+            truth.insert((u, u + 1));
+        }
+        handle.quiesce("live");
+        assert_eq!(handle.rebuilds_completed(), 1);
+        // The overlay left on top of the rotated checkpoint.
+        handle.add_edge("live", 0, 20).expect("insert");
+        truth.insert((0, 20));
+        assert!(handle.remove_edge("live", 1, 2).expect("remove"));
+        truth.remove(&(1, 2));
+    }
+    // One rotation: generation 1 replaced generation 0.
+    assert!(!root.join("checkpoint.0").exists());
+    let wal_path = root.join("wal.1");
+    // A torn tail: half of one more record that was never acknowledged.
+    let mut log = fs::read(&wal_path).unwrap();
+    assert_eq!(log.len(), 2 * RECORD_LEN);
+    log.extend_from_slice(&encode_record(EdgeOp::Insert(5, 9))[..RECORD_LEN / 2]);
+    fs::write(&wal_path, &log).unwrap();
+
+    let registry = Registry::new();
+    let decoy = Dag::from_edges(n, &[]).unwrap();
+    registry
+        .open_durable(
+            "live",
+            decoy,
+            &root,
+            WalConfig::sync_every_record(),
+            Some(THRESHOLD),
+        )
+        .expect("reopen durable");
+    let handle = registry.get("live").unwrap();
+    let checkpoint = Oracle::open(root.join("checkpoint.1")).expect("checkpoint opens");
+    let stats = handle.stats();
+    assert_eq!(
+        stats.pending_inserts + stats.pending_deletions,
+        2,
+        "{stats:?}"
+    );
+    assert_eq!(stats.label_entries, checkpoint.label_entries());
+    #[cfg(unix)]
+    {
+        assert_eq!(stats.backend, hoplite::server::IndexBackend::Mapped);
+        assert!(
+            stats.mapped_bytes >= checkpoint.inner().memory().total(),
+            "the adopted labels stay mapped: {stats:?}"
+        );
+    }
+    assert_matches_bfs(n, &truth, "adopted", |u, v| {
+        handle.reach(u, v).expect("reach")
+    });
     fs::remove_dir_all(&root).ok();
 }
 
