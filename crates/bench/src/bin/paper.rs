@@ -285,15 +285,13 @@ fn perf_cmd(args: &[String]) {
 /// `paper __wire-server <vertices> <edges> <seed> [<hwm> <pairs>
 /// <deadline_ms>]` — the server side of the perf wire sweep and (with
 /// the trailing budget args) of the overload drill. Builds an oracle
-/// over the same
-/// `random_dag` family the headline numbers use, binds a reactor-mode
-/// server (thread pool where no reactor exists) on an ephemeral
-/// loopback port, prints `ADDR <addr>` so the parent can connect, and
-/// serves until stdin reaches EOF — which is how the parent says
-/// "done" without signals.
+/// over the same `random_dag` family the headline numbers use, binds
+/// a server on an ephemeral loopback port, prints `ADDR <addr>` so the
+/// parent can connect, and serves until stdin reaches EOF — which is
+/// how the parent says "done" without signals.
 fn wire_server_cmd(args: &[String]) {
     use hoplite_core::Oracle;
-    use hoplite_server::{Registry, ServeMode, Server, ServerConfig};
+    use hoplite_server::{Registry, Server, ServerConfig};
     use std::io::{Read, Write};
     use std::sync::Arc;
 
@@ -314,14 +312,7 @@ fn wire_server_cmd(args: &[String]) {
     registry
         .insert_frozen("bench", oracle)
         .expect("fresh registry accepts one namespace");
-    let mut config = ServerConfig {
-        mode: if cfg!(unix) {
-            ServeMode::Reactor
-        } else {
-            ServeMode::ThreadPool
-        },
-        ..ServerConfig::default()
-    };
+    let mut config = ServerConfig::default();
     // The overload drill passes admission budgets; zero means "leave
     // that knob off".
     if args.len() == 6 {

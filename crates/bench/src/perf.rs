@@ -344,7 +344,7 @@ pub struct WireStep {
 /// over connection counts by [`hoplite_server::loadgen`].
 #[derive(Clone, Debug)]
 pub struct WireReport {
-    /// Serve mode of the child (`"reactor"` on unix).
+    /// Serving loop of the child (always `"reactor"`).
     pub mode: &'static str,
     /// Frames in flight per connection within a round.
     pub pipeline: usize,
@@ -365,7 +365,7 @@ pub struct WireReport {
 /// replies stayed.
 #[derive(Clone, Debug)]
 pub struct OverloadStage {
-    /// Serve mode of the child (`"reactor"` on unix).
+    /// Serving loop of the child (always `"reactor"`).
     pub mode: &'static str,
     /// Concurrent sockets held open for the whole drill.
     pub connections: usize,
@@ -1231,7 +1231,7 @@ fn run_overload(
         .map_err(|e| format!("overload drill: {e}"))?;
         let offered = report.queries + report.shed + report.deadline_exceeded;
         Ok(OverloadStage {
-            mode: if cfg!(unix) { "reactor" } else { "thread-pool" },
+            mode: "reactor",
             connections,
             pipeline,
             factor,

@@ -28,8 +28,8 @@ use hoplite_core::{BuildTrace, DlConfig, DynamicOracle, HistogramSnapshot, Oracl
 use hoplite_graph::gen::{self, Rng};
 use hoplite_graph::{io as gio, Dag, DiGraph};
 use hoplite_server::{
-    loadgen, log_error, log_info, Client, ClientConfig, ClientError, LoadSpec, Registry, ServeMode,
-    Server, ServerConfig,
+    loadgen, log_error, log_info, Client, ClientConfig, ClientError, LoadSpec, Registry, Server,
+    ServerConfig,
 };
 
 const USAGE: &str = "\
@@ -43,12 +43,8 @@ USAGE:
 
 SERVE:
     --listen ADDR          bind address, e.g. 127.0.0.1:7411 (port 0 = ephemeral)
-    --reactor              epoll/kqueue event loop instead of the thread
-                           pool: one thread multiplexes every socket and
-                           coalesces queries across connections; clients
-                           are never refused below the fd limit
-    --workers N            connection-handler threads (thread-pool mode;
-                           default: cores)
+    --reactor              accepted and ignored: the epoll/kqueue reactor
+                           is the only serving loop
     --batch-threads N      fan-out width for BATCH queries (default: cores, max 8)
     --frozen NAME=FILE     build a frozen namespace from a graph file
                            (.gra adjacency, anything else = edge list)
@@ -83,11 +79,8 @@ SERVE:
     --shed-inflight N      admission high-water mark: past N in-flight
                            frames, shed read queries with OVERLOADED +
                            retry-after (mutations are never shed)
-    --shed-pairs N         reactor per-tick coalesced-pair budget; reads
-                           past it shed with OVERLOADED (default: off)
-    --queue-limit N        refuse new connections once N are waiting for
-                           a pool worker (thread-pool mode; default:
-                           worker count)
+    --shed-pairs N         per-tick coalesced-pair budget; reads past it
+                           shed with OVERLOADED (default: off)
     --rebuild-stall SECS   /readyz reports 503 when a namespace has been
                            stuck in a background rebuild this long
                            (default 300)
@@ -98,8 +91,6 @@ BENCH (wire-level throughput on a synthetic power-law graph):
     --queries Q            total queries         (default 200000)
     --clients C            concurrent clients    (default 4)
     --batch K              pairs per frame       (default 512; 1 = single REACH)
-    --workers N            server worker threads (default: cores)
-    --reactor              benchmark the reactor serving loop
     --connections LIST     comma-separated connection counts to sweep,
                            e.g. 100,1000,10000 — each step holds that
                            many sockets open and drives pipelined load
@@ -119,8 +110,7 @@ BENCH (wire-level throughput on a synthetic power-law graph):
                            budgets sized to admit ~1/N of the offered
                            in-flight load and drive the same closed-loop
                            traffic — reporting shed %, accepted-query
-                           p99, and goodput (with --reactor: the reactor
-                           loop sheds; without: the thread-pool path)
+                           p99, and goodput
 
 SMOKE:
     self-contained serving-path check: ephemeral server, PING, REACH,
@@ -209,8 +199,8 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
                 trace_out = Some(it.next().ok_or("--trace-out needs a value")?.clone())
             }
             "--wal-dir" => wal_dir = Some(it.next().ok_or("--wal-dir needs a value")?.clone()),
-            "--reactor" => config.mode = ServeMode::Reactor,
-            "--workers" => config.workers = parse_num("--workers", it.next()).map(|n| n.max(1))?,
+            // The only serving loop; the flag stays for old command lines.
+            "--reactor" => {}
             "--batch-threads" => {
                 config.batch_threads = parse_num("--batch-threads", it.next()).map(|n| n.max(1))?
             }
@@ -236,7 +226,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
                 config.shed_coalesced_pairs =
                     Some(parse_num("--shed-pairs", it.next()).map(|n| n.max(1))?)
             }
-            "--queue-limit" => config.pool_queue_limit = parse_num("--queue-limit", it.next())?,
             "--rebuild-stall" => registry.set_rebuild_stall_threshold(Duration::from_secs(
                 parse_num("--rebuild-stall", it.next())? as u64,
             )),
@@ -376,20 +365,12 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     // Everything (including WAL replay, which `open_durable` runs
     // synchronously) is loaded: open the gates.
     registry.set_ready(true);
-    match config.mode {
-        ServeMode::ThreadPool => log_info!(
-            "serve",
-            "{loaded} namespace(s), {} workers, batch fan-out {}",
-            config.workers,
-            config.batch_threads
-        ),
-        ServeMode::Reactor => log_info!(
-            "serve",
-            "{loaded} namespace(s), reactor event loop, batch fan-out {}",
-            config.batch_threads
-        ),
-    }
-    // Serve until killed; the accept/worker threads do all the work.
+    log_info!(
+        "serve",
+        "{loaded} namespace(s), reactor event loop, batch fan-out {}",
+        config.batch_threads
+    );
+    // Serve until killed; the reactor thread does all the work.
     loop {
         std::thread::sleep(std::time::Duration::from_secs(3600));
     }
@@ -409,7 +390,6 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
     let mut threads = cores.clamp(1, 8);
     let mut addr: Option<String> = None;
     let mut overload: Option<usize> = None;
-    let mut config = ServerConfig::default();
 
     let mut it = args.iter();
     while let Some(flag) = it.next() {
@@ -419,8 +399,6 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
             "--queries" => queries = parse_num("--queries", it.next()).map(|n| n.max(1))?,
             "--clients" => clients = parse_num("--clients", it.next()).map(|n| n.max(1))?,
             "--batch" => batch = parse_num("--batch", it.next()).map(|n| n.max(1))?,
-            "--workers" => config.workers = parse_num("--workers", it.next()).map(|n| n.max(1))?,
-            "--reactor" => config.mode = ServeMode::Reactor,
             "--pipeline" => pipeline = parse_num("--pipeline", it.next()).map(|n| n.max(1))?,
             "--threads" => threads = parse_num("--threads", it.next()).map(|n| n.max(1))?,
             "--connections" => {
@@ -441,7 +419,7 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
             .and_then(|s| s.first().copied())
             .unwrap_or(64);
         return bench_overload(
-            vertices, edges, queries, batch, conns, pipeline, threads, factor, config,
+            vertices, edges, queries, batch, conns, pipeline, threads, factor,
         );
     }
     if let Some(addr) = addr {
@@ -454,9 +432,7 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
         return Ok(());
     }
     if let Some(sweep) = connections {
-        return bench_sweep(
-            vertices, edges, queries, batch, &sweep, pipeline, threads, config,
-        );
+        return bench_sweep(vertices, edges, queries, batch, &sweep, pipeline, threads);
     }
 
     log_info!(
@@ -477,11 +453,12 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
     registry
         .insert_frozen("bench", oracle)
         .map_err(|e| e.to_string())?;
-    // Every client (plus the stats probe) holds a connection for the
-    // whole run; the worker pool must cover them all.
-    config.workers = config.workers.max(clients + 2);
-    let handle = Server::bind("127.0.0.1:0", Arc::clone(&registry), config)
-        .map_err(|e| format!("bind: {e}"))?;
+    let handle = Server::bind(
+        "127.0.0.1:0",
+        Arc::clone(&registry),
+        ServerConfig::default(),
+    )
+    .map_err(|e| format!("bind: {e}"))?;
     let addr = handle.local_addr();
     log_info!(
         "bench",
@@ -586,9 +563,7 @@ fn fmt_latency(latency: &HistogramSnapshot) -> String {
 /// each requested connection count holds that many sockets open and
 /// drives pipelined load through *all* of them with a bounded worker
 /// pool — measuring how wire QPS behaves as sockets grow from hundreds
-/// to tens of thousands (the reactor's reason to exist; the thread
-/// pool refuses anything beyond its worker count, so sweeping it past
-/// that is only meaningful with `--workers` raised to match).
+/// to tens of thousands (the reactor's reason to exist).
 #[allow(clippy::too_many_arguments)]
 fn bench_sweep(
     vertices: usize,
@@ -598,7 +573,6 @@ fn bench_sweep(
     sweep: &[usize],
     pipeline: usize,
     threads: usize,
-    mut config: ServerConfig,
 ) -> Result<(), String> {
     log_info!(
         "bench",
@@ -617,21 +591,15 @@ fn bench_sweep(
     registry
         .insert_frozen("bench", oracle)
         .map_err(|e| e.to_string())?;
-    if config.mode == ServeMode::ThreadPool {
-        // Give the pool a fighting chance to hold the sweep's sockets.
-        let peak = sweep.iter().copied().max().unwrap_or(0);
-        config.workers = config.workers.max(peak + 2);
-    }
-    let handle = Server::bind("127.0.0.1:0", Arc::clone(&registry), config.clone())
-        .map_err(|e| format!("bind: {e}"))?;
-    let addr = handle.local_addr();
-    let mode = match config.mode {
-        ServeMode::ThreadPool => "thread-pool",
-        ServeMode::Reactor => "reactor",
-    };
+    let handle = Server::bind(
+        "127.0.0.1:0",
+        Arc::clone(&registry),
+        ServerConfig::default(),
+    )
+    .map_err(|e| format!("bind: {e}"))?;
     run_sweep(
-        addr,
-        mode,
+        handle.local_addr(),
+        "reactor",
         vertices,
         queries,
         batch,
@@ -659,7 +627,6 @@ fn bench_overload(
     pipeline: usize,
     threads: usize,
     factor: usize,
-    mut config: ServerConfig,
 ) -> Result<(), String> {
     log_info!(
         "bench",
@@ -671,13 +638,6 @@ fn bench_overload(
     registry
         .insert_frozen("bench", oracle)
         .map_err(|e| e.to_string())?;
-    if config.mode == ServeMode::ThreadPool {
-        config.workers = config.workers.max(conns + 2);
-    }
-    let mode = match config.mode {
-        ServeMode::ThreadPool => "thread-pool",
-        ServeMode::Reactor => "reactor",
-    };
     let spec = |addr: std::net::SocketAddr, queries: u64, seed: u64| LoadSpec {
         addr,
         ns: "bench".into(),
@@ -692,8 +652,12 @@ fn bench_overload(
 
     // Phase 1: calibrate. No budgets — whatever this run sustains is
     // the capacity estimate the overload phase is a multiple of.
-    let handle = Server::bind("127.0.0.1:0", Arc::clone(&registry), config.clone())
-        .map_err(|e| format!("bind: {e}"))?;
+    let handle = Server::bind(
+        "127.0.0.1:0",
+        Arc::clone(&registry),
+        ServerConfig::default(),
+    )
+    .map_err(|e| format!("bind: {e}"))?;
     let calib = loadgen::run_load(&spec(
         handle.local_addr(),
         (queries as u64 / 4).max(1),
@@ -703,7 +667,7 @@ fn bench_overload(
     handle.shutdown();
     let capacity = calib.qps();
     println!(
-        "bench[overload/{mode}]: capacity ≈ {capacity:.0} queries/s unthrottled \
+        "bench[overload]: capacity ≈ {capacity:.0} queries/s unthrottled \
          (reply {})",
         fmt_latency(&calib.latency),
     );
@@ -713,21 +677,20 @@ fn bench_overload(
     // the offered load is factor× what admission accepts. Reads past
     // the mark shed with OVERLOADED; a generous deadline exercises the
     // aging path without dominating the refusals. The high-water mark
-    // scales to each mode's queue: the reactor counts frames in flight
-    // across every connection per tick, the thread pool per connection.
+    // counts frames in flight across every connection per reactor tick.
     let inflight = conns * pipeline;
-    config.shed_inflight_hwm = Some(match config.mode {
-        ServeMode::Reactor => (inflight / factor).max(1),
-        ServeMode::ThreadPool => (pipeline / factor).max(1),
-    });
-    config.shed_coalesced_pairs = Some(((inflight * batch) / factor).max(1));
-    config.request_deadline = Some(Duration::from_secs(1));
+    let config = ServerConfig {
+        shed_inflight_hwm: Some((inflight / factor).max(1)),
+        shed_coalesced_pairs: Some(((inflight * batch) / factor).max(1)),
+        request_deadline: Some(Duration::from_secs(1)),
+        ..ServerConfig::default()
+    };
     let handle = Server::bind("127.0.0.1:0", Arc::clone(&registry), config)
         .map_err(|e| format!("bind: {e}"))?;
     let report = loadgen::run_load(&spec(handle.local_addr(), queries as u64, 0x0BAD))
         .map_err(|e| format!("overload run: {e}"))?;
     println!(
-        "bench[overload/{mode}]: {factor}x budgets → goodput {:.0} queries/s \
+        "bench[overload]: {factor}x budgets → goodput {:.0} queries/s \
          ({:.1}% of capacity), shed {:.1}% ({} shed, {} deadline-expired, {} errors), \
          accepted reply {}",
         report.qps(),
@@ -739,7 +702,7 @@ fn bench_overload(
         fmt_latency(&report.latency),
     );
     println!(
-        "bench[overload/{mode}]: server counters: {} frames shed, {} deadline-exceeded, \
+        "bench[overload]: server counters: {} frames shed, {} deadline-exceeded, \
          {} connections reaped",
         handle.frames_shed(),
         handle.deadlines_exceeded(),
@@ -755,7 +718,7 @@ fn bench_overload(
 #[allow(clippy::too_many_arguments)]
 fn run_sweep(
     addr: std::net::SocketAddr,
-    mode: &str,
+    label: &str,
     vertices: usize,
     queries: usize,
     batch: usize,
@@ -766,7 +729,7 @@ fn run_sweep(
 ) -> Result<(), String> {
     log_info!(
         "bench",
-        "{mode} server on {addr}; sweep {sweep:?} connections, \
+        "{label} server on {addr}; sweep {sweep:?} connections, \
          pipeline {pipeline}, batch {batch}, {threads} loadgen threads"
     );
     for &conns in sweep {
@@ -791,7 +754,7 @@ fn run_sweep(
             None => String::new(),
         };
         println!(
-            "bench[{mode}]: {:>6} conns → {:>12.0} queries/s \
+            "bench[{label}]: {:>6} conns → {:>12.0} queries/s \
              ({} queries in {:.1} ms, {} errors, reply {}{coalesced})",
             report.connections,
             report.qps(),

@@ -39,7 +39,7 @@ pub struct ClientConfig {
     /// backoff between them. `0` fails on the first refusal. Governs
     /// both re-dials of a failed connect *and* in-place re-issues of a
     /// request the server refused with a retryable `FAIL`
-    /// (`OVERLOADED`/`NOT_READY`, protocol v6) — those waits honor the
+    /// (`OVERLOADED`/`NOT_READY`) — those waits honor the
     /// server's retry-after hint when it exceeds the backoff.
     pub retries: u32,
 }
@@ -127,8 +127,8 @@ pub enum ClientError {
     /// The server replied with an `ERROR` frame; the message is the
     /// server's human-readable reason.
     Server(String),
-    /// The server refused the request with a typed `FAIL` reply
-    /// (protocol v6): shed under overload, aged past its deadline, or
+    /// The server refused the request with a typed `FAIL` reply: shed
+    /// under overload, aged past its deadline, or
     /// sent to a server still starting up. [`ClientError::is_retryable`]
     /// splits these into retry-worthy and terminal.
     Refused {
@@ -382,7 +382,7 @@ impl Client {
         }
     }
 
-    /// The server's metrics report (protocol v4): server-wide
+    /// The server's metrics report: server-wide
     /// counters, serving-loop latency summaries, and per-namespace
     /// query-path series. Pass `""` for every namespace, or a name to
     /// restrict the per-namespace section.
@@ -542,9 +542,7 @@ mod tests {
             let (mut stream, _) = listener.accept().unwrap();
             for response in replies {
                 let _ = read_frame(&mut stream, MAX_FRAME_LEN).unwrap();
-                let payload = response
-                    .encode_versioned(crate::protocol::PROTOCOL_VERSION)
-                    .unwrap();
+                let payload = response.encode().unwrap();
                 write_frame(&mut stream, &payload).unwrap();
                 stream.flush().unwrap();
             }

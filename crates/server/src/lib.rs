@@ -10,17 +10,19 @@
 //! that replica. A [`Registry`] holds many named graphs at once —
 //! frozen [`hoplite_core::Oracle`] snapshots (loaded from `HOPL` files
 //! or built at startup) and mutable [`hoplite_core::DynamicOracle`]
-//! namespaces — and a [`Server`] (per-connection thread pool, or an
-//! epoll/kqueue reactor via [`ServeMode::Reactor`] that multiplexes
-//! 10k+ sockets on one thread and coalesces queries across them)
-//! answers the length-prefixed binary protocol of [`protocol`]:
-//! `PING`, `REACH`, `BATCH`,
-//! `ADD_EDGE`, `REMOVE_EDGE`, `STATS`, `LIST`. Frozen labels are
-//! immutable, so the query fast path takes no lock; `REACH` and
-//! `BATCH` run the [`hoplite_core::QueryFilters`] O(1) pre-filter
-//! stack before any label intersection, and `BATCH` fans out through
-//! [`hoplite_core::parallel::par_query_batch_mapped`] exactly like
-//! the in-process [`hoplite_core::Oracle::reaches_batch`] API.
+//! namespaces — and a [`Server`] answers the length-prefixed binary
+//! protocol of [`protocol`]: `PING`, `REACH`, `BATCH`, `ADD_EDGE`,
+//! `REMOVE_EDGE`, `STATS`, `LIST`, `METRICS`. The server is one
+//! epoll/kqueue reactor thread that multiplexes 10k+ sockets and
+//! coalesces the `REACH`/`BATCH` frames of every connection into one
+//! batch-kernel call per namespace per tick. Frozen labels are
+//! immutable, so the query fast path takes no lock; each coalesced
+//! batch runs the [`hoplite_core::QueryFilters`] O(1) pre-filter stack
+//! before any label intersection and fans out through
+//! [`hoplite_core::parallel::par_query_batch_mapped`] exactly like the
+//! in-process [`hoplite_core::Oracle::reaches_batch`] API. Serving
+//! needs epoll or kqueue; elsewhere [`Server::bind`] fails with
+//! `ErrorKind::Unsupported`.
 //!
 //! ## Quickstart
 //!
@@ -52,7 +54,6 @@
 pub mod client;
 pub mod loadgen;
 pub mod obs;
-pub mod pool;
 pub mod protocol;
 #[cfg(unix)]
 mod reactor;
@@ -62,11 +63,10 @@ pub mod server;
 pub use client::{Client, ClientConfig, ClientError};
 pub use loadgen::{LoadReport, LoadSpec};
 pub use obs::{LogLevel, QueryObs, ServerObs, SlowLog, SlowQuery};
-pub use pool::ThreadPool;
 pub use protocol::{
     ErrorCode, FrameAccumulator, IndexBackend, MetricsReport, MetricsSummary, NamespaceInfo,
     NamespaceKind, NamespaceStats, Request, Response, WireError, MAX_BATCH_PAIRS, MAX_FRAME_LEN,
-    MAX_NAME_LEN, PROTOCOL_VERSION, PROTOCOL_VERSION_MIN,
+    MAX_NAME_LEN, PROTOCOL_VERSION,
 };
 pub use registry::{NamespaceHandle, Registry, ServeError};
-pub use server::{ServeMode, Server, ServerConfig, ServerHandle};
+pub use server::{Server, ServerConfig, ServerHandle};

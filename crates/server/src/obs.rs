@@ -340,31 +340,26 @@ impl Default for QueryObs {
     }
 }
 
-/// Server-wide serving-loop observability, shared by every serving
-/// thread. Reactor-specific members stay zero under the thread-pool
-/// server — harmless in the exposition.
+/// Server-wide serving-loop observability, recorded by the reactor
+/// thread and read by metrics scrapes.
 pub struct ServerObs {
-    /// Reactor: duration of each non-idle tick (events were ready).
+    /// Duration of each non-idle reactor tick (events were ready).
     pub tick_ns: Histogram,
-    /// Reactor: pairs per coalesced per-namespace kernel call.
+    /// Pairs per coalesced per-namespace kernel call.
     pub coalesce_batch: Histogram,
     /// Bytes of buffered unwritten replies per connection, sampled
     /// after each tick's scatter.
     pub queue_depth: Histogram,
     /// Frame-in to reply-encoded latency, per frame.
     pub reply_latency_ns: Histogram,
-    /// Reactor: times a connection crossed the write-backpressure
-    /// threshold and stopped being read.
+    /// Times a connection crossed the write-backpressure threshold and
+    /// stopped being read.
     pub stall_count: Counter,
     /// Total nanoseconds connections spent read-paused by
     /// backpressure.
     pub stall_ns: Counter,
-    /// Thread-pool: jobs waiting for a worker, sampled per accepted
-    /// connection.
-    pub pool_queue_depth: Histogram,
-    /// Decoded frames awaiting dispatch, sampled per reactor tick (or
-    /// per drained read in thread-pool mode) — the admission-control
-    /// pressure gauge.
+    /// Decoded frames awaiting dispatch, sampled per reactor tick — the
+    /// admission-control pressure gauge.
     pub inflight_frames: Histogram,
 }
 
@@ -378,7 +373,6 @@ impl ServerObs {
             reply_latency_ns: Histogram::new(),
             stall_count: Counter::new(),
             stall_ns: Counter::new(),
-            pool_queue_depth: Histogram::new(),
             inflight_frames: Histogram::new(),
         }
     }
@@ -419,10 +413,6 @@ pub(crate) fn collect_metrics(
     report.counters.push(c(
         "server_errors_total",
         counters.errors.load(Ordering::Relaxed),
-    ));
-    report.counters.push(c(
-        "server_rejected_total",
-        counters.rejected.load(Ordering::Relaxed),
     ));
     report.counters.push(c(
         "server_connections_active",
@@ -468,9 +458,6 @@ pub(crate) fn collect_metrics(
     report
         .histograms
         .push(h("server_reply_latency_ns", &obs.reply_latency_ns));
-    report
-        .histograms
-        .push(h("server_pool_queue_depth", &obs.pool_queue_depth));
     report
         .histograms
         .push(h("server_inflight_frames", &obs.inflight_frames));

@@ -1,11 +1,7 @@
-//! The event-driven serving loop: one epoll/kqueue reactor thread
-//! multiplexing every connection, with cross-connection batch
-//! coalescing.
+//! The serving loop: one epoll/kqueue reactor thread multiplexing
+//! every connection, with cross-connection batch coalescing.
 //!
-//! The thread-pool server ([`crate::server`]) pins one OS thread per
-//! connection, so concurrency is capped at the worker count and
-//! over-capacity clients are refused. The reactor inverts that: a
-//! single thread owns *all* sockets through an OS readiness queue
+//! A single thread owns *all* sockets through an OS readiness queue
 //! (`epoll(7)` on Linux, `kqueue(2)` on the BSDs/macOS — declared as a
 //! std-only `extern "C"` shim, the same pattern as the
 //! `hoplite_core::store` mmap shim), so 10k mostly-idle connections
@@ -46,12 +42,13 @@ use std::net::{TcpListener, TcpStream};
 use std::os::unix::io::{AsRawFd, RawFd};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crate::obs::ServerObs;
-use crate::protocol::{FrameAccumulator, Request, Response, MAX_BATCH_PAIRS};
+use crate::protocol::{ErrorCode, FrameAccumulator, Request, Response, MAX_BATCH_PAIRS};
 use crate::registry::{NamespaceHandle, Registry, ServeError};
-use crate::server::{salvage_version, ServerConfig, ServerCounters};
+use crate::server::{ServerConfig, ServerCounters};
 
 pub(crate) mod sys;
 
@@ -192,12 +189,11 @@ struct Job {
     targets: Vec<Target>,
 }
 
-/// One decoded frame awaiting its reply: where it came from, which
-/// protocol dialect the reply must speak, and when its bytes arrived
-/// (the deadline clock, and the accept→reply latency histogram).
+/// One decoded frame awaiting its reply: where it came from, and when
+/// its bytes arrived (the deadline clock, and the accept→reply latency
+/// histogram).
 struct Slot {
     token: u64,
-    version: u8,
     arrived: Instant,
     response: Option<Response>,
 }
@@ -221,10 +217,9 @@ impl Tick {
         }
     }
 
-    fn push_slot(&mut self, token: u64, version: u8, arrived: Instant, response: Option<Response>) {
+    fn push_slot(&mut self, token: u64, arrived: Instant, response: Option<Response>) {
         self.slots.push(Slot {
             token,
-            version,
             arrived,
             response,
         });
@@ -235,35 +230,44 @@ impl Tick {
 // The reactor loop
 // ---------------------------------------------------------------------
 
-/// Runs the reactor until `stop`; the server's background thread body.
-pub(crate) fn reactor_loop(
+/// Starts the reactor thread serving `listener` until `stop`. The
+/// poller is set up here, on the caller's thread, so a platform without
+/// a readiness backend fails [`crate::Server::bind`] outright.
+pub(crate) fn spawn(
     listener: TcpListener,
     registry: Arc<Registry>,
     config: Arc<ServerConfig>,
     stop: Arc<AtomicBool>,
     counters: Arc<ServerCounters>,
     obs: Arc<ServerObs>,
-) {
-    if let Err(e) = run(&listener, &registry, &config, &stop, &counters, &obs) {
-        // A reactor that cannot poll cannot serve; surface the reason
-        // rather than spinning. (Poller construction is the only
-        // fallible step that lands here — per-connection errors are
-        // handled inline by dropping the connection.)
-        crate::log_error!("reactor", "reactor failed: {e}");
-    }
+) -> io::Result<JoinHandle<()>> {
+    listener.set_nonblocking(true)?;
+    let poller = sys::Poller::new()?;
+    poller.add(listener.as_raw_fd(), LISTENER_TOKEN, true, false)?;
+    std::thread::Builder::new()
+        .name("hoplited-reactor".into())
+        .spawn(move || {
+            let served = run(
+                &listener, &poller, &registry, &config, &stop, &counters, &obs,
+            );
+            if let Err(e) = served {
+                // A reactor that cannot poll cannot serve; surface the
+                // reason rather than spinning. (Per-connection errors
+                // are handled inline by dropping the connection.)
+                crate::log_error!("reactor", "reactor failed: {e}");
+            }
+        })
 }
 
 fn run(
     listener: &TcpListener,
+    poller: &sys::Poller,
     registry: &Registry,
     config: &ServerConfig,
     stop: &AtomicBool,
     counters: &ServerCounters,
     obs: &ServerObs,
 ) -> io::Result<()> {
-    listener.set_nonblocking(true)?;
-    let poller = sys::Poller::new()?;
-    poller.add(listener.as_raw_fd(), LISTENER_TOKEN, true, false)?;
     let mut slab = Slab::new();
     let mut events: Vec<sys::Event> = Vec::new();
     let mut tick = Tick::default();
@@ -276,7 +280,7 @@ fn run(
         let tick_started = (!events.is_empty()).then(Instant::now);
         for event in &events {
             if event.token == LISTENER_TOKEN {
-                accept_ready(listener, &poller, &mut slab, config, counters);
+                accept_ready(listener, poller, &mut slab, config, counters);
                 continue;
             }
             if event.readable {
@@ -300,7 +304,7 @@ fn run(
         run_jobs(&mut tick, config, counters, obs);
         scatter(&mut tick, &mut slab, counters, obs);
         for token in std::mem::take(&mut tick.dirty) {
-            flush_and_sweep(token, &mut slab, &poller, config, counters, obs);
+            flush_and_sweep(token, &mut slab, poller, config, counters, obs);
         }
         tick.slots.clear();
         // Connection hygiene rides the poll tick: reap connections idle
@@ -486,7 +490,6 @@ fn read_ready(
                 conn.close_after_flush = true;
                 tick.push_slot(
                     token,
-                    crate::protocol::PROTOCOL_VERSION,
                     now,
                     Some(Response::Error(format!("bad request: {e}"))),
                 );
@@ -525,19 +528,25 @@ fn decode_frame(
     counters: &ServerCounters,
     obs: &ServerObs,
 ) {
-    let slot = tick.slots.len();
-    let (request, version) = match Request::decode_with_version(payload) {
-        Ok(decoded) => decoded,
-        Err(e) => {
-            tick.push_slot(
-                token,
-                salvage_version(payload),
-                arrived,
-                Some(Response::Error(format!("bad request: {e}"))),
-            );
-            return;
-        }
+    let response = match Request::decode(payload) {
+        Ok(request) => dispatch(request, arrived, tick, registry, config, counters, obs),
+        Err(e) => Some(Response::Error(format!("bad request: {e}"))),
     };
+    tick.push_slot(token, arrived, response);
+}
+
+/// Answers one decoded request inline, or queues a frozen-namespace
+/// read on this tick's coalesced job and returns `None` (`run_jobs`
+/// fills its slot).
+fn dispatch(
+    request: Request,
+    arrived: Instant,
+    tick: &mut Tick,
+    registry: &Registry,
+    config: &ServerConfig,
+    counters: &ServerCounters,
+    obs: &ServerObs,
+) -> Option<Response> {
     // A frame that aged past its deadline while waiting to be decoded
     // gets a `DEADLINE_EXCEEDED` reply instead of consuming dispatch
     // time (coalesced queries get a second check at kernel-call time in
@@ -545,125 +554,134 @@ fn decode_frame(
     // on a drowning server.
     if let Some(deadline) = config.request_deadline {
         if !matches!(request, Request::Ping) && arrived.elapsed() > deadline {
-            tick.push_slot(
-                token,
-                version,
-                arrived,
-                Some(Response::deadline_exceeded(
-                    "request aged past its deadline before dispatch",
-                )),
-            );
-            return;
+            return Some(Response::deadline_exceeded(
+                "request aged past its deadline before dispatch",
+            ));
         }
     }
     // Admission control: past the in-flight high-water mark, shed the
     // cheapest work first — read queries, which are free to retry —
     // with a typed `OVERLOADED` reply the client's backoff honors.
-    // Mutations (whose reply is the WAL ack) and control-plane ops are
-    // never shed; see [`crate::server::sheddable`].
-    if let Some(hwm) = config.shed_inflight_hwm {
-        if tick.slots.len() >= hwm && crate::server::sheddable(&request) {
-            tick.push_slot(
-                token,
-                version,
-                arrived,
-                Some(Response::overloaded(
-                    config.retry_after_ms(),
-                    format!("overloaded: {} frames already in flight this tick", slot),
-                )),
-            );
-            return;
-        }
+    // Mutations (whose reply is the WAL ack) and control-plane ops
+    // (`PING`/`STATS`/`LIST`/`METRICS`, exactly what an operator needs
+    // *during* overload) are never shed.
+    let in_flight = tick.slots.len();
+    if config.shed_inflight_hwm.is_some_and(|hwm| in_flight >= hwm)
+        && matches!(request, Request::Reach { .. } | Request::Batch { .. })
+    {
+        return Some(Response::overloaded(
+            retry_after_ms(config),
+            format!("overloaded: {in_flight} frames already in flight this tick"),
+        ));
     }
     // Startup gate: while namespace load / WAL replay is still in
-    // progress, reads get the same typed `NOT_READY` the dispatcher
-    // gives everything else — not a misleading "unknown namespace"
-    // from a registry that simply hasn't loaded yet. (`PING`/`LIST`
-    // fall through and stay answerable.)
-    if !registry.is_ready() && matches!(request, Request::Reach { .. } | Request::Batch { .. }) {
-        tick.push_slot(
-            token,
-            version,
-            arrived,
-            Some(Response::not_ready(
-                config.retry_after_ms(),
-                "server is starting up (namespace load / WAL replay in progress)",
-            )),
-        );
-        return;
+    // progress, everything but `PING` (the liveness probe) and `LIST`
+    // (it reports what *has* loaded so far) gets a typed `NOT_READY` —
+    // not a misleading "unknown namespace" from a registry that simply
+    // hasn't loaded yet.
+    if !registry.is_ready() && !matches!(request, Request::Ping | Request::List) {
+        return Some(Response::not_ready(
+            retry_after_ms(config),
+            "server is starting up (namespace load / WAL replay in progress)",
+        ));
     }
-    // Queries against frozen namespaces coalesce; everything else is
-    // cheap (or lock-bound anyway) and answered inline through the
-    // same dispatcher the thread-pool server uses.
-    let (ns, pairs, batch): (&str, Vec<(u32, u32)>, bool) = match &request {
-        Request::Reach { ns, u, v } => (ns, vec![(*u, *v)], false),
-        Request::Batch { ns, pairs } => (ns, pairs.clone(), true),
-        _ => {
-            tick.push_slot(
-                token,
-                version,
-                arrived,
-                Some(crate::server::handle_request(
-                    request, registry, config, counters, obs,
-                )),
-            );
-            return;
+    fn reply<T>(result: Result<T, ServeError>, ok: impl FnOnce(T) -> Response) -> Response {
+        match result {
+            Ok(v) => ok(v),
+            Err(e) => Response::Error(e.to_string()),
         }
+    }
+    let lookup = |ns: &str| {
+        registry
+            .get(ns)
+            .ok_or_else(|| ServeError::UnknownNamespace(ns.to_owned()))
     };
-    let response = match registry.get(ns) {
-        None => Some(Response::Error(
-            ServeError::UnknownNamespace(ns.to_owned()).to_string(),
+    match request {
+        Request::Reach { ns, u, v } => query(tick, registry, config, &ns, &[(u, v)], false),
+        Request::Batch { ns, pairs } => query(tick, registry, config, &ns, &pairs, true),
+        Request::Ping => Some(Response::Pong),
+        Request::List => Some(Response::List(registry.list())),
+        Request::AddEdge { ns, u, v } => Some(reply(
+            lookup(&ns).and_then(|h| h.add_edge(&ns, u, v)),
+            |()| Response::Bool(true),
         )),
-        Some(handle) if handle.is_frozen() => {
-            match pairs
-                .iter()
-                .try_for_each(|&(u, v)| handle.validate_pair(u, v))
-            {
-                Err(e) => Some(Response::Error(e.to_string())),
-                Ok(()) => {
-                    // The per-tick coalesced-pair budget bounds how much
-                    // kernel time one tick can commit to. A frame that
-                    // would bust it is shed — unless the namespace's
-                    // batch is still empty, so an oversized-but-legal
-                    // batch always makes progress eventually.
-                    let queued = tick.jobs.get(ns).map_or(0, |j| j.pairs.len());
-                    let over_budget = config
-                        .shed_coalesced_pairs
-                        .is_some_and(|budget| queued > 0 && queued + pairs.len() > budget);
-                    if over_budget {
-                        Some(Response::overloaded(
-                            config.retry_after_ms(),
-                            format!(
-                                "overloaded: coalesced-batch budget for namespace {ns:?} exhausted this tick"
-                            ),
-                        ))
-                    } else {
-                        let job = tick.jobs.entry(ns.to_owned()).or_insert_with(|| Job {
-                            handle,
-                            pairs: Vec::new(),
-                            targets: Vec::new(),
-                        });
-                        job.targets.push(Target {
-                            slot,
-                            start: job.pairs.len(),
-                            len: pairs.len(),
-                            batch,
-                        });
-                        job.pairs.extend_from_slice(&pairs);
-                        None
-                    }
-                }
-            }
-        }
-        // Dynamic namespaces serialize through their mutex regardless;
-        // answer inline.
-        Some(handle) => Some(match handle.reach_batch(&pairs, 1) {
+        Request::RemoveEdge { ns, u, v } => Some(reply(
+            lookup(&ns).and_then(|h| h.remove_edge(&ns, u, v)),
+            Response::Bool,
+        )),
+        Request::Stats { ns } => Some(reply(lookup(&ns).map(|h| h.stats()), Response::Stats)),
+        Request::Metrics { ns } => Some(if !ns.is_empty() && registry.get(&ns).is_none() {
+            Response::Error(ServeError::UnknownNamespace(ns).to_string())
+        } else {
+            Response::Metrics(crate::obs::collect_metrics(registry, counters, obs, &ns))
+        }),
+    }
+}
+
+/// A `REACH` (`batch == false`) or `BATCH` read: queued on its frozen
+/// namespace's per-tick job, or answered inline when it fails
+/// validation, busts the coalesced-pair budget, or targets a dynamic
+/// namespace (those serialize through their mutex regardless).
+fn query(
+    tick: &mut Tick,
+    registry: &Registry,
+    config: &ServerConfig,
+    ns: &str,
+    pairs: &[(u32, u32)],
+    batch: bool,
+) -> Option<Response> {
+    let Some(handle) = registry.get(ns) else {
+        return Some(Response::Error(
+            ServeError::UnknownNamespace(ns.to_owned()).to_string(),
+        ));
+    };
+    if !handle.is_frozen() {
+        return Some(match handle.reach_batch(pairs, 1) {
             Ok(answers) if batch => Response::Bools(answers),
             Ok(answers) => Response::Bool(answers[0]),
             Err(e) => Response::Error(e.to_string()),
-        }),
-    };
-    tick.push_slot(token, version, arrived, response);
+        });
+    }
+    if let Err(e) = pairs
+        .iter()
+        .try_for_each(|&(u, v)| handle.validate_pair(u, v))
+    {
+        return Some(Response::Error(e.to_string()));
+    }
+    // The per-tick coalesced-pair budget bounds how much kernel time
+    // one tick can commit to. A frame that would bust it is shed —
+    // unless the namespace's batch is still empty, so an
+    // oversized-but-legal batch always makes progress eventually.
+    let queued = tick.jobs.get(ns).map_or(0, |j| j.pairs.len());
+    if config
+        .shed_coalesced_pairs
+        .is_some_and(|budget| queued > 0 && queued + pairs.len() > budget)
+    {
+        return Some(Response::overloaded(
+            retry_after_ms(config),
+            format!("overloaded: coalesced-batch budget for namespace {ns:?} exhausted this tick"),
+        ));
+    }
+    let slot = tick.slots.len();
+    let job = tick.jobs.entry(ns.to_owned()).or_insert_with(|| Job {
+        handle,
+        pairs: Vec::new(),
+        targets: Vec::new(),
+    });
+    job.targets.push(Target {
+        slot,
+        start: job.pairs.len(),
+        len: pairs.len(),
+        batch,
+    });
+    job.pairs.extend_from_slice(pairs);
+    None
+}
+
+/// The retry-after hint in the unit the wire carries (saturating; a
+/// hint longer than ~49 days caps out).
+fn retry_after_ms(config: &ServerConfig) -> u32 {
+    config.retry_after.as_millis().min(u32::MAX as u128) as u32
 }
 
 /// Runs every namespace's coalesced batch through one kernel call
@@ -752,22 +770,44 @@ fn scatter(tick: &mut Tick, slab: &mut Slab, counters: &ServerCounters, obs: &Se
         // Count before the connection lookup: a frame whose connection
         // died mid-tick was still served, and the books must reconcile
         // (frames = answers + sheds + deadline refusals).
-        crate::server::count_reply(counters, &response);
+        count_reply(counters, &response);
         let Some(conn) = slab.get_mut(slot.token) else {
             continue; // connection died mid-tick; drop its replies
         };
-        encode_into(&mut conn.out, &response, slot.version);
+        encode_into(&mut conn.out, &response);
         obs.reply_latency_ns
             .record(slot.arrived.elapsed().as_nanos() as u64);
     }
 }
 
-/// Encodes `response` as one length-prefixed frame appended to `out`,
-/// speaking the dialect the request arrived in.
-fn encode_into(out: &mut Vec<u8>, response: &Response, version: u8) {
-    let payload = response.encode_versioned(version).unwrap_or_else(|e| {
+/// Books one outgoing reply into the shared counters, so the
+/// exposition reconciles with what peers observed.
+fn count_reply(counters: &ServerCounters, response: &Response) {
+    counters.frames.fetch_add(1, Ordering::Relaxed);
+    let counter = match response {
+        Response::Error(_)
+        | Response::Fail {
+            code: ErrorCode::NotReady,
+            ..
+        } => &counters.errors,
+        Response::Fail {
+            code: ErrorCode::Overloaded,
+            ..
+        } => &counters.frames_shed,
+        Response::Fail {
+            code: ErrorCode::DeadlineExceeded,
+            ..
+        } => &counters.deadline_exceeded,
+        _ => return,
+    };
+    counter.fetch_add(1, Ordering::Relaxed);
+}
+
+/// Encodes `response` as one length-prefixed frame appended to `out`.
+fn encode_into(out: &mut Vec<u8>, response: &Response) {
+    let payload = response.encode().unwrap_or_else(|e| {
         Response::Error(format!("internal encode failure: {e}"))
-            .encode_versioned(version)
+            .encode()
             .expect("plain error replies always encode")
     });
     out.extend_from_slice(&(payload.len() as u32).to_le_bytes());

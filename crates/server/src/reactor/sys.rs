@@ -5,7 +5,7 @@
 //! prototypes ourselves instead of pulling in `libc`/`mio`. Linux gets
 //! `epoll(7)`; macOS and the BSDs get `kqueue(2)`; anything else gets
 //! a stub that reports readiness polling as unsupported (the server
-//! then refuses `ServeMode::Reactor` at bind time).
+//! then refuses to bind).
 //!
 //! Both backends are used **level-triggered**: an fd with unread bytes
 //! (or writable space) is re-reported every wait, so the reactor never
@@ -390,7 +390,7 @@ mod imp {
         pub fn new() -> io::Result<Poller> {
             Err(io::Error::new(
                 io::ErrorKind::Unsupported,
-                "no readiness backend on this platform; use ServeMode::ThreadPool",
+                "serving needs a readiness backend (epoll or kqueue)",
             ))
         }
         pub fn add(&self, _: RawFd, _: u64, _: bool, _: bool) -> io::Result<()> {

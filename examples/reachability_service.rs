@@ -48,14 +48,12 @@ fn main() {
         .insert_dynamic("ontology", DynamicOracle::new(onto))
         .unwrap();
 
-    // Workers cap concurrent connections; cover the 4 workload clients
-    // plus the follow-up mutation/stats client regardless of core count.
-    let config = ServerConfig {
-        workers: 8,
-        ..ServerConfig::default()
-    };
-    let server = Server::bind("127.0.0.1:0", Arc::clone(&registry), config)
-        .expect("bind ephemeral loopback port");
+    let server = Server::bind(
+        "127.0.0.1:0",
+        Arc::clone(&registry),
+        ServerConfig::default(),
+    )
+    .expect("bind ephemeral loopback port");
     let addr = server.local_addr();
     println!("serving on {addr}\n");
 

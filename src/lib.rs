@@ -42,8 +42,8 @@
 //! * [`hoplite_server`] (re-exported as [`server`]) — a
 //!   dependency-free TCP query service: length-prefixed binary wire
 //!   protocol, multi-namespace registry (frozen [`Oracle`] snapshots
-//!   and mutable [`hoplite_core::DynamicOracle`]s), thread-pool
-//!   connection handling, a blocking client, and the `hoplited`
+//!   and mutable [`hoplite_core::DynamicOracle`]s), an epoll/kqueue
+//!   reactor serving loop, a blocking client, and the `hoplited`
 //!   daemon.
 //!
 //! The examples under `examples/` walk through realistic scenarios:

@@ -4,7 +4,7 @@
 //! A fault-injecting TCP proxy sits between the load generator and the
 //! server, cutting, truncating, and delaying traffic at configurable
 //! byte offsets, while the suite drives load well past the configured
-//! shed thresholds. The contracts under test, in both serve modes:
+//! shed thresholds. The contracts under test:
 //!
 //! - no reply ever corrupts framing (a fault costs a connection, never
 //!   a parse error on a surviving one);
@@ -29,8 +29,7 @@ use hoplite::core::WalConfig;
 use hoplite::graph::gen::Rng;
 use hoplite::server::loadgen::{run_load, LoadSpec};
 use hoplite::server::{
-    Client, ClientError, ErrorCode, Registry, Request, ServeMode, Server, ServerConfig,
-    ServerHandle,
+    Client, ClientError, ErrorCode, Registry, Request, Server, ServerConfig, ServerHandle,
 };
 use hoplite::{Dag, DiGraph, Oracle, VertexId};
 
@@ -182,22 +181,12 @@ fn random_cyclic_digraph(n: usize, m: usize, seed: u64) -> DiGraph {
     DiGraph::from_edges(n, &edges).expect("edges are in range")
 }
 
-/// Both serving loops where the platform has both.
-fn both_modes() -> Vec<ServeMode> {
-    if cfg!(unix) {
-        vec![ServeMode::ThreadPool, ServeMode::Reactor]
-    } else {
-        vec![ServeMode::ThreadPool]
-    }
-}
-
 /// A server admitting roughly `1/factor` of the load the spec offers —
 /// the drill every overload test runs at 3–4x the shed threshold.
-/// The high-water mark is per reactor *tick* in reactor mode but per
-/// *connection* in thread-pool mode, so the budgets differ.
+/// Both budgets count frames in flight per reactor tick, across every
+/// connection.
 fn overloaded_server(
     registry: Registry,
-    mode: ServeMode,
     conns: usize,
     pipeline: usize,
     factor: usize,
@@ -205,12 +194,7 @@ fn overloaded_server(
 ) -> ServerHandle {
     let inflight = conns * pipeline;
     let config = ServerConfig {
-        mode,
-        workers: conns + 8,
-        shed_inflight_hwm: Some(match mode {
-            ServeMode::Reactor => (inflight / factor).max(1),
-            ServeMode::ThreadPool => (pipeline / factor).max(1),
-        }),
+        shed_inflight_hwm: Some((inflight / factor).max(1)),
         shed_coalesced_pairs: Some((inflight / factor).max(1)),
         request_deadline: Some(deadline),
         ..ServerConfig::default()
@@ -253,85 +237,73 @@ fn wait_until(wait: Duration, what: &str, mut probe: impl FnMut() -> bool) {
 
 #[test]
 fn overload_sheds_bounded_stays_typed_and_reconciles_exactly() {
-    for mode in both_modes() {
-        let (conns, pipeline) = (16, 8);
-        let mut handle = overloaded_server(
-            frozen_registry(1500, 5000, 0x0C0A),
-            mode,
-            conns,
-            pipeline,
-            3,
-            Duration::from_millis(500),
-        );
-        let metrics = handle
-            .serve_metrics("127.0.0.1:0")
-            .expect("bind metrics listener");
-        let spec = LoadSpec {
-            addr: handle.local_addr(),
-            ns: "web".to_owned(),
-            vertices: 1500,
-            connections: conns,
-            threads: 4,
-            pipeline_depth: pipeline,
-            batch: 1,
-            queries: 30_000,
-            seed: 0xC0FFEE,
-        };
-        let report = run_load(&spec).expect("overload must never corrupt framing");
+    let (conns, pipeline) = (16, 8);
+    let mut handle = overloaded_server(
+        frozen_registry(1500, 5000, 0x0C0A),
+        conns,
+        pipeline,
+        3,
+        Duration::from_millis(500),
+    );
+    let metrics = handle
+        .serve_metrics("127.0.0.1:0")
+        .expect("bind metrics listener");
+    let spec = LoadSpec {
+        addr: handle.local_addr(),
+        ns: "web".to_owned(),
+        vertices: 1500,
+        connections: conns,
+        threads: 4,
+        pipeline_depth: pipeline,
+        batch: 1,
+        queries: 30_000,
+        seed: 0xC0FFEE,
+    };
+    let report = run_load(&spec).expect("overload must never corrupt framing");
 
-        // The shed rate is nonzero (the drill runs at 3x the budget)
-        // but bounded: the server keeps doing useful work.
-        assert_eq!(
-            report.errors, 0,
-            "no untyped errors on a clean wire ({mode:?})"
-        );
-        assert!(
-            report.shed > 0,
-            "no sheds at 3x the admission budget ({mode:?})"
-        );
-        assert!(
-            report.shed_fraction() < 0.95,
-            "shedding must stay bounded, got {:.1}% ({mode:?})",
-            report.shed_fraction() * 100.0
-        );
-        assert!(
-            report.queries > 0,
-            "some queries must be admitted ({mode:?})"
-        );
+    // The shed rate is nonzero (the drill runs at 3x the budget)
+    // but bounded: the server keeps doing useful work.
+    assert_eq!(report.errors, 0, "no untyped errors on a clean wire");
+    assert!(report.shed > 0, "no sheds at 3x the admission budget");
+    assert!(
+        report.shed_fraction() < 0.95,
+        "shedding must stay bounded, got {:.1}%",
+        report.shed_fraction() * 100.0
+    );
+    assert!(report.queries > 0, "some queries must be admitted");
 
-        // Accepted queries stayed fast: their p99 is bounded by the
-        // request deadline plus processing, far under the 3s gate.
-        let p99 = Duration::from_nanos(report.latency.p99());
-        assert!(
-            p99 < Duration::from_secs(3),
-            "accepted-query p99 {p99:?} over the overload gate ({mode:?})"
-        );
+    // Accepted queries stayed fast: their p99 is bounded by the
+    // request deadline plus processing, far under the 3s gate.
+    let p99 = Duration::from_nanos(report.latency.p99());
+    assert!(
+        p99 < Duration::from_secs(3),
+        "accepted-query p99 {p99:?} over the overload gate"
+    );
 
-        // Books reconcile exactly: every offered frame was answered
-        // once, and the server's counters match what the client saw.
-        assert_eq!(handle.frames_shed(), report.shed, "shed books ({mode:?})");
-        assert_eq!(
-            handle.deadlines_exceeded(),
-            report.deadline_exceeded,
-            "deadline books ({mode:?})"
-        );
-        assert_eq!(
-            handle.frames_served(),
-            report.queries + report.shed + report.deadline_exceeded,
-            "every frame accounted exactly once ({mode:?})"
-        );
+    // Books reconcile exactly: every offered frame was answered
+    // once, and the server's counters match what the client saw.
+    assert_eq!(handle.frames_shed(), report.shed, "shed books");
+    assert_eq!(
+        handle.deadlines_exceeded(),
+        report.deadline_exceeded,
+        "deadline books"
+    );
+    assert_eq!(
+        handle.frames_served(),
+        report.queries + report.shed + report.deadline_exceeded,
+        "every frame accounted exactly once"
+    );
 
-        // The same numbers flow out of the metrics exposition.
-        let text = http_get(metrics, "/metrics");
-        assert!(
-            text.contains(&format!(
-                "server_frames_shed_total {}",
-                handle.frames_shed()
-            )),
-            "exposition must carry the shed counter ({mode:?})"
-        );
-        handle.shutdown();
-    }
+    // The same numbers flow out of the metrics exposition.
+    let text = http_get(metrics, "/metrics");
+    assert!(
+        text.contains(&format!(
+            "server_frames_shed_total {}",
+            handle.frames_shed()
+        )),
+        "exposition must carry the shed counter"
+    );
+    handle.shutdown();
 }
 
 // ---------------------------------------------------------------------
@@ -340,72 +312,63 @@ fn overload_sheds_bounded_stays_typed_and_reconciles_exactly() {
 
 #[test]
 fn wire_faults_never_corrupt_framing_and_books_stay_sane() {
-    for mode in both_modes() {
-        let (conns, pipeline) = (12, 8);
-        let handle = overloaded_server(
-            frozen_registry(1200, 4000, 0xFA07),
-            mode,
-            conns,
-            pipeline,
-            4,
-            Duration::from_secs(1),
-        );
-        // Offsets are deliberately unaligned with any frame boundary,
-        // so cuts land mid-length-prefix and mid-body.
-        let proxy = ChaosProxy::start(
-            handle.local_addr(),
-            vec![
-                Fault::None,
-                Fault::TruncateReplies { after: 1777 },
-                Fault::None,
-                Fault::CutRequests { after: 2913 },
-                Fault::Delay {
-                    per_chunk: Duration::from_micros(200),
-                },
-                Fault::None,
-            ],
-        );
-        let spec = LoadSpec {
-            addr: proxy.addr,
-            ns: "web".to_owned(),
-            vertices: 1200,
-            connections: conns,
-            threads: 4,
-            pipeline_depth: pipeline,
-            batch: 1,
-            queries: 16_000,
-            seed: 0x0BAD,
-        };
-        // `run_load` is fatal on any frame that parses wrong — cuts
-        // surface as clean EOFs (reconnect + forfeit), never as a
-        // corrupt reply on a surviving connection.
-        let report = run_load(&spec).expect("a faulty wire must never yield an unparseable reply");
+    let (conns, pipeline) = (12, 8);
+    let handle = overloaded_server(
+        frozen_registry(1200, 4000, 0xFA07),
+        conns,
+        pipeline,
+        4,
+        Duration::from_secs(1),
+    );
+    // Offsets are deliberately unaligned with any frame boundary,
+    // so cuts land mid-length-prefix and mid-body.
+    let proxy = ChaosProxy::start(
+        handle.local_addr(),
+        vec![
+            Fault::None,
+            Fault::TruncateReplies { after: 1777 },
+            Fault::None,
+            Fault::CutRequests { after: 2913 },
+            Fault::Delay {
+                per_chunk: Duration::from_micros(200),
+            },
+            Fault::None,
+        ],
+    );
+    let spec = LoadSpec {
+        addr: proxy.addr,
+        ns: "web".to_owned(),
+        vertices: 1200,
+        connections: conns,
+        threads: 4,
+        pipeline_depth: pipeline,
+        batch: 1,
+        queries: 16_000,
+        seed: 0x0BAD,
+    };
+    // `run_load` is fatal on any frame that parses wrong — cuts
+    // surface as clean EOFs (reconnect + forfeit), never as a
+    // corrupt reply on a surviving connection.
+    let report = run_load(&spec).expect("a faulty wire must never yield an unparseable reply");
 
-        assert!(
-            report.queries > 0,
-            "queries must flow through the chaos ({mode:?})"
-        );
-        assert!(
-            handle.frames_shed() > 0,
-            "3x+ load must shed server-side ({mode:?})"
-        );
-        // Faults eat replies in flight, so client tallies are a lower
-        // bound on the server's books — but never higher.
-        assert!(
-            handle.frames_shed() >= report.shed,
-            "client saw more sheds than the server issued ({mode:?})"
-        );
-        assert!(
-            handle.deadlines_exceeded() >= report.deadline_exceeded,
-            "client saw more deadline refusals than issued ({mode:?})"
-        );
-        assert!(
-            handle.frames_served() >= report.queries + report.shed + report.deadline_exceeded,
-            "server served fewer frames than the client observed ({mode:?})"
-        );
-        drop(proxy);
-        handle.shutdown();
-    }
+    assert!(report.queries > 0, "queries must flow through the chaos");
+    assert!(handle.frames_shed() > 0, "3x+ load must shed server-side");
+    // Faults eat replies in flight, so client tallies are a lower
+    // bound on the server's books — but never higher.
+    assert!(
+        handle.frames_shed() >= report.shed,
+        "client saw more sheds than the server issued"
+    );
+    assert!(
+        handle.deadlines_exceeded() >= report.deadline_exceeded,
+        "client saw more deadline refusals than issued"
+    );
+    assert!(
+        handle.frames_served() >= report.queries + report.shed + report.deadline_exceeded,
+        "server served fewer frames than the client observed"
+    );
+    drop(proxy);
+    handle.shutdown();
 }
 
 // ---------------------------------------------------------------------
@@ -414,49 +377,44 @@ fn wire_faults_never_corrupt_framing_and_books_stay_sane() {
 
 #[test]
 fn idle_and_slow_loris_connections_are_reaped() {
-    for mode in both_modes() {
-        let config = ServerConfig {
-            mode,
-            workers: 8,
-            idle_timeout: Some(Duration::from_millis(300)),
-            half_frame_deadline: Some(Duration::from_millis(300)),
-            ..ServerConfig::default()
+    let config = ServerConfig {
+        idle_timeout: Some(Duration::from_millis(300)),
+        half_frame_deadline: Some(Duration::from_millis(300)),
+        ..ServerConfig::default()
+    };
+    let registry = frozen_registry(50, 150, 0x1D1E);
+    let handle = Server::bind("127.0.0.1:0", Arc::new(registry), config).expect("bind loopback");
+    let addr = handle.local_addr();
+
+    // One peer that connects and never speaks; one slow loris that
+    // promises a 100-byte frame and delivers a single byte.
+    let mut idle = TcpStream::connect(addr).unwrap();
+    let mut loris = TcpStream::connect(addr).unwrap();
+    loris.write_all(&100u32.to_le_bytes()).unwrap();
+    loris.write_all(&[7]).unwrap();
+
+    wait_until(
+        Duration::from_secs(15),
+        "both stale connections to be reaped",
+        || handle.connections_reaped() >= 2,
+    );
+
+    // Both sockets observe the server-side close (EOF or reset).
+    for (name, sock) in [("idle", &mut idle), ("loris", &mut loris)] {
+        sock.set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let gone = match sock.read(&mut [0u8; 8]) {
+            Ok(0) | Err(_) => true,
+            Ok(_) => false,
         };
-        let registry = frozen_registry(50, 150, 0x1D1E);
-        let handle =
-            Server::bind("127.0.0.1:0", Arc::new(registry), config).expect("bind loopback");
-        let addr = handle.local_addr();
-
-        // One peer that connects and never speaks; one slow loris that
-        // promises a 100-byte frame and delivers a single byte.
-        let mut idle = TcpStream::connect(addr).unwrap();
-        let mut loris = TcpStream::connect(addr).unwrap();
-        loris.write_all(&100u32.to_le_bytes()).unwrap();
-        loris.write_all(&[7]).unwrap();
-
-        wait_until(
-            Duration::from_secs(15),
-            "both stale connections to be reaped",
-            || handle.connections_reaped() >= 2,
-        );
-
-        // Both sockets observe the server-side close (EOF or reset).
-        for (name, sock) in [("idle", &mut idle), ("loris", &mut loris)] {
-            sock.set_read_timeout(Some(Duration::from_secs(10)))
-                .unwrap();
-            let gone = match sock.read(&mut [0u8; 8]) {
-                Ok(0) | Err(_) => true,
-                Ok(_) => false,
-            };
-            assert!(gone, "{name} socket must be closed ({mode:?})");
-        }
-
-        // Hygiene never touches a live client.
-        let mut fresh = Client::connect(addr).unwrap();
-        fresh.ping().unwrap();
-        fresh.reach("web", 0, 1).unwrap();
-        handle.shutdown();
+        assert!(gone, "{name} socket must be closed");
     }
+
+    // Hygiene never touches a live client.
+    let mut fresh = Client::connect(addr).unwrap();
+    fresh.ping().unwrap();
+    fresh.reach("web", 0, 1).unwrap();
+    handle.shutdown();
 }
 
 // ---------------------------------------------------------------------
@@ -465,53 +423,43 @@ fn idle_and_slow_loris_connections_are_reaped() {
 
 #[test]
 fn zero_deadline_expires_queries_but_spares_ping() {
-    for mode in both_modes() {
-        let config = ServerConfig {
-            mode,
-            workers: 4,
-            request_deadline: Some(Duration::ZERO),
-            ..ServerConfig::default()
-        };
-        let registry = frozen_registry(50, 150, 0xDEAD);
-        let handle =
-            Server::bind("127.0.0.1:0", Arc::new(registry), config).expect("bind loopback");
-        let mut client = Client::connect(handle.local_addr()).unwrap();
+    let config = ServerConfig {
+        request_deadline: Some(Duration::ZERO),
+        ..ServerConfig::default()
+    };
+    let registry = frozen_registry(50, 150, 0xDEAD);
+    let handle = Server::bind("127.0.0.1:0", Arc::new(registry), config).expect("bind loopback");
+    let mut client = Client::connect(handle.local_addr()).unwrap();
 
-        // Liveness probes are exempt: they must answer on a drowning
-        // server, or the orchestrator kills a healthy process.
-        client.ping().unwrap();
+    // Liveness probes are exempt: they must answer on a drowning
+    // server, or the orchestrator kills a healthy process.
+    client.ping().unwrap();
 
-        match client.reach("web", 0, 1) {
-            Err(
-                refusal @ ClientError::Refused {
-                    code: ErrorCode::DeadlineExceeded,
-                    ..
-                },
-            ) => {
-                assert!(
-                    !refusal.is_retryable(),
-                    "a blown deadline is terminal — the caller's own budget is gone ({mode:?})"
-                );
-            }
-            other => panic!("expected DEADLINE_EXCEEDED, got {other:?} ({mode:?})"),
+    match client.reach("web", 0, 1) {
+        Err(
+            refusal @ ClientError::Refused {
+                code: ErrorCode::DeadlineExceeded,
+                ..
+            },
+        ) => {
+            assert!(
+                !refusal.is_retryable(),
+                "a blown deadline is terminal — the caller's own budget is gone"
+            );
         }
-        assert!(
-            handle.deadlines_exceeded() >= 1,
-            "counter must move ({mode:?})"
-        );
-        handle.shutdown();
+        other => panic!("expected DEADLINE_EXCEEDED, got {other:?}"),
     }
+    assert!(handle.deadlines_exceeded() >= 1, "counter must move");
+    handle.shutdown();
 }
 
 // ---------------------------------------------------------------------
 // Hard backlog cap: a never-reading pipeliner is evicted, not buffered.
 // ---------------------------------------------------------------------
 
-#[cfg(unix)]
 #[test]
 fn reactor_evicts_nonreading_pipeliner_at_hard_backlog_cap() {
     let config = ServerConfig {
-        mode: ServeMode::Reactor,
         max_conn_backlog: 4096,
         ..ServerConfig::default()
     };
@@ -575,95 +523,88 @@ fn reactor_evicts_nonreading_pipeliner_at_hard_backlog_cap() {
 
 #[test]
 fn acked_mutations_survive_chaotic_wire_and_restart() {
-    for mode in both_modes() {
-        let ops = 150u32;
-        let vertices = 2 * ops;
-        let root = temp_dir("acked");
-        let seed_dag = || Dag::from_edges(vertices as usize, &[]).unwrap();
-        {
-            let registry = Registry::new();
-            registry
-                .open_durable(
-                    "live",
-                    seed_dag(),
-                    root.join("live"),
-                    WalConfig::sync_every_record(),
-                    None,
-                )
-                .unwrap();
-            let config = ServerConfig {
-                mode,
-                workers: 8,
-                ..ServerConfig::default()
-            };
-            let handle =
-                Server::bind("127.0.0.1:0", Arc::new(registry), config).expect("bind loopback");
-            // Cut replies mid-ack and requests mid-frame every few
-            // connections — acks will be lost in flight, connections
-            // will die, and none of it may cost a *acknowledged* edge.
-            let proxy = ChaosProxy::start(
-                handle.local_addr(),
-                vec![
-                    Fault::None,
-                    Fault::TruncateReplies { after: 601 },
-                    Fault::CutRequests { after: 443 },
-                ],
-            );
-            let reconnect = |addr: SocketAddr| -> Client {
-                let deadline = Instant::now() + Duration::from_secs(10);
-                loop {
-                    match Client::connect(addr) {
-                        Ok(c) => return c,
-                        Err(e) => {
-                            assert!(Instant::now() < deadline, "re-dial proxy: {e}");
-                            std::thread::sleep(Duration::from_millis(10));
-                        }
+    let ops = 150u32;
+    let vertices = 2 * ops;
+    let root = temp_dir("acked");
+    let seed_dag = || Dag::from_edges(vertices as usize, &[]).unwrap();
+    {
+        let registry = Registry::new();
+        registry
+            .open_durable(
+                "live",
+                seed_dag(),
+                root.join("live"),
+                WalConfig::sync_every_record(),
+                None,
+            )
+            .unwrap();
+        let handle = Server::bind("127.0.0.1:0", Arc::new(registry), ServerConfig::default())
+            .expect("bind loopback");
+        // Cut replies mid-ack and requests mid-frame every few
+        // connections — acks will be lost in flight, connections
+        // will die, and none of it may cost a *acknowledged* edge.
+        let proxy = ChaosProxy::start(
+            handle.local_addr(),
+            vec![
+                Fault::None,
+                Fault::TruncateReplies { after: 601 },
+                Fault::CutRequests { after: 443 },
+            ],
+        );
+        let reconnect = |addr: SocketAddr| -> Client {
+            let deadline = Instant::now() + Duration::from_secs(10);
+            loop {
+                match Client::connect(addr) {
+                    Ok(c) => return c,
+                    Err(e) => {
+                        assert!(Instant::now() < deadline, "re-dial proxy: {e}");
+                        std::thread::sleep(Duration::from_millis(10));
                     }
                 }
-            };
-            let mut client = reconnect(proxy.addr);
-            let mut acked: Vec<(u32, u32)> = Vec::new();
-            for i in 0..ops {
-                // Disjoint edges: replaying any subset is still a DAG,
-                // and each ack is independently checkable.
-                let (u, v) = (2 * i, 2 * i + 1);
-                match client.add_edge("live", u, v) {
-                    Ok(()) => acked.push((u, v)),
-                    // The wire died around this op: the edge may or
-                    // may not have landed — either is legal, because
-                    // no ack reached us. Re-dial and move on.
-                    Err(_) => client = reconnect(proxy.addr),
-                }
             }
-            assert!(
-                acked.len() as u32 > ops / 2,
-                "chaos plan too aggressive: only {}/{ops} acks",
-                acked.len()
-            );
-            drop(proxy);
-            handle.shutdown();
-
-            // Restart: recover purely from the WAL the acks fsynced.
-            let recovered = Registry::new();
-            recovered
-                .open_durable(
-                    "live",
-                    seed_dag(),
-                    root.join("live"),
-                    WalConfig::sync_every_record(),
-                    None,
-                )
-                .unwrap();
-            let ns = recovered.get("live").unwrap();
-            for (u, v) in &acked {
-                assert!(
-                    ns.reach(*u, *v).unwrap(),
-                    "acked edge ({u}, {v}) lost across restart ({mode:?})"
-                );
+        };
+        let mut client = reconnect(proxy.addr);
+        let mut acked: Vec<(u32, u32)> = Vec::new();
+        for i in 0..ops {
+            // Disjoint edges: replaying any subset is still a DAG,
+            // and each ack is independently checkable.
+            let (u, v) = (2 * i, 2 * i + 1);
+            match client.add_edge("live", u, v) {
+                Ok(()) => acked.push((u, v)),
+                // The wire died around this op: the edge may or
+                // may not have landed — either is legal, because
+                // no ack reached us. Re-dial and move on.
+                Err(_) => client = reconnect(proxy.addr),
             }
         }
-        fs::remove_dir_all(&root).ok();
+        assert!(
+            acked.len() as u32 > ops / 2,
+            "chaos plan too aggressive: only {}/{ops} acks",
+            acked.len()
+        );
+        drop(proxy);
+        handle.shutdown();
+
+        // Restart: recover purely from the WAL the acks fsynced.
+        let recovered = Registry::new();
+        recovered
+            .open_durable(
+                "live",
+                seed_dag(),
+                root.join("live"),
+                WalConfig::sync_every_record(),
+                None,
+            )
+            .unwrap();
+        let ns = recovered.get("live").unwrap();
+        for (u, v) in &acked {
+            assert!(
+                ns.reach(*u, *v).unwrap(),
+                "acked edge ({u}, {v}) lost across restart"
+            );
+        }
     }
+    fs::remove_dir_all(&root).ok();
 }
 
 // ---------------------------------------------------------------------
@@ -750,19 +691,19 @@ fn readyz_flips_exactly_at_end_of_replay() {
 }
 
 // ---------------------------------------------------------------------
-// Readiness in reactor mode: coalesced reads are gated too.
+// Readiness on the coalesced path: frozen-namespace reads are gated too.
 // ---------------------------------------------------------------------
 
-#[cfg(unix)]
 #[test]
 fn reactor_coalesced_reads_refuse_typed_not_ready_during_startup() {
     let registry = Arc::new(frozen_registry(50, 150, 0x4EAD));
     registry.set_ready(false);
-    let config = ServerConfig {
-        mode: ServeMode::Reactor,
-        ..ServerConfig::default()
-    };
-    let handle = Server::bind("127.0.0.1:0", Arc::clone(&registry), config).expect("bind loopback");
+    let handle = Server::bind(
+        "127.0.0.1:0",
+        Arc::clone(&registry),
+        ServerConfig::default(),
+    )
+    .expect("bind loopback");
     let mut client = Client::connect(handle.local_addr()).unwrap();
     client.ping().unwrap();
     match client.reach("web", 0, 1) {

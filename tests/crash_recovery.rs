@@ -583,7 +583,7 @@ proptest! {
         let server = Server::bind(
             "127.0.0.1:0",
             Arc::clone(&registry),
-            ServerConfig { workers: 8, ..ServerConfig::default() },
+            ServerConfig::default(),
         )
         .expect("bind");
         let addr = server.local_addr();

@@ -126,15 +126,8 @@ fn equivalence_through_the_server_wire_path() {
     let g = random_cyclic_digraph(n, 170, 0xFADE);
     let registry = Registry::new();
     registry.insert_frozen("equiv", Oracle::new(&g)).unwrap();
-    let handle = Server::bind(
-        "127.0.0.1:0",
-        Arc::new(registry),
-        ServerConfig {
-            workers: 4,
-            ..ServerConfig::default()
-        },
-    )
-    .expect("bind ephemeral loopback port");
+    let handle = Server::bind("127.0.0.1:0", Arc::new(registry), ServerConfig::default())
+        .expect("bind ephemeral loopback port");
 
     let mut client = Client::connect(handle.local_addr()).expect("connect");
     let mut scratch = hoplite::graph::traversal::TraversalScratch::new(n);
