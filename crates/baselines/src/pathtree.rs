@@ -12,8 +12,7 @@
 //! The full Path-Tree adds a tree over the paths to shave entries off
 //! these lists; this implementation keeps the flat path decomposition,
 //! which preserves PT's evaluation profile — the fastest queries on
-//! small graphs and an index that outgrows memory on large ones
-//! (`DESIGN.md` §4 records this substitution).
+//! small graphs and an index that outgrows memory on large ones.
 
 use hoplite_core::ReachIndex;
 use hoplite_graph::{Dag, GraphError, VertexId, INVALID_VERTEX};

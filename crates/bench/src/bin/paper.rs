@@ -66,7 +66,7 @@ commands:
   extras        small suite incl. DUAL + CHAIN (§2.1 references)
   throughput    multi-core DL query scaling
   scarab-depth  recursive SCARAB study (§2.3's open option)
-  perf          hot-path JSON benchmark: build engines, query filters,
+  perf          hot-path JSON benchmark: build widths, query filters,
                 thread scaling, and a wire sweep through a reactor server
                 (flags: --quick --check --out=FILE --seed=N --no-wire)
   help          this text";
@@ -192,13 +192,19 @@ fn perf_cmd(args: &[String]) {
         }
         eprintln!("# perf: report written to {path}");
     }
+    let widths: Vec<String> = report
+        .build
+        .width_ms
+        .iter()
+        .map(|(t, ms)| format!("{ms:.0} ms at {t} thr"))
+        .collect();
     eprintln!(
-        "# perf: build {:.0} ms (seed merge) -> {:.0} ms (auto), {:.2}x; \
+        "# perf: build {} -> {:.0} ms (auto, {} thr); \
          query {:.2} Mq/s (unfiltered) -> {:.2} Mq/s (filtered), hit rate {:.1}%; \
          stages filter/sig/merge = {}/{}/{}",
-        report.build.seed_merge_ms,
+        widths.join(", "),
         report.build.auto_ms,
-        report.build_speedup(),
+        report.build.auto_threads,
         report.main.unfiltered_qps / 1e6,
         report.main.filtered_qps / 1e6,
         report.main.filter_hit_rate * 100.0,
@@ -217,14 +223,13 @@ fn perf_cmd(args: &[String]) {
         );
     }
     eprintln!(
-        "# perf[cold]: open {:.2} ms owned (v1) -> {:.2} ms mapped (v3), {:.1}x \
-         ({:.2} ms unverified; files {} / {} bytes)",
-        report.cold_start.owned_open_ms,
+        "# perf[cold]: open {:.2} ms read -> {:.2} ms mapped, {:.1}x \
+         ({:.2} ms unverified; arena {} bytes)",
+        report.cold_start.read_open_ms,
         report.cold_start.mapped_open_ms,
         report.cold_start.speedup(),
         report.cold_start.mapped_unverified_open_ms,
-        report.cold_start.v1_file_bytes,
-        report.cold_start.v3_file_bytes,
+        report.cold_start.file_bytes,
     );
     for s in &report.scaling {
         eprintln!(
@@ -399,7 +404,7 @@ fn table1(cfg: &RunConfig) {
     );
 }
 
-/// Ablation tables for the design choices DESIGN.md calls out:
+/// Ablation tables for the paper's design choices:
 /// DL vertex order (§5.2), HL backbone locality ε and core-size stop
 /// rule (§4.1), and the Formula-3 core labeler (Algorithm 1, Line 2).
 /// Complements the Criterion benches with paper-style tables.

@@ -30,7 +30,7 @@ pub enum Family {
 pub struct DatasetSpec {
     /// Dataset name as printed in the paper.
     pub name: &'static str,
-    /// Generator family (see `DESIGN.md` §4).
+    /// Generator family standing in for the real dataset.
     pub family: Family,
     /// |V| of the coalesced DAG in the paper.
     pub paper_vertices: usize,

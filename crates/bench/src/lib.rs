@@ -4,8 +4,8 @@
 //! paper's evaluation (§6):
 //!
 //! * [`datasets`] — seeded synthetic analogues of the 27 real graphs in
-//!   Table 1 (one generator family per dataset family; `DESIGN.md` §4
-//!   documents each substitution), with a `--scale` knob.
+//!   Table 1 (one generator family per dataset family), with a
+//!   `--scale` knob.
 //! * [`workload`] — the paper's two query loads: *equal*
 //!   (≈50 % reachable / 50 % unreachable, 100 000 queries) and
 //!   *random* (uniform vertex pairs).

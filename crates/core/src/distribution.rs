@@ -25,21 +25,21 @@
 //!
 //! Worst-case construction cost is `O(n·(n+m)·L)` like the paper's
 //! Algorithm 2, but the pruning makes it far faster in practice — that
-//! is the paper's central claim, reproduced in `EXPERIMENTS.md`.
+//! is the paper's central claim, reproduced by `paper table4` and
+//! `paper table7` (README, "Build, test, bench").
 //!
-//! ### The hot-path build engine
+//! ### The build engine
 //!
 //! The textbook transcription of Algorithm 2 pays a full sorted-merge
 //! `L_out(u) ∩ L_in(v_i)` on **every** BFS pop. Two observations make
 //! the build much faster without changing a single emitted label:
 //!
-//! 1. **Rank-bitmap pruning** ([`Pruning::RankBitmap`], the default).
-//!    Within one hop's BFS the right-hand side of every pruning test is
-//!    the *same* list (`L_in(v_i)` for the reverse side, `L_out(v_i)`
-//!    for the forward side). Snapshotting it once per hop into an
-//!    epoch-stamped, rank-indexed membership array turns each test into
-//!    `O(|L_out(u)|)` probes with O(1) lookups — and the epoch stamp
-//!    makes the per-hop reset O(1) instead of O(n).
+//! 1. **Rank-bitmap pruning.** Within one hop's BFS the right-hand side
+//!    of every pruning test is the *same* list (`L_in(v_i)` for the
+//!    reverse side, `L_out(v_i)` for the forward side). Snapshotting it
+//!    once per hop into an epoch-stamped, rank-indexed membership array
+//!    turns each test into `O(|L_out(u)|)` probes with O(1) lookups —
+//!    and the epoch stamp makes the per-hop reset O(1) instead of O(n).
 //! 2. **N-thread chunked hop distribution** ([`Parallelism`]). Each
 //!    hop's BFSs run *level-synchronously*: a frontier is scanned, the
 //!    survivors get rank `r` appended, and their unvisited neighbors
@@ -47,34 +47,33 @@
 //!    independent (the prune test reads only that vertex's own list
 //!    plus the per-hop snapshot), so large frontiers are split into
 //!    vertex-range chunks pulled from a shared atomic cursor by a
-//!    `std::thread`-scoped worker pool; the per-hop snapshot exchange
-//!    of the old two-thread engine is generalized to a barrier at each
-//!    level plus a shared epoch-stamped snapshot both sides read. The
-//!    set of vertices a hop labels is order-independent (each vertex is
-//!    claimed and tested exactly once, against state fixed at hop
-//!    start), so every thread count emits labels *byte-identical* to
-//!    the sequential engine — enforced by tests across
-//!    {1, 2, 3, 4, 8} threads.
+//!    `std::thread`-scoped worker pool, with a barrier at each level.
+//!    The set of vertices a hop labels is order-independent (each
+//!    vertex is claimed and tested exactly once, against state fixed at
+//!    hop start), so every thread count emits labels *byte-identical*
+//!    to the paper-literal per-pop sorted merge — enforced by tests
+//!    across {1, 2, 3, 4, 8} threads against a test-only transcription
+//!    of that loop.
 //!
-//! [`Pruning::SortedMerge`] keeps the original per-pop merge as a
-//! measurable reference — `paper perf` reports the speedup of the
-//! bitmap/chunked engine against it.
+//! Levels too small to be worth waking the pool — every level at
+//! width 1, and most levels of the heavily pruned low-rank hops at any
+//! width — are scanned by the coordinating thread alone, with plain
+//! (non-RMW) visited claims and no chunk cursor, so a one-thread build
+//! pays nothing for the pool it does not use.
 
 use std::cell::UnsafeCell;
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
 
-use hoplite_graph::traversal::VisitedSet;
 use hoplite_graph::{Dag, DiGraph, VertexId};
 
-use crate::label::{sorted_intersect, Labeling, LabelingBuilder};
+use crate::label::{Labeling, LabelingBuilder};
 use crate::metrics::BuildTrace;
 use crate::oracle::ReachIndex;
 use crate::order::OrderKind;
 use crate::store::Store;
 
-/// Below this vertex count [`Parallelism::Auto`] stays sequential: the
+/// Below this vertex count [`Parallelism::Auto`] uses one thread: the
 /// per-hop coordination costs more than tiny BFSs save.
 const PARALLEL_MIN_VERTICES: usize = 2_048;
 
@@ -91,30 +90,28 @@ const PAR_FRONTIER_MIN: usize = 2 * CHUNK;
 /// memory bandwidth well before this on every graph we measure.
 const MAX_AUTO_THREADS: usize = 8;
 
-/// How many OS threads [`DistributionLabeling::build`] may use.
+/// How many OS threads [`DistributionLabeling::build`] may use. Every
+/// width emits byte-identical labels; the policy trades construction
+/// time only.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub enum Parallelism {
     /// One thread per available core (capped at [`MAX_AUTO_THREADS`])
     /// when the DAG has at least [`PARALLEL_MIN_VERTICES`] vertices and
-    /// the host has ≥ 2 cores; sequential otherwise.
+    /// the host has ≥ 2 cores; one thread otherwise.
     #[default]
     Auto,
-    /// Always build on the calling thread.
-    Sequential,
-    /// Run the chunked engine with exactly this many threads (clamped
-    /// to ≥ 1; `Threads(1)` exercises the chunked code path with no
-    /// workers, even on graphs smaller than one chunk).
+    /// Exactly this many threads (clamped to ≥ 1; `Threads(1)` builds
+    /// on the calling thread alone).
     Threads(usize),
 }
 
 impl Parallelism {
     /// The thread count this policy resolves to for an `n`-vertex DAG
-    /// on the current host — the number the build engines actually
-    /// use, exposed so reports (`paper perf`) state it without
+    /// on the current host — the number the build engine actually
+    /// uses, exposed so reports (`paper perf`) state it without
     /// re-deriving the policy.
     pub fn resolve(self, n: usize) -> usize {
         match self {
-            Parallelism::Sequential => 1,
             Parallelism::Threads(t) => t.max(1),
             Parallelism::Auto => {
                 if n >= PARALLEL_MIN_VERTICES {
@@ -128,21 +125,6 @@ impl Parallelism {
     }
 }
 
-/// Pruning-test implementation used by the build loop.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
-pub enum Pruning {
-    /// Per-hop snapshot of the fixed intersection side into an
-    /// epoch-stamped rank-membership array; each pop then tests in
-    /// `O(|L_out(u)|)` with O(1) lookups. The default.
-    #[default]
-    RankBitmap,
-    /// The paper-literal per-pop sorted merge,
-    /// `O(|L_out(u)| + |L_in(v_i)|)` per pop. Kept as the measurable
-    /// reference baseline; always sequential ([`Parallelism`] is
-    /// ignored).
-    SortedMerge,
-}
-
 /// Configuration for [`DistributionLabeling::build`].
 #[derive(Clone, Debug, Default)]
 pub struct DlConfig {
@@ -150,8 +132,6 @@ pub struct DlConfig {
     pub order: OrderKind,
     /// Thread policy for the hop-distribution loop.
     pub parallelism: Parallelism,
-    /// Pruning-test engine (default: rank-bitmap).
-    pub pruning: Pruning,
 }
 
 /// Epoch-stamped membership set over hop ranks `0..n`.
@@ -222,10 +202,11 @@ impl DistributionLabeling {
 
     /// [`Self::build`] with construction-phase span tracing: the order
     /// computation, the hop-distribution loop, and the label freeze
-    /// each record a span into `trace`, and the sequential rank-bitmap
-    /// engine additionally records a per-hop duration histogram. With
-    /// `trace = None` this is exactly [`Self::build`] — the engines
-    /// take one dead branch per hop and record nothing.
+    /// each record a span into `trace`, and every hop (both BFS sides)
+    /// records one sample into the trace's per-hop duration histogram,
+    /// at every thread count. With `trace = None` this is exactly
+    /// [`Self::build`] — the engine takes one dead branch per hop and
+    /// records nothing.
     pub fn build_traced(dag: &Dag, cfg: &DlConfig, trace: Option<&BuildTrace>) -> Self {
         let order = match trace {
             Some(t) => t.span("order", || cfg.order.compute(dag)),
@@ -245,11 +226,8 @@ impl DistributionLabeling {
         Self::build_ordered(dag, order, &DlConfig::default())
     }
 
-    /// [`Self::build_with_order`] with explicit engine knobs
+    /// [`Self::build_with_order`] with an explicit thread policy
     /// (`cfg.order` is ignored in favor of `order`).
-    ///
-    /// Every engine combination emits **identical** labels; the knobs
-    /// trade construction time only.
     ///
     /// # Panics
     /// Panics if `order` is not a permutation of `0..n`.
@@ -278,16 +256,7 @@ impl DistributionLabeling {
             })
         });
         let threads = cfg.parallelism.resolve(n);
-        // `Threads(t)` always takes the chunked engine (so the chunked
-        // code path is reachable at every width, including t = 1);
-        // `Auto`/`Sequential` resolving to one thread use the leaner
-        // sequential loop.
-        let engine = || match (cfg.pruning, cfg.parallelism) {
-            (Pruning::SortedMerge, _) => build_merge(dag, &order),
-            (Pruning::RankBitmap, Parallelism::Threads(_)) => build_chunked(dag, &order, threads),
-            (Pruning::RankBitmap, _) if threads == 1 => build_bitmap_sequential(dag, &order, trace),
-            (Pruning::RankBitmap, _) => build_chunked(dag, &order, threads),
-        };
+        let engine = || build_chunked(dag, &order, threads, trace);
         let b = match trace {
             Some(t) => t.span("distribute", engine),
             None => engine(),
@@ -307,9 +276,8 @@ impl DistributionLabeling {
         &self.labeling
     }
 
-    /// Reassembles an oracle from persisted parts (see
-    /// [`crate::persist`]). The order table may be owned (v1 streaming
-    /// load) or a mapped arena window (v3 open).
+    /// Reassembles an oracle from persisted parts: a HOPL v3 open
+    /// hands in the label stores and the mapped order table.
     pub(crate) fn from_parts(labeling: Labeling, order: impl Into<Store<u32>>) -> Self {
         DistributionLabeling {
             labeling,
@@ -336,126 +304,8 @@ impl DistributionLabeling {
     }
 }
 
-/// One side of one hop's distribution: a pruned BFS from `vi` that
-/// appends rank `r` to `side[u]` for every non-pruned visited vertex,
-/// expanding along `neighbors`. The prune test sees the visited
-/// vertex's current label list — a hit means that vertex already
-/// covers `v_i` through a higher-ranked hop, so neither it nor
-/// anything beyond it needs this hop. The three engines differ only in
-/// the closures they pass (merge vs bitmap probe; in- vs
-/// out-neighbors); the closures monomorphize, so the shared skeleton
-/// costs nothing on the hot path.
-fn distribute<'g>(
-    side: &mut [Vec<u32>],
-    vi: VertexId,
-    r: u32,
-    neighbors: impl Fn(VertexId) -> &'g [VertexId],
-    prune: impl Fn(&[u32]) -> bool,
-    visited: &mut VisitedSet,
-    queue: &mut VecDeque<VertexId>,
-) {
-    visited.clear();
-    queue.clear();
-    visited.insert(vi);
-    queue.push_back(vi);
-    while let Some(u) = queue.pop_front() {
-        if prune(&side[u as usize]) {
-            continue;
-        }
-        side[u as usize].push(r);
-        for &w in neighbors(u) {
-            if visited.insert(w) {
-                queue.push_back(w);
-            }
-        }
-    }
-}
-
-/// The paper-literal engine: per-pop sorted-merge pruning, one thread.
-fn build_merge(dag: &Dag, order: &[VertexId]) -> LabelingBuilder {
-    let g = dag.graph();
-    let n = dag.num_vertices();
-    let mut b = LabelingBuilder::new(n);
-    let mut visited = VisitedSet::new(n);
-    let mut queue: VecDeque<VertexId> = VecDeque::new();
-
-    for (rank, &vi) in order.iter().enumerate() {
-        let r = rank as u32;
-        // Reverse BFS: distribute r into L_out of vi's ancestors.
-        distribute(
-            &mut b.out,
-            vi,
-            r,
-            |u| g.in_neighbors(u),
-            |l_out_u| sorted_intersect(l_out_u, &b.in_[vi as usize]),
-            &mut visited,
-            &mut queue,
-        );
-        // Forward BFS: distribute r into L_in of vi's descendants.
-        distribute(
-            &mut b.in_,
-            vi,
-            r,
-            |w| g.out_neighbors(w),
-            |l_in_w| sorted_intersect(l_in_w, &b.out[vi as usize]),
-            &mut visited,
-            &mut queue,
-        );
-    }
-    b
-}
-
-/// Rank-bitmap engine, single thread: one `RankSet` reused across hops
-/// and sides. Emits labels identical to [`build_merge`] — within a
-/// hop the membership snapshot equals the list the merge would scan
-/// (the reverse BFS never mutates `L_in(v_i)`, and the forward test
-/// can never observe its own rank `r` in any `L_in(w)`, so snapshot
-/// timing is irrelevant). With a trace, each hop's full distribution
-/// (both BFS sides) lands in the trace's per-hop histogram.
-fn build_bitmap_sequential(
-    dag: &Dag,
-    order: &[VertexId],
-    trace: Option<&BuildTrace>,
-) -> LabelingBuilder {
-    let g = dag.graph();
-    let n = dag.num_vertices();
-    let mut b = LabelingBuilder::new(n);
-    let mut visited = VisitedSet::new(n);
-    let mut queue: VecDeque<VertexId> = VecDeque::new();
-    let mut members = RankSet::new(n);
-
-    for (rank, &vi) in order.iter().enumerate() {
-        let hop_started = trace.map(|_| std::time::Instant::now());
-        let r = rank as u32;
-        members.load(&b.in_[vi as usize]);
-        distribute(
-            &mut b.out,
-            vi,
-            r,
-            |u| g.in_neighbors(u),
-            |l_out_u| members.intersects(l_out_u),
-            &mut visited,
-            &mut queue,
-        );
-        members.load(&b.out[vi as usize]);
-        distribute(
-            &mut b.in_,
-            vi,
-            r,
-            |w| g.out_neighbors(w),
-            |l_in_w| members.intersects(l_in_w),
-            &mut visited,
-            &mut queue,
-        );
-        if let (Some(t), Some(started)) = (trace, hop_started) {
-            t.record_hop(started.elapsed().as_nanos() as u64);
-        }
-    }
-    b
-}
-
 // ---------------------------------------------------------------------
-// The N-thread chunked engine
+// The chunked engine
 // ---------------------------------------------------------------------
 //
 // Why chunking a pruned BFS is sound *and* byte-identical: within one
@@ -468,14 +318,13 @@ fn build_bitmap_sequential(
 // threads and levels may gather next-frontiers in any order; the
 // emitted labels cannot differ.
 //
-// Snapshot timing matches the retired two-thread engine: both
-// snapshots are taken at hop start, *before* the reverse BFS runs. The
-// sequential engine loads `L_out(v_i)` after its reverse BFS (which
-// may have appended `r` to it), but the forward prune test compares
-// the snapshot against `L_in(w)` lists that cannot contain `r` before
-// their own append — so the timing difference is unobservable.
+// Snapshot timing: both snapshots are taken at hop start, *before* the
+// reverse BFS runs. The paper's loop intersects with `L_out(v_i)` after
+// its reverse BFS (which may have appended `r` to it), but the forward
+// prune test compares against `L_in(w)` lists that cannot contain `r`
+// before their own append — so the timing difference is unobservable.
 
-/// Which side of a hop a level job belongs to.
+/// Which side of a hop a level belongs to.
 #[derive(Copy, Clone)]
 enum Side {
     /// BFS over in-neighbors, appending to `L_out`.
@@ -486,8 +335,7 @@ enum Side {
 
 /// Epoch-stamped visited set with thread-safe claiming. The epoch is
 /// bumped by the coordinator between levels/sides (never concurrently
-/// with claims), so `Relaxed` loads of it are safe; claiming swaps the
-/// stamp so exactly one thread wins each vertex per epoch.
+/// with claims), so `Relaxed` loads of it are safe.
 struct AtomicVisited {
     stamp: Vec<AtomicU32>,
     epoch: AtomicU32,
@@ -514,12 +362,25 @@ impl AtomicVisited {
         }
     }
 
-    /// `true` iff this call (among all concurrent ones) claimed `v` for
-    /// the current epoch.
+    /// `true` iff this call claimed `v` for the current epoch. With
+    /// `PARKED` the caller is the coordinator with the pool parked —
+    /// the only thread touching the stamps — so a plain load + store
+    /// suffices; otherwise the swap makes exactly one of the
+    /// concurrent claimers win. The job/done mutex handoffs order the
+    /// two modes' accesses.
     #[inline]
-    fn claim(&self, v: VertexId) -> bool {
+    fn claim<const PARKED: bool>(&self, v: VertexId) -> bool {
         let e = self.epoch.load(Ordering::Relaxed);
-        self.stamp[v as usize].swap(e, Ordering::Relaxed) != e
+        let stamp = &self.stamp[v as usize];
+        if PARKED {
+            if stamp.load(Ordering::Relaxed) == e {
+                return false;
+            }
+            stamp.store(e, Ordering::Relaxed);
+            true
+        } else {
+            stamp.swap(e, Ordering::Relaxed) != e
+        }
     }
 }
 
@@ -528,13 +389,16 @@ impl AtomicVisited {
 /// Safety contract: a level's frontier contains each vertex at most
 /// once ([`AtomicVisited::claim`]) and chunks partition the frontier,
 /// so no two threads ever hold the same cell; the coordinator touches
-/// cells only while the pool is parked (established by the job/done
-/// mutex handoffs).
+/// cells outside a level scan only while the pool is parked
+/// (established by the job/done mutex handoffs).
 struct SharedLists {
     ptr: *mut Vec<u32>,
     len: usize,
 }
 
+// SAFETY: the pointer targets a `Vec<Vec<u32>>` that outlives the
+// scoped pool, and the struct docs' contract keeps every cell
+// exclusive to one thread at a time.
 unsafe impl Send for SharedLists {}
 unsafe impl Sync for SharedLists {}
 
@@ -561,6 +425,8 @@ impl SharedLists {
 /// between hops while workers hold shared references during levels.
 struct SyncRankSet(UnsafeCell<RankSet>);
 
+// SAFETY: reloaded only by the coordinator while the pool is parked;
+// workers only read it during a level.
 unsafe impl Sync for SyncRankSet {}
 
 /// One level's worth of parallel work: scan `frontier`, append rank
@@ -574,6 +440,8 @@ struct LevelJob {
     frontier_len: usize,
 }
 
+// SAFETY: the coordinator keeps the frontier buffer alive and
+// untouched until every worker has reported the job done.
 unsafe impl Send for LevelJob {}
 
 /// Latest published job plus the lifecycle flags workers watch.
@@ -585,9 +453,17 @@ struct JobSlot {
     job: Option<LevelJob>,
 }
 
-/// Everything the pool shares: job dispatch, the chunk cursor, the
-/// gathered next frontier, and completion tracking.
-struct Coordinator {
+/// Everything the coordinator and the pool share: the graph, both
+/// label sides, both per-hop snapshots, the visited set, job dispatch,
+/// the chunk cursor, the gathered next frontier, and completion
+/// tracking.
+struct Engine<'g> {
+    g: &'g DiGraph,
+    out: SharedLists,
+    in_: SharedLists,
+    members_rev: SyncRankSet,
+    members_fwd: SyncRankSet,
+    visited: AtomicVisited,
     job: Mutex<JobSlot>,
     job_cv: Condvar,
     done: Mutex<usize>,
@@ -596,9 +472,31 @@ struct Coordinator {
     next: Mutex<Vec<VertexId>>,
 }
 
-impl Coordinator {
-    fn new() -> Self {
-        Coordinator {
+/// Rank-bitmap engine: level-synchronous BFS where large frontiers are
+/// split into [`CHUNK`]-sized ranges pulled from a shared atomic cursor
+/// by `threads − 1` long-lived scoped workers (plus the coordinator
+/// itself). Small frontiers — the common case on pruned hops, and
+/// every frontier at `threads == 1` — are scanned inline without
+/// waking the pool. With a trace, each hop's full distribution (both
+/// BFS sides) lands in the trace's per-hop histogram.
+fn build_chunked(
+    dag: &Dag,
+    order: &[VertexId],
+    threads: usize,
+    trace: Option<&BuildTrace>,
+) -> LabelingBuilder {
+    let n = dag.num_vertices();
+    let mut out: Vec<Vec<u32>> = vec![Vec::new(); n];
+    let mut in_: Vec<Vec<u32>> = vec![Vec::new(); n];
+    let workers = threads.saturating_sub(1);
+    {
+        let engine = Engine {
+            g: dag.graph(),
+            out: SharedLists::new(&mut out),
+            in_: SharedLists::new(&mut in_),
+            members_rev: SyncRankSet(UnsafeCell::new(RankSet::new(n))),
+            members_fwd: SyncRankSet(UnsafeCell::new(RankSet::new(n))),
+            visited: AtomicVisited::new(n),
             job: Mutex::new(JobSlot {
                 seq: 0,
                 stop: false,
@@ -609,305 +507,189 @@ impl Coordinator {
             done_cv: Condvar::new(),
             cursor: AtomicUsize::new(0),
             next: Mutex::new(Vec::new()),
-        }
-    }
-}
-
-/// Scans one slice of a frontier: prune-test each vertex, append `r`
-/// to survivors, claim-and-collect their unvisited neighbors.
-#[inline]
-fn scan_frontier<'g>(
-    chunk: &[VertexId],
-    r: u32,
-    side: &SharedLists,
-    members: &RankSet,
-    visited: &AtomicVisited,
-    neighbors: impl Fn(VertexId) -> &'g [VertexId],
-    discovered: &mut Vec<VertexId>,
-) {
-    for &u in chunk {
-        // Safety: `u` appears exactly once in this level's frontier.
-        let list = unsafe { side.cell(u) };
-        if members.intersects(list) {
-            continue;
-        }
-        list.push(r);
-        for &w in neighbors(u) {
-            if visited.claim(w) {
-                discovered.push(w);
-            }
-        }
-    }
-}
-
-/// Claims chunks from the shared cursor until the frontier is
-/// exhausted, collecting discovered vertices into `local`.
-#[allow(clippy::too_many_arguments)]
-fn drain_chunks(
-    job: &LevelJob,
-    g: &DiGraph,
-    out: &SharedLists,
-    in_: &SharedLists,
-    members_rev: &SyncRankSet,
-    members_fwd: &SyncRankSet,
-    visited: &AtomicVisited,
-    cursor: &AtomicUsize,
-    local: &mut Vec<VertexId>,
-) {
-    // Safety: the coordinator keeps the frontier buffer alive and
-    // untouched until every participant reported done.
-    let frontier = unsafe { std::slice::from_raw_parts(job.frontier, job.frontier_len) };
-    loop {
-        let start = cursor.fetch_add(CHUNK, Ordering::Relaxed);
-        if start >= frontier.len() {
-            return;
-        }
-        let chunk = &frontier[start..(start + CHUNK).min(frontier.len())];
-        // Safety (members): reloaded only while the pool is parked.
-        match job.side {
-            Side::Reverse => scan_frontier(
-                chunk,
-                job.r,
-                out,
-                unsafe { &*members_rev.0.get() },
-                visited,
-                |u| g.in_neighbors(u),
-                local,
-            ),
-            Side::Forward => scan_frontier(
-                chunk,
-                job.r,
-                in_,
-                unsafe { &*members_fwd.0.get() },
-                visited,
-                |w| g.out_neighbors(w),
-                local,
-            ),
-        }
-    }
-}
-
-/// A pool worker: sleep until a new job (or stop) is published, drain
-/// chunks, hand discovered vertices to the shared next frontier,
-/// report done.
-#[allow(clippy::too_many_arguments)]
-fn worker_loop(
-    co: &Coordinator,
-    g: &DiGraph,
-    out: &SharedLists,
-    in_: &SharedLists,
-    members_rev: &SyncRankSet,
-    members_fwd: &SyncRankSet,
-    visited: &AtomicVisited,
-) {
-    let mut last_seen = 0u64;
-    let mut local: Vec<VertexId> = Vec::new();
-    loop {
-        let job = {
-            let mut slot = co.job.lock().expect("job lock");
-            loop {
-                if slot.stop {
-                    return;
-                }
-                if slot.seq != last_seen {
-                    break;
-                }
-                slot = co.job_cv.wait(slot).expect("job wait");
-            }
-            last_seen = slot.seq;
-            slot.job.expect("seq bumped with a job published")
         };
-        drain_chunks(
-            &job,
-            g,
-            out,
-            in_,
-            members_rev,
-            members_fwd,
-            visited,
-            &co.cursor,
-            &mut local,
-        );
-        if !local.is_empty() {
-            co.next.lock().expect("next lock").append(&mut local);
-        }
-        {
-            let mut done = co.done.lock().expect("done lock");
-            *done += 1;
-        }
-        // Only the coordinator waits on this; notify_one suffices.
-        co.done_cv.notify_one();
-    }
-}
-
-/// Rank-bitmap engine, N-thread chunked: level-synchronous BFS where
-/// large frontiers are split into [`CHUNK`]-sized ranges pulled from a
-/// shared atomic cursor by `threads − 1` long-lived scoped workers
-/// (plus the coordinator itself). Small frontiers — the common case on
-/// pruned hops — are scanned inline without waking the pool. Emits
-/// labels byte-identical to [`build_bitmap_sequential`] at every
-/// thread count (see the module docs for the argument; enforced by
-/// tests).
-fn build_chunked(dag: &Dag, order: &[VertexId], threads: usize) -> LabelingBuilder {
-    let g = dag.graph();
-    let n = dag.num_vertices();
-    let mut out: Vec<Vec<u32>> = vec![Vec::new(); n];
-    let mut in_: Vec<Vec<u32>> = vec![Vec::new(); n];
-    let workers = threads.saturating_sub(1);
-    {
-        let out_shared = SharedLists::new(&mut out);
-        let in_shared = SharedLists::new(&mut in_);
-        let members_rev = SyncRankSet(UnsafeCell::new(RankSet::new(n)));
-        let members_fwd = SyncRankSet(UnsafeCell::new(RankSet::new(n)));
-        let visited = AtomicVisited::new(n);
-        let co = Coordinator::new();
-
         std::thread::scope(|s| {
             for _ in 0..workers {
-                s.spawn(|| {
-                    worker_loop(
-                        &co,
-                        g,
-                        &out_shared,
-                        &in_shared,
-                        &members_rev,
-                        &members_fwd,
-                        &visited,
-                    )
-                });
+                s.spawn(|| engine.worker_loop());
             }
-            run_hops(
-                order,
-                g,
-                &out_shared,
-                &in_shared,
-                &members_rev,
-                &members_fwd,
-                &visited,
-                &co,
-                workers,
-            );
-            let mut slot = co.job.lock().expect("job lock");
-            slot.stop = true;
-            drop(slot);
-            co.job_cv.notify_all();
+            engine.run_hops(order, workers, trace);
+            engine.job.lock().expect("job lock").stop = true;
+            engine.job_cv.notify_all();
         });
     }
     LabelingBuilder { out, in_ }
 }
 
-/// The coordinator body of [`build_chunked`]: the per-hop loop.
-#[allow(clippy::too_many_arguments)]
-fn run_hops(
-    order: &[VertexId],
-    g: &DiGraph,
-    out_shared: &SharedLists,
-    in_shared: &SharedLists,
-    members_rev: &SyncRankSet,
-    members_fwd: &SyncRankSet,
-    visited: &AtomicVisited,
-    co: &Coordinator,
-    workers: usize,
-) {
-    let mut frontier: Vec<VertexId> = Vec::new();
-    let mut next: Vec<VertexId> = Vec::new();
-    for (rank, &vi) in order.iter().enumerate() {
-        let r = rank as u32;
-        // Hop-start snapshots for both sides (the shared epoch
-        // snapshot; see the timing note above). Safety: pool parked.
-        unsafe {
-            (*members_rev.0.get()).load(in_shared.cell(vi));
-            (*members_fwd.0.get()).load(out_shared.cell(vi));
-        }
-        for side in [Side::Reverse, Side::Forward] {
-            visited.next_epoch();
-            let claimed = visited.claim(vi);
-            debug_assert!(claimed, "fresh epoch cannot have claimed vi");
-            frontier.clear();
-            frontier.push(vi);
-            while !frontier.is_empty() {
-                next.clear();
-                let job = LevelJob {
-                    side,
-                    r,
-                    frontier: frontier.as_ptr(),
-                    frontier_len: frontier.len(),
-                };
-                if workers == 0 || frontier.len() < PAR_FRONTIER_MIN {
-                    // Inline scan; never wakes the pool.
-                    co.cursor.store(0, Ordering::Relaxed);
-                    drain_chunks(
-                        &job,
-                        g,
-                        out_shared,
-                        in_shared,
-                        members_rev,
-                        members_fwd,
-                        visited,
-                        &co.cursor,
-                        &mut next,
-                    );
-                } else {
-                    run_level_parallel(
-                        &job,
-                        g,
-                        out_shared,
-                        in_shared,
-                        members_rev,
-                        members_fwd,
-                        visited,
-                        co,
-                        workers,
-                        &mut next,
-                    );
+impl Engine<'_> {
+    /// The coordinator body of [`build_chunked`]: the per-hop loop.
+    fn run_hops(&self, order: &[VertexId], workers: usize, trace: Option<&BuildTrace>) {
+        let mut frontier: Vec<VertexId> = Vec::new();
+        let mut next: Vec<VertexId> = Vec::new();
+        for (rank, &vi) in order.iter().enumerate() {
+            let hop_started = trace.map(|_| std::time::Instant::now());
+            let r = rank as u32;
+            // Hop-start snapshots for both sides (see the timing note
+            // above). SAFETY: the pool is parked between levels, so no
+            // worker holds a snapshot or a label cell.
+            unsafe {
+                (*self.members_rev.0.get()).load(self.in_.cell(vi));
+                (*self.members_fwd.0.get()).load(self.out.cell(vi));
+            }
+            for side in [Side::Reverse, Side::Forward] {
+                self.visited.next_epoch();
+                let claimed = self.visited.claim::<true>(vi);
+                debug_assert!(claimed, "fresh epoch cannot have claimed vi");
+                frontier.clear();
+                frontier.push(vi);
+                while !frontier.is_empty() {
+                    next.clear();
+                    if workers == 0 || frontier.len() < PAR_FRONTIER_MIN {
+                        self.scan::<true>(side, r, &frontier, &mut next);
+                    } else {
+                        let job = LevelJob {
+                            side,
+                            r,
+                            frontier: frontier.as_ptr(),
+                            frontier_len: frontier.len(),
+                        };
+                        self.run_level_parallel(&job, workers, &mut next);
+                    }
+                    std::mem::swap(&mut frontier, &mut next);
                 }
-                std::mem::swap(&mut frontier, &mut next);
+            }
+            if let (Some(t), Some(started)) = (trace, hop_started) {
+                t.record_hop(started.elapsed().as_nanos() as u64);
             }
         }
     }
-}
 
-/// Fans one big level out over the pool: publish the job, participate
-/// in the chunk scan, wait for every worker (the level barrier),
-/// gather the next frontier.
-#[allow(clippy::too_many_arguments)]
-fn run_level_parallel(
-    job: &LevelJob,
-    g: &DiGraph,
-    out_shared: &SharedLists,
-    in_shared: &SharedLists,
-    members_rev: &SyncRankSet,
-    members_fwd: &SyncRankSet,
-    visited: &AtomicVisited,
-    co: &Coordinator,
-    workers: usize,
-    next: &mut Vec<VertexId>,
-) {
-    co.cursor.store(0, Ordering::Relaxed);
-    *co.done.lock().expect("done lock") = 0;
-    {
-        let mut slot = co.job.lock().expect("job lock");
-        slot.seq += 1;
-        slot.job = Some(*job);
+    /// Scans one slice of a level's frontier on `side`: prune-test each
+    /// vertex against the hop-start snapshot, append `r` to survivors,
+    /// claim-and-collect their unvisited neighbors into `discovered`.
+    /// `PARKED` selects the claim mode ([`AtomicVisited::claim`]).
+    #[inline]
+    fn scan<const PARKED: bool>(
+        &self,
+        side: Side,
+        r: u32,
+        frontier: &[VertexId],
+        discovered: &mut Vec<VertexId>,
+    ) {
+        let g = self.g;
+        // SAFETY (snapshots): reloaded only while the pool is parked.
+        match side {
+            Side::Reverse => self.scan_side::<PARKED>(
+                frontier,
+                r,
+                &self.out,
+                unsafe { &*self.members_rev.0.get() },
+                |u| g.in_neighbors(u),
+                discovered,
+            ),
+            Side::Forward => self.scan_side::<PARKED>(
+                frontier,
+                r,
+                &self.in_,
+                unsafe { &*self.members_fwd.0.get() },
+                |w| g.out_neighbors(w),
+                discovered,
+            ),
+        }
     }
-    co.job_cv.notify_all();
-    drain_chunks(
-        job,
-        g,
-        out_shared,
-        in_shared,
-        members_rev,
-        members_fwd,
-        visited,
-        &co.cursor,
-        next,
-    );
-    let mut done = co.done.lock().expect("done lock");
-    while *done < workers {
-        done = co.done_cv.wait(done).expect("done wait");
+
+    #[inline]
+    fn scan_side<'a, const PARKED: bool>(
+        &self,
+        frontier: &[VertexId],
+        r: u32,
+        lists: &SharedLists,
+        members: &RankSet,
+        neighbors: impl Fn(VertexId) -> &'a [VertexId],
+        discovered: &mut Vec<VertexId>,
+    ) {
+        for &u in frontier {
+            // SAFETY: `u` appears exactly once in this level's frontier
+            // and the chunks partition it.
+            let list = unsafe { lists.cell(u) };
+            if members.intersects(list) {
+                continue;
+            }
+            list.push(r);
+            for &w in neighbors(u) {
+                if self.visited.claim::<PARKED>(w) {
+                    discovered.push(w);
+                }
+            }
+        }
     }
-    drop(done);
-    next.append(&mut co.next.lock().expect("next lock"));
+
+    /// Claims chunks from the shared cursor until the frontier is
+    /// exhausted, collecting discovered vertices into `local`.
+    fn drain_chunks(&self, job: &LevelJob, local: &mut Vec<VertexId>) {
+        // SAFETY: the coordinator keeps the frontier buffer alive and
+        // untouched until every participant reported done.
+        let frontier = unsafe { std::slice::from_raw_parts(job.frontier, job.frontier_len) };
+        loop {
+            let start = self.cursor.fetch_add(CHUNK, Ordering::Relaxed);
+            if start >= frontier.len() {
+                return;
+            }
+            let chunk = &frontier[start..(start + CHUNK).min(frontier.len())];
+            self.scan::<false>(job.side, job.r, chunk, local);
+        }
+    }
+
+    /// A pool worker: sleep until a new job (or stop) is published,
+    /// drain chunks, hand discovered vertices to the shared next
+    /// frontier, report done.
+    fn worker_loop(&self) {
+        let mut last_seen = 0u64;
+        let mut local: Vec<VertexId> = Vec::new();
+        loop {
+            let job = {
+                let mut slot = self.job.lock().expect("job lock");
+                loop {
+                    if slot.stop {
+                        return;
+                    }
+                    if slot.seq != last_seen {
+                        break;
+                    }
+                    slot = self.job_cv.wait(slot).expect("job wait");
+                }
+                last_seen = slot.seq;
+                slot.job.expect("seq bumped with a job published")
+            };
+            self.drain_chunks(&job, &mut local);
+            if !local.is_empty() {
+                self.next.lock().expect("next lock").append(&mut local);
+            }
+            *self.done.lock().expect("done lock") += 1;
+            // Only the coordinator waits on this; notify_one suffices.
+            self.done_cv.notify_one();
+        }
+    }
+
+    /// Fans one big level out over the pool: publish the job,
+    /// participate in the chunk scan, wait for every worker (the level
+    /// barrier), gather the next frontier.
+    fn run_level_parallel(&self, job: &LevelJob, workers: usize, next: &mut Vec<VertexId>) {
+        self.cursor.store(0, Ordering::Relaxed);
+        *self.done.lock().expect("done lock") = 0;
+        {
+            let mut slot = self.job.lock().expect("job lock");
+            slot.seq += 1;
+            slot.job = Some(*job);
+        }
+        self.job_cv.notify_all();
+        self.drain_chunks(job, next);
+        let mut done = self.done.lock().expect("done lock");
+        while *done < workers {
+            done = self.done_cv.wait(done).expect("done wait");
+        }
+        drop(done);
+        next.append(&mut self.next.lock().expect("next lock"));
+    }
 }
 
 impl ReachIndex for DistributionLabeling {
@@ -934,17 +716,32 @@ impl ReachIndex for DistributionLabeling {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::label::sorted_intersect;
     use hoplite_graph::{gen, traversal};
+    use std::collections::VecDeque;
 
+    /// Every pair's answer against BFS ground truth: one BFS per source
+    /// rather than per pair, so the larger matrix graphs stay cheap in
+    /// debug builds.
     fn assert_matches_bfs(dag: &Dag, dl: &DistributionLabeling) {
-        let n = dag.num_vertices() as VertexId;
-        for u in 0..n {
-            for v in 0..n {
-                assert_eq!(
-                    dl.query(u, v),
-                    traversal::reaches(dag.graph(), u, v),
-                    "mismatch at ({u},{v})"
-                );
+        let n = dag.num_vertices();
+        let mut scratch = traversal::TraversalScratch::new(n);
+        let mut reach = Vec::new();
+        for u in 0..n as VertexId {
+            reach.clear();
+            traversal::collect_reachable(
+                dag.graph(),
+                u,
+                traversal::Direction::Forward,
+                &mut scratch,
+                &mut reach,
+            );
+            let mut truth = vec![false; n];
+            for &v in &reach {
+                truth[v as usize] = true;
+            }
+            for v in 0..n as VertexId {
+                assert_eq!(dl.query(u, v), truth[v as usize], "mismatch at ({u},{v})");
             }
         }
     }
@@ -1072,174 +869,157 @@ mod tests {
         }
     }
 
-    /// Every engine combination — seed merge, rank-bitmap sequential,
-    /// rank-bitmap chunked at several widths — must emit byte-identical
-    /// labels; the knobs trade construction time only.
-    #[test]
-    fn all_engines_emit_identical_labels() {
-        let engines = [
-            (Pruning::SortedMerge, Parallelism::Sequential),
-            (Pruning::RankBitmap, Parallelism::Sequential),
-            (Pruning::RankBitmap, Parallelism::Threads(2)),
-            (Pruning::RankBitmap, Parallelism::Threads(4)),
-        ];
-        for seed in 0..4 {
-            for dag in [
-                gen::random_dag(80, 240, seed),
-                gen::tree_plus_dag(80, 20, seed),
-                gen::power_law_dag(80, 240, seed),
-            ] {
-                let built: Vec<DistributionLabeling> = engines
-                    .iter()
-                    .map(|&(pruning, parallelism)| {
-                        DistributionLabeling::build(
-                            &dag,
-                            &DlConfig {
-                                order: OrderKind::DegProduct,
-                                parallelism,
-                                pruning,
-                            },
-                        )
-                    })
-                    .collect();
-                let reference = &built[0];
-                assert_matches_bfs(&dag, reference);
-                for (i, dl) in built.iter().enumerate().skip(1) {
-                    assert_eq!(dl.order(), reference.order());
-                    for v in 0..dag.num_vertices() as VertexId {
-                        assert_eq!(
-                            dl.labeling().out_label(v),
-                            reference.labeling().out_label(v),
-                            "engine {i}, L_out({v}), seed {seed}"
-                        );
-                        assert_eq!(
-                            dl.labeling().in_label(v),
-                            reference.labeling().in_label(v),
-                            "engine {i}, L_in({v}), seed {seed}"
-                        );
+    /// The paper-literal Algorithm 2: one BFS per hop and side, with a
+    /// full sorted-merge prune test on every pop. The engine must emit
+    /// exactly these lists at every width.
+    fn sorted_merge_reference(dag: &Dag, order: &[VertexId]) -> LabelingBuilder {
+        fn distribute<'g>(
+            side: &mut [Vec<u32>],
+            vi: VertexId,
+            r: u32,
+            neighbors: impl Fn(VertexId) -> &'g [VertexId],
+            prune: impl Fn(&[u32]) -> bool,
+        ) {
+            let mut visited = vec![false; side.len()];
+            let mut queue = VecDeque::from([vi]);
+            visited[vi as usize] = true;
+            while let Some(u) = queue.pop_front() {
+                if prune(&side[u as usize]) {
+                    continue;
+                }
+                side[u as usize].push(r);
+                for &w in neighbors(u) {
+                    if !std::mem::replace(&mut visited[w as usize], true) {
+                        queue.push_back(w);
                     }
                 }
             }
         }
+        let g = dag.graph();
+        let mut b = LabelingBuilder::new(dag.num_vertices());
+        for (rank, &vi) in order.iter().enumerate() {
+            let r = rank as u32;
+            let l_in = b.in_[vi as usize].clone();
+            distribute(
+                &mut b.out,
+                vi,
+                r,
+                |u| g.in_neighbors(u),
+                |l| sorted_intersect(l, &l_in),
+            );
+            let l_out = b.out[vi as usize].clone();
+            distribute(
+                &mut b.in_,
+                vi,
+                r,
+                |w| g.out_neighbors(w),
+                |l| sorted_intersect(l, &l_out),
+            );
+        }
+        b
     }
 
-    /// The chunked engine must also hold on degenerate shapes where
-    /// one side's BFS is empty or the whole graph is edge-free — all
-    /// far smaller than one chunk.
-    #[test]
-    fn chunked_engine_handles_degenerate_graphs() {
-        for threads in [1usize, 2, 8] {
-            let force = DlConfig {
+    /// Builds at `threads` and asserts order and every label list are
+    /// byte-identical to [`sorted_merge_reference`].
+    fn assert_matches_reference(dag: &Dag, threads: usize, what: &str) -> DistributionLabeling {
+        let order = OrderKind::DegProduct.compute(dag);
+        let reference = sorted_merge_reference(dag, &order);
+        let dl = DistributionLabeling::build(
+            dag,
+            &DlConfig {
+                order: OrderKind::DegProduct,
                 parallelism: Parallelism::Threads(threads),
-                ..DlConfig::default()
-            };
-            for dag in [
-                Dag::from_edges(0, &[]).unwrap(),
-                Dag::from_edges(1, &[]).unwrap(),
-                Dag::from_edges(5, &[]).unwrap(),
-                Dag::from_edges(4, &[(0, 1), (1, 2), (2, 3)]).unwrap(),
-            ] {
-                let par = DistributionLabeling::build(&dag, &force);
-                let seq = DistributionLabeling::build(
-                    &dag,
-                    &DlConfig {
-                        parallelism: Parallelism::Sequential,
-                        ..DlConfig::default()
-                    },
-                );
-                assert_eq!(
-                    par.labeling().total_entries(),
-                    seq.labeling().total_entries(),
-                    "threads={threads}"
-                );
-                assert_matches_bfs(&dag, &par);
+            },
+        );
+        assert_eq!(dl.order(), &order[..], "{what}, t={threads}");
+        for v in 0..dag.num_vertices() as VertexId {
+            assert_eq!(
+                dl.labeling().out_label(v),
+                &reference.out[v as usize][..],
+                "{what}, t={threads}, L_out({v})"
+            );
+            assert_eq!(
+                dl.labeling().in_label(v),
+                &reference.in_[v as usize][..],
+                "{what}, t={threads}, L_in({v})"
+            );
+        }
+        dl
+    }
+
+    /// The identity matrix: widths {1, 2, 3, 4, 8} emit the reference's
+    /// labels byte for byte, on the random, power-law and tree families,
+    /// on graphs both larger and smaller than the chunk size
+    /// (CHUNK = 256 frontier entries), and every answer matches BFS.
+    #[test]
+    fn chunked_engine_byte_identical_across_thread_matrix() {
+        let mut graphs = vec![
+            (gen::random_dag(600, 2_400, 5), "random 600"),
+            (gen::power_law_dag(300, 900, 7), "power-law 300"),
+            (gen::tree_plus_dag(500, 60, 8), "tree 500"),
+        ];
+        for seed in 0..4 {
+            graphs.push((gen::random_dag(80, 240, seed), "random 80 (sub-chunk)"));
+            graphs.push((gen::power_law_dag(80, 240, seed), "power-law 80"));
+            graphs.push((gen::tree_plus_dag(80, 20, seed), "tree 80"));
+        }
+        for (dag, what) in &graphs {
+            for threads in [1usize, 2, 3, 4, 8] {
+                let dl = assert_matches_reference(dag, threads, what);
+                assert_matches_bfs(dag, &dl);
             }
         }
     }
 
-    /// The satellite matrix: the chunked engine emits byte-identical
-    /// labels at widths {1, 2, 3, 4, 8}, on graphs both larger and
-    /// smaller than the chunk size (CHUNK = 256 frontier entries) and
-    /// across graph families.
+    /// The engine must also hold on degenerate shapes where one side's
+    /// BFS is empty or the whole graph is edge-free — all far smaller
+    /// than one chunk.
     #[test]
-    fn chunked_engine_byte_identical_across_thread_matrix() {
-        for (dag, what) in [
-            (gen::random_dag(600, 2_400, 5), "random 600"),
-            (gen::random_dag(40, 120, 6), "random 40 (sub-chunk)"),
-            (gen::power_law_dag(300, 900, 7), "power-law 300"),
-            (gen::tree_plus_dag(500, 60, 8), "tree 500"),
+    fn chunked_engine_handles_degenerate_graphs() {
+        for dag in [
+            Dag::from_edges(0, &[]).unwrap(),
+            Dag::from_edges(1, &[]).unwrap(),
+            Dag::from_edges(5, &[]).unwrap(),
+            Dag::from_edges(4, &[(0, 1), (1, 2), (2, 3)]).unwrap(),
         ] {
-            let reference = DistributionLabeling::build(
-                &dag,
-                &DlConfig {
-                    parallelism: Parallelism::Sequential,
-                    ..DlConfig::default()
-                },
-            );
-            for threads in [1usize, 2, 3, 4, 8] {
-                let chunked = DistributionLabeling::build(
-                    &dag,
-                    &DlConfig {
-                        parallelism: Parallelism::Threads(threads),
-                        ..DlConfig::default()
-                    },
-                );
-                assert_eq!(chunked.order(), reference.order(), "{what}, t={threads}");
-                for v in 0..dag.num_vertices() as VertexId {
-                    assert_eq!(
-                        chunked.labeling().out_label(v),
-                        reference.labeling().out_label(v),
-                        "{what}, t={threads}, L_out({v})"
-                    );
-                    assert_eq!(
-                        chunked.labeling().in_label(v),
-                        reference.labeling().in_label(v),
-                        "{what}, t={threads}, L_in({v})"
-                    );
-                }
+            for threads in [1usize, 2, 8] {
+                let dl = assert_matches_reference(&dag, threads, "degenerate");
+                assert_matches_bfs(&dag, &dl);
             }
         }
     }
 
     /// Tracing must be an observer: a traced build emits exactly the
-    /// labels of the untraced one and records the expected spans and
-    /// per-hop samples.
+    /// labels of the untraced one, records the expected spans, and
+    /// records one per-hop sample per vertex at every width.
     #[test]
     fn traced_build_is_label_identical_and_records_spans() {
         use crate::metrics::BuildTrace;
         let dag = gen::random_dag(120, 360, 9);
         let plain = DistributionLabeling::build(&dag, &DlConfig::default());
-        let trace = BuildTrace::new();
-        let cfg = DlConfig {
-            parallelism: Parallelism::Sequential,
-            ..DlConfig::default()
-        };
-        let traced = DistributionLabeling::build_traced(&dag, &cfg, Some(&trace));
-        assert_eq!(traced.order(), plain.order());
-        for v in 0..dag.num_vertices() as VertexId {
+        for threads in [1usize, 4] {
+            let trace = BuildTrace::new();
+            let cfg = DlConfig {
+                parallelism: Parallelism::Threads(threads),
+                ..DlConfig::default()
+            };
+            let traced = DistributionLabeling::build_traced(&dag, &cfg, Some(&trace));
+            assert_eq!(traced.order(), plain.order());
+            for v in 0..dag.num_vertices() as VertexId {
+                assert_eq!(
+                    traced.labeling().out_label(v),
+                    plain.labeling().out_label(v)
+                );
+                assert_eq!(traced.labeling().in_label(v), plain.labeling().in_label(v));
+            }
+            let names: Vec<String> = trace.spans().iter().map(|s| s.name.clone()).collect();
+            assert_eq!(names, ["order", "distribute", "freeze"], "t={threads}");
             assert_eq!(
-                traced.labeling().out_label(v),
-                plain.labeling().out_label(v)
+                trace.hop_snapshot().count(),
+                dag.num_vertices() as u64,
+                "t={threads}"
             );
-            assert_eq!(traced.labeling().in_label(v), plain.labeling().in_label(v));
         }
-        let names: Vec<String> = trace.spans().iter().map(|s| s.name.clone()).collect();
-        assert_eq!(names, ["order", "distribute", "freeze"]);
-        // The sequential engine records one hop sample per vertex.
-        assert_eq!(trace.hop_snapshot().count(), dag.num_vertices() as u64);
-        // The chunked engine records spans but no per-hop histogram.
-        let trace_par = BuildTrace::new();
-        let cfg_par = DlConfig {
-            parallelism: Parallelism::Threads(2),
-            ..DlConfig::default()
-        };
-        let chunked = DistributionLabeling::build_traced(&dag, &cfg_par, Some(&trace_par));
-        assert_eq!(
-            chunked.labeling().total_entries(),
-            plain.labeling().total_entries()
-        );
-        assert_eq!(trace_par.spans().len(), 3);
-        assert_eq!(trace_par.hop_snapshot().count(), 0);
     }
 
     #[test]

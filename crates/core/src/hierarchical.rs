@@ -219,17 +219,6 @@ impl HierarchicalLabeling {
         &self.labeling
     }
 
-    /// Reassembles an oracle from persisted parts (see
-    /// [`crate::persist`]; the Formula-3 flag is construction metadata
-    /// and is not persisted).
-    pub(crate) fn from_parts(labeling: Labeling, level_sizes: Vec<usize>) -> Self {
-        HierarchicalLabeling {
-            labeling,
-            level_sizes,
-            core_formula3_used: false,
-        }
-    }
-
     /// `|V_0| ≥ |V_1| ≥ … ≥ |V_h|` of the decomposition used.
     pub fn level_sizes(&self) -> &[usize] {
         &self.level_sizes

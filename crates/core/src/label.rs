@@ -201,12 +201,11 @@ pub enum LabelPath {
 ///
 /// Alongside the two CSR sides it stores one 64-bit rank-band
 /// signature per vertex per side (see the module docs); signatures are
-/// derived from the lists on construction and re-derived when a
-/// persisted index predates the signature section.
+/// derived from the lists on construction and persisted beside them.
 /// Every array lives in a [`Store`]: owned `Vec`s when built in
-/// process or loaded through the HOPL v1 streaming reader, typed
-/// windows into one shared arena when opened from a HOPL v3 file (see
-/// [`crate::store`]). The accessors below cannot tell the difference.
+/// process, typed windows into one shared arena when opened from a
+/// HOPL v3 file (see [`crate::store`]). The accessors below cannot tell
+/// the difference.
 #[derive(Clone, Debug)]
 pub struct Labeling {
     out_offsets: Store<u32>,

@@ -356,7 +356,7 @@ impl BuildTrace {
         value
     }
 
-    /// Record one per-hop labeling duration (sequential engine).
+    /// Record one per-hop labeling duration (both BFS sides of one hop).
     #[inline]
     pub fn record_hop(&self, ns: u64) {
         self.hops.record(ns);
@@ -375,7 +375,7 @@ impl BuildTrace {
     /// One structured-JSON object for this trace, tagged with `label`
     /// (typically the namespace being built). Spans appear in
     /// completion order; `hops` summarizes the per-vertex labeling
-    /// distribution when the traced engine recorded one.
+    /// distribution (`null` when no labeling build was traced).
     pub fn to_json(&self, label: &str) -> String {
         let spans = self
             .spans

@@ -68,10 +68,10 @@ pub trait ReachIndex: Send {
 /// assert!(!oracle.reaches(4, 5));
 /// ```
 ///
-/// A built oracle can be shipped to query-serving replicas with
-/// [`Oracle::save`]/[`Oracle::load`] (see [`crate::persist`]), opened
-/// zero-copy from a HOPL v3 arena with [`Oracle::open`], and served
-/// over the network by `hoplite-server`.
+/// A built oracle can be shipped to query-serving replicas as a HOPL v3
+/// arena with [`Oracle::save_arena`] (see [`crate::persist`]), opened
+/// zero-copy with [`Oracle::open`], and served over the network by
+/// `hoplite-server`.
 #[derive(Clone, Debug)]
 pub struct Oracle {
     /// `comp_of[v]` = condensation component of original vertex `v`.
@@ -81,7 +81,7 @@ pub struct Oracle {
     comp_sizes: Store<u32>,
     /// The condensation DAG (component ids are topological:
     /// `tail < head` on every edge). Queries never touch it — it
-    /// serves `save`/introspection — so a mapped open leaves it
+    /// serves `save_arena`/introspection — so a mapped open leaves it
     /// unmaterialized and [`Oracle::dag`] builds it on first use from
     /// `dag_csr`.
     dag: OnceLock<Dag>,
@@ -90,8 +90,8 @@ pub struct Oracle {
     dag_csr: Option<DagCsr>,
     dl: DistributionLabeling,
     /// O(1) pre-filters, projected into original-vertex space. Built
-    /// from the DAG on construction and on HOPL v1 loads; addressed
-    /// in place (no recomputation) on HOPL v3 opens.
+    /// from the DAG on construction; addressed in place (no
+    /// recomputation) on HOPL v3 opens.
     filters: QueryFilters,
 }
 
@@ -133,13 +133,10 @@ impl Oracle {
         trace.span("filters", || Self::from_parts(cond, dl))
     }
 
-    /// Reassembles an oracle from a deserialized condensation and
-    /// labeling. The caller ([`crate::persist`]) has validated that the
-    /// labeling covers exactly the condensation's components; the
-    /// query pre-filters are derived from the condensation DAG here
-    /// (and projected into original-vertex space, so the filter fast
-    /// path skips the `comp_of` indirection), so they never need to be
-    /// (and are not) persisted.
+    /// Assembles an oracle from a condensation and the labeling built
+    /// over its components. The query pre-filters are derived from the
+    /// condensation DAG here and projected into original-vertex space,
+    /// so the filter fast path skips the `comp_of` indirection.
     pub(crate) fn from_parts(cond: Condensation, dl: DistributionLabeling) -> Self {
         debug_assert_eq!(cond.num_components(), dl.labeling().num_vertices());
         let filters = QueryFilters::build(&cond.dag).project(&cond.comp_of);
@@ -300,7 +297,7 @@ impl Oracle {
     ///
     /// On an [`Oracle::open`]ed index this materializes lazily from
     /// the persisted CSR sections — queries never pay for it, only
-    /// `save`/introspection callers do, once.
+    /// `save_arena`/introspection callers do, once.
     ///
     /// # Panics
     /// On a mapped oracle, panics if the persisted CSR turns out

@@ -4,7 +4,7 @@
 //! synchronization at all: [`Labeling`] is `Sync`, and the query is two
 //! slice lookups plus a merge. This module fans a batch of queries out
 //! over scoped OS threads (`std::thread::scope`, keeping the runtime
-//! crates dependency-free per `DESIGN.md` §8) with static chunking —
+//! crates dependency-free) with static chunking —
 //! every query costs `O(|L_out| + |L_in|)`, so chunks of equal count
 //! balance well without work stealing.
 //!

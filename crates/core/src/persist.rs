@@ -1,83 +1,52 @@
-//! Binary persistence for built oracles: the HOPL v1 streaming format
-//! and the HOPL v3 zero-copy arena.
+//! Binary persistence for built oracles: the HOPL v3 zero-copy arena.
 //!
 //! The paper's headline is cheap construction, but a production user
 //! still wants to build once and ship the index to query-serving
 //! replicas — the `hoplite-server` crate is that replica: `hoplited
-//! serve --index NAME=FILE` loads an [`Oracle::save`] payload and
+//! serve --index NAME=FILE` opens an [`Oracle::save_arena`] file and
 //! answers it over the wire.
-//!
-//! ## HOPL v1 — the streaming format
-//!
-//! The original format is a small, versioned little-endian layout:
-//!
-//! ```text
-//! magic   4 bytes  "HOPL"
-//! version u32      1
-//! kind    u8       1 = bare Labeling, 2 = DistributionLabeling,
-//!                  3 = HierarchicalLabeling,
-//!                  4 = Oracle (condensation + DistributionLabeling)
-//! n       u64      vertex count
-//! ...              kind-specific payload (CSR arrays, order table,
-//!                  level sizes)
-//! [SIGS]           optional trailing section: "SIGS", sig_shift:u32,
-//!                  n:u64, n×out_sig:u64, n×in_sig:u64
-//! ```
-//!
-//! Readers validate structure (monotone offsets, strictly sorted hop
-//! lists) so a corrupted file fails loudly instead of answering
-//! queries wrong.
-//!
-//! The `SIGS` section carries the per-vertex rank-band signatures the
-//! query path rejects on (see [`crate::label`]). It is *optional on
-//! read*: files written before the signature layer existed simply end
-//! after the main payload, and the loader rebuilds the signatures from
-//! the hop lists on the fly. When the section is present the reader
-//! cross-checks every persisted signature against the one derived from
-//! its list — a flipped signature bit would otherwise silently turn
-//! reachable pairs unreachable.
-//!
-//! Under v1 the [`crate::QueryFilters`] pre-filter stage is **derived
-//! state**: [`Oracle::load`] rebuilds it in `O(n + m)` from the
-//! persisted condensation DAG, so the v1 format is unchanged by the
-//! filter layer and indexes written before it exist keep loading (and
-//! gain the filters for free).
 //!
 //! ## HOPL v3 — the zero-copy arena
 //!
-//! v1 deserializes every array into fresh heap `Vec`s and then
-//! *recomputes* signatures (pre-`SIGS` files) and filter records on
-//! each load: a replica of a multi-GB index pays seconds of cold
-//! start and 2× transient memory before its first query. HOPL v3
-//! ([`Oracle::save_arena`] / [`Oracle::open`]) turns the file itself
-//! into the index: a 64-byte header, a checksummed section table, and
-//! raw little-endian arrays at 64-byte-aligned offsets — including
-//! the rank-band signatures **and the 32-byte filter records**, the
-//! state O'Reach observes is cheap to store and expensive to derive.
+//! [`Oracle::save_arena`] / [`Oracle::open`] turn the file itself into
+//! the index: a 64-byte header, a checksummed section table, and raw
+//! little-endian arrays at 64-byte-aligned offsets — including the
+//! rank-band signatures **and the 32-byte filter records**, the state
+//! O'Reach observes is cheap to store and expensive to derive.
 //! [`Oracle::open`] maps the file ([`crate::store::ArenaBuf`]),
 //! validates the table, and serves straight out of the mapping: no
 //! array is copied (the condensation DAG, needed only for
-//! re-`save`/introspection, is the one owned exception) and nothing
-//! is recomputed. See [`Oracle::open_with`] for the knobs
+//! re-`save_arena`/introspection, is the one owned exception) and
+//! nothing is recomputed. See [`Oracle::open_with`] for the knobs
 //! ([`OpenOptions`]: mmap vs read, prefault, checksum verification)
 //! and the README for the full section table.
 //!
-//! Version dispatch is automatic everywhere: [`Oracle::open`] and
-//! [`Oracle::load`] both sniff the header version, so v1 files (with
-//! or without the `SIGS` section) keep loading through the owned
-//! path while v3 files take the arena path.
+//! The format is little-endian-only: typed slices are served straight
+//! out of the file bytes, so a big-endian host refuses to read or
+//! write an arena rather than byte-swap silently.
+//!
+//! ## One version
+//!
+//! v3 is the only version the readers accept. Indexes are derived
+//! data, so an older file (the v1 streaming format, with or without
+//! its trailing signature section) is not migrated: every reader
+//! refuses it with a [`PersistError::Format`] naming its version and
+//! the rebuild route — build the oracle from the edge list again
+//! (`hoplited serve --frozen NAME=FILE`, or
+//! `Oracle::new(..).save_arena(..)`).
 //!
 //! ```
-//! use hoplite_graph::Dag;
-//! use hoplite_core::{DistributionLabeling, DlConfig, ReachIndex};
+//! use hoplite_graph::DiGraph;
+//! use hoplite_core::Oracle;
 //!
-//! let dag = Dag::from_edges(3, &[(0, 1), (1, 2)])?;
-//! let dl = DistributionLabeling::build(&dag, &DlConfig::default());
+//! let g = DiGraph::from_edges(3, &[(0, 1), (1, 2), (2, 1)])?;
+//! let oracle = Oracle::new(&g);
 //!
 //! let mut bytes = Vec::new();
-//! dl.save(&mut bytes)?;
-//! let restored = DistributionLabeling::load(std::io::Cursor::new(&bytes)).unwrap();
-//! assert!(restored.query(0, 2));
+//! oracle.save_arena(&mut bytes)?;
+//! let restored = Oracle::open_arena_bytes(&bytes)?;
+//! assert!(restored.reaches(0, 2));
+//! assert!(!restored.reaches(2, 0));
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
@@ -86,23 +55,13 @@ use std::io::{Read, Write};
 use std::path::Path;
 use std::sync::Arc;
 
-use hoplite_graph::digraph::GraphBuilder;
-use hoplite_graph::scc::Condensation;
-use hoplite_graph::{Dag, VertexId};
-
 use crate::distribution::DistributionLabeling;
 use crate::filter::{QueryFilters, FILTER_RECORD_BYTES};
-use crate::hierarchical::HierarchicalLabeling;
 use crate::label::Labeling;
 use crate::oracle::Oracle;
 use crate::store::{checksum, ArenaBuf, Store};
 
 const MAGIC: &[u8; 4] = b"HOPL";
-const SIG_MAGIC: &[u8; 4] = b"SIGS";
-const VERSION: u32 = 1;
-const KIND_LABELING: u8 = 1;
-const KIND_DL: u8 = 2;
-const KIND_HL: u8 = 3;
 const KIND_ORACLE: u8 = 4;
 
 /// Errors returned by the readers.
@@ -110,7 +69,8 @@ const KIND_ORACLE: u8 = 4;
 pub enum PersistError {
     /// Underlying I/O failure.
     Io(std::io::Error),
-    /// Structural problem in the payload.
+    /// Structural problem in the payload, or a version this build does
+    /// not read.
     Format(String),
 }
 
@@ -135,440 +95,6 @@ impl std::error::Error for PersistError {
 impl From<std::io::Error> for PersistError {
     fn from(e: std::io::Error) -> Self {
         PersistError::Io(e)
-    }
-}
-
-// ---------------------------------------------------------------------
-// Primitive writers/readers
-// ---------------------------------------------------------------------
-
-fn write_u32<W: Write>(w: &mut W, x: u32) -> std::io::Result<()> {
-    w.write_all(&x.to_le_bytes())
-}
-
-fn write_u64<W: Write>(w: &mut W, x: u64) -> std::io::Result<()> {
-    w.write_all(&x.to_le_bytes())
-}
-
-fn write_u32_slice<W: Write>(w: &mut W, xs: &[u32]) -> std::io::Result<()> {
-    write_u64(w, xs.len() as u64)?;
-    for &x in xs {
-        write_u32(w, x)?;
-    }
-    Ok(())
-}
-
-fn read_u8<R: Read>(r: &mut R) -> Result<u8, PersistError> {
-    let mut b = [0u8; 1];
-    r.read_exact(&mut b)?;
-    Ok(b[0])
-}
-
-fn read_u32<R: Read>(r: &mut R) -> Result<u32, PersistError> {
-    let mut b = [0u8; 4];
-    r.read_exact(&mut b)?;
-    Ok(u32::from_le_bytes(b))
-}
-
-fn read_u64<R: Read>(r: &mut R) -> Result<u64, PersistError> {
-    let mut b = [0u8; 8];
-    r.read_exact(&mut b)?;
-    Ok(u64::from_le_bytes(b))
-}
-
-fn read_u32_vec<R: Read>(r: &mut R, cap_hint: u64) -> Result<Vec<u32>, PersistError> {
-    let len = read_u64(r)?;
-    if len > cap_hint {
-        return Err(PersistError::Format(format!(
-            "array of {len} entries exceeds plausible bound {cap_hint}"
-        )));
-    }
-    // Pre-size from the claimed length, but never by more than 4 MiB:
-    // a corrupt length field must fail at the EOF it implies, not
-    // allocate gigabytes up front.
-    let mut out = Vec::with_capacity(len.min(1 << 20) as usize);
-    let mut buf = [0u8; 4];
-    for _ in 0..len {
-        r.read_exact(&mut buf)?;
-        out.push(u32::from_le_bytes(buf));
-    }
-    Ok(out)
-}
-
-/// Rejects files with bytes past the expected payload — trailing
-/// garbage means the file was not produced by this writer (or the
-/// caller mixed up formats), and silently ignoring it would mask
-/// corruption.
-fn expect_eof<R: Read>(r: &mut R) -> Result<(), PersistError> {
-    let mut probe = [0u8; 1];
-    match r.read(&mut probe)? {
-        0 => Ok(()),
-        _ => Err(PersistError::Format("trailing bytes after payload".into())),
-    }
-}
-
-/// Writes the optional trailing signature section (see module docs).
-fn write_signature_section<W: Write>(l: &Labeling, w: &mut W) -> std::io::Result<()> {
-    let (out_sigs, in_sigs, shift) = l.signature_parts();
-    w.write_all(SIG_MAGIC)?;
-    write_u32(w, shift)?;
-    write_u64(w, out_sigs.len() as u64)?;
-    for &s in out_sigs.iter().chain(in_sigs.iter()) {
-        write_u64(w, s)?;
-    }
-    Ok(())
-}
-
-/// Consumes the optional trailing signature section. A clean EOF in
-/// place of the section magic is a legacy (pre-signature) file — fine,
-/// `l` already derived its signatures from the hop lists. A present
-/// section must agree with the derived signatures exactly; any
-/// divergence is corruption (a wrong signature silently flips query
-/// answers, so it must fail loudly here instead).
-fn read_signature_section<R: Read>(r: &mut R, l: &Labeling) -> Result<(), PersistError> {
-    let mut magic = [0u8; 4];
-    let mut filled = 0usize;
-    while filled < magic.len() {
-        match r.read(&mut magic[filled..])? {
-            0 if filled == 0 => return Ok(()), // legacy file: no section
-            0 => {
-                return Err(PersistError::Format(
-                    "truncated trailing-section magic".into(),
-                ))
-            }
-            k => filled += k,
-        }
-    }
-    if &magic != SIG_MAGIC {
-        return Err(PersistError::Format(format!(
-            "unknown trailing section {magic:?}"
-        )));
-    }
-    let (out_sigs, in_sigs, want_shift) = l.signature_parts();
-    let shift = read_u32(r)?;
-    if shift != want_shift {
-        return Err(PersistError::Format(format!(
-            "signature shift {shift} disagrees with the labels (expected {want_shift})"
-        )));
-    }
-    let n = read_u64(r)?;
-    if n as usize != out_sigs.len() {
-        return Err(PersistError::Format(format!(
-            "signature count {n} != vertex count {}",
-            out_sigs.len()
-        )));
-    }
-    for (what, want) in [("out", out_sigs), ("in", in_sigs)] {
-        for (v, &expect) in want.iter().enumerate() {
-            let got = read_u64(r)?;
-            if got != expect {
-                return Err(PersistError::Format(format!(
-                    "{what} signature of vertex {v} disagrees with its hop list"
-                )));
-            }
-        }
-    }
-    Ok(())
-}
-
-fn write_header<W: Write>(w: &mut W, kind: u8, n: u64) -> std::io::Result<()> {
-    w.write_all(MAGIC)?;
-    write_u32(w, VERSION)?;
-    w.write_all(&[kind])?;
-    write_u64(w, n)
-}
-
-fn read_header<R: Read>(r: &mut R, want_kind: u8) -> Result<u64, PersistError> {
-    let mut magic = [0u8; 4];
-    r.read_exact(&mut magic)?;
-    if &magic != MAGIC {
-        return Err(PersistError::Format(
-            "bad magic (not a hoplite index)".into(),
-        ));
-    }
-    let version = read_u32(r)?;
-    if version != VERSION {
-        return Err(PersistError::Format(format!(
-            "unsupported version {version} (reader supports {VERSION})"
-        )));
-    }
-    let kind = read_u8(r)?;
-    if kind != want_kind {
-        return Err(PersistError::Format(format!(
-            "wrong payload kind {kind} (expected {want_kind})"
-        )));
-    }
-    let n = read_u64(r)?;
-    // Vertex ids are u32 throughout the workspace, so a larger count
-    // can only come from corruption; rejecting it here also keeps the
-    // downstream `n + 1` arithmetic overflow-free.
-    if n > u32::MAX as u64 {
-        return Err(PersistError::Format(format!(
-            "vertex count {n} exceeds the u32 id space"
-        )));
-    }
-    Ok(n)
-}
-
-// ---------------------------------------------------------------------
-// Labeling
-// ---------------------------------------------------------------------
-
-fn write_labeling_body<W: Write>(l: &Labeling, w: &mut W) -> std::io::Result<()> {
-    let (oo, oh, io_, ih) = l.csr_parts();
-    write_u32_slice(w, oo)?;
-    write_u32_slice(w, oh)?;
-    write_u32_slice(w, io_)?;
-    write_u32_slice(w, ih)
-}
-
-fn read_labeling_body<R: Read>(r: &mut R, n: u64) -> Result<Labeling, PersistError> {
-    let (oo, oh) = read_csr_side(r, n, "out")?;
-    validate_sorted_lists(&oo, &oh, "out")?;
-    let (io_, ih) = read_csr_side(r, n, "in")?;
-    validate_sorted_lists(&io_, &ih, "in")?;
-    Ok(Labeling::from_csr_unchecked(oo, oh, io_, ih))
-}
-
-/// Hop lists must be strictly sorted (the query is a sorted-merge
-/// intersection). The condensation CSR skips this check — its
-/// adjacency is re-canonicalized through [`GraphBuilder`] on load.
-fn validate_sorted_lists(offsets: &[u32], hops: &[u32], what: &str) -> Result<(), PersistError> {
-    for w in offsets.windows(2) {
-        let list = &hops[w[0] as usize..w[1] as usize];
-        if list.windows(2).any(|p| p[0] >= p[1]) {
-            return Err(PersistError::Format(format!(
-                "{what}: hop list not strictly sorted"
-            )));
-        }
-    }
-    Ok(())
-}
-
-/// Reads one `offsets` + `entries` CSR pair, validating the offsets
-/// *before* reading the entry array so its read is bounded by the
-/// final offset rather than by a corruptible length field.
-fn read_csr_side<R: Read>(
-    r: &mut R,
-    n: u64,
-    what: &str,
-) -> Result<(Vec<u32>, Vec<u32>), PersistError> {
-    let offsets = read_u32_vec(r, n + 1)?;
-    validate_offsets(&offsets, n, what)?;
-    let bound = *offsets.last().expect("nonempty") as u64;
-    let entries = read_u32_vec(r, bound)?;
-    if entries.len() as u64 != bound {
-        return Err(PersistError::Format(format!(
-            "{what}: final offset {bound} != entry count {}",
-            entries.len()
-        )));
-    }
-    Ok((offsets, entries))
-}
-
-fn validate_offsets(offsets: &[u32], n: u64, what: &str) -> Result<(), PersistError> {
-    if offsets.len() as u64 != n + 1 {
-        return Err(PersistError::Format(format!(
-            "{what}: offsets length {} != n+1 = {}",
-            offsets.len(),
-            n + 1
-        )));
-    }
-    if offsets.first() != Some(&0) {
-        return Err(PersistError::Format(format!("{what}: offsets[0] != 0")));
-    }
-    if offsets.windows(2).any(|w| w[0] > w[1]) {
-        return Err(PersistError::Format(format!(
-            "{what}: offsets not monotone"
-        )));
-    }
-    Ok(())
-}
-
-/// Writes a bare [`Labeling`] (plus the trailing signature section).
-pub fn write_labeling<W: Write>(l: &Labeling, mut w: W) -> std::io::Result<()> {
-    write_header(&mut w, KIND_LABELING, l.num_vertices() as u64)?;
-    write_labeling_body(l, &mut w)?;
-    write_signature_section(l, &mut w)
-}
-
-/// Reads a bare [`Labeling`], validating structure.
-pub fn read_labeling<R: Read>(mut r: R) -> Result<Labeling, PersistError> {
-    let n = read_header(&mut r, KIND_LABELING)?;
-    let l = read_labeling_body(&mut r, n)?;
-    read_signature_section(&mut r, &l)?;
-    expect_eof(&mut r)?;
-    Ok(l)
-}
-
-// ---------------------------------------------------------------------
-// DistributionLabeling / HierarchicalLabeling
-// ---------------------------------------------------------------------
-
-fn write_dl_body<W: Write>(dl: &DistributionLabeling, w: &mut W) -> std::io::Result<()> {
-    write_labeling_body(dl.labeling(), w)?;
-    write_u32_slice(w, dl.order())
-}
-
-fn read_dl_body<R: Read>(r: &mut R, n: u64) -> Result<DistributionLabeling, PersistError> {
-    let labeling = read_labeling_body(r, n)?;
-    let order: Vec<VertexId> = read_u32_vec(r, n)?;
-    if order.len() as u64 != n {
-        return Err(PersistError::Format(format!(
-            "order table length {} != n = {n}",
-            order.len()
-        )));
-    }
-    let mut seen = vec![false; n as usize];
-    for &v in &order {
-        if (v as u64) >= n || std::mem::replace(&mut seen[v as usize], true) {
-            return Err(PersistError::Format(
-                "order table is not a permutation".into(),
-            ));
-        }
-    }
-    Ok(DistributionLabeling::from_parts(labeling, order))
-}
-
-impl DistributionLabeling {
-    /// Serializes the oracle (labels + rank order + signature section).
-    pub fn save<W: Write>(&self, mut w: W) -> std::io::Result<()> {
-        write_header(&mut w, KIND_DL, self.labeling().num_vertices() as u64)?;
-        write_dl_body(self, &mut w)?;
-        write_signature_section(self.labeling(), &mut w)
-    }
-
-    /// Deserializes an oracle written by [`Self::save`] — or by a
-    /// pre-signature writer (the trailing `SIGS` section is optional;
-    /// signatures are derived from the hop lists either way).
-    pub fn load<R: Read>(mut r: R) -> Result<Self, PersistError> {
-        let n = read_header(&mut r, KIND_DL)?;
-        let dl = read_dl_body(&mut r, n)?;
-        read_signature_section(&mut r, dl.labeling())?;
-        expect_eof(&mut r)?;
-        Ok(dl)
-    }
-}
-
-// ---------------------------------------------------------------------
-// Oracle (condensation + DistributionLabeling)
-// ---------------------------------------------------------------------
-
-impl Oracle {
-    /// Serializes the full oracle: the SCC condensation (component
-    /// mapping, component sizes, condensation-DAG edges) followed by
-    /// the Distribution-Labeling over the components. This is the
-    /// payload a query-serving replica (`hoplited --index NAME=FILE`)
-    /// loads so it can answer original-vertex-id queries on an
-    /// arbitrary cyclic digraph without rebuilding at startup.
-    pub fn save<W: Write>(&self, mut w: W) -> std::io::Result<()> {
-        write_header(&mut w, KIND_ORACLE, self.comp_of().len() as u64)?;
-        write_u32_slice(&mut w, self.comp_of())?;
-        write_u32_slice(&mut w, self.comp_sizes())?;
-        // Condensation DAG as CSR: offsets then concatenated targets.
-        let g = self.dag().graph();
-        let c = g.num_vertices();
-        let mut offsets: Vec<u32> = Vec::with_capacity(c + 1);
-        let mut targets: Vec<u32> = Vec::with_capacity(g.num_edges());
-        offsets.push(0);
-        for v in 0..c as VertexId {
-            targets.extend_from_slice(g.out_neighbors(v));
-            offsets.push(targets.len() as u32);
-        }
-        write_u32_slice(&mut w, &offsets)?;
-        write_u32_slice(&mut w, &targets)?;
-        write_dl_body(self.inner(), &mut w)?;
-        write_signature_section(self.inner().labeling(), &mut w)
-    }
-
-    /// Deserializes an oracle from any HOPL version: v1 payloads
-    /// stream through the owned path below, v3 arenas are read fully
-    /// into an aligned heap buffer and opened in place (an
-    /// [`Oracle::open`] without the mmap — callers holding a file
-    /// should prefer `open`, which maps instead of reading).
-    pub fn load<R: Read>(mut r: R) -> Result<Self, PersistError> {
-        // Sniff magic + version, then hand the bytes back to the
-        // matching reader.
-        let mut head = [0u8; 8];
-        r.read_exact(&mut head)?;
-        if &head[..4] == MAGIC
-            && u32::from_le_bytes(head[4..8].try_into().expect("4 bytes")) == ARENA_VERSION
-        {
-            // The header pins (and its checksum authenticates) the
-            // file length, so the whole arena lands in one aligned
-            // allocation — no intermediate Vec, no second copy.
-            let mut header = [0u8; ARENA_HEADER_LEN];
-            header[..8].copy_from_slice(&head);
-            r.read_exact(&mut header[8..])?;
-            let file_len = arena_header_file_len(&header)?;
-            let buf = ArenaBuf::from_prefix_and_reader(&header, file_len, &mut r)?;
-            let mut probe = [0u8; 1];
-            if r.read(&mut probe)? != 0 {
-                return Err(arena_err("trailing bytes after the arena"));
-            }
-            return open_arena(Arc::new(buf), true);
-        }
-        Self::load_v1(std::io::Cursor::new(head).chain(r))
-    }
-
-    /// The HOPL v1 streaming reader behind [`Oracle::load`],
-    /// validating every structural invariant (component mapping in
-    /// range and consistent with the size table, condensation edges
-    /// strictly topological `c1 < c2` — which also proves acyclicity —
-    /// and the labeling checks shared with
-    /// [`DistributionLabeling::load`]).
-    fn load_v1<R: Read>(mut r: R) -> Result<Self, PersistError> {
-        let n = read_header(&mut r, KIND_ORACLE)?;
-        let comp_of = read_u32_vec(&mut r, n)?;
-        if comp_of.len() as u64 != n {
-            return Err(PersistError::Format(format!(
-                "comp_of length {} != n = {n}",
-                comp_of.len()
-            )));
-        }
-        let comp_sizes = read_u32_vec(&mut r, n)?;
-        let c = comp_sizes.len();
-        let mut counts = vec![0u32; c];
-        for &comp in &comp_of {
-            if comp as usize >= c {
-                return Err(PersistError::Format(format!(
-                    "comp_of entry {comp} out of range (components: {c})"
-                )));
-            }
-            counts[comp as usize] += 1;
-        }
-        if counts != comp_sizes {
-            return Err(PersistError::Format(
-                "comp_sizes disagrees with comp_of histogram".into(),
-            ));
-        }
-        let (offsets, targets) = read_csr_side(&mut r, c as u64, "condensation")?;
-        let mut b = GraphBuilder::with_capacity(c, targets.len());
-        for v in 0..c {
-            let (lo, hi) = (offsets[v] as usize, offsets[v + 1] as usize);
-            for &t in &targets[lo..hi] {
-                // Topological component ids (`tail < head`) double as
-                // the acyclicity proof, so `Dag::new` cannot fail.
-                if t as usize >= c || t <= v as u32 {
-                    return Err(PersistError::Format(format!(
-                        "condensation edge ({v}, {t}) is not topological"
-                    )));
-                }
-                b.add_edge_unchecked(v as u32, t);
-            }
-        }
-        let dag = Dag::new(b.build()).expect("topological edges are acyclic");
-        let dl = read_dl_body(&mut r, c as u64)?;
-        read_signature_section(&mut r, dl.labeling())?;
-        expect_eof(&mut r)?;
-        Ok(Oracle::from_parts(
-            Condensation {
-                dag,
-                comp_of,
-                comp_sizes,
-            },
-            dl,
-        ))
     }
 }
 
@@ -654,14 +180,13 @@ impl SectionData<'_> {
 
 /// HOPL v3 serves typed slices straight out of the file bytes, so the
 /// format is little-endian-only end to end — a big-endian host must
-/// use the (byte-at-a-time decoded) v1 format instead of silently
-/// writing or reading byte-swapped arrays.
+/// refuse instead of silently writing or reading byte-swapped arrays.
 fn arena_endianness_ok() -> Result<(), PersistError> {
     if cfg!(target_endian = "little") {
         Ok(())
     } else {
         Err(arena_err(
-            "HOPL v3 arenas are little-endian-only; use the v1 format on this host",
+            "HOPL v3 arenas are little-endian-only; this host is big-endian",
         ))
     }
 }
@@ -776,43 +301,36 @@ impl Oracle {
         w.flush()
     }
 
-    /// Opens an on-disk index with the default [`OpenOptions`]: HOPL
-    /// v3 arenas are mapped (unix `mmap`, aligned read elsewhere) and
-    /// served zero-copy; v1 files fall back to the owned streaming
-    /// path of [`Oracle::load`]. Checksums are verified either way.
+    /// Opens an on-disk HOPL v3 arena with the default
+    /// [`OpenOptions`]: mapped (unix `mmap`, aligned read elsewhere),
+    /// checksums verified, served zero-copy. Any other version is a
+    /// [`PersistError::Format`] naming it and the rebuild route.
     pub fn open(path: impl AsRef<Path>) -> Result<Oracle, PersistError> {
         Self::open_with(path, &OpenOptions::default())
     }
 
     /// [`Oracle::open`] with explicit backend/prefault/verification
-    /// knobs. The options only affect v3 arenas; v1 files always load
-    /// owned (they have nothing to map).
+    /// knobs.
     pub fn open_with(path: impl AsRef<Path>, opts: &OpenOptions) -> Result<Oracle, PersistError> {
         let path = path.as_ref();
+        // Sniff the version first: a legacy file is refused before a
+        // single byte past its header is mapped or read.
         let mut head = [0u8; 8];
-        {
-            let mut f = std::fs::File::open(path)?;
-            f.read_exact(&mut head)?;
-        }
-        if &head[..4] == MAGIC
-            && u32::from_le_bytes(head[4..8].try_into().expect("4 bytes")) == ARENA_VERSION
-        {
-            let buf = if !opts.mmap {
-                ArenaBuf::read_file(path)?
-            } else if opts.verify || opts.prefault {
-                // About to touch every page anyway — batched
-                // page-table population beats faulting one by one.
-                ArenaBuf::map_file_populated(path)?
-            } else {
-                ArenaBuf::map_file(path)?
-            };
-            if opts.prefault {
-                buf.prefault();
-            }
-            open_arena(Arc::new(buf), opts.verify)
+        std::fs::File::open(path)?.read_exact(&mut head)?;
+        check_magic_and_version(&head)?;
+        let buf = if !opts.mmap {
+            ArenaBuf::read_file(path)?
+        } else if opts.verify || opts.prefault {
+            // About to touch every page anyway — batched
+            // page-table population beats faulting one by one.
+            ArenaBuf::map_file_populated(path)?
         } else {
-            Self::load_v1(std::io::BufReader::new(std::fs::File::open(path)?))
+            ArenaBuf::map_file(path)?
+        };
+        if opts.prefault {
+            buf.prefault();
         }
+        open_arena(Arc::new(buf), opts.verify)
     }
 
     /// Opens a HOPL v3 arena already in memory (network-shipped
@@ -835,40 +353,37 @@ fn arena_err(msg: impl Into<String>) -> PersistError {
     PersistError::Format(msg.into())
 }
 
-/// Authenticates a standalone 64-byte arena header (checksum) and
-/// returns the file length it pins — what a streaming loader needs to
-/// size its one allocation before the table is even in memory. The
-/// full [`parse_arena_table`] re-validates everything afterwards.
-fn arena_header_file_len(header: &[u8; ARENA_HEADER_LEN]) -> Result<usize, PersistError> {
-    let want = u64::from_le_bytes(header[56..64].try_into().expect("8 bytes"));
-    if checksum(&header[..56]) != want {
-        return Err(arena_err("header checksum mismatch"));
-    }
-    let file_len = u64::from_le_bytes(header[40..48].try_into().expect("8 bytes"));
-    if file_len < ARENA_HEADER_LEN as u64 {
+/// Rejects anything but a HOPL v3 prefix: the magic, then the version
+/// word. Needs only the first 8 bytes, so a legacy file gets its
+/// version named however short it is.
+fn check_magic_and_version(bytes: &[u8]) -> Result<(), PersistError> {
+    if bytes.len() < 8 {
         return Err(arena_err("arena shorter than its 64-byte header"));
     }
-    usize::try_from(file_len).map_err(|_| arena_err("arena exceeds the address space"))
+    if &bytes[..4] != MAGIC {
+        return Err(arena_err("bad magic (not a hoplite index)"));
+    }
+    let version = u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes"));
+    if version != ARENA_VERSION {
+        return Err(arena_err(format!(
+            "HOPL version {version} is not supported (this build reads only v{ARENA_VERSION} \
+             arenas); rebuild the index from its edge list with `hoplited serve --frozen \
+             NAME=FILE` or `Oracle::new(..).save_arena(..)`"
+        )));
+    }
+    Ok(())
 }
 
 /// Parses and validates the arena header + section table — the
 /// O(header) part every open pays: bounds, alignment, ordering,
 /// overlap, and the two table/header checksums.
 fn parse_arena_table(bytes: &[u8]) -> Result<(Vec<Section>, u64, u64, u32), PersistError> {
+    check_magic_and_version(bytes)?;
     if bytes.len() < ARENA_HEADER_LEN {
         return Err(arena_err("arena shorter than its 64-byte header"));
     }
     let u32_at = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().expect("4 bytes"));
     let u64_at = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8 bytes"));
-    if &bytes[..4] != MAGIC {
-        return Err(arena_err("bad magic (not a hoplite index)"));
-    }
-    if u32_at(4) != ARENA_VERSION {
-        return Err(arena_err(format!(
-            "not a v{ARENA_VERSION} arena (version {})",
-            u32_at(4)
-        )));
-    }
     if bytes[8] != KIND_ORACLE {
         return Err(arena_err(format!(
             "arena kind {} unsupported (only {KIND_ORACLE} = Oracle)",
@@ -958,8 +473,8 @@ fn parse_arena_table(bytes: &[u8]) -> Result<(Vec<Section>, u64, u64, u32), Pers
 /// invariants the query path indexes by (monotone offsets, in-range
 /// component ids); content invariants below that — sorted hop lists,
 /// signature/list agreement — are the writer's checksummed guarantee
-/// and are *not* re-derived (that recomputation is exactly what v1
-/// loads pay and v3 exists to avoid).
+/// and are *not* re-derived (that recomputation is what the arena
+/// exists to avoid).
 fn open_arena(buf: Arc<ArenaBuf>, verify: bool) -> Result<Oracle, PersistError> {
     arena_endianness_ok()?;
     let bytes = buf.bytes();
@@ -1082,210 +597,10 @@ fn open_arena(buf: Arc<ArenaBuf>, verify: bool) -> Result<Oracle, PersistError> 
     ))
 }
 
-impl HierarchicalLabeling {
-    /// Serializes the oracle (labels + decomposition level sizes).
-    pub fn save<W: Write>(&self, mut w: W) -> std::io::Result<()> {
-        write_header(&mut w, KIND_HL, self.labeling().num_vertices() as u64)?;
-        write_labeling_body(self.labeling(), &mut w)?;
-        let sizes: Vec<u32> = self.level_sizes().iter().map(|&s| s as u32).collect();
-        write_u32_slice(&mut w, &sizes)
-    }
-
-    /// Deserializes an oracle written by [`Self::save`].
-    pub fn load<R: Read>(mut r: R) -> Result<Self, PersistError> {
-        let n = read_header(&mut r, KIND_HL)?;
-        let labeling = read_labeling_body(&mut r, n)?;
-        let sizes = read_u32_vec(&mut r, 1 << 20)?;
-        expect_eof(&mut r)?;
-        Ok(HierarchicalLabeling::from_parts(
-            labeling,
-            sizes.into_iter().map(|s| s as usize).collect(),
-        ))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::distribution::DlConfig;
-    use crate::hierarchical::HlConfig;
-    use crate::oracle::ReachIndex;
     use hoplite_graph::gen;
-    use std::io::Cursor;
-
-    #[test]
-    fn labeling_roundtrip() {
-        let dag = gen::random_dag(50, 140, 1);
-        let dl = DistributionLabeling::build(&dag, &DlConfig::default());
-        let mut buf = Vec::new();
-        write_labeling(dl.labeling(), &mut buf).unwrap();
-        let l2 = read_labeling(Cursor::new(&buf)).unwrap();
-        for v in 0..50u32 {
-            assert_eq!(dl.labeling().out_label(v), l2.out_label(v));
-            assert_eq!(dl.labeling().in_label(v), l2.in_label(v));
-        }
-    }
-
-    #[test]
-    fn dl_roundtrip_preserves_queries() {
-        let dag = gen::power_law_dag(60, 180, 2);
-        let dl = DistributionLabeling::build(&dag, &DlConfig::default());
-        let mut buf = Vec::new();
-        dl.save(&mut buf).unwrap();
-        let dl2 = DistributionLabeling::load(Cursor::new(&buf)).unwrap();
-        for u in 0..60u32 {
-            for v in 0..60u32 {
-                assert_eq!(dl.query(u, v), dl2.query(u, v));
-            }
-        }
-        assert_eq!(dl.order(), dl2.order());
-    }
-
-    #[test]
-    fn hl_roundtrip_preserves_queries() {
-        let dag = gen::random_dag(60, 180, 3);
-        let hl = HierarchicalLabeling::build(
-            &dag,
-            &HlConfig {
-                core_size_limit: 8,
-                ..HlConfig::default()
-            },
-        );
-        let mut buf = Vec::new();
-        hl.save(&mut buf).unwrap();
-        let hl2 = HierarchicalLabeling::load(Cursor::new(&buf)).unwrap();
-        for u in 0..60u32 {
-            for v in 0..60u32 {
-                assert_eq!(hl.query(u, v), hl2.query(u, v));
-            }
-        }
-        assert_eq!(hl.level_sizes(), hl2.level_sizes());
-    }
-
-    #[test]
-    fn bad_magic_rejected() {
-        let err = read_labeling(Cursor::new(b"NOPE\x01\x00\x00\x00")).unwrap_err();
-        assert!(err.to_string().contains("magic"));
-    }
-
-    #[test]
-    fn wrong_kind_rejected() {
-        let dag = gen::random_dag(10, 20, 4);
-        let dl = DistributionLabeling::build(&dag, &DlConfig::default());
-        let mut buf = Vec::new();
-        dl.save(&mut buf).unwrap(); // kind = DL
-        let err = read_labeling(Cursor::new(&buf)).unwrap_err();
-        assert!(err.to_string().contains("kind"), "{err}");
-    }
-
-    #[test]
-    fn truncated_file_rejected() {
-        let dag = gen::random_dag(20, 50, 5);
-        let dl = DistributionLabeling::build(&dag, &DlConfig::default());
-        let mut buf = Vec::new();
-        dl.save(&mut buf).unwrap();
-        buf.truncate(buf.len() / 2);
-        assert!(DistributionLabeling::load(Cursor::new(&buf)).is_err());
-    }
-
-    #[test]
-    fn corrupted_offsets_rejected() {
-        let dag = gen::random_dag(20, 50, 6);
-        let dl = DistributionLabeling::build(&dag, &DlConfig::default());
-        let mut buf = Vec::new();
-        write_labeling(dl.labeling(), &mut buf).unwrap();
-        // Corrupt a byte inside the first offsets array (after the
-        // 17-byte header and the 8-byte array length).
-        buf[17 + 8 + 6] ^= 0xFF;
-        assert!(read_labeling(Cursor::new(&buf)).is_err());
-    }
-
-    /// Byte size of the trailing signature section for `n` vertices:
-    /// magic + shift + count + two u64 arrays.
-    fn sig_section_len(n: usize) -> usize {
-        4 + 4 + 8 + 16 * n
-    }
-
-    #[test]
-    fn corrupted_order_rejected() {
-        let dag = gen::random_dag(20, 50, 7);
-        let dl = DistributionLabeling::build(&dag, &DlConfig::default());
-        let mut buf = Vec::new();
-        dl.save(&mut buf).unwrap();
-        // Duplicate the first order entry over the second (the 20*4
-        // order-table bytes sit just before the signature section).
-        let tail = buf.len() - sig_section_len(20) - 20 * 4;
-        let (a, b) = (buf[tail], buf[tail + 1]);
-        buf[tail + 4] = a;
-        buf[tail + 5] = b;
-        buf[tail + 6] = buf[tail + 2];
-        buf[tail + 7] = buf[tail + 3];
-        let err = DistributionLabeling::load(Cursor::new(&buf)).unwrap_err();
-        assert!(err.to_string().contains("permutation"), "{err}");
-    }
-
-    /// A PR 3-era file — the exact same bytes minus the trailing
-    /// signature section — must still load, with signatures rebuilt
-    /// from the hop lists (answers identical to the modern file).
-    #[test]
-    fn legacy_files_without_signature_section_load() {
-        let dag = gen::power_law_dag(40, 120, 13);
-        let dl = DistributionLabeling::build(&dag, &DlConfig::default());
-        let mut buf = Vec::new();
-        dl.save(&mut buf).unwrap();
-        let mut legacy = buf.clone();
-        legacy.truncate(buf.len() - sig_section_len(40));
-        let restored = DistributionLabeling::load(Cursor::new(&legacy)).unwrap();
-        for u in 0..40u32 {
-            for v in 0..40u32 {
-                assert_eq!(restored.query(u, v), dl.query(u, v), "({u},{v})");
-            }
-            assert_eq!(
-                restored.labeling().out_signature(u),
-                dl.labeling().out_signature(u),
-                "rebuilt out signature diverged at {u}"
-            );
-            assert_eq!(
-                restored.labeling().in_signature(u),
-                dl.labeling().in_signature(u),
-                "rebuilt in signature diverged at {u}"
-            );
-        }
-    }
-
-    #[test]
-    fn corrupted_signature_section_rejected() {
-        let dag = gen::random_dag(25, 70, 14);
-        let dl = DistributionLabeling::build(&dag, &DlConfig::default());
-        let mut buf = Vec::new();
-        dl.save(&mut buf).unwrap();
-        let section = buf.len() - sig_section_len(25);
-        // Flip a bit inside the first out-signature word.
-        let mut bad = buf.clone();
-        bad[section + 4 + 4 + 8] ^= 0x01;
-        let err = DistributionLabeling::load(Cursor::new(&bad)).unwrap_err();
-        assert!(err.to_string().contains("signature"), "{err}");
-        // A mangled section magic is an unknown trailing section.
-        let mut bad = buf.clone();
-        bad[section] = b'X';
-        let err = DistributionLabeling::load(Cursor::new(&bad)).unwrap_err();
-        assert!(err.to_string().contains("trailing section"), "{err}");
-        // A section cut mid-array is a truncation error.
-        let mut bad = buf;
-        bad.truncate(section + 20);
-        assert!(DistributionLabeling::load(Cursor::new(&bad)).is_err());
-    }
-
-    #[test]
-    fn trailing_bytes_rejected() {
-        let dag = gen::random_dag(15, 30, 8);
-        let dl = DistributionLabeling::build(&dag, &DlConfig::default());
-        let mut buf = Vec::new();
-        dl.save(&mut buf).unwrap();
-        buf.push(0);
-        let err = DistributionLabeling::load(Cursor::new(&buf)).unwrap_err();
-        assert!(err.to_string().contains("trailing"), "{err}");
-    }
 
     fn random_cyclic_digraph(n: usize, m: usize, seed: u64) -> hoplite_graph::DiGraph {
         let mut rng = gen::Rng::new(seed);
@@ -1297,127 +612,6 @@ mod tests {
             })
             .collect();
         hoplite_graph::DiGraph::from_edges(n, &edges).unwrap()
-    }
-
-    #[test]
-    fn oracle_roundtrip_preserves_queries_on_cyclic_digraph() {
-        let g = random_cyclic_digraph(48, 150, 41);
-        let o = Oracle::new(&g);
-        let mut buf = Vec::new();
-        o.save(&mut buf).unwrap();
-        let o2 = Oracle::load(Cursor::new(&buf)).unwrap();
-        assert_eq!(o.num_vertices(), o2.num_vertices());
-        assert_eq!(o.num_components(), o2.num_components());
-        assert_eq!(o.label_entries(), o2.label_entries());
-        for u in 0..48u32 {
-            for v in 0..48u32 {
-                assert_eq!(o.reaches(u, v), o2.reaches(u, v), "({u},{v})");
-            }
-        }
-    }
-
-    #[test]
-    fn oracle_roundtrip_batch_path_survives() {
-        let g = random_cyclic_digraph(30, 90, 42);
-        let o = Oracle::new(&g);
-        let mut buf = Vec::new();
-        o.save(&mut buf).unwrap();
-        let o2 = Oracle::load(Cursor::new(&buf)).unwrap();
-        let pairs: Vec<(u32, u32)> = (0..30).flat_map(|u| (0..30).map(move |v| (u, v))).collect();
-        assert_eq!(o.reaches_batch(&pairs, 4), o2.reaches_batch(&pairs, 4));
-    }
-
-    #[test]
-    fn oracle_wrong_kind_rejected() {
-        let dag = gen::random_dag(10, 20, 4);
-        let dl = DistributionLabeling::build(&dag, &DlConfig::default());
-        let mut buf = Vec::new();
-        dl.save(&mut buf).unwrap(); // kind = DL, not Oracle
-        let err = Oracle::load(Cursor::new(&buf)).unwrap_err();
-        assert!(err.to_string().contains("kind"), "{err}");
-    }
-
-    #[test]
-    fn oracle_truncated_rejected() {
-        let g = random_cyclic_digraph(20, 60, 43);
-        let o = Oracle::new(&g);
-        let mut buf = Vec::new();
-        o.save(&mut buf).unwrap();
-        for keep in [10, buf.len() / 3, buf.len() / 2, buf.len() - 1] {
-            let mut cut = buf.clone();
-            cut.truncate(keep);
-            assert!(Oracle::load(Cursor::new(&cut)).is_err(), "keep={keep}");
-        }
-    }
-
-    #[test]
-    fn oracle_corrupt_comp_of_rejected() {
-        let g = random_cyclic_digraph(20, 60, 44);
-        let o = Oracle::new(&g);
-        let mut buf = Vec::new();
-        o.save(&mut buf).unwrap();
-        // comp_of starts right after the 17-byte header and the 8-byte
-        // array length; blow the first entry out of range.
-        buf[17 + 8] = 0xFF;
-        buf[17 + 8 + 1] = 0xFF;
-        let err = Oracle::load(Cursor::new(&buf)).unwrap_err();
-        assert!(
-            err.to_string().contains("out of range") || err.to_string().contains("histogram"),
-            "{err}"
-        );
-    }
-
-    #[test]
-    fn oracle_trailing_bytes_rejected() {
-        let g = random_cyclic_digraph(12, 30, 45);
-        let o = Oracle::new(&g);
-        let mut buf = Vec::new();
-        o.save(&mut buf).unwrap();
-        buf.push(7);
-        let err = Oracle::load(Cursor::new(&buf)).unwrap_err();
-        assert!(err.to_string().contains("trailing"), "{err}");
-    }
-
-    #[test]
-    fn huge_claimed_lengths_fail_without_huge_allocation() {
-        // A header claiming u32::MAX vertices followed by an array
-        // whose length field matches: the reader must hit EOF (after a
-        // bounded prefix allocation), not allocate ~16 GiB up front.
-        let mut buf = Vec::new();
-        buf.extend_from_slice(b"HOPL");
-        buf.extend_from_slice(&1u32.to_le_bytes());
-        buf.push(4); // kind = Oracle
-        buf.extend_from_slice(&(u32::MAX as u64).to_le_bytes()); // n
-        buf.extend_from_slice(&(u32::MAX as u64).to_le_bytes()); // comp_of len
-        assert!(matches!(
-            Oracle::load(Cursor::new(&buf)),
-            Err(PersistError::Io(_))
-        ));
-        // And a vertex count past the u32 id space is rejected outright.
-        let mut buf = Vec::new();
-        buf.extend_from_slice(b"HOPL");
-        buf.extend_from_slice(&1u32.to_le_bytes());
-        buf.push(4);
-        buf.extend_from_slice(&u64::MAX.to_le_bytes());
-        let err = Oracle::load(Cursor::new(&buf)).unwrap_err();
-        assert!(err.to_string().contains("u32 id space"), "{err}");
-    }
-
-    #[test]
-    fn hop_array_bounded_by_final_offset() {
-        // Offsets say 2 hops, the hop array's length field claims 3:
-        // the claimed length must be rejected against the offset bound.
-        let dag = gen::random_dag(10, 25, 9);
-        let dl = DistributionLabeling::build(&dag, &DlConfig::default());
-        let mut buf = Vec::new();
-        write_labeling(dl.labeling(), &mut buf).unwrap();
-        // The out-hops length field sits right after the header (17)
-        // and the offsets array (8 + 11*4).
-        let pos = 17 + 8 + 11 * 4;
-        let claimed = u64::from_le_bytes(buf[pos..pos + 8].try_into().unwrap());
-        buf[pos..pos + 8].copy_from_slice(&(claimed + 1).to_le_bytes());
-        let err = read_labeling(Cursor::new(&buf)).unwrap_err();
-        assert!(err.to_string().contains("plausible bound"), "{err}");
     }
 
     #[test]
@@ -1448,29 +642,10 @@ mod tests {
         let m = o2.memory();
         assert_eq!(m.mapped_bytes, 0, "{m:?}");
         assert!(m.heap_bytes > 0, "{m:?}");
-        // A mapped oracle can be re-saved in either format.
-        let mut v1 = Vec::new();
-        o2.save(&mut v1).unwrap();
-        let o3 = Oracle::load(Cursor::new(&v1)).unwrap();
+        // An opened oracle re-saves to the identical bytes.
         let mut v3 = Vec::new();
         o2.save_arena(&mut v3).unwrap();
         assert_eq!(v3, buf, "arena re-serialization is byte-identical");
-        assert_eq!(o3.reaches(0, 59), o.reaches(0, 59));
-    }
-
-    #[test]
-    fn oracle_load_dispatches_on_version() {
-        let g = random_cyclic_digraph(25, 80, 92);
-        let o = Oracle::new(&g);
-        let mut v3 = Vec::new();
-        o.save_arena(&mut v3).unwrap();
-        // The generic Read-based loader accepts an arena too.
-        let o2 = Oracle::load(Cursor::new(&v3)).unwrap();
-        for u in 0..25u32 {
-            for v in 0..25u32 {
-                assert_eq!(o.reaches(u, v), o2.reaches(u, v), "({u},{v})");
-            }
-        }
     }
 
     #[test]
@@ -1544,13 +719,23 @@ mod tests {
                 assert_eq!(o.reaches(u, v), owned.reaches(u, v), "owned ({u},{v})");
             }
         }
-        // A v1 file through the same `open` entry point.
-        let mut v1 = Vec::new();
-        o.save(&mut v1).unwrap();
+        // A v1 header through the same `open` entry point is refused
+        // by version, with both backends.
+        let mut v1 = b"HOPL\x01\x00\x00\x00\x04".to_vec();
+        v1.extend_from_slice(&40u64.to_le_bytes());
         std::fs::write(&path, &v1).unwrap();
-        let legacy = Oracle::open(&path).unwrap();
-        assert_eq!(legacy.backend(), crate::store::StoreBackend::Heap);
-        assert_eq!(legacy.reaches(1, 30), o.reaches(1, 30));
+        for mmap in [true, false] {
+            let opts = OpenOptions {
+                mmap,
+                ..OpenOptions::default()
+            };
+            match Oracle::open_with(&path, &opts).err() {
+                Some(PersistError::Format(m)) => {
+                    assert!(m.contains("version 1") && m.contains("--frozen"), "{m}")
+                }
+                other => panic!("v1 file must be a format error, got {other:?}"),
+            }
+        }
         std::fs::remove_file(&path).ok();
     }
 
@@ -1563,26 +748,5 @@ mod tests {
         let o2 = Oracle::open_arena_bytes(&buf).unwrap();
         assert_eq!(o2.num_vertices(), 0);
         assert_eq!(o2.num_components(), 0);
-    }
-
-    #[test]
-    fn empty_oracle_roundtrips() {
-        let g = hoplite_graph::DiGraph::empty(0);
-        let o = Oracle::new(&g);
-        let mut buf = Vec::new();
-        o.save(&mut buf).unwrap();
-        let o2 = Oracle::load(Cursor::new(&buf)).unwrap();
-        assert_eq!(o2.num_vertices(), 0);
-        assert_eq!(o2.num_components(), 0);
-    }
-
-    #[test]
-    fn empty_labeling_roundtrips() {
-        let dag = hoplite_graph::Dag::from_edges(0, &[]).unwrap();
-        let dl = DistributionLabeling::build(&dag, &DlConfig::default());
-        let mut buf = Vec::new();
-        dl.save(&mut buf).unwrap();
-        let dl2 = DistributionLabeling::load(Cursor::new(&buf)).unwrap();
-        assert_eq!(dl2.labeling().num_vertices(), 0);
     }
 }

@@ -5,9 +5,8 @@
 //! signatures, filter records, the component mapping — is held in a
 //! [`Store<T>`]. A store is *born* one of two ways:
 //!
-//! * **Owned** — today's `Vec<T>`, produced by construction and by the
-//!   HOPL v1 streaming loader. Nothing about the build pipeline
-//!   changes.
+//! * **Owned** — a `Vec<T>`, produced by construction. Nothing about
+//!   the build pipeline changes.
 //! * **Mapped** — a typed window into one page-aligned, reference-
 //!   counted [`ArenaBuf`] (an `mmap` of a HOPL v3 file on unix, a
 //!   page-aligned heap read elsewhere). Opening an index then costs
@@ -142,27 +141,20 @@ impl ArenaBuf {
         if len > usize::MAX as u64 {
             return Err(std::io::Error::other("file exceeds the address space"));
         }
-        Self::from_prefix_and_reader(&[], len as usize, &mut file)
+        Self::from_reader(len as usize, &mut file)
     }
 
-    /// Fills an aligned buffer of exactly `total_len` bytes from
-    /// `prefix` followed by `r`. Errors (without leaking) if `r` ends
-    /// early or an allocation fails.
+    /// Fills an aligned buffer of exactly `total_len` bytes from `r`.
+    /// Errors (without leaking) if `r` ends early or an allocation
+    /// fails.
     ///
     /// The claimed length is *not* trusted up front: the buffer grows
     /// geometrically (starting at 4 MiB) and only ever exceeds the
-    /// bytes actually received by a constant factor, so a hostile
-    /// stream whose header claims terabytes fails at the EOF it
-    /// implies instead of forcing a terabyte allocation — the same
-    /// fail-at-EOF discipline the HOPL v1 reader applies to its
-    /// length fields.
-    pub fn from_prefix_and_reader(
-        prefix: &[u8],
-        total_len: usize,
-        r: &mut impl Read,
-    ) -> std::io::Result<ArenaBuf> {
+    /// bytes actually received by a constant factor, so a source that
+    /// ends far short of its claimed length fails at the EOF it
+    /// implies instead of forcing a huge allocation.
+    pub fn from_reader(total_len: usize, r: &mut impl Read) -> std::io::Result<ArenaBuf> {
         const INITIAL_CAP: usize = 4 << 20;
-        assert!(prefix.len() <= total_len, "prefix exceeds the total");
         if total_len == 0 {
             return Ok(ArenaBuf::from_bytes(&[]));
         }
@@ -176,7 +168,7 @@ impl ArenaBuf {
             }
             Ok(ptr)
         };
-        let mut cap = total_len.min(INITIAL_CAP.max(prefix.len()));
+        let mut cap = total_len.min(INITIAL_CAP);
         let mut ptr = alloc_aligned(cap)?;
         // Wrap immediately so every early return frees the buffer;
         // `len` tracks the capacity until the final resize.
@@ -185,11 +177,7 @@ impl ArenaBuf {
             len: cap,
             kind: BufKind::Heap,
         };
-        // SAFETY: ptr is valid for cap writes; the slice is re-derived
-        // after every growth.
-        let head = unsafe { std::slice::from_raw_parts_mut(ptr, cap) };
-        head[..prefix.len()].copy_from_slice(prefix);
-        let mut filled = prefix.len();
+        let mut filled = 0;
         while filled < total_len {
             if filled == cap {
                 let new_cap = (cap * 2).min(total_len);
@@ -798,18 +786,12 @@ mod tests {
     }
 
     #[test]
-    fn from_prefix_and_reader_concatenates() {
-        let tail = [5u8; 100];
-        let buf =
-            ArenaBuf::from_prefix_and_reader(&[1, 2, 3], 103, &mut std::io::Cursor::new(&tail))
-                .unwrap();
-        assert_eq!(&buf.bytes()[..3], &[1, 2, 3]);
-        assert_eq!(&buf.bytes()[3..], &tail[..]);
+    fn from_reader_fills_exactly_or_errors() {
+        let data: Vec<u8> = (0..=255u8).cycle().take(1_000).collect();
+        let buf = ArenaBuf::from_reader(data.len(), &mut std::io::Cursor::new(&data)).unwrap();
+        assert_eq!(buf.bytes(), &data[..]);
         // Short reader errors instead of returning a half-filled buffer.
-        assert!(
-            ArenaBuf::from_prefix_and_reader(&[], 10, &mut std::io::Cursor::new(&[0u8; 4]))
-                .is_err()
-        );
+        assert!(ArenaBuf::from_reader(10, &mut std::io::Cursor::new(&[0u8; 4])).is_err());
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Seeded synthetic DAG generators.
 //!
 //! These stand in for the paper's real-world datasets (Table 1), one
-//! generator family per dataset family — see `DESIGN.md` §4:
+//! generator family per dataset family:
 //!
 //! * [`tree_plus_dag`] — metabolic / ontology graphs (agrocyc, kegg,
 //!   ecoo, go_uniprot, uniprotenc…): |E| ≈ |V|, shallow and tree-like.

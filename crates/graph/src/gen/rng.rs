@@ -1,7 +1,8 @@
 //! Minimal deterministic PRNG (SplitMix64).
 //!
 //! Dataset generation must be bit-for-bit reproducible across machines
-//! and crate versions so that `EXPERIMENTS.md` numbers can be recreated;
+//! and crate versions so that the `paper` harness's numbers can be
+//! recreated (README, "Build, test, bench");
 //! depending on an external RNG crate's stream stability would be
 //! fragile. SplitMix64 passes BigCrush, is 4 instructions per draw, and
 //! is trivially seedable.

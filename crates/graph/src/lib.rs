@@ -19,8 +19,7 @@
 //!   materialization (ground truth for tests; substrate for the
 //!   transitive-closure-compression baselines).
 //! * [`gen`] — seeded synthetic DAG generators standing in for the
-//!   paper's real-world datasets (see `DESIGN.md` §4 for the
-//!   substitution rationale).
+//!   paper's real-world datasets.
 //! * [`io`] — edge-list and `.gra` (GRAIL/SCARAB) format readers and
 //!   writers.
 //!

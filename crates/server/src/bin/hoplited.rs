@@ -8,7 +8,7 @@
 //! ```
 //!
 //! * `serve` loads graphs (`--frozen`, edge-list or `.gra` via
-//!   `hoplite_graph::io`), prebuilt `HOPL` indexes (`--index`, via
+//!   `hoplite_graph::io`), prebuilt HOPL v3 indexes (`--index`, via
 //!   `hoplite_core::persist`), and mutable DAGs (`--dynamic`), then
 //!   serves them until killed.
 //! * `bench` builds a synthetic power-law graph, serves it on an
@@ -48,9 +48,10 @@ SERVE:
     --batch-threads N      fan-out width for BATCH queries (default: cores, max 8)
     --frozen NAME=FILE     build a frozen namespace from a graph file
                            (.gra adjacency, anything else = edge list)
-    --index NAME=FILE      load a frozen namespace from a HOPL index
-                           (v1 streaming or v3 arena; Oracle::open)
-    --mmap                 serve v3 indexes zero-copy out of an mmap
+    --index NAME=FILE      load a frozen namespace from a HOPL v3 arena
+                           (Oracle::save_arena); any other version is
+                           refused at startup: rebuild it with --frozen
+    --mmap                 serve indexes zero-copy out of an mmap
                            instead of reading them onto the heap
                            (position-independent: applies to every --index)
     --prefault             walk the mapping at open so first queries

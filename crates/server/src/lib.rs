@@ -32,7 +32,7 @@
 //! use hoplite_graph::DiGraph;
 //! use hoplite_server::{Client, Registry, Server, ServerConfig};
 //!
-//! // Build (or `Oracle::load`) an index and register it.
+//! // Build (or `Oracle::open`) an index and register it.
 //! let g = DiGraph::from_edges(4, &[(0, 1), (1, 2), (2, 0), (2, 3)]).unwrap();
 //! let registry = Arc::new(Registry::new());
 //! registry.insert_frozen("web", Oracle::new(&g)).unwrap();

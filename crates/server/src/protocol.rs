@@ -453,7 +453,8 @@ impl fmt::Display for NamespaceKind {
 /// wire twin of [`hoplite_core::StoreBackend`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum IndexBackend {
-    /// Process-private heap (built in process or HOPL v1 load).
+    /// Process-private heap (built in process, or a HOPL v3 arena
+    /// read onto the heap).
     Heap,
     /// One shared HOPL v3 arena (`Oracle::open`), page-cache-shared
     /// across replicas of the same file.

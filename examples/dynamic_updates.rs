@@ -7,7 +7,7 @@
 //! confirmed on the query path), reachability queries interleave with
 //! the updates, and the oracle transparently rebuilds when either
 //! overlay gets large. Also demonstrates saving the final index to
-//! disk and loading it back.
+//! disk as a HOPL v3 arena and opening it back.
 //!
 //! ```sh
 //! cargo run --release --example dynamic_updates
@@ -16,9 +16,10 @@
 use std::time::Instant;
 
 use hoplite::core::dynamic::{DynamicOracle, MutationError};
-use hoplite::core::{DistributionLabeling, DlConfig};
+use hoplite::core::DlConfig;
 use hoplite::graph::gen::{self, Rng};
 use hoplite::graph::GraphError;
+use hoplite::Oracle;
 
 fn main() {
     // Start with a 20k-vertex dependency DAG.
@@ -91,30 +92,27 @@ fn main() {
         oracle.rebuilds()
     );
 
-    // Fold the overlay and ship the final index to a file.
+    // Fold the overlay and ship the final index to a file as a HOPL v3
+    // arena, then open it the way a serving replica would.
     oracle.rebuild();
-    let final_dl = DistributionLabeling::build(oracle.snapshot(), &DlConfig::default());
-    let path = std::env::temp_dir().join("hoplite-dynamic-example.idx");
-    let mut file = std::fs::File::create(&path).expect("temp file writable");
-    final_dl.save(&mut file).expect("index serializes");
+    let final_index = Oracle::new(oracle.snapshot().graph());
+    let path = std::env::temp_dir().join("hoplite-dynamic-example.hopl");
+    let file = std::fs::File::create(&path).expect("temp file writable");
+    final_index
+        .save_arena(std::io::BufWriter::new(file))
+        .expect("index serializes");
     let bytes = std::fs::metadata(&path).expect("file exists").len();
     println!("\nsaved final index to {} ({bytes} bytes)", path.display());
 
-    let loaded = DistributionLabeling::load(std::fs::File::open(&path).expect("file readable"))
-        .expect("index deserializes");
+    let loaded = Oracle::open(&path).expect("index opens");
     println!(
-        "reloaded: {} label entries — queries match: {}",
-        loaded.labeling().total_entries(),
-        {
-            use hoplite::ReachIndex;
-            let mut ok = true;
-            for _ in 0..1_000 {
-                let a = rng.gen_index(n) as u32;
-                let b = rng.gen_index(n) as u32;
-                ok &= loaded.query(a, b) == oracle.query(a, b);
-            }
-            ok
-        }
+        "reopened: {} label entries — queries match: {}",
+        loaded.label_entries(),
+        (0..1_000).all(|_| {
+            let a = rng.gen_index(n) as u32;
+            let b = rng.gen_index(n) as u32;
+            loaded.reaches(a, b) == oracle.query(a, b)
+        })
     );
     let _ = std::fs::remove_file(&path);
 }

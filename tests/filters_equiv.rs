@@ -1,13 +1,12 @@
 //! Randomized equivalence suite for the query pre-filter stack: the
 //! filtered `Oracle` hot path, the unfiltered label-intersection path,
 //! and BFS ground truth must agree on random cyclic digraphs — on the
-//! freshly built oracle, after a `save`/`load` round-trip, and through
-//! the `hoplite-server` wire path.
+//! freshly built oracle, after a HOPL v3 `save_arena`/open round-trip,
+//! and through the `hoplite-server` wire path.
 
-use std::io::Cursor;
 use std::sync::Arc;
 
-use hoplite::core::{FilterVerdict, Parallelism, Pruning};
+use hoplite::core::{FilterVerdict, Parallelism};
 use hoplite::graph::gen::Rng;
 use hoplite::graph::traversal;
 use hoplite::server::{Client, Registry, Server, ServerConfig};
@@ -75,21 +74,20 @@ fn filtered_unfiltered_and_bfs_agree_on_random_cyclic_digraphs() {
 #[test]
 fn every_build_engine_feeds_an_equivalent_oracle() {
     let g = random_cyclic_digraph(70, 250, 99);
-    for (pruning, parallelism) in [
-        (Pruning::SortedMerge, Parallelism::Sequential),
-        (Pruning::RankBitmap, Parallelism::Sequential),
-        (Pruning::RankBitmap, Parallelism::Threads(2)),
-        (Pruning::RankBitmap, Parallelism::Threads(8)),
+    for parallelism in [
+        Parallelism::Auto,
+        Parallelism::Threads(1),
+        Parallelism::Threads(2),
+        Parallelism::Threads(8),
     ] {
         let oracle = Oracle::with_config(
             &g,
             &DlConfig {
-                pruning,
                 parallelism,
                 ..DlConfig::default()
             },
         );
-        assert_oracle_matches_bfs(&g, &oracle, &format!("{pruning:?}/{parallelism:?}"));
+        assert_oracle_matches_bfs(&g, &oracle, &format!("{parallelism:?}"));
     }
 }
 
@@ -99,14 +97,13 @@ fn equivalence_survives_save_load_roundtrip() {
         let g = random_cyclic_digraph(56, 180, 0xBEEF ^ seed);
         let oracle = Oracle::new(&g);
         let mut buf = Vec::new();
-        oracle.save(&mut buf).expect("save");
-        let restored = Oracle::load(Cursor::new(&buf)).expect("load");
-        // The filters are rebuilt from the persisted condensation, so
+        oracle.save_arena(&mut buf).expect("save");
+        let restored = Oracle::open_arena_bytes(&buf).expect("open");
+        // The filter records are served straight from the arena, so
         // the restored oracle must pass the same full-matrix check.
         assert_oracle_matches_bfs(&g, &restored, &format!("roundtrip seed {seed}"));
-        // And the two oracles' filter verdicts are identical (same
-        // deterministic build over the same DAG, same projection into
-        // original-vertex space).
+        // And the two oracles' filter verdicts are identical: the
+        // arena carries the built records byte for byte.
         let n = g.num_vertices() as VertexId;
         for u in 0..n {
             for v in 0..n {

@@ -1,103 +1,16 @@
-//! Failure injection for the persistence layer: a loader fed hostile
-//! bytes must return a structured [`PersistError`] — never panic, never
-//! produce an oracle that violates label invariants. Covers both the
-//! HOPL v1 streaming format and the HOPL v3 zero-copy arena.
-
-use std::io::Cursor;
+//! Failure injection for the persistence layer: the HOPL v3 arena
+//! reader fed hostile bytes must return a structured [`PersistError`]
+//! — never panic, never serve an oracle that answers wrong — and a
+//! file in any other HOPL version must be refused by version.
+//!
+//! [`PersistError`]: hoplite::core::persist::PersistError
 
 use proptest::prelude::*;
 
+use hoplite::core::persist::PersistError;
 use hoplite::core::store::checksum;
-use hoplite::core::{DistributionLabeling, DlConfig, HierarchicalLabeling, HlConfig, ReachIndex};
-use hoplite::graph::{gen, traversal, Dag, DiGraph, VertexId};
+use hoplite::graph::{gen, traversal, DiGraph, VertexId};
 use hoplite::Oracle;
-
-/// A serialized DL oracle over a small fixed DAG.
-fn serialized_fixture() -> (Dag, Vec<u8>) {
-    let dag = gen::random_dag(40, 110, 5);
-    let dl = DistributionLabeling::build(&dag, &DlConfig::default());
-    let mut buf = Vec::new();
-    dl.save(&mut buf).expect("in-memory write");
-    (dag, buf)
-}
-
-#[test]
-fn truncation_at_every_prefix_is_rejected() {
-    let (_, buf) = serialized_fixture();
-    // The trailing signature section is optional by design (legacy
-    // PR 3-era files end right before it), so exactly one strict
-    // prefix is a complete valid file: the one that removes the whole
-    // section. Every other prefix must fail cleanly.
-    let sig_section = 4 + 4 + 8 + 16 * 40; // magic + shift + count + 2×40 u64
-    let legacy_cut = buf.len() - sig_section;
-    for cut in 0..buf.len() {
-        let r = DistributionLabeling::load(Cursor::new(&buf[..cut]));
-        if cut == legacy_cut {
-            assert!(r.is_ok(), "the legacy (pre-signature) prefix must load");
-        } else {
-            assert!(r.is_err(), "prefix of {cut} bytes unexpectedly loaded");
-        }
-    }
-}
-
-#[test]
-fn trailing_garbage_is_rejected() {
-    let (_, mut buf) = serialized_fixture();
-    buf.extend_from_slice(b"EXTRA");
-    assert!(
-        DistributionLabeling::load(Cursor::new(&buf)).is_err(),
-        "file with trailing bytes must not load"
-    );
-}
-
-#[test]
-fn wrong_magic_and_version_are_rejected() {
-    let (_, buf) = serialized_fixture();
-    let mut bad_magic = buf.clone();
-    bad_magic[0] ^= 0xFF;
-    assert!(DistributionLabeling::load(Cursor::new(&bad_magic)).is_err());
-
-    // The version byte lives in the header; flipping any of the first
-    // 16 bytes must fail (magic, version, or section sizes).
-    for i in 0..16.min(buf.len()) {
-        let mut bad = buf.clone();
-        bad[i] = bad[i].wrapping_add(1);
-        assert!(
-            DistributionLabeling::load(Cursor::new(&bad)).is_err()
-                || DistributionLabeling::load(Cursor::new(&bad)).is_ok(),
-            "loader must not panic on header byte {i}"
-        );
-    }
-}
-
-#[test]
-fn hl_loader_rejects_dl_files_or_validates() {
-    // Cross-loading a DL file through the HL loader must not panic;
-    // it either fails (format tag) or yields a structurally valid
-    // labeling.
-    let (_, buf) = serialized_fixture();
-    let _ = HierarchicalLabeling::load(Cursor::new(&buf));
-}
-
-#[test]
-fn hl_roundtrip_preserves_queries() {
-    let dag = gen::tree_plus_dag(60, 25, 8);
-    let hl = HierarchicalLabeling::build(
-        &dag,
-        &HlConfig {
-            core_size_limit: 12,
-            ..HlConfig::default()
-        },
-    );
-    let mut buf = Vec::new();
-    hl.save(&mut buf).expect("write");
-    let hl2 = HierarchicalLabeling::load(Cursor::new(&buf)).expect("reload");
-    for u in 0..60u32 {
-        for v in 0..60u32 {
-            assert_eq!(hl.query(u, v), hl2.query(u, v), "({u},{v})");
-        }
-    }
-}
 
 // ---------------------------------------------------------------------
 // HOPL v3 arena failure injection
@@ -201,42 +114,115 @@ fn arena_checksum_corruption_rejected() {
 }
 
 #[test]
-fn v1_and_v2_files_upgrade_to_v3_and_answer_identically() {
-    // The upgrade path: a legacy index (v2 = v1 + SIGS section, and
-    // the older SIGS-less v1) loads through the owned reader, writes
-    // a v3 arena, and the reopened arena answers like the original.
-    let g = random_cyclic_digraph(30, 90, 16);
-    let oracle = Oracle::new(&g);
-    let mut v2 = Vec::new();
-    oracle.save(&mut v2).unwrap();
-    let mut v1 = v2.clone();
-    v1.truncate(v2.len() - (4 + 4 + 8 + 16 * oracle.num_components()));
-    for (what, legacy) in [("v2", v2), ("v1", v1)] {
-        let loaded = Oracle::load(Cursor::new(&legacy)).expect("legacy file loads");
-        let mut arena = Vec::new();
-        loaded.save_arena(&mut arena).expect("upgrade to v3");
-        let upgraded = Oracle::open_arena_bytes(&arena).expect("upgraded arena opens");
-        for u in 0..30u32 {
-            for v in 0..30u32 {
-                assert_eq!(
-                    upgraded.reaches(u, v),
-                    traversal::reaches(&g, u, v),
-                    "{what} ({u},{v})"
-                );
-            }
+fn truncation_at_every_prefix_is_rejected() {
+    let (_, buf) = arena_fixture();
+    // The header pins the file length, so no strict prefix is a valid
+    // arena.
+    for cut in 0..buf.len() {
+        assert!(
+            Oracle::open_arena_bytes(&buf[..cut]).is_err(),
+            "prefix of {cut} bytes unexpectedly opened"
+        );
+    }
+}
+
+#[test]
+fn trailing_garbage_is_rejected() {
+    let (_, mut buf) = arena_fixture();
+    buf.extend_from_slice(b"EXTRA");
+    assert!(
+        Oracle::open_arena_bytes(&buf).is_err(),
+        "file with trailing bytes must not open"
+    );
+}
+
+#[test]
+fn wrong_magic_and_version_are_rejected() {
+    let (_, buf) = arena_fixture();
+    let mut bad_magic = buf.clone();
+    bad_magic[0] ^= 0xFF;
+    assert!(Oracle::open_arena_bytes(&bad_magic).is_err());
+
+    // Every header byte is load-bearing: magic, version, kind, counts
+    // and lengths are checked by value or by the header checksum, and
+    // the last 8 bytes are that checksum.
+    for i in 0..64 {
+        let mut bad = buf.clone();
+        bad[i] = bad[i].wrapping_add(1);
+        assert!(
+            Oracle::open_arena_bytes(&bad).is_err(),
+            "header byte {i} mutated and the arena still opened"
+        );
+    }
+}
+
+/// A hand-written header in the HOPL v1 layout (magic, `version`,
+/// kind = Oracle, vertex count) followed by `payload`.
+fn legacy_file(version: u32, payload: &[u8]) -> Vec<u8> {
+    let mut bytes = b"HOPL".to_vec();
+    bytes.extend_from_slice(&version.to_le_bytes());
+    bytes.push(4);
+    bytes.extend_from_slice(&36u64.to_le_bytes());
+    bytes.extend_from_slice(payload);
+    bytes
+}
+
+/// Asserts `r` is the typed refusal of a legacy version: a format
+/// error naming the version and the rebuild route.
+fn assert_refused_by_version(r: Result<Oracle, PersistError>, version: u32, what: &str) {
+    match r.err() {
+        Some(PersistError::Format(m)) => {
+            assert!(m.contains(&format!("version {version}")), "{what}: {m}");
+            assert!(
+                m.contains("--frozen") && m.contains("save_arena"),
+                "{what}: {m}"
+            );
         }
+        other => panic!("{what}: expected a format error, got {other:?}"),
+    }
+}
+
+#[test]
+fn v1_files_are_refused_with_a_typed_rebuild_error() {
+    // Indexes are derived data: a v1 streaming file (with or without
+    // its trailing SIGS section — the version word is 1 either way) is
+    // refused by every reader, never migrated, however long it is.
+    let path = std::env::temp_dir().join(format!("hoplite-fuzz-v1-{}.hopl", std::process::id()));
+    for payload in [&[][..], &[0u8; 7][..], &[0xAB; 4096][..]] {
+        let v1 = legacy_file(1, payload);
+        assert_refused_by_version(Oracle::open_arena_bytes(&v1), 1, "bytes");
+        std::fs::write(&path, &v1).expect("write temp v1 file");
+        assert_refused_by_version(Oracle::open(&path), 1, "open");
+        let read = hoplite::core::OpenOptions {
+            mmap: false,
+            ..Default::default()
+        };
+        assert_refused_by_version(Oracle::open_with(&path, &read), 1, "open_with read");
+    }
+    std::fs::remove_file(&path).ok();
+    // Any other version word is refused the same way.
+    for version in [0, 2, 4, u32::MAX] {
+        assert_refused_by_version(
+            Oracle::open_arena_bytes(&legacy_file(version, &[])),
+            version,
+            "bytes",
+        );
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Arbitrary byte soup never panics either loader.
+    /// Arbitrary byte soup never panics the reader, and soup behind a
+    /// v1 header is refused by version.
     #[test]
     fn loaders_never_panic_on_junk(junk in proptest::collection::vec(any::<u8>(), 0..256)) {
-        let _ = DistributionLabeling::load(Cursor::new(&junk));
-        let _ = HierarchicalLabeling::load(Cursor::new(&junk));
-        let _ = hoplite::core::persist::read_labeling(Cursor::new(&junk));
+        let _ = Oracle::open_arena_bytes(&junk);
+        let dressed = legacy_file(1, &junk);
+        prop_assert!(matches!(
+            Oracle::open_arena_bytes(&dressed),
+            Err(PersistError::Format(m)) if m.contains("version 1")
+        ));
     }
 
     /// Byte soup dressed as a v3 arena (valid magic + version) never
@@ -247,7 +233,6 @@ proptest! {
         let mut dressed = b"HOPL\x03\x00\x00\x00".to_vec();
         dressed.extend_from_slice(&junk);
         let _ = Oracle::open_arena_bytes(&dressed);
-        let _ = Oracle::load(Cursor::new(&dressed));
     }
 
     /// On any random cyclic digraph, the mapped (mmap), owned-read,
@@ -280,22 +265,26 @@ proptest! {
         }
     }
 
-    /// Single-byte corruption anywhere in a valid file either fails
-    /// cleanly or still satisfies every labeling invariant the query
-    /// path relies on (sorted, in-bounds hop lists).
+    /// Single-bit corruption anywhere in a valid arena either fails
+    /// cleanly or leaves an oracle that still answers every pair like
+    /// BFS (a flip in the zero padding between sections is the only
+    /// way to survive the three checksum layers).
     #[test]
     fn bit_flips_fail_closed(pos in 0usize..4096, bit in 0u8..8) {
-        let (_, buf) = serialized_fixture();
+        let (g, buf) = arena_fixture();
         let pos = pos % buf.len();
         let mut bad = buf.clone();
         bad[pos] ^= 1 << bit;
-        if let Ok(dl) = DistributionLabeling::load(Cursor::new(&bad)) {
-            // A surviving load must still be internally consistent:
-            // sorted labels (the merge-intersection precondition).
-            let l = dl.labeling();
-            for v in 0..l.num_vertices() as u32 {
-                prop_assert!(l.out_label(v).windows(2).all(|w| w[0] < w[1]));
-                prop_assert!(l.in_label(v).windows(2).all(|w| w[0] < w[1]));
+        if let Ok(oracle) = Oracle::open_arena_bytes(&bad) {
+            let n = g.num_vertices() as VertexId;
+            for u in 0..n {
+                for v in 0..n {
+                    prop_assert_eq!(
+                        oracle.reaches(u, v),
+                        traversal::reaches(&g, u, v),
+                        "byte {} bit {} survived with a wrong answer at ({},{})", pos, bit, u, v
+                    );
+                }
             }
         }
     }

@@ -281,18 +281,17 @@ proptest! {
         prop_assert_eq!(acc.count_ones(), truth.len() as u64);
     }
 
-    /// Persisted oracles reload to identical query behaviour.
+    /// Persisted oracles reopen to identical query behaviour.
     #[test]
     fn persistence_roundtrip(dag in arb_dag(24, 70)) {
-        use std::io::Cursor;
-        let dl = DistributionLabeling::build(&dag, &DlConfig::default());
+        let oracle = hoplite::Oracle::new(dag.graph());
         let mut buf = Vec::new();
-        dl.save(&mut buf).expect("serialize");
-        let dl2 = hoplite::core::DistributionLabeling::load(Cursor::new(&buf)).expect("load");
+        oracle.save_arena(&mut buf).expect("serialize");
+        let reopened = hoplite::Oracle::open_arena_bytes(&buf).expect("open");
         let n = dag.num_vertices() as u32;
         for u in 0..n {
             for v in 0..n {
-                prop_assert_eq!(dl.query(u, v), dl2.query(u, v));
+                prop_assert_eq!(oracle.reaches(u, v), reopened.reaches(u, v));
             }
         }
     }

@@ -315,8 +315,8 @@ fn frozen_namespace_from_saved_index_serves_identically() {
     let g = random_cyclic_digraph(32, 100, 21);
     let original = Oracle::new(&g);
     let mut blob = Vec::new();
-    original.save(&mut blob).unwrap();
-    let replica = Oracle::load(std::io::Cursor::new(&blob)).unwrap();
+    original.save_arena(&mut blob).unwrap();
+    let replica = Oracle::open_arena_bytes(&blob).unwrap();
 
     let registry = Registry::new();
     registry.insert_frozen("replica", replica).unwrap();
@@ -398,46 +398,86 @@ fn mapped_arena_index_serves_and_reports_its_backend() {
     handle2.shutdown();
 }
 
-#[test]
-fn pr3_era_index_without_signature_section_serves_over_the_wire() {
-    // Backward compat: an index written before the rank-band signature
-    // layer existed (byte-wise: today's format minus the trailing SIGS
-    // section) must load, rebuild its signatures on the fly, and serve
-    // correct answers — with the STATS stage counters accounting every
-    // query.
-    let g = random_cyclic_digraph(32, 100, 22);
-    let original = Oracle::new(&g);
-    let mut blob = Vec::new();
-    original.save(&mut blob).unwrap();
-    // The SIGS section covers the condensation components (one u64 per
-    // side per component) plus magic, shift, and count.
-    let sig_section = 4 + 4 + 8 + 16 * original.num_components();
-    blob.truncate(blob.len() - sig_section);
-    let replica = Oracle::load(std::io::Cursor::new(&blob)).expect("legacy index loads");
-
-    let registry = Registry::new();
-    registry.insert_frozen("legacy", replica).unwrap();
-    let handle = serve(registry);
-    let mut client = Client::connect(handle.local_addr()).unwrap();
-    let pairs: Vec<(u32, u32)> = (0..32u32)
-        .flat_map(|u| (0..32u32).map(move |v| (u, v)))
-        .collect();
-    let answers = client.reach_batch("legacy", &pairs).unwrap();
-    for (&(u, v), &got) in pairs.iter().zip(&answers) {
-        assert_eq!(got, traversal::reaches(&g, u, v), "({u},{v})");
+/// The `hoplited` binary of this workspace, built on demand into the
+/// target directory and profile these tests run from: the root
+/// package's tests cannot name another package's binary through
+/// `CARGO_BIN_EXE_*`, and a copy left by an older build must not
+/// stand in for the current source.
+fn hoplited_binary() -> std::path::PathBuf {
+    // <target>/<profile>/deps/server-<hash> → <target>/<profile>
+    let exe = std::env::current_exe().expect("test binary path");
+    let profile_dir = exe
+        .parent()
+        .and_then(std::path::Path::parent)
+        .expect("test binaries live in <target>/<profile>/deps");
+    let mut cargo = std::process::Command::new(env!("CARGO"));
+    cargo
+        .current_dir(env!("CARGO_MANIFEST_DIR"))
+        .args([
+            "build",
+            "--quiet",
+            "-p",
+            "hoplite-server",
+            "--bin",
+            "hoplited",
+        ])
+        .arg("--target-dir")
+        .arg(profile_dir.parent().expect("profile dir has a parent"));
+    if profile_dir.ends_with("release") {
+        cargo.arg("--release");
     }
-    let stats = client.stats("legacy").unwrap();
-    assert_eq!(stats.queries, pairs.len() as u64);
-    assert_eq!(
-        stats.filter_hits + stats.signature_hits + stats.merge_runs,
-        pairs.len() as u64,
-        "every query dies in exactly one stage: {stats:?}"
-    );
+    let status = cargo.status().expect("cargo runs");
+    assert!(status.success(), "building hoplited failed: {status}");
+    profile_dir.join(format!("hoplited{}", std::env::consts::EXE_SUFFIX))
+}
+
+#[test]
+fn hoplited_refuses_a_v1_index_at_startup() {
+    // Indexes are derived data: a file in the retired v1 streaming
+    // format (hand-written header: magic, version 1, kind = Oracle,
+    // vertex count, then payload) must stop the daemon at startup with
+    // a message naming the version and the rebuild route — never serve.
+    let mut v1 = b"HOPL".to_vec();
+    v1.extend_from_slice(&1u32.to_le_bytes());
+    v1.push(4);
+    v1.extend_from_slice(&32u64.to_le_bytes());
+    v1.extend_from_slice(&[0u8; 256]);
+    let path = std::env::temp_dir().join(format!("hoplite-server-v1-{}.hopl", std::process::id()));
+    std::fs::write(&path, &v1).unwrap();
+
+    let mut child = std::process::Command::new(hoplited_binary())
+        .args(["serve", "--listen", "127.0.0.1:0", "--index"])
+        .arg(format!("legacy={}", path.display()))
+        .stdout(std::process::Stdio::null())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("hoplited starts");
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+    let status = loop {
+        if let Some(status) = child.try_wait().expect("wait on hoplited") {
+            break status;
+        }
+        if std::time::Instant::now() > deadline {
+            child.kill().ok();
+            child.wait().ok();
+            std::fs::remove_file(&path).ok();
+            panic!("hoplited kept running on a v1 index");
+        }
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    };
+    std::fs::remove_file(&path).ok();
+    let mut stderr = String::new();
+    child
+        .stderr
+        .take()
+        .expect("stderr piped")
+        .read_to_string(&mut stderr)
+        .unwrap();
+    assert!(!status.success(), "hoplited served a v1 index: {stderr}");
     assert!(
-        stats.signature_bytes > 0,
-        "rebuilt signatures must be reported: {stats:?}"
+        stderr.contains("version 1") && stderr.contains("--frozen"),
+        "the refusal must name the version and the rebuild route: {stderr}"
     );
-    handle.shutdown();
 }
 
 /// Edge cases of the epoll/kqueue reactor: partial frames, idle
