@@ -67,7 +67,9 @@ commands:
   throughput    multi-core DL query scaling
   scarab-depth  recursive SCARAB study (§2.3's open option)
   perf          hot-path JSON benchmark: build widths, query filters,
-                thread scaling, and a wire sweep through a reactor server
+                thread scaling, cold start, metrics overhead, a dynamic
+                stage, and a wire sweep (100/1k/10k connections on full
+                runs) plus an overload drill against a child server
                 (flags: --quick --check --out=FILE --seed=N --no-wire)
   help          this text";
 
@@ -152,9 +154,10 @@ fn main() {
 /// `paper perf [--quick] [--check] [--out=FILE] [--seed=N] [--no-wire]`
 /// — runs the hot-path suite (`hoplite_bench::perf`), prints the JSON
 /// report to stdout (and `--out=FILE`), and with `--check` enforces the
-/// CI invariants (filter/auto/scaling/metrics-overhead/wire gates; see
-/// `PerfReport::check`). `--no-wire` skips the wire sweep, for
-/// sandboxes without loopback TCP.
+/// CI invariants (filter/auto/scaling/metrics-overhead/dynamic/wire/
+/// overload gates; see `PerfReport::check`). `--no-wire` skips both
+/// wire stages (the sweep and the overload drill), for sandboxes
+/// without loopback TCP.
 fn perf_cmd(args: &[String]) {
     use hoplite_bench::perf::{run_perf, PerfOptions};
     // The wire stage re-invokes this very binary as the server child.
@@ -275,8 +278,21 @@ fn perf_cmd(args: &[String]) {
                 s.p999_ns as f64 / 1e3,
             );
         }
+    }
+    if let Some(ov) = &report.wire_overload {
+        eprintln!(
+            "# perf[overload]: {}x budgets -> goodput {:.0} q/s, shed {:.1}% \
+             ({} deadline-expired, {} errors), accepted reply p50/p99 = {:.0}/{:.0} µs",
+            ov.factor,
+            ov.goodput_qps,
+            ov.shed_fraction * 100.0,
+            ov.deadline_exceeded,
+            ov.errors,
+            ov.accepted_p50_ns as f64 / 1e3,
+            ov.accepted_p99_ns as f64 / 1e3,
+        );
     } else {
-        eprintln!("# perf[wire]: skipped (--no-wire)");
+        eprintln!("# perf[wire]: sweep and overload drill skipped (--no-wire)");
     }
     if check {
         if let Err(msg) = report.check() {

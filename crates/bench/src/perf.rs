@@ -23,12 +23,13 @@
 //!   `perf-multicore` job records so a parallelism regression shows up
 //!   as a flat line instead of staying invisible on 1-core runners.
 //! * **Wire** — QPS vs concurrent-connection count through a *real*
-//!   reactor-mode [`hoplite_server::Server`] in a child process, driven
-//!   by [`hoplite_server::loadgen`] over loopback TCP (child process
-//!   because one process's fd budget cannot hold both ends of a
-//!   10k-socket sweep), with per-step reply-latency p50/p99/p99.9 from
-//!   the loadgen histogram. Skipped (`"wire": null`) when the caller
-//!   does not supply a server executable — i.e. under `cargo test`.
+//!   [`hoplite_server::Server`] in a child process, driven by
+//!   [`hoplite_server::loadgen`]'s `REACH` frames over loopback TCP
+//!   (child process because one process's fd budget cannot hold both
+//!   ends of a 10k-socket sweep), with per-step reply-latency
+//!   p50/p99/p99.9 from the loadgen histogram. Skipped
+//!   (`"wire": null`) when the caller does not supply a server
+//!   executable — i.e. under `cargo test`.
 //! * **Wire overload** — the same child server rebound with admission
 //!   budgets admitting ~1/3 of the offered in-flight load, then driven
 //!   flat out: typed shed fraction, goodput, and accepted-reply
@@ -63,9 +64,10 @@
 //! sweep step; full runs also hold a mapped open to at least 4x the
 //! read-fallback open of the same arena).
 //!
-//! In full (non-`--quick`) mode the report carries a `vs_prev` block
-//! comparing the headline numbers against the committed
-//! `BENCH_7.json` (same 48k/192k random-DAG workload, same seed).
+//! The report carries no baseline of its own: whether a change made the
+//! served index slower is judged end to end by `hopbench compare`,
+//! which runs parent and change alternately and reports medians with
+//! their noise.
 
 use std::collections::HashMap;
 use std::io::BufRead;
@@ -87,13 +89,6 @@ const IDENTITY_WIDTHS: [usize; 5] = [1, 2, 3, 4, 8];
 /// Thread counts the scaling stage records build + query numbers for.
 const SCALING_WIDTHS: [usize; 4] = [1, 2, 4, 8];
 
-/// Headline numbers of the committed `BENCH_7.json` (48k/192k
-/// random-DAG workload, seed 7, full mode) — the `vs_prev` baseline.
-const PREV_BENCH: &str = "BENCH_7.json";
-const PREV_FILTERED_QPS: f64 = 10_813_448.0;
-const PREV_UNFILTERED_QPS: f64 = 9_138_360.0;
-const PREV_BUILD_AUTO_MS: f64 = 318.39;
-
 /// Minimum mapped-open speedup over the read-fallback open of the same
 /// arena that a full `--check` run accepts. On the 48k/192k index the
 /// ratio measured 6.8-8.8x over three runs on one host and 4.6-5.5x
@@ -106,6 +101,13 @@ const COLD_START_MIN_SPEEDUP: f64 = 4.0;
 const OVERHEAD_CHUNK_PAIRS: usize = 4_096;
 /// Minimum instrumented/plain throughput ratio `--check` accepts.
 const OVERHEAD_FLOOR: f64 = 0.97;
+
+/// Interleaved rounds for the two side-by-side query comparisons
+/// `--check` gates (filtered vs unfiltered, instrumented vs plain). A
+/// quick-mode call lasts a few milliseconds, and on a shared host one
+/// preempted thread can double a single window, so each side keeps its
+/// best of this many rounds.
+const PAIRED_ROUNDS: usize = 7;
 
 /// Wire-stage QPS floor per sweep step. Deliberately far below
 /// observed numbers (a 1-core box sustains > 160k q/s even at 10k
@@ -341,17 +343,12 @@ pub struct WireStep {
     pub p999_ns: u64,
 }
 
-/// The wire stage: a reactor-mode server in a child process, swept
-/// over connection counts by [`hoplite_server::loadgen`].
+/// The wire stage: a server in a child process, swept over connection
+/// counts by [`hoplite_server::loadgen`].
 #[derive(Clone, Debug)]
 pub struct WireReport {
-    /// Serving loop of the child (always `"reactor"`).
-    pub mode: &'static str,
     /// Frames in flight per connection within a round.
     pub pipeline: usize,
-    /// Pairs per frame (1 ⇒ single `REACH` frames, the coalescer's
-    /// target shape).
-    pub batch: usize,
     /// Load-generator worker threads.
     pub loadgen_threads: usize,
     /// One entry per swept connection count, ascending.
@@ -366,8 +363,6 @@ pub struct WireReport {
 /// replies stayed.
 #[derive(Clone, Debug)]
 pub struct OverloadStage {
-    /// Serving loop of the child (always `"reactor"`).
-    pub mode: &'static str,
     /// Concurrent sockets held open for the whole drill.
     pub connections: usize,
     /// Frames in flight per connection within a round.
@@ -507,15 +502,27 @@ fn run_family(
     let pairs: Vec<(u32, u32)> = (0..queries)
         .map(|_| (rng.gen_index(n) as u32, rng.gen_index(n) as u32))
         .collect();
-    eprintln!("# perf[{kind}]: timing unfiltered batch ({queries} queries, {threads} threads) ...");
-    let (unfiltered, unfiltered_ms) =
-        best_ms(rounds, || oracle.reaches_batch_unfiltered(&pairs, threads));
-    eprintln!("# perf[{kind}]: timing filtered batch ...");
-    let (filtered, filtered_ms) = best_ms(rounds, || oracle.reaches_batch(&pairs, threads));
-    assert_eq!(
-        filtered, unfiltered,
-        "{kind}: filtered and unfiltered batch answers diverged"
+    // Unfiltered and filtered rounds alternate, best-of per side, like
+    // the build widths: both paths see the same machine-load phases,
+    // which the filtered-vs-unfiltered `--check` bar depends on.
+    eprintln!(
+        "# perf[{kind}]: timing unfiltered vs filtered batch \
+         ({queries} queries, {threads} threads) ..."
     );
+    let mut unfiltered_ms = f64::INFINITY;
+    let mut filtered_ms = f64::INFINITY;
+    let mut filtered = Vec::new();
+    for _ in 0..rounds.max(PAIRED_ROUNDS) {
+        let (unfiltered, ms) = time_ms(|| oracle.reaches_batch_unfiltered(&pairs, threads));
+        unfiltered_ms = unfiltered_ms.min(ms);
+        let (answers, ms) = time_ms(|| oracle.reaches_batch(&pairs, threads));
+        filtered_ms = filtered_ms.min(ms);
+        assert_eq!(
+            answers, unfiltered,
+            "{kind}: filtered and unfiltered batch answers diverged"
+        );
+        filtered = answers;
+    }
     // Stage mix, off the timed path; answers re-checked once more.
     let (tallied, tally) = oracle.reaches_batch_tallied(&pairs, threads);
     assert_eq!(tallied, filtered, "{kind}: tallied answers diverged");
@@ -643,7 +650,7 @@ fn run_metrics_overhead(
     // The measured effect is tiny (one clock pair + one record per
     // 4096-pair chunk), so the gate is noise-bound: interleave more
     // rounds than the other stages and keep the best of each side.
-    for _ in 0..rounds.max(7) {
+    for _ in 0..rounds.max(PAIRED_ROUNDS) {
         let (positives, ms) = time_ms(plain_loop);
         plain_ms = plain_ms.min(ms);
         let want = *want.get_or_insert(positives);
@@ -844,10 +851,9 @@ fn run_dynamic(
 /// Panics if any build width or query path disagrees with the reference
 /// answers — a perf report for a wrong oracle is worthless.
 pub fn run_perf(opts: &PerfOptions) -> PerfReport {
-    // The headline workload: Erdős–Rényi at bench scale (same shape
-    // and seed as BENCH_4, so vs_prev compares like with like). The
-    // quick variant keeps CI in seconds while exercising the identical
-    // code paths.
+    // The headline workload: Erdős–Rényi at bench scale. The quick
+    // variant keeps CI in seconds while exercising the identical code
+    // paths.
     let (n, m, queries, rounds) = if opts.quick {
         (4_000, 16_000, 200_000, 2)
     } else {
@@ -1034,30 +1040,72 @@ pub fn run_perf(opts: &PerfOptions) -> PerfReport {
     }
 }
 
-/// The wire stage. Spawns `server_exe __wire-server <n> <m> <seed>` —
-/// the `paper` binary's hidden subcommand that builds an oracle over
-/// the same `random_dag` family, binds a reactor-mode server on an
-/// ephemeral loopback port, prints `ADDR <addr>`, and serves until its
-/// stdin closes. A child process rather than an in-process server
-/// because the full sweep holds 10k concurrent connections: each
-/// connection costs one fd on *both* ends, and splitting the ends
-/// across two processes gives each its own fd budget. Then sweeps
-/// [`loadgen::run_load`] over the connection counts.
+/// Spawns `server_exe __wire-server <args>` — the `paper` binary's
+/// hidden subcommand that builds an oracle over the `random_dag`
+/// family, binds a server on an ephemeral loopback port, prints
+/// `ADDR <addr>`, and serves until its stdin closes — and runs `drive`
+/// against that address. A child process rather than an in-process
+/// server because the full sweep holds 10k concurrent connections:
+/// each connection costs one fd on *both* ends, and splitting the ends
+/// across two processes gives each its own fd budget.
+fn with_wire_server<T>(
+    server_exe: &std::path::Path,
+    args: &[u64],
+    drive: impl FnOnce(std::net::SocketAddr) -> Result<T, String>,
+) -> Result<T, String> {
+    use std::process::{Command, Stdio};
+    let mut child = Command::new(server_exe)
+        .arg("__wire-server")
+        .args(args.iter().map(u64::to_string))
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::inherit())
+        .spawn()
+        .map_err(|e| format!("spawn {}: {e}", server_exe.display()))?;
+    let stdout = child.stdout.take().expect("child stdout is piped");
+    let mut line = String::new();
+    let result = std::io::BufReader::new(stdout)
+        .read_line(&mut line)
+        .map_err(|e| format!("read server address: {e}"))
+        .and_then(|_| {
+            line.trim()
+                .strip_prefix("ADDR ")
+                .ok_or_else(|| format!("wire server said {line:?}, expected \"ADDR <addr>\""))?
+                .parse()
+                .map_err(|e| format!("parse server address {line:?}: {e}"))
+        })
+        .and_then(drive);
+    // Closing stdin is the shutdown signal; on the error path make
+    // sure the child dies rather than outliving the benchmark.
+    drop(child.stdin.take());
+    if result.is_err() {
+        let _ = child.kill();
+    }
+    let _ = child.wait();
+    result
+}
+
+/// The graph the wire child serves, `(vertices, edges)`.
+fn wire_graph(quick: bool) -> (usize, usize) {
+    if quick {
+        (20_000, 60_000)
+    } else {
+        (48_000, 192_000)
+    }
+}
+
+/// The wire stage: sweeps [`loadgen::run_load`] over the connection
+/// counts against one [`with_wire_server`] child.
 fn run_wire(
     server_exe: &std::path::Path,
     quick: bool,
     seed: u64,
     host_cores: usize,
 ) -> Result<WireReport, String> {
-    use std::process::{Command, Stdio};
     // Quick mode stays under the 1024-fd default soft limit of stock
     // CI runners; the full sweep assumes `ulimit -n` has been raised
     // (the perf workflow does so explicitly).
-    let (n, m) = if quick {
-        (20_000, 60_000)
-    } else {
-        (48_000, 192_000)
-    };
+    let (n, m) = wire_graph(quick);
     let (sweep, queries_per_step): (&[usize], u64) = if quick {
         (&[64, 512], 100_000)
     } else {
@@ -1066,29 +1114,8 @@ fn run_wire(
     let pipeline = 8;
     let loadgen_threads = host_cores.clamp(1, 8);
 
-    eprintln!("# perf[wire]: spawning reactor server ({n} vertices, {m} edges) ...");
-    let mut child = Command::new(server_exe)
-        .arg("__wire-server")
-        .arg(n.to_string())
-        .arg(m.to_string())
-        .arg(seed.to_string())
-        .stdin(Stdio::piped())
-        .stdout(Stdio::piped())
-        .stderr(Stdio::inherit())
-        .spawn()
-        .map_err(|e| format!("spawn {}: {e}", server_exe.display()))?;
-    let result = (|| {
-        let stdout = child.stdout.take().expect("child stdout is piped");
-        let mut line = String::new();
-        std::io::BufReader::new(stdout)
-            .read_line(&mut line)
-            .map_err(|e| format!("read server address: {e}"))?;
-        let addr = line
-            .trim()
-            .strip_prefix("ADDR ")
-            .ok_or_else(|| format!("wire server said {line:?}, expected \"ADDR <addr>\""))?
-            .parse()
-            .map_err(|e| format!("parse server address {line:?}: {e}"))?;
+    eprintln!("# perf[wire]: spawning server ({n} vertices, {m} edges) ...");
+    with_wire_server(server_exe, &[n as u64, m as u64, seed], |addr| {
         let mut steps = Vec::with_capacity(sweep.len());
         for &connections in sweep {
             eprintln!("# perf[wire]: sweeping {connections} connections ...");
@@ -1099,7 +1126,6 @@ fn run_wire(
                 connections,
                 threads: loadgen_threads,
                 pipeline_depth: pipeline,
-                batch: 1,
                 queries: queries_per_step,
                 seed,
             })
@@ -1115,41 +1141,25 @@ fn run_wire(
             });
         }
         Ok(WireReport {
-            mode: "reactor",
             pipeline,
-            batch: 1,
             loadgen_threads,
             steps,
         })
-    })();
-    // Closing stdin is the shutdown signal; on the error path make
-    // sure the child dies rather than outliving the benchmark.
-    drop(child.stdin.take());
-    if result.is_err() {
-        let _ = child.kill();
-    }
-    let _ = child.wait();
-    result
+    })
 }
 
-/// The overload drill. Spawns the same `__wire-server` child as the
-/// wire sweep but with admission budgets (`shed_inflight_hwm`,
-/// `shed_coalesced_pairs`, a 1 s request deadline) sized to admit
-/// roughly `1/OVERLOAD_FACTOR` of the offered in-flight load, then
-/// drives it flat out and reports the degradation shape: typed shed
-/// fraction, goodput, and accepted-reply percentiles.
+/// The overload drill. Runs a [`with_wire_server`] child with admission
+/// budgets (`shed_inflight_hwm`, `shed_coalesced_pairs`, a 1 s request
+/// deadline) sized to admit roughly `1/OVERLOAD_FACTOR` of the offered
+/// in-flight load, then drives it flat out and reports the degradation
+/// shape: typed shed fraction, goodput, and accepted-reply percentiles.
 fn run_overload(
     server_exe: &std::path::Path,
     quick: bool,
     seed: u64,
     host_cores: usize,
 ) -> Result<OverloadStage, String> {
-    use std::process::{Command, Stdio};
-    let (n, m) = if quick {
-        (20_000, 60_000)
-    } else {
-        (48_000, 192_000)
-    };
+    let (n, m) = wire_graph(quick);
     let (connections, queries) = if quick {
         (64usize, 80_000u64)
     } else {
@@ -1165,31 +1175,10 @@ fn run_overload(
         "# perf[overload]: spawning budget-limited server \
          (hwm {hwm}, {factor}x offered in-flight {inflight}) ..."
     );
-    let mut child = Command::new(server_exe)
-        .arg("__wire-server")
-        .arg(n.to_string())
-        .arg(m.to_string())
-        .arg(seed.to_string())
-        .arg(hwm.to_string())
-        .arg(hwm.to_string()) // pairs budget == hwm at batch=1
-        .arg("1000") // request deadline, ms
-        .stdin(Stdio::piped())
-        .stdout(Stdio::piped())
-        .stderr(Stdio::inherit())
-        .spawn()
-        .map_err(|e| format!("spawn {}: {e}", server_exe.display()))?;
-    let result = (|| {
-        let stdout = child.stdout.take().expect("child stdout is piped");
-        let mut line = String::new();
-        std::io::BufReader::new(stdout)
-            .read_line(&mut line)
-            .map_err(|e| format!("read server address: {e}"))?;
-        let addr = line
-            .trim()
-            .strip_prefix("ADDR ")
-            .ok_or_else(|| format!("wire server said {line:?}, expected \"ADDR <addr>\""))?
-            .parse()
-            .map_err(|e| format!("parse server address {line:?}: {e}"))?;
+    // One pair per frame, so the pairs budget equals the frame budget;
+    // the last argument is the request deadline in ms.
+    let args = [n as u64, m as u64, seed, hwm as u64, hwm as u64, 1000];
+    with_wire_server(server_exe, &args, |addr| {
         let report = loadgen::run_load(&LoadSpec {
             addr,
             ns: "bench".to_string(),
@@ -1197,19 +1186,16 @@ fn run_overload(
             connections,
             threads: loadgen_threads,
             pipeline_depth: pipeline,
-            batch: 1,
             queries,
             seed: seed ^ 0x0BAD,
         })
         .map_err(|e| format!("overload drill: {e}"))?;
-        let offered = report.queries + report.shed + report.deadline_exceeded;
         Ok(OverloadStage {
-            mode: "reactor",
             connections,
             pipeline,
             factor,
             shed_inflight_hwm: hwm,
-            offered,
+            offered: report.queries + report.shed + report.deadline_exceeded,
             queries: report.queries,
             shed: report.shed,
             deadline_exceeded: report.deadline_exceeded,
@@ -1219,13 +1205,7 @@ fn run_overload(
             accepted_p50_ns: report.latency.p50(),
             accepted_p99_ns: report.latency.p99(),
         })
-    })();
-    drop(child.stdin.take());
-    if result.is_err() {
-        let _ = child.kill();
-    }
-    let _ = child.wait();
-    result
+    })
 }
 
 impl PerfReport {
@@ -1238,10 +1218,10 @@ impl PerfReport {
         if self.main.filter_hit_rate <= 0.0 {
             return Err("filter hit-rate is zero — the pre-filter stack decided nothing".into());
         }
-        // 5% tolerance: on shared CI hosts the two timed runs can land
-        // in different machine-load phases; the invariant is "the
-        // filter stack is not a pessimization", not an exact ordering
-        // of two noisy samples.
+        // 5% tolerance: the two sides are interleaved best-of-N, but a
+        // shared CI host still jitters single windows; the invariant is
+        // "the filter stack is not a pessimization", not an exact
+        // ordering of two noisy samples.
         if self.main.filtered_qps < self.main.unfiltered_qps * 0.95 {
             return Err(format!(
                 "filtered throughput {:.0} q/s fell below unfiltered {:.0} q/s",
@@ -1446,7 +1426,7 @@ impl PerfReport {
         )
     }
 
-    /// The machine-readable report (`BENCH_9.json`, schema 8).
+    /// The machine-readable report (schema 9).
     pub fn to_json(&self) -> String {
         let scaling = self
             .scaling
@@ -1483,18 +1463,14 @@ impl PerfReport {
                     .join(",\n");
                 format!(
                     r#"{{
-    "mode": "{mode}",
     "pipeline": {pipeline},
-    "batch": {batch},
     "loadgen_threads": {threads},
     "qps_floor": {floor:.0},
     "steps": [
 {steps}
     ]
   }}"#,
-                    mode = w.mode,
                     pipeline = w.pipeline,
-                    batch = w.batch,
                     threads = w.loadgen_threads,
                     floor = if self.quick {
                         WIRE_FLOOR_QUICK_QPS
@@ -1508,7 +1484,6 @@ impl PerfReport {
             None => "null".to_string(),
             Some(ov) => format!(
                 r#"{{
-    "mode": "{mode}",
     "connections": {connections},
     "pipeline": {pipeline},
     "factor": {factor},
@@ -1524,7 +1499,6 @@ impl PerfReport {
     "accepted_p99_ns": {p99},
     "accepted_p99_bound_ns": {p99_bound}
   }}"#,
-                mode = ov.mode,
                 connections = ov.connections,
                 pipeline = ov.pipeline,
                 factor = ov.factor,
@@ -1566,29 +1540,10 @@ impl PerfReport {
             .map(|f| Self::family_json(f, "    "))
             .collect::<Vec<_>>()
             .join(",\n");
-        // vs_prev only makes sense against BENCH_4's full-mode run.
-        let vs_prev = if self.quick {
-            "null".to_string()
-        } else {
-            format!(
-                r#"{{
-    "prev": "{PREV_BENCH}",
-    "prev_filtered_qps": {PREV_FILTERED_QPS:.0},
-    "prev_unfiltered_qps": {PREV_UNFILTERED_QPS:.0},
-    "prev_build_auto_ms": {PREV_BUILD_AUTO_MS:.2},
-    "filtered_qps_speedup": {fq:.3},
-    "unfiltered_qps_speedup": {uq:.3},
-    "build_auto_speedup": {ba:.3}
-  }}"#,
-                fq = self.main.filtered_qps / PREV_FILTERED_QPS,
-                uq = self.main.unfiltered_qps / PREV_UNFILTERED_QPS,
-                ba = PREV_BUILD_AUTO_MS / self.build.auto_ms.max(f64::MIN_POSITIVE),
-            )
-        };
         format!(
             r#"{{
   "bench": "perf",
-  "schema": 8,
+  "schema": 9,
   "quick": {quick},
   "seed": {seed},
   "host_cores": {host_cores},
@@ -1664,8 +1619,7 @@ impl PerfReport {
     "read_stall_bound_ns": {dyn_bound}
   }},
   "wire": {wire},
-  "wire_overload": {wire_overload},
-  "vs_prev": {vs_prev}
+  "wire_overload": {wire_overload}
 }}"#,
             quick = self.quick,
             seed = self.seed,
@@ -1741,7 +1695,7 @@ mod tests {
             "\"signature_cut\"",
             "\"deep_chain\"",
             "\"kronecker\"",
-            "\"vs_prev\"",
+            "\"schema\": 9",
             "\"hit_rate\"",
             "\"cold_start\"",
             "\"read_open_ms\"",
@@ -1767,9 +1721,7 @@ mod tests {
         let mut report = run_perf_tiny_for_tests();
         report.main.filtered_qps = report.main.filtered_qps.max(report.main.unfiltered_qps);
         report.wire = Some(WireReport {
-            mode: "reactor",
             pipeline: 8,
-            batch: 1,
             loadgen_threads: 2,
             steps: vec![
                 WireStep {
@@ -1797,13 +1749,14 @@ mod tests {
         for key in [
             "\"qps_floor\"",
             "\"connections\": 512",
-            "\"mode\": \"reactor\"",
+            "\"loadgen_threads\": 2",
             "\"p50_ns\": 250000",
             "\"p99_ns\": 1500000",
             "\"p999_ns\": 4000000",
         ] {
             assert!(json.contains(key), "missing {key} in {json}");
         }
+        assert!(!json.contains("\"mode\""), "vestigial mode key in {json}");
         assert_eq!(json.matches('{').count(), json.matches('}').count());
 
         report.wire.as_mut().unwrap().steps[1].qps = 10.0;
@@ -1981,7 +1934,6 @@ mod tests {
         let mut report = run_perf_tiny_for_tests();
         report.main.filtered_qps = report.main.filtered_qps.max(report.main.unfiltered_qps);
         report.wire_overload = Some(OverloadStage {
-            mode: "reactor",
             connections: 64,
             pipeline: 8,
             factor: 3,

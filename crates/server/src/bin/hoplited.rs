@@ -3,7 +3,6 @@
 //! ```text
 //! hoplited serve --listen 127.0.0.1:7411 \
 //!     --frozen web=web.el --index cit=cit.hopl --dynamic onto=onto.gra
-//! hoplited bench [--vertices N] [--edges M] [--queries Q] [--clients C] [--batch K]
 //! hoplited smoke
 //! ```
 //!
@@ -11,12 +10,13 @@
 //!   `hoplite_graph::io`), prebuilt HOPL v3 indexes (`--index`, via
 //!   `hoplite_core::persist`), and mutable DAGs (`--dynamic`), then
 //!   serves them until killed.
-//! * `bench` builds a synthetic power-law graph, serves it on an
-//!   ephemeral loopback port, replays a concurrent client workload
-//!   over the real wire protocol, and reports QPS.
 //! * `smoke` starts a server on port 0, runs PING / REACH / STATS /
 //!   LIST / dynamic mutations against it, shuts down, and exits 0 —
 //!   the CI liveness check for the serving path.
+//!
+//! Wire-level load (connection sweeps, the overload drill) is measured
+//! by `paper perf`, which drives a child server with
+//! `hoplite_server::loadgen`; end-to-end workloads live in `hopbench`.
 
 use std::fs::File;
 use std::io::{BufReader, Read};
@@ -24,20 +24,15 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use hoplite_core::{BuildTrace, DlConfig, DynamicOracle, HistogramSnapshot, Oracle, WalConfig};
-use hoplite_graph::gen::{self, Rng};
+use hoplite_core::{BuildTrace, DlConfig, DynamicOracle, Oracle, WalConfig};
 use hoplite_graph::{io as gio, Dag, DiGraph};
-use hoplite_server::{
-    loadgen, log_error, log_info, Client, ClientConfig, ClientError, LoadSpec, Registry, Server,
-    ServerConfig,
-};
+use hoplite_server::{log_error, log_info, Client, Registry, Server, ServerConfig};
 
 const USAGE: &str = "\
 hoplited — hoplite reachability query daemon
 
 USAGE:
     hoplited serve --listen ADDR [OPTIONS] [NAMESPACES]
-    hoplited bench [OPTIONS]
     hoplited smoke
     hoplited help
 
@@ -86,33 +81,6 @@ SERVE:
                            stuck in a background rebuild this long
                            (default 300)
 
-BENCH (wire-level throughput on a synthetic power-law graph):
-    --vertices N           graph size            (default 50000)
-    --edges M              edge count            (default 150000)
-    --queries Q            total queries         (default 200000)
-    --clients C            concurrent clients    (default 4)
-    --batch K              pairs per frame       (default 512; 1 = single REACH)
-    --connections LIST     comma-separated connection counts to sweep,
-                           e.g. 100,1000,10000 — each step holds that
-                           many sockets open and drives pipelined load
-                           through all of them via a bounded worker pool
-                           (loadgen), instead of one thread per client
-    --pipeline D           frames in flight per connection (sweep mode;
-                           default 8)
-    --threads W            loadgen worker threads (sweep mode; default:
-                           cores, max 8)
-    --addr HOST:PORT       drive an already-running server (namespace
-                           \"bench\", pairs drawn from 0..--vertices)
-                           instead of spawning one in-process — the way
-                           to push a 10k-socket sweep when one process's
-                           fd limit cannot hold both ends
-    --overload N           overload drill: calibrate capacity with an
-                           unthrottled run, then re-serve with admission
-                           budgets sized to admit ~1/N of the offered
-                           in-flight load and drive the same closed-loop
-                           traffic — reporting shed %, accepted-query
-                           p99, and goodput
-
 SMOKE:
     self-contained serving-path check: ephemeral server, PING, REACH,
     BATCH, STATS, LIST, dynamic ADD/REMOVE_EDGE, METRICS, a /metrics
@@ -126,7 +94,6 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let result = match args.first().map(String::as_str) {
         Some("serve") => cmd_serve(&args[1..]),
-        Some("bench") => cmd_bench(&args[1..]),
         Some("smoke") => cmd_smoke(),
         Some("help") | Some("--help") | Some("-h") | None => {
             print!("{USAGE}");
@@ -375,397 +342,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     loop {
         std::thread::sleep(std::time::Duration::from_secs(3600));
     }
-}
-
-fn cmd_bench(args: &[String]) -> Result<(), String> {
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4);
-    let mut vertices = 50_000usize;
-    let mut edges = 150_000usize;
-    let mut queries = 200_000usize;
-    let mut clients = 4usize;
-    let mut batch = 512usize;
-    let mut connections: Option<Vec<usize>> = None;
-    let mut pipeline = 8usize;
-    let mut threads = cores.clamp(1, 8);
-    let mut addr: Option<String> = None;
-    let mut overload: Option<usize> = None;
-
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--vertices" => vertices = parse_num("--vertices", it.next()).map(|n| n.max(2))?,
-            "--edges" => edges = parse_num("--edges", it.next())?,
-            "--queries" => queries = parse_num("--queries", it.next()).map(|n| n.max(1))?,
-            "--clients" => clients = parse_num("--clients", it.next()).map(|n| n.max(1))?,
-            "--batch" => batch = parse_num("--batch", it.next()).map(|n| n.max(1))?,
-            "--pipeline" => pipeline = parse_num("--pipeline", it.next()).map(|n| n.max(1))?,
-            "--threads" => threads = parse_num("--threads", it.next()).map(|n| n.max(1))?,
-            "--connections" => {
-                let list = it.next().ok_or("--connections needs a value")?;
-                let parsed: Result<Vec<usize>, _> =
-                    list.split(',').map(|s| s.trim().parse::<usize>()).collect();
-                connections = Some(parsed.map_err(|e| format!("--connections: {e}"))?);
-            }
-            "--addr" => addr = Some(it.next().ok_or("--addr needs a value")?.clone()),
-            "--overload" => overload = Some(parse_num("--overload", it.next()).map(|n| n.max(2))?),
-            other => return Err(format!("unknown bench flag {other:?}")),
-        }
-    }
-
-    if let Some(factor) = overload {
-        let conns = connections
-            .as_deref()
-            .and_then(|s| s.first().copied())
-            .unwrap_or(64);
-        return bench_overload(
-            vertices, edges, queries, batch, conns, pipeline, threads, factor,
-        );
-    }
-    if let Some(addr) = addr {
-        let sweep = connections.unwrap_or_else(|| vec![100]);
-        let addr: std::net::SocketAddr =
-            addr.parse().map_err(|e| format!("--addr {addr:?}: {e}"))?;
-        run_sweep(
-            addr, "external", vertices, queries, batch, &sweep, pipeline, threads, None,
-        )?;
-        return Ok(());
-    }
-    if let Some(sweep) = connections {
-        return bench_sweep(vertices, edges, queries, batch, &sweep, pipeline, threads);
-    }
-
-    log_info!(
-        "bench",
-        "generating power-law DAG: {vertices} vertices, {edges} edges"
-    );
-    let dag = gen::power_law_dag(vertices, edges, 42);
-    let t = Instant::now();
-    let oracle = Oracle::new(&dag.into_graph());
-    log_info!(
-        "bench",
-        "oracle built in {:.0} ms ({} label entries)",
-        t.elapsed().as_secs_f64() * 1e3,
-        oracle.label_entries(),
-    );
-
-    let registry = Arc::new(Registry::new());
-    registry
-        .insert_frozen("bench", oracle)
-        .map_err(|e| e.to_string())?;
-    let handle = Server::bind(
-        "127.0.0.1:0",
-        Arc::clone(&registry),
-        ServerConfig::default(),
-    )
-    .map_err(|e| format!("bind: {e}"))?;
-    let addr = handle.local_addr();
-    log_info!(
-        "bench",
-        "serving on {addr}; {clients} clients × {queries} queries, batch {batch}"
-    );
-
-    let per_client = queries / clients;
-    let start = Instant::now();
-    let totals: Vec<(u64, u64, HistogramSnapshot)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..clients)
-            .map(|c| {
-                scope.spawn(move || {
-                    let mut client =
-                        Client::connect_with(addr, ClientConfig::reconnecting()).expect("connect");
-                    // Reads are idempotent, so a dropped socket (server
-                    // restart) costs one reconnect + reissue, not the
-                    // whole benchmark.
-                    fn retrying<T>(
-                        client: &mut Client,
-                        mut op: impl FnMut(&mut Client) -> Result<T, ClientError>,
-                    ) -> T {
-                        match op(client) {
-                            Ok(v) => v,
-                            Err(ClientError::Io(_)) => {
-                                client.reconnect().expect("reconnect");
-                                op(client).expect("reissue after reconnect")
-                            }
-                            Err(e) => panic!("bench query: {e}"),
-                        }
-                    }
-                    let mut rng = Rng::new(0xB0B0 + c as u64);
-                    let mut positive = 0u64;
-                    let mut sent = 0u64;
-                    let mut latency = HistogramSnapshot::empty();
-                    while (sent as usize) < per_client {
-                        let k = batch.min(per_client - sent as usize);
-                        let pairs: Vec<(u32, u32)> = (0..k)
-                            .map(|_| {
-                                (
-                                    rng.gen_index(vertices) as u32,
-                                    rng.gen_index(vertices) as u32,
-                                )
-                            })
-                            .collect();
-                        let frame_started = Instant::now();
-                        if k == 1 {
-                            let (u, v) = pairs[0];
-                            if retrying(&mut client, |cl| cl.reach("bench", u, v)) {
-                                positive += 1;
-                            }
-                        } else {
-                            let answers =
-                                retrying(&mut client, |cl| cl.reach_batch("bench", &pairs));
-                            positive += answers.iter().filter(|&&b| b).count() as u64;
-                        }
-                        latency.record(frame_started.elapsed().as_nanos() as u64);
-                        sent += k as u64;
-                    }
-                    (sent, positive, latency)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("client"))
-            .collect()
-    });
-    let elapsed = start.elapsed();
-
-    let sent: u64 = totals.iter().map(|(s, _, _)| s).sum();
-    let positive: u64 = totals.iter().map(|(_, p, _)| p).sum();
-    let mut latency = HistogramSnapshot::empty();
-    for (_, _, l) in &totals {
-        latency.merge(l);
-    }
-    let qps = sent as f64 / elapsed.as_secs_f64().max(f64::MIN_POSITIVE);
-    let mut probe = Client::connect(addr).map_err(|e| e.to_string())?;
-    let stats = probe.stats("bench").map_err(|e| e.to_string())?;
-    println!(
-        "bench: {sent} queries in {:.1} ms over {clients} clients (batch {batch}) → {:.0} queries/s \
-         ({positive} positive; server counted {} queries; frame latency {})",
-        elapsed.as_secs_f64() * 1e3,
-        qps,
-        stats.queries,
-        fmt_latency(&latency),
-    );
-    handle.shutdown();
-    Ok(())
-}
-
-/// `p50/p99/p99.9 = a/b/c µs` for a latency snapshot.
-fn fmt_latency(latency: &HistogramSnapshot) -> String {
-    format!(
-        "p50/p99/p99.9 = {:.1}/{:.1}/{:.1} µs",
-        latency.p50() as f64 / 1e3,
-        latency.p99() as f64 / 1e3,
-        latency.p999() as f64 / 1e3,
-    )
-}
-
-/// The connection-count sweep: builds one oracle, serves it, then for
-/// each requested connection count holds that many sockets open and
-/// drives pipelined load through *all* of them with a bounded worker
-/// pool — measuring how wire QPS behaves as sockets grow from hundreds
-/// to tens of thousands (the reactor's reason to exist).
-#[allow(clippy::too_many_arguments)]
-fn bench_sweep(
-    vertices: usize,
-    edges: usize,
-    queries: usize,
-    batch: usize,
-    sweep: &[usize],
-    pipeline: usize,
-    threads: usize,
-) -> Result<(), String> {
-    log_info!(
-        "bench",
-        "generating power-law DAG: {vertices} vertices, {edges} edges"
-    );
-    let dag = gen::power_law_dag(vertices, edges, 42);
-    let t = Instant::now();
-    let oracle = Oracle::new(&dag.into_graph());
-    log_info!(
-        "bench",
-        "oracle built in {:.0} ms ({} label entries)",
-        t.elapsed().as_secs_f64() * 1e3,
-        oracle.label_entries(),
-    );
-    let registry = Arc::new(Registry::new());
-    registry
-        .insert_frozen("bench", oracle)
-        .map_err(|e| e.to_string())?;
-    let handle = Server::bind(
-        "127.0.0.1:0",
-        Arc::clone(&registry),
-        ServerConfig::default(),
-    )
-    .map_err(|e| format!("bind: {e}"))?;
-    run_sweep(
-        handle.local_addr(),
-        "reactor",
-        vertices,
-        queries,
-        batch,
-        sweep,
-        pipeline,
-        threads,
-        Some(&handle),
-    )?;
-    handle.shutdown();
-    Ok(())
-}
-
-/// The overload drill: measure what the server can do unthrottled,
-/// then re-serve the same oracle with admission budgets sized so the
-/// same closed-loop load offers `factor`× what admission will take —
-/// and report how degradation behaved (shed fraction, goodput, and the
-/// latency the *accepted* queries saw).
-#[allow(clippy::too_many_arguments)]
-fn bench_overload(
-    vertices: usize,
-    edges: usize,
-    queries: usize,
-    batch: usize,
-    conns: usize,
-    pipeline: usize,
-    threads: usize,
-    factor: usize,
-) -> Result<(), String> {
-    log_info!(
-        "bench",
-        "generating power-law DAG: {vertices} vertices, {edges} edges"
-    );
-    let dag = gen::power_law_dag(vertices, edges, 42);
-    let oracle = Oracle::new(&dag.into_graph());
-    let registry = Arc::new(Registry::new());
-    registry
-        .insert_frozen("bench", oracle)
-        .map_err(|e| e.to_string())?;
-    let spec = |addr: std::net::SocketAddr, queries: u64, seed: u64| LoadSpec {
-        addr,
-        ns: "bench".into(),
-        vertices: vertices as u32,
-        connections: conns,
-        threads,
-        pipeline_depth: pipeline,
-        batch,
-        queries,
-        seed,
-    };
-
-    // Phase 1: calibrate. No budgets — whatever this run sustains is
-    // the capacity estimate the overload phase is a multiple of.
-    let handle = Server::bind(
-        "127.0.0.1:0",
-        Arc::clone(&registry),
-        ServerConfig::default(),
-    )
-    .map_err(|e| format!("bind: {e}"))?;
-    let calib = loadgen::run_load(&spec(
-        handle.local_addr(),
-        (queries as u64 / 4).max(1),
-        0xCA11,
-    ))
-    .map_err(|e| format!("calibration: {e}"))?;
-    handle.shutdown();
-    let capacity = calib.qps();
-    println!(
-        "bench[overload]: capacity ≈ {capacity:.0} queries/s unthrottled \
-         (reply {})",
-        fmt_latency(&calib.latency),
-    );
-
-    // Phase 2: overload. The same closed-loop load keeps conns ×
-    // pipeline frames in flight; budgets admit ~1/factor of that, so
-    // the offered load is factor× what admission accepts. Reads past
-    // the mark shed with OVERLOADED; a generous deadline exercises the
-    // aging path without dominating the refusals. The high-water mark
-    // counts frames in flight across every connection per reactor tick.
-    let inflight = conns * pipeline;
-    let config = ServerConfig {
-        shed_inflight_hwm: Some((inflight / factor).max(1)),
-        shed_coalesced_pairs: Some(((inflight * batch) / factor).max(1)),
-        request_deadline: Some(Duration::from_secs(1)),
-        ..ServerConfig::default()
-    };
-    let handle = Server::bind("127.0.0.1:0", Arc::clone(&registry), config)
-        .map_err(|e| format!("bind: {e}"))?;
-    let report = loadgen::run_load(&spec(handle.local_addr(), queries as u64, 0x0BAD))
-        .map_err(|e| format!("overload run: {e}"))?;
-    println!(
-        "bench[overload]: {factor}x budgets → goodput {:.0} queries/s \
-         ({:.1}% of capacity), shed {:.1}% ({} shed, {} deadline-expired, {} errors), \
-         accepted reply {}",
-        report.qps(),
-        100.0 * report.qps() / capacity.max(f64::MIN_POSITIVE),
-        100.0 * report.shed_fraction(),
-        report.shed,
-        report.deadline_exceeded,
-        report.errors,
-        fmt_latency(&report.latency),
-    );
-    println!(
-        "bench[overload]: server counters: {} frames shed, {} deadline-exceeded, \
-         {} connections reaped",
-        handle.frames_shed(),
-        handle.deadlines_exceeded(),
-        handle.connections_reaped(),
-    );
-    handle.shutdown();
-    Ok(())
-}
-
-/// Runs the connection-count sweep against `addr`, printing one line
-/// per step; coalescing counters are reported when the server handle
-/// is in-process.
-#[allow(clippy::too_many_arguments)]
-fn run_sweep(
-    addr: std::net::SocketAddr,
-    label: &str,
-    vertices: usize,
-    queries: usize,
-    batch: usize,
-    sweep: &[usize],
-    pipeline: usize,
-    threads: usize,
-    handle: Option<&hoplite_server::ServerHandle>,
-) -> Result<(), String> {
-    log_info!(
-        "bench",
-        "{label} server on {addr}; sweep {sweep:?} connections, \
-         pipeline {pipeline}, batch {batch}, {threads} loadgen threads"
-    );
-    for &conns in sweep {
-        let spec = LoadSpec {
-            addr,
-            ns: "bench".into(),
-            vertices: vertices as u32,
-            connections: conns,
-            threads,
-            pipeline_depth: pipeline,
-            batch,
-            queries: queries as u64,
-            seed: 0xB0B0 ^ conns as u64,
-        };
-        let report = loadgen::run_load(&spec).map_err(|e| format!("{conns} conns: {e}"))?;
-        let coalesced = match handle {
-            Some(h) => format!(
-                ", coalesced {} frames over {} calls",
-                h.frames_coalesced(),
-                h.coalesce_calls()
-            ),
-            None => String::new(),
-        };
-        println!(
-            "bench[{label}]: {:>6} conns → {:>12.0} queries/s \
-             ({} queries in {:.1} ms, {} errors, reply {}{coalesced})",
-            report.connections,
-            report.qps(),
-            report.queries,
-            report.elapsed.as_secs_f64() * 1e3,
-            report.errors,
-            fmt_latency(&report.latency),
-        );
-    }
-    Ok(())
 }
 
 fn cmd_smoke() -> Result<(), String> {

@@ -48,8 +48,10 @@
 //! ```
 //!
 //! The `hoplited` binary wraps all of this as a daemon: `hoplited
-//! serve` loads graphs/indexes from files, `hoplited bench` measures
-//! wire-level QPS, `hoplited smoke` is a self-contained CI check.
+//! serve` loads graphs/indexes from files, `hoplited smoke` is a
+//! self-contained CI check. [`loadgen`] drives many pipelined `REACH`
+//! connections from a few threads; `paper perf` uses it for its wire
+//! sweep and overload drill.
 
 pub mod client;
 pub mod loadgen;

@@ -1,4 +1,4 @@
-//! A many-connection wire load generator.
+//! A many-connection wire load generator of single `REACH` frames.
 //!
 //! Driving 10k sockets with 10k blocking client threads would
 //! benchmark the OS scheduler, not the server. This module drives `C`
@@ -11,9 +11,11 @@
 //! bytes for `BOOL`) so a bounded depth can never deadlock against
 //! socket buffers.
 //!
-//! Both `hoplited bench` and the `paper perf` wire stage use this one
-//! implementation, so the committed BENCH numbers and the ad-hoc CLI
-//! measure the same thing.
+//! Every frame carries one pair, so frames and queries count the same
+//! and every tally in [`LoadReport`] shares one unit. It drives the
+//! `paper perf` wire sweep and overload drill and the chaos suite's
+//! overload tests; `BATCH` traffic is measured by hopbench's
+//! `batch_scan` workload instead.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -40,10 +42,7 @@ pub struct LoadSpec {
     pub threads: usize,
     /// Frames in flight per connection within a round.
     pub pipeline_depth: usize,
-    /// Pairs per frame: 1 sends single `REACH` frames (the coalescer's
-    /// favorite food); > 1 sends `BATCH` frames of this size.
-    pub batch: usize,
-    /// Total reachability queries to issue (rounded up to fill whole
+    /// Total `REACH` queries to issue (rounded up to fill whole
     /// rounds).
     pub queries: u64,
     /// Seed for the deterministic query-pair stream.
@@ -57,15 +56,14 @@ pub struct LoadReport {
     pub connections: usize,
     /// Worker threads used.
     pub threads: usize,
-    /// Reachability queries answered (pairs, not frames).
+    /// Queries answered.
     pub queries: u64,
-    /// Frames that came back as wire-level `ERROR` replies.
+    /// Queries that came back as wire-level `ERROR` replies, or were
+    /// lost in flight to a dying connection.
     pub errors: u64,
-    /// Queries the server shed with a typed `OVERLOADED` reply
-    /// (pairs, same unit as `queries` — a shed `BATCH` frame counts
-    /// its whole batch).
+    /// Queries the server shed with a typed `OVERLOADED` reply.
     pub shed: u64,
-    /// Queries refused with a typed `DEADLINE_EXCEEDED` reply (pairs).
+    /// Queries refused with a typed `DEADLINE_EXCEEDED` reply.
     pub deadline_exceeded: u64,
     /// `true` answers observed (a cheap checksum against a ground
     /// truth run of the same seed).
@@ -173,7 +171,6 @@ pub fn run_load(spec: &LoadSpec) -> Result<LoadReport, ClientError> {
     let connections = spec.connections.max(1);
     let threads = spec.threads.clamp(1, connections);
     let depth = spec.pipeline_depth.max(1);
-    let batch = spec.batch.max(1);
 
     // Partition connections across workers as evenly as possible.
     let mut slices: Vec<usize> = vec![connections / threads; threads];
@@ -181,9 +178,9 @@ pub fn run_load(spec: &LoadSpec) -> Result<LoadReport, ClientError> {
         *slice += 1;
     }
 
-    // Every connection sends `depth` frames of `batch` pairs per
-    // round; run enough rounds to cover the requested query count.
-    let per_round = (connections * depth * batch) as u64;
+    // Every connection sends `depth` frames per round; run enough
+    // rounds to cover the requested query count.
+    let per_round = (connections * depth) as u64;
     let rounds = spec.queries.div_ceil(per_round).max(1);
 
     // Open every socket up front (the "sustains C concurrent sockets"
@@ -203,9 +200,8 @@ pub fn run_load(spec: &LoadSpec) -> Result<LoadReport, ClientError> {
         let mut handles = Vec::with_capacity(threads);
         for (worker, owned) in conns.into_iter().enumerate() {
             let spec = &*spec;
-            handles.push(
-                scope.spawn(move || worker_loop(owned, spec, worker as u64, rounds, depth, batch)),
-            );
+            handles
+                .push(scope.spawn(move || worker_loop(owned, spec, worker as u64, rounds, depth)));
         }
         handles
             .into_iter()
@@ -259,7 +255,6 @@ fn worker_loop(
     worker: u64,
     rounds: u64,
     depth: usize,
-    batch: usize,
 ) -> Result<WorkerTotals, ClientError> {
     let config = ClientConfig::reconnecting();
     let mut queries = 0u64;
@@ -282,26 +277,14 @@ fn worker_loop(
         for (c, conn) in conns.iter_mut().enumerate() {
             wbuf.clear();
             for _ in 0..depth {
-                let pairs: Vec<(u32, u32)> = (0..batch)
-                    .map(|_| {
-                        let p = pair_at(spec.seed, next_pair, spec.vertices);
-                        next_pair += 1;
-                        p
-                    })
-                    .collect();
-                let request = if batch == 1 {
-                    Request::Reach {
-                        ns: spec.ns.clone(),
-                        u: pairs[0].0,
-                        v: pairs[0].1,
-                    }
-                } else {
-                    Request::Batch {
-                        ns: spec.ns.clone(),
-                        pairs,
-                    }
-                };
-                let payload = request.encode()?;
+                let (u, v) = pair_at(spec.seed, next_pair, spec.vertices);
+                next_pair += 1;
+                let payload = Request::Reach {
+                    ns: spec.ns.clone(),
+                    u,
+                    v,
+                }
+                .encode()?;
                 wbuf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
                 wbuf.extend_from_slice(&payload);
             }
@@ -344,23 +327,16 @@ fn worker_loop(
                         queries += 1;
                         positives += b as u64;
                     }
-                    Response::Bools(bs) => {
-                        latency.record(sent_at[c].elapsed().as_nanos() as u64);
-                        queries += bs.len() as u64;
-                        positives += bs.iter().filter(|&&b| b).count() as u64;
-                    }
                     // Typed refusals are the overload machinery doing
-                    // its job — tally them in pairs so shed fractions
-                    // compare directly against `queries`.
+                    // its job, not errors.
                     Response::Fail {
                         code: ErrorCode::Overloaded,
                         ..
-                    } => shed += batch as u64,
+                    } => shed += 1,
                     Response::Fail {
                         code: ErrorCode::DeadlineExceeded,
                         ..
-                    } => deadline_exceeded += batch as u64,
-                    Response::Error(_) | Response::Fail { .. } => errors += 1,
+                    } => deadline_exceeded += 1,
                     _ => errors += 1,
                 }
             }

@@ -107,7 +107,8 @@ pub(crate) struct ServerCounters {
     /// Connections currently held open (live slab slots).
     pub(crate) active: AtomicUsize,
     /// Frames answered through a shared (≥ 2-frame) coalesced batch
-    /// call, and how many such calls ran.
+    /// call, and how many such calls ran; exported as
+    /// `reactor_coalesced_frames_total` / `reactor_coalesce_calls_total`.
     pub(crate) coalesced_frames: AtomicU64,
     pub(crate) coalesced_calls: AtomicU64,
     /// Frames shed by admission control (`OVERLOADED` replies).
@@ -241,19 +242,6 @@ impl ServerHandle {
     /// half-frame deadline, or the hard reply-backlog cap).
     pub fn connections_reaped(&self) -> u64 {
         self.counters.connections_reaped.load(Ordering::Relaxed)
-    }
-
-    /// Frames answered through a shared coalesced batch call — i.e. a
-    /// per-tick kernel invocation that served ≥ 2 frames.
-    pub fn frames_coalesced(&self) -> u64 {
-        self.counters.coalesced_frames.load(Ordering::Relaxed)
-    }
-
-    /// Coalesced batch-kernel calls that served ≥ 2 frames.
-    /// `frames_coalesced / coalesce_calls` is the mean
-    /// cross-connection batch depth the kernel actually saw.
-    pub fn coalesce_calls(&self) -> u64 {
-        self.counters.coalesced_calls.load(Ordering::Relaxed)
     }
 
     /// The same report the `METRICS` wire op serves: server-wide

@@ -255,7 +255,6 @@ fn overload_sheds_bounded_stays_typed_and_reconciles_exactly() {
         connections: conns,
         threads: 4,
         pipeline_depth: pipeline,
-        batch: 1,
         queries: 30_000,
         seed: 0xC0FFEE,
     };
@@ -342,7 +341,6 @@ fn wire_faults_never_corrupt_framing_and_books_stay_sane() {
         connections: conns,
         threads: 4,
         pipeline_depth: pipeline,
-        batch: 1,
         queries: 16_000,
         seed: 0x0BAD,
     };

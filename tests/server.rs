@@ -742,6 +742,20 @@ mod reactor {
             "accepted {}",
             handle.connections_accepted()
         );
+        // Each connection's two frames arrive in one write, so the tick
+        // that reads them queues both on one job: the coalescer must
+        // have run, and every call it counts serves at least 2 frames.
+        let metrics = handle.metrics("");
+        let calls = metrics.counter("reactor_coalesce_calls_total").unwrap();
+        let frames = metrics.counter("reactor_coalesced_frames_total").unwrap();
+        assert!(
+            calls > 0,
+            "no coalesced batch call over {conns_total} pipelining connections"
+        );
+        assert!(
+            frames >= 2 * calls,
+            "{frames} coalesced frames over {calls} calls"
+        );
         drop(conns);
         handle.shutdown();
     }
