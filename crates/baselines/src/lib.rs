@@ -6,8 +6,6 @@
 //! | module | paper column | approach |
 //! |---|---|---|
 //! | [`online`] | (DFS/BFS) | index-free online search |
-//! | [`chain`] | (§2.1 [18,7]) | Jagadish chain-cover compressed TC |
-//! | [`dual`] | (§2.1 [36]) | dual labeling: tree intervals + link closure |
 //! | [`grail`] | GL | GRAIL random-interval labels + pruned DFS |
 //! | [`interval`] | INT | Nuutila post-order interval compression |
 //! | [`pathtree`] | PT | path-decomposition (chain) compressed TC |
@@ -22,8 +20,6 @@
 //! All types implement [`hoplite_core::ReachIndex`], so the benchmark
 //! harness and the tests drive them uniformly.
 
-pub mod chain;
-pub mod dual;
 pub mod fulltc;
 pub mod grail;
 pub mod interval;
@@ -36,8 +32,6 @@ pub mod scarab;
 pub mod tflabel;
 pub mod twohop;
 
-pub use chain::ChainIndex;
-pub use dual::DualLabeling;
 pub use fulltc::FullTc;
 pub use grail::Grail;
 pub use interval::IntervalIndex;

@@ -1,31 +1,8 @@
 //! `paper` — regenerate the tables and figures of the VLDB 2013
 //! reachability-oracle evaluation on the synthetic dataset analogues.
 //!
-//! ```text
-//! paper <command> [--scale-small=F] [--scale-large=F] [--queries=N]
-//!                 [--budget-mb=N] [--time-cap-s=N] [--seed=N]
-//!
-//! commands:
-//!   table1   dataset statistics (Table 1)
-//!   table2   query time, equal load, small graphs (Table 2)
-//!   table3   query time, random load, small graphs (Table 3)
-//!   table4   construction time, small graphs (Table 4)
-//!   table5   query time, equal load, large graphs (Table 5)
-//!   table6   query time, random load, large graphs (Table 6)
-//!   table7   construction time, large graphs (Table 7)
-//!   fig3     index size, small graphs (Figure 3)
-//!   fig4     index size, large graphs (Figure 4)
-//!   small    tables 2-4 + figure 3 from one measured suite
-//!   large    tables 5-7 + figure 4 from one measured suite
-//!   all      everything above
-//!
-//!   backbone    hierarchy shrinkage per level (§4.1)
-//!   verify      validate every method against ground truth
-//!   ablation    DL order / HL eps / core-labeler tables
-//!   extras      small suite incl. DUAL + CHAIN (§2.1 references)
-//!   throughput  multi-core DL query scaling
-//!   scarab-depth  recursive SCARAB study (§2.3's open option)
-//! ```
+//! Run `paper help` for the commands and flags; the `USAGE` text below
+//! is the one list of them.
 //!
 //! Query-time cells are the total milliseconds for the whole workload
 //! (`--queries`, default 20 000), mirroring the paper's "running time
@@ -63,8 +40,6 @@ commands:
   verify        validate every method against ground truth
   smoke         fast non-timed sanity check (one dataset, one method)
   ablation      DL order / HL eps / core-labeler tables
-  extras        small suite incl. DUAL + CHAIN (§2.1 references)
-  throughput    multi-core DL query scaling
   scarab-depth  recursive SCARAB study (§2.3's open option)
   perf          hot-path JSON benchmark: build widths, query filters,
                 thread scaling, cold start, metrics overhead, a dynamic
@@ -103,7 +78,7 @@ fn main() {
             "--scale-small" => cfg.scale_small = parse(a, val),
             "--scale-large" => cfg.scale_large = parse(a, val),
             "--queries" => cfg.queries = parse::<u64>(a, val) as usize,
-            "--budget-mb" => cfg.budget_bytes = parse::<u64>(a, val) << 20,
+            "--budget-mb" => cfg.budget_bytes = parse_budget_mb(val).unwrap_or_else(|| bad_flag(a)),
             "--time-cap-s" => cfg.time_budget = Duration::from_secs(parse(a, val)),
             "--seed" => cfg.seed = parse(a, val),
             _ => {
@@ -135,8 +110,6 @@ fn main() {
         "verify" => verify(&cfg),
         "smoke" => smoke(&cfg),
         "ablation" => ablation(&cfg),
-        "extras" => extras(&cfg),
-        "throughput" => throughput(&cfg),
         "scarab-depth" => scarab_depth(&cfg),
         "all" => {
             table1(&cfg);
@@ -360,10 +333,19 @@ fn wire_server_cmd(args: &[String]) {
 }
 
 fn parse<T: std::str::FromStr>(flag: &str, val: &str) -> T {
-    val.parse().unwrap_or_else(|_| {
-        eprintln!("could not parse flag {flag}");
-        std::process::exit(2);
-    })
+    val.parse().unwrap_or_else(|_| bad_flag(flag))
+}
+
+fn bad_flag(flag: &str) -> ! {
+    eprintln!("could not parse flag {flag}");
+    std::process::exit(2);
+}
+
+/// `--budget-mb=N` in bytes; `None` when N is not a number or N MiB
+/// does not fit in a `u64` (a shift would silently wrap to a tiny
+/// budget).
+fn parse_budget_mb(val: &str) -> Option<u64> {
+    val.parse::<u64>().ok()?.checked_mul(1 << 20)
 }
 
 /// Table 1: dataset statistics — the paper's sizes next to the
@@ -423,7 +405,6 @@ fn table1(cfg: &RunConfig) {
 /// Ablation tables for the paper's design choices:
 /// DL vertex order (§5.2), HL backbone locality ε and core-size stop
 /// rule (§4.1), and the Formula-3 core labeler (Algorithm 1, Line 2).
-/// Complements the Criterion benches with paper-style tables.
 fn ablation(cfg: &RunConfig) {
     use hoplite_bench::workload::equal_workload;
     use hoplite_core::{
@@ -572,35 +553,6 @@ fn ablation(cfg: &RunConfig) {
     );
 }
 
-/// Extended small-graph suite: the paper's 12 columns plus the §2.1
-/// TC-compression references it describes but does not re-run — dual
-/// labeling [36] and chain-cover compression [18,7].
-fn extras(cfg: &RunConfig) {
-    let specs = small_datasets();
-    eprintln!(
-        "# building 14 methods x {} small datasets (scale {}) ...",
-        specs.len(),
-        cfg.scale_small
-    );
-    let suite = run_suite(&specs, &MethodId::extended_columns(), cfg);
-    for (p, title) in [
-        (
-            Projection::EqualQuery,
-            "Extras: equal-load query time (ms) incl. DUAL and CHAIN",
-        ),
-        (
-            Projection::Construction,
-            "Extras: construction time (ms) incl. DUAL and CHAIN",
-        ),
-        (
-            Projection::IndexSize,
-            "Extras: index size (1000s of integers) incl. DUAL and CHAIN",
-        ),
-    ] {
-        println!("{}", render_suite(title, &suite, p));
-    }
-}
-
 /// Recursive SCARAB study. §2.3 observes that "theoretically, the
 /// reachability backbone could be applied recursively; this may
 /// further slow down query performance. In [23], this option is not
@@ -672,46 +624,6 @@ fn scarab_depth(cfg: &RunConfig) {
             "Recursive SCARAB (GRAIL inner): innermost |V| / build ms / equal-load query ms",
             "Dataset/depth",
             &["inner |V|".into(), "build".into(), "query".into()],
-            &rows,
-            &cells
-        )
-    );
-}
-
-/// Multi-core query throughput of the frozen DL oracle
-/// (`hoplite_core::parallel`): thread-count scaling per dataset.
-fn throughput(cfg: &RunConfig) {
-    use hoplite_bench::workload::equal_workload;
-    use hoplite_core::parallel::measure_scaling;
-    use hoplite_core::{DistributionLabeling, DlConfig};
-
-    let picks = ["agrocyc", "arxiv", "p2p"];
-    let mut rows = Vec::new();
-    let mut cells = Vec::new();
-    let widths = [1usize, 2, 4, 8];
-    for spec in small_datasets()
-        .into_iter()
-        .filter(|s| picks.contains(&s.name))
-    {
-        let dag = spec.generate(cfg.scale_small);
-        let dl = DistributionLabeling::build(&dag, &DlConfig::default());
-        let load = equal_workload(&dag, cfg.queries.max(100_000), cfg.seed);
-        let reports = measure_scaling(dl.labeling(), &load.pairs, &widths);
-        rows.push(spec.name.to_string());
-        cells.push(
-            reports
-                .iter()
-                .map(|r| format!("{:.2}", r.qps() / 1e6))
-                .collect::<Vec<_>>(),
-        );
-    }
-    let headers: Vec<String> = widths.iter().map(|t| format!("{t} thr (Mq/s)")).collect();
-    println!(
-        "{}",
-        render(
-            "Query throughput scaling of the DL oracle (million queries/s)",
-            "Dataset",
-            &headers,
             &rows,
             &cells
         )
@@ -864,5 +776,20 @@ fn large_suite(cfg: &RunConfig, projections: &[Projection]) {
             }
         };
         println!("{}", render_suite(title, &suite, p));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_budget_mb;
+
+    #[test]
+    fn budget_mb_converts_and_rejects_overflow() {
+        assert_eq!(parse_budget_mb("1024"), Some(1 << 30));
+        // 2^44 - 1 MiB is the largest budget that fits; 2^44 MiB is 2^64
+        // bytes, which a shift would wrap to a 0-byte budget.
+        assert_eq!(parse_budget_mb("17592186044415"), Some(u64::MAX << 20));
+        assert_eq!(parse_budget_mb("17592186044416"), None);
+        assert_eq!(parse_budget_mb("lots"), None);
     }
 }

@@ -15,14 +15,15 @@
 //!   "—" cells.
 //! * [`tables`] — plain-text renderers shaped like Tables 1–7 and the
 //!   index-size series of Figures 3–4.
-//! * [`perf`] — the hot-path JSON benchmark behind `paper perf`:
-//!   build-engine comparison (seed merge vs rank-bitmap vs two-thread)
-//!   and filtered vs unfiltered query throughput with per-layer filter
-//!   hit rates (`BENCH_*.json`).
+//! * [`perf`] — the hot-path JSON benchmark behind `paper perf`: the
+//!   DL build timed at 1, 2 and 4 threads plus `Parallelism::Auto`,
+//!   filtered vs unfiltered query throughput with per-layer filter hit
+//!   rates and the filter/signature/merge stage tally, thread scaling,
+//!   cold start, metrics overhead, a dynamic stage and the wire stages
+//!   (`BENCH_*.json`).
 //!
 //! The `paper` binary (`cargo run --release -p hoplite-bench --bin
-//! paper -- all`) drives everything; Criterion micro-benches live in
-//! `benches/`.
+//! paper -- all`) drives everything.
 
 pub mod datasets;
 pub mod perf;

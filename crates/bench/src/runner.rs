@@ -12,8 +12,7 @@ use std::time::{Duration, Instant};
 
 use hoplite_baselines::twohop::TwoHopConfig;
 use hoplite_baselines::{
-    ChainIndex, DualLabeling, Grail, IntervalIndex, KReach, PathTree, PrunedLandmark, Pwah8,
-    Scarab, TfLabel, TwoHop,
+    Grail, IntervalIndex, KReach, PathTree, PrunedLandmark, Pwah8, Scarab, TfLabel, TwoHop,
 };
 use hoplite_core::{DistributionLabeling, DlConfig, HierarchicalLabeling, HlConfig, ReachIndex};
 use hoplite_graph::{Dag, GraphError};
@@ -48,11 +47,6 @@ pub enum MethodId {
     Hl,
     /// Distribution-Labeling (DL) — this paper.
     Dl,
-    /// Dual labeling (§2.1 reference [36]; `paper extras` column).
-    Dual,
-    /// Chain-cover compression (§2.1 references [18,7]; `paper extras`
-    /// column).
-    Chain,
 }
 
 impl MethodId {
@@ -74,28 +68,6 @@ impl MethodId {
         ]
     }
 
-    /// The paper's twelve columns plus the §2.1 TC-compression
-    /// references the paper describes but does not re-run (dual
-    /// labeling, chain cover) — the `paper extras` table.
-    pub fn extended_columns() -> [MethodId; 14] {
-        [
-            MethodId::Grail,
-            MethodId::GrailStar,
-            MethodId::PathTree,
-            MethodId::PathTreeStar,
-            MethodId::KReach,
-            MethodId::Pwah8,
-            MethodId::Interval,
-            MethodId::TwoHop,
-            MethodId::PrunedLandmark,
-            MethodId::TfLabel,
-            MethodId::Dual,
-            MethodId::Chain,
-            MethodId::Hl,
-            MethodId::Dl,
-        ]
-    }
-
     /// Column header as printed in the paper.
     pub fn name(self) -> &'static str {
         match self {
@@ -111,8 +83,6 @@ impl MethodId {
             MethodId::TfLabel => "TF",
             MethodId::Hl => "HL",
             MethodId::Dl => "DL",
-            MethodId::Dual => "DUAL",
-            MethodId::Chain => "CHAIN",
         }
     }
 }
@@ -196,12 +166,6 @@ pub fn build_method(id: MethodId, dag: &Dag, cfg: &RunConfig) -> BuildOutcome {
             dag,
             &DlConfig::default(),
         ))),
-        MethodId::Dual => {
-            DualLabeling::build(dag, cfg.budget_bytes).map(|i| Box::new(i) as Box<dyn ReachIndex>)
-        }
-        MethodId::Chain => {
-            ChainIndex::build(dag, cfg.budget_bytes).map(|i| Box::new(i) as Box<dyn ReachIndex>)
-        }
     };
     let build_ms = start.elapsed().as_secs_f64() * 1e3;
     match built {

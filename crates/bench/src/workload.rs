@@ -200,58 +200,6 @@ fn shuffle_workload(
     }
 }
 
-/// A workload with an arbitrary positive fraction (the workload-mix
-/// ablation bench sweeps this), using bidirectional BFS as the truth
-/// oracle.
-pub fn mixed_workload(dag: &Dag, count: usize, positive_ratio: f64, seed: u64) -> Workload {
-    let n = dag.num_vertices();
-    let g = dag.graph();
-    let mut fwd = TraversalScratch::new(n);
-    let mut bwd = TraversalScratch::new(n);
-    mixed_workload_with(dag, count, positive_ratio, seed, move |u, v| {
-        traversal::bidirectional_reaches(g, u, v, &mut fwd, &mut bwd)
-    })
-}
-
-/// [`mixed_workload`] with a caller-provided reachability oracle.
-/// Positives come from height-scaled random walks (the ablation bench
-/// sweeps ratios on graphs where TC sampling would dominate runtime).
-pub fn mixed_workload_with(
-    dag: &Dag,
-    count: usize,
-    positive_ratio: f64,
-    seed: u64,
-    mut reach: impl FnMut(VertexId, VertexId) -> bool,
-) -> Workload {
-    assert!((0.0..=1.0).contains(&positive_ratio));
-    let n = dag.num_vertices();
-    let mut pairs = Vec::with_capacity(count);
-    let mut expected = Vec::with_capacity(count);
-    if n < 2 {
-        return Workload { pairs, expected };
-    }
-    let mut rng = Rng::new(seed);
-
-    let n_pos = (count as f64 * positive_ratio).round() as usize;
-    sample_walk_positives(dag, n_pos, &mut rng, &mut pairs, &mut expected);
-    // Negative pairs: uniform samples verified unreachable.
-    let n_neg = count - pairs.len();
-    let mut produced = 0usize;
-    let mut attempts = 0usize;
-    let budget = count.saturating_mul(50) + 1000;
-    while produced < n_neg && attempts < budget {
-        attempts += 1;
-        let u = rng.gen_index(n) as VertexId;
-        let v = rng.gen_index(n) as VertexId;
-        if u != v && !reach(u, v) {
-            pairs.push((u, v));
-            expected.push(false);
-            produced += 1;
-        }
-    }
-    shuffle_workload(&mut rng, pairs, expected)
-}
-
 /// The paper's *random* load: uniform vertex pairs with ground truth
 /// from bidirectional BFS.
 pub fn random_workload(dag: &Dag, count: usize, seed: u64) -> Workload {
@@ -335,19 +283,6 @@ mod tests {
         assert_eq!(a.pairs, b.pairs);
         let c = equal_workload(&dag, 200, 10);
         assert_ne!(a.pairs, c.pairs);
-    }
-
-    #[test]
-    fn mixed_ratio_respected() {
-        let dag = gen::random_dag(200, 700, 8);
-        for ratio in [0.0, 0.25, 0.9] {
-            let w = mixed_workload(&dag, 400, ratio, 11);
-            assert!(
-                (w.positive_ratio() - ratio).abs() < 0.08,
-                "ratio {ratio} produced {}",
-                w.positive_ratio()
-            );
-        }
     }
 
     #[test]

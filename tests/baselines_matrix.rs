@@ -7,8 +7,7 @@
 
 use hoplite::baselines::twohop::TwoHopConfig;
 use hoplite::baselines::{
-    ChainIndex, DualLabeling, FullTc, Grail, IntervalIndex, KReach, PathTree, PrunedLandmark,
-    Pwah8, Scarab, TfLabel, TwoHop,
+    FullTc, Grail, IntervalIndex, KReach, PathTree, PrunedLandmark, Pwah8, Scarab, TfLabel, TwoHop,
 };
 use hoplite::core::{DistributionLabeling, DlConfig, HierarchicalLabeling, HlConfig, ReachIndex};
 use hoplite::graph::{gen, Dag};
@@ -60,8 +59,6 @@ fn tc_compression_family_validates_at_scale() {
         validate(&IntervalIndex::build(&dag, u64::MAX).unwrap(), &dag, 800, 9);
         validate(&PathTree::build(&dag, u64::MAX).unwrap(), &dag, 800, 9);
         validate(&Pwah8::build(&dag, u64::MAX).unwrap(), &dag, 800, 9);
-        validate(&ChainIndex::build(&dag, u64::MAX).unwrap(), &dag, 800, 9);
-        validate(&DualLabeling::build(&dag, u64::MAX).unwrap(), &dag, 800, 9);
     }
 }
 
@@ -191,22 +188,4 @@ fn equal_workload_is_balanced_at_scale() {
             "{family}: positive ratio {ratio}"
         );
     }
-}
-
-#[test]
-fn dual_stays_small_on_tree_like_graphs_only() {
-    // Dual labeling's regime: index ~2n on a near-tree, explodes in
-    // link count on an equally sized random DAG.
-    let near_tree = gen::tree_plus_dag(1500, 30, 33);
-    let dense = gen::random_dag(1500, 4500, 33);
-    let small = DualLabeling::build(&near_tree, u64::MAX).unwrap();
-    let big = DualLabeling::build(&dense, u64::MAX).unwrap();
-    assert!(small.num_links() <= 30);
-    assert!(
-        big.num_links() > 10 * small.num_links(),
-        "links: dense {} vs near-tree {}",
-        big.num_links(),
-        small.num_links()
-    );
-    assert!(small.size_in_integers() < big.size_in_integers() / 4);
 }

@@ -4,8 +4,8 @@
 
 use hoplite::baselines::twohop::TwoHopConfig;
 use hoplite::baselines::{
-    BfsOnline, BidirOnline, ChainIndex, DfsOnline, DualLabeling, FullTc, Grail, IntervalIndex,
-    KReach, PathTree, PrunedLandmark, Pwah8, Scarab, TfLabel, TwoHop,
+    BfsOnline, BidirOnline, DfsOnline, FullTc, Grail, IntervalIndex, KReach, PathTree,
+    PrunedLandmark, Pwah8, Scarab, TfLabel, TwoHop,
 };
 use hoplite::core::{DistributionLabeling, DlConfig, HierarchicalLabeling, HlConfig, ReachIndex};
 use hoplite::graph::{gen, Dag, TransitiveClosure};
@@ -39,9 +39,6 @@ fn all_indexes(dag: &Dag, seed: u64) -> Vec<Box<dyn ReachIndex>> {
         Box::new(DfsOnline::build(dag)),
         Box::new(BidirOnline::build(dag)),
         Box::new(FullTc::build(dag, u64::MAX).expect("no budget")),
-        Box::new(DualLabeling::build(dag, u64::MAX).expect("no budget")),
-        Box::new(ChainIndex::build(dag, u64::MAX).expect("no budget")),
-        Box::new(ChainIndex::build_min_cover(dag, u64::MAX).expect("no budget")),
     ]
 }
 

@@ -8,9 +8,7 @@
 
 use proptest::prelude::*;
 
-use hoplite::baselines::{
-    ChainIndex, DualLabeling, Grail, IntervalIndex, KReach, PathTree, Pwah8, TfLabel,
-};
+use hoplite::baselines::{Grail, IntervalIndex, KReach, PathTree, Pwah8, TfLabel};
 use hoplite::core::{
     sorted_intersect, DistributionLabeling, DlConfig, HierarchicalLabeling, HlConfig, OrderKind,
     ReachIndex,
@@ -160,9 +158,6 @@ proptest! {
             Box::new(Pwah8::build(&dag, u64::MAX).unwrap()),
             Box::new(KReach::build(&dag, u64::MAX).unwrap()),
             Box::new(TfLabel::build(&dag, 6)),
-            Box::new(DualLabeling::build(&dag, u64::MAX).unwrap()),
-            Box::new(ChainIndex::build(&dag, u64::MAX).unwrap()),
-            Box::new(ChainIndex::build_min_cover(&dag, u64::MAX).unwrap()),
         ];
         let n = dag.num_vertices() as u32;
         for idx in &indexes {
