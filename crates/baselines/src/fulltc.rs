@@ -44,18 +44,7 @@ impl ReachIndex for FullTc {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hoplite_graph::{gen, traversal};
-
-    #[test]
-    fn matches_bfs() {
-        let dag = gen::random_dag(30, 90, 5);
-        let tc = FullTc::build(&dag, u64::MAX).unwrap();
-        for u in 0..30u32 {
-            for v in 0..30u32 {
-                assert_eq!(tc.query(u, v), traversal::reaches(dag.graph(), u, v));
-            }
-        }
-    }
+    use hoplite_graph::gen;
 
     #[test]
     fn budget_enforced() {

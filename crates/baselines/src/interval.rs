@@ -196,35 +196,7 @@ impl ReachIndex for IntervalIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hoplite_graph::{gen, traversal};
-
-    fn assert_matches_bfs(dag: &Dag) {
-        let idx = IntervalIndex::build(dag, u64::MAX).unwrap();
-        let n = dag.num_vertices() as u32;
-        for u in 0..n {
-            for v in 0..n {
-                assert_eq!(
-                    idx.query(u, v),
-                    traversal::reaches(dag.graph(), u, v),
-                    "mismatch at ({u},{v})"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn correct_on_random_dags() {
-        for seed in 0..6 {
-            assert_matches_bfs(&gen::random_dag(50, 150, seed));
-        }
-    }
-
-    #[test]
-    fn correct_on_trees_and_grids() {
-        assert_matches_bfs(&gen::tree_plus_dag(80, 0, 1));
-        assert_matches_bfs(&gen::tree_plus_dag(80, 30, 2));
-        assert_matches_bfs(&gen::grid_dag(6, 7));
-    }
+    use hoplite_graph::gen;
 
     #[test]
     fn tree_needs_one_interval_per_vertex() {
@@ -253,16 +225,5 @@ mod tests {
             IntervalIndex::build(&dag, 64),
             Err(GraphError::BudgetExceeded { .. })
         ));
-    }
-
-    #[test]
-    fn edgeless_graph() {
-        let dag = Dag::from_edges(5, &[]).unwrap();
-        let idx = IntervalIndex::build(&dag, u64::MAX).unwrap();
-        for u in 0..5u32 {
-            for v in 0..5u32 {
-                assert_eq!(idx.query(u, v), u == v);
-            }
-        }
     }
 }

@@ -324,35 +324,8 @@ impl KReachBounded {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hoplite_graph::{gen, traversal};
-
-    fn assert_matches_bfs(dag: &Dag) {
-        let idx = KReach::build(dag, u64::MAX).unwrap();
-        let n = dag.num_vertices() as u32;
-        for u in 0..n {
-            for v in 0..n {
-                assert_eq!(
-                    idx.query(u, v),
-                    traversal::reaches(dag.graph(), u, v),
-                    "mismatch at ({u},{v})"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn correct_on_random_dags() {
-        for seed in 0..6 {
-            assert_matches_bfs(&gen::random_dag(50, 140, seed));
-        }
-    }
-
-    #[test]
-    fn correct_on_other_families() {
-        assert_matches_bfs(&gen::tree_plus_dag(70, 25, 1));
-        assert_matches_bfs(&gen::power_law_dag(70, 200, 2));
-        assert_matches_bfs(&gen::grid_dag(5, 8));
-    }
+    use crate::bfs_distance;
+    use hoplite_graph::gen;
 
     #[test]
     fn cover_is_a_vertex_cover() {
@@ -381,34 +354,6 @@ mod tests {
         let dag = Dag::from_edges(4, &[]).unwrap();
         let idx = KReach::build(&dag, u64::MAX).unwrap();
         assert_eq!(idx.cover_size(), 0);
-        for u in 0..4u32 {
-            for v in 0..4u32 {
-                assert_eq!(idx.query(u, v), u == v);
-            }
-        }
-    }
-
-    /// Ground-truth shortest distance by BFS.
-    fn bfs_distance(dag: &Dag, u: u32, v: u32) -> Option<u32> {
-        use std::collections::VecDeque;
-        if u == v {
-            return Some(0);
-        }
-        let mut dist = vec![u32::MAX; dag.num_vertices()];
-        dist[u as usize] = 0;
-        let mut q = VecDeque::from([u]);
-        while let Some(x) = q.pop_front() {
-            for &w in dag.out_neighbors(x) {
-                if dist[w as usize] == u32::MAX {
-                    dist[w as usize] = dist[x as usize] + 1;
-                    if w == v {
-                        return Some(dist[w as usize]);
-                    }
-                    q.push_back(w);
-                }
-            }
-        }
-        None
     }
 
     #[test]

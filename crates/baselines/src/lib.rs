@@ -18,7 +18,10 @@
 //! | [`fulltc`] | — | uncompressed transitive closure (reference) |
 //!
 //! All types implement [`hoplite_core::ReachIndex`], so the benchmark
-//! harness and the tests drive them uniformly.
+//! harness and the tests drive them uniformly. Each index is proven
+//! against BFS by its rows of the workspace correctness matrix
+//! (`all_indexes` in `tests/correctness.rs`); the unit tests here cover
+//! structure: budgets, covers, decompositions, sizes and distances.
 
 pub mod fulltc;
 pub mod grail;
@@ -43,3 +46,22 @@ pub use pwah::Pwah8;
 pub use scarab::Scarab;
 pub use tflabel::TfLabel;
 pub use twohop::TwoHop;
+
+/// BFS shortest-path distance from `u` to `v`, the ground truth for
+/// the distance-answering baselines' tests.
+#[cfg(test)]
+fn bfs_distance(dag: &hoplite_graph::Dag, u: u32, v: u32) -> Option<u32> {
+    use hoplite_graph::traversal::{bounded_neighborhood, Direction, TraversalScratch};
+    let mut scratch = TraversalScratch::new(dag.num_vertices());
+    let mut out = Vec::new();
+    let eps = dag.num_vertices() as u32;
+    bounded_neighborhood(
+        dag.graph(),
+        u,
+        eps,
+        Direction::Forward,
+        &mut scratch,
+        &mut out,
+    );
+    out.iter().find(|&&(x, _)| x == v).map(|&(_, d)| d)
+}

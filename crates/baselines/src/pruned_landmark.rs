@@ -144,39 +144,8 @@ impl ReachIndex for PrunedLandmark {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hoplite_graph::{gen, traversal};
-
-    fn bfs_distance(dag: &Dag, u: VertexId, v: VertexId) -> Option<u32> {
-        use hoplite_graph::traversal::{bounded_neighborhood, Direction, TraversalScratch};
-        let mut scratch = TraversalScratch::new(dag.num_vertices());
-        let mut out = Vec::new();
-        bounded_neighborhood(
-            dag.graph(),
-            u,
-            dag.num_vertices() as u32,
-            Direction::Forward,
-            &mut scratch,
-            &mut out,
-        );
-        out.iter().find(|&&(x, _)| x == v).map(|&(_, d)| d)
-    }
-
-    #[test]
-    fn reachability_matches_bfs() {
-        for seed in 0..6 {
-            let dag = gen::random_dag(45, 130, seed);
-            let idx = PrunedLandmark::build(&dag);
-            for u in 0..45u32 {
-                for v in 0..45u32 {
-                    assert_eq!(
-                        idx.query(u, v),
-                        traversal::reaches(dag.graph(), u, v),
-                        "mismatch at ({u},{v})"
-                    );
-                }
-            }
-        }
-    }
+    use crate::bfs_distance;
+    use hoplite_graph::gen;
 
     #[test]
     fn distances_are_exact() {

@@ -383,16 +383,11 @@ mod tests {
         for seed in 0..5 {
             let dag = gen::random_dag(35, 90, seed);
             let bb = Backbone::extract(&dag, 2);
-            for ca in 0..bb.num_vertices() as VertexId {
-                for cb in 0..bb.num_vertices() as VertexId {
-                    let (a, b) = (bb.to_parent[ca as usize], bb.to_parent[cb as usize]);
-                    assert_eq!(
-                        traversal::reaches(dag.graph(), a, b),
-                        traversal::reaches(bb.dag.graph(), ca, cb),
-                        "backbone reachability mismatch for parent pair ({a},{b})"
-                    );
-                }
-            }
+            let what = format!("backbone of random_dag seed {seed}");
+            traversal::assert_matches_bfs(bb.dag.graph(), &what, |ca, cb| {
+                let (a, b) = (bb.to_parent[ca as usize], bb.to_parent[cb as usize]);
+                traversal::reaches(dag.graph(), a, b)
+            });
         }
     }
 

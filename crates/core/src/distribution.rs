@@ -720,37 +720,11 @@ mod tests {
     use hoplite_graph::{gen, traversal};
     use std::collections::VecDeque;
 
-    /// Every pair's answer against BFS ground truth: one BFS per source
-    /// rather than per pair, so the larger matrix graphs stay cheap in
-    /// debug builds.
-    fn assert_matches_bfs(dag: &Dag, dl: &DistributionLabeling) {
-        let n = dag.num_vertices();
-        let mut scratch = traversal::TraversalScratch::new(n);
-        let mut reach = Vec::new();
-        for u in 0..n as VertexId {
-            reach.clear();
-            traversal::collect_reachable(
-                dag.graph(),
-                u,
-                traversal::Direction::Forward,
-                &mut scratch,
-                &mut reach,
-            );
-            let mut truth = vec![false; n];
-            for &v in &reach {
-                truth[v as usize] = true;
-            }
-            for v in 0..n as VertexId {
-                assert_eq!(dl.query(u, v), truth[v as usize], "mismatch at ({u},{v})");
-            }
-        }
-    }
-
     #[test]
     fn diamond_complete() {
         let dag = Dag::from_edges(5, &[(0, 1), (0, 2), (1, 3), (2, 3), (3, 4)]).unwrap();
         let dl = DistributionLabeling::build(&dag, &DlConfig::default());
-        assert_matches_bfs(&dag, &dl);
+        traversal::assert_matches_bfs(dag.graph(), "diamond", |u, v| dl.query(u, v));
     }
 
     #[test]
@@ -780,7 +754,8 @@ mod tests {
                         ..DlConfig::default()
                     },
                 );
-                assert_matches_bfs(&dag, &dl);
+                let what = format!("{order:?}, random_dag seed {seed}");
+                traversal::assert_matches_bfs(dag.graph(), &what, |u, v| dl.query(u, v));
             }
         }
     }
@@ -788,10 +763,14 @@ mod tests {
     #[test]
     fn tree_and_powerlaw_complete() {
         for seed in 0..4 {
-            let d1 = gen::tree_plus_dag(60, 15, seed);
-            assert_matches_bfs(&d1, &DistributionLabeling::build(&d1, &DlConfig::default()));
-            let d2 = gen::power_law_dag(60, 180, seed);
-            assert_matches_bfs(&d2, &DistributionLabeling::build(&d2, &DlConfig::default()));
+            for (dag, family) in [
+                (gen::tree_plus_dag(60, 15, seed), "tree"),
+                (gen::power_law_dag(60, 180, seed), "power-law"),
+            ] {
+                let dl = DistributionLabeling::build(&dag, &DlConfig::default());
+                let what = format!("{family} seed {seed}");
+                traversal::assert_matches_bfs(dag.graph(), &what, |u, v| dl.query(u, v));
+            }
         }
     }
 
@@ -837,15 +816,20 @@ mod tests {
             // Completeness in the paper's Cov(V) sense: labels must
             // cover reflexive pairs too (every vertex records itself),
             // so the intersection is checked without a u == v shortcut.
-            let complete = |out: &[Vec<u32>], in_: &[Vec<u32>]| {
-                (0..n as u32).all(|u| {
-                    (0..n as u32).all(|v| {
-                        sorted_intersect(&out[u as usize], &in_[v as usize])
-                            == (u == v || traversal::reaches(dag.graph(), u, v))
-                    })
-                })
+            let answers = |out: &[Vec<u32>], in_: &[Vec<u32>]| -> Vec<bool> {
+                (0..n)
+                    .flat_map(|u| (0..n).map(move |v| (u, v)))
+                    .map(|(u, v)| sorted_intersect(&out[u], &in_[v]))
+                    .collect()
             };
-            assert!(complete(&out, &in_), "labeling must start complete");
+            let full = answers(&out, &in_);
+            let what = format!("labels of random_dag seed {seed}");
+            traversal::assert_matches_bfs(dag.graph(), &what, |u, v| {
+                full[u as usize * n + v as usize]
+            });
+            // Trimming only loses answers, so a complete labeling stays
+            // complete iff it still gives every answer `full` gives.
+            let complete = |out: &[Vec<u32>], in_: &[Vec<u32>]| answers(out, in_) == full;
             for v in 0..n {
                 for k in 0..out[v].len() {
                     let mut trimmed = out.clone();
@@ -966,7 +950,8 @@ mod tests {
         for (dag, what) in &graphs {
             for threads in [1usize, 2, 3, 4, 8] {
                 let dl = assert_matches_reference(dag, threads, what);
-                assert_matches_bfs(dag, &dl);
+                let what = format!("{what}, t={threads}");
+                traversal::assert_matches_bfs(dag.graph(), &what, |u, v| dl.query(u, v));
             }
         }
     }
@@ -984,7 +969,8 @@ mod tests {
         ] {
             for threads in [1usize, 2, 8] {
                 let dl = assert_matches_reference(&dag, threads, "degenerate");
-                assert_matches_bfs(&dag, &dl);
+                let what = format!("degenerate n={}, t={threads}", dag.num_vertices());
+                traversal::assert_matches_bfs(dag.graph(), &what, |u, v| dl.query(u, v));
             }
         }
     }

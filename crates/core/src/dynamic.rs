@@ -687,13 +687,7 @@ impl RebuiltIndex {
 mod tests {
     use super::*;
     use hoplite_graph::gen::Rng;
-    use hoplite_graph::{gen, traversal};
-
-    /// Reference: rebuild a plain graph with all inserted edges.
-    fn ground_truth(n: usize, edges: &[(u32, u32)], u: u32, v: u32) -> bool {
-        let g = hoplite_graph::DiGraph::from_edges(n, edges).unwrap();
-        traversal::reaches(&g, u, v)
-    }
+    use hoplite_graph::{gen, traversal, DiGraph};
 
     fn is_cycle(e: &MutationError) -> bool {
         matches!(e, MutationError::Graph(GraphError::Cycle { .. }))
@@ -761,43 +755,6 @@ mod tests {
         assert_eq!(o.pending_edges(), 0);
         assert!(o.query(0, 3));
         assert_eq!(o.snapshot().num_edges(), 3);
-    }
-
-    #[test]
-    fn randomized_against_ground_truth() {
-        let mut rng = Rng::new(99);
-        for seed in 0..4 {
-            let base = gen::random_dag(30, 50, seed);
-            let n = base.num_vertices();
-            let mut all_edges: Vec<(u32, u32)> = base.graph().edges().collect();
-            let mut o = DynamicOracle::with_config(base, DlConfig::default(), 7);
-            let mut inserted = 0;
-            while inserted < 20 {
-                let u = rng.gen_index(n) as u32;
-                let v = rng.gen_index(n) as u32;
-                match o.insert_edge(u, v) {
-                    Ok(()) => {
-                        all_edges.push((u, v));
-                        inserted += 1;
-                    }
-                    Err(e) if is_cycle(&e) => {
-                        // Ground truth must agree that v reaches u (or u == v).
-                        assert!(u == v || ground_truth(n, &all_edges, v, u));
-                    }
-                    Err(e) => panic!("unexpected {e}"),
-                }
-                // Spot-check a handful of pairs after each operation.
-                for _ in 0..10 {
-                    let a = rng.gen_index(n) as u32;
-                    let b = rng.gen_index(n) as u32;
-                    assert_eq!(
-                        o.query(a, b),
-                        ground_truth(n, &all_edges, a, b),
-                        "seed {seed} pair ({a},{b}) after {inserted} inserts"
-                    );
-                }
-            }
-        }
     }
 
     #[test]
@@ -876,54 +833,6 @@ mod tests {
         assert!(o.query(1, 0));
         assert!(!o.query(0, 1));
         assert_eq!(o.snapshot().num_edges(), 1);
-    }
-
-    #[test]
-    fn randomized_insert_delete_against_ground_truth() {
-        let mut rng = Rng::new(0xD00D);
-        for seed in 0..3 {
-            let base = gen::random_dag(24, 40, seed);
-            let n = base.num_vertices();
-            let mut edges: Vec<(u32, u32)> = base.graph().edges().collect();
-            let mut o = DynamicOracle::with_config(base, DlConfig::default(), 5);
-            for step in 0..60 {
-                let u = rng.gen_index(n) as u32;
-                let v = rng.gen_index(n) as u32;
-                if rng.gen_bool(0.35) && !edges.is_empty() {
-                    // Delete a random existing edge.
-                    let i = rng.gen_index(edges.len());
-                    let (a, b) = edges.swap_remove(i);
-                    assert!(
-                        o.remove_edge(a, b).unwrap(),
-                        "step {step}: ({a},{b}) exists"
-                    );
-                } else {
-                    match o.insert_edge(u, v) {
-                        Ok(()) => {
-                            if !edges.contains(&(u, v)) {
-                                edges.push((u, v));
-                            }
-                        }
-                        Err(e) if is_cycle(&e) => {
-                            assert!(
-                                u == v || ground_truth(n, &edges, v, u),
-                                "step {step}: cycle rejection must match ground truth"
-                            );
-                        }
-                        Err(e) => panic!("unexpected {e}"),
-                    }
-                }
-                for _ in 0..8 {
-                    let a = rng.gen_index(n) as u32;
-                    let b = rng.gen_index(n) as u32;
-                    assert_eq!(
-                        o.query(a, b),
-                        ground_truth(n, &edges, a, b),
-                        "seed {seed} step {step} pair ({a},{b})"
-                    );
-                }
-            }
-        }
     }
 
     // ------------------------------------------------------------------
@@ -1064,62 +973,69 @@ mod tests {
         assert_eq!(overlay, want);
 
         // And the logical graph is exactly base + all six mutations.
-        let edges = [(0, 1), (1, 2), (3, 4), (4, 5)];
-        for a in 0..8u32 {
-            for b in 0..8u32 {
-                assert_eq!(
-                    o.query(a, b),
-                    ground_truth(8, &edges, a, b),
-                    "({a},{b}) after publish"
-                );
-            }
-        }
+        let g = DiGraph::from_edges(8, &[(0, 1), (1, 2), (3, 4), (4, 5)]).unwrap();
+        traversal::assert_matches_bfs(&g, "after publish", |a, b| o.query(a, b));
         // Folding the published overlay inline agrees too.
         o.rebuild();
-        for a in 0..8u32 {
-            for b in 0..8u32 {
-                assert_eq!(o.query(a, b), ground_truth(8, &edges, a, b));
-            }
-        }
+        traversal::assert_matches_bfs(&g, "after inline fold", |a, b| o.query(a, b));
     }
 
+    // ------------------------------------------------------------------
+    // Randomized mutations
+    // ------------------------------------------------------------------
+
+    /// Seeded random mutations under every way the overlay is folded,
+    /// with all pairs checked against BFS over the logical edge list
+    /// after every round. A failure names the row, seed and round. In
+    /// the manual row auto rebuild is off: each round plans a rebuild,
+    /// mutates while it runs, publishes it, and mutates again.
     #[test]
-    fn background_rebuild_randomized_with_concurrent_mutations() {
-        let mut rng = Rng::new(0xBEEF);
-        for seed in 0..3 {
-            let base = gen::random_dag(20, 30, seed);
-            let n = base.num_vertices();
-            let mut edges: Vec<(u32, u32)> = base.graph().edges().collect();
-            let mut o = DynamicOracle::with_config(base, DlConfig::default(), 1_000);
-            o.set_auto_rebuild(false);
-            let mut mutate = |o: &mut DynamicOracle, edges: &mut Vec<(u32, u32)>| {
-                for _ in 0..10 {
-                    let u = rng.gen_index(n) as u32;
-                    let v = rng.gen_index(n) as u32;
-                    if rng.gen_bool(0.4) && !edges.is_empty() {
-                        let i = rng.gen_index(edges.len());
-                        let (a, b) = edges.swap_remove(i);
-                        assert!(o.remove_edge(a, b).unwrap());
-                    } else if o.insert_edge(u, v).is_ok() && !edges.contains(&(u, v)) {
-                        edges.push((u, v));
+    fn randomized_mutations_match_bfs() {
+        for (row, threshold, remove_p, manual) in [
+            ("insert-only", 7, 0.0, false),
+            ("insert+remove, auto rebuild", 5, 0.35, false),
+            ("plan, mutate, publish", 1_000, 0.4, true),
+        ] {
+            for seed in 0..3 {
+                let mut rng = Rng::new(seed);
+                let base = gen::random_dag(24, 40, seed);
+                let n = base.num_vertices();
+                let mut edges: Vec<(u32, u32)> = base.graph().edges().collect();
+                let mut o = DynamicOracle::with_config(base, DlConfig::default(), threshold);
+                o.set_auto_rebuild(!manual);
+                let mut mutate = |o: &mut DynamicOracle, edges: &mut Vec<(u32, u32)>| {
+                    for _ in 0..8 {
+                        if rng.gen_bool(remove_p) && !edges.is_empty() {
+                            let (a, b) = edges.swap_remove(rng.gen_index(edges.len()));
+                            assert!(o.remove_edge(a, b).unwrap(), "({a},{b}) exists");
+                            continue;
+                        }
+                        let (u, v) = (rng.gen_index(n) as u32, rng.gen_index(n) as u32);
+                        match o.insert_edge(u, v) {
+                            Ok(()) if !edges.contains(&(u, v)) => edges.push((u, v)),
+                            Ok(()) => {}
+                            Err(e) if is_cycle(&e) => {
+                                let g = DiGraph::from_edges(n, edges).unwrap();
+                                let closes_cycle = u == v || traversal::reaches(&g, v, u);
+                                assert!(closes_cycle, "({u},{v}) wrongly rejected as a cycle");
+                            }
+                            Err(e) => panic!("unexpected {e}"),
+                        }
                     }
-                }
-            };
-            for round in 0..4 {
-                mutate(&mut o, &mut edges);
-                let plan = o.rebuild_plan();
-                mutate(&mut o, &mut edges); // lands mid-rebuild
-                o.publish(plan.execute());
-                mutate(&mut o, &mut edges); // lands after publish
-                for a in 0..n as u32 {
-                    for b in 0..n as u32 {
-                        assert_eq!(
-                            o.query(a, b),
-                            ground_truth(n, &edges, a, b),
-                            "seed {seed} round {round} ({a},{b})"
-                        );
+                };
+                for round in 0..8 {
+                    mutate(&mut o, &mut edges);
+                    if manual {
+                        let plan = o.rebuild_plan();
+                        mutate(&mut o, &mut edges); // lands mid-rebuild
+                        o.publish(plan.execute());
+                        mutate(&mut o, &mut edges); // lands after publish
                     }
+                    let g = DiGraph::from_edges(n, &edges).unwrap();
+                    let what = format!("{row} seed {seed} round {round}");
+                    traversal::assert_matches_bfs(&g, &what, |a, b| o.query(a, b));
                 }
+                assert!(o.rebuilds() > 0, "{row} seed {seed} never folded");
             }
         }
     }

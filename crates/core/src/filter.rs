@@ -526,18 +526,9 @@ mod tests {
     /// component-space verdict.
     #[test]
     fn projected_filters_match_component_space_on_cyclic_graphs() {
-        use hoplite_graph::DiGraph;
-        let mut rng = gen::Rng::new(77);
         for seed in 0..4u64 {
             let n = 40usize;
-            let edges: Vec<(VertexId, VertexId)> = (0..160)
-                .filter_map(|_| {
-                    let u = rng.gen_index(n) as VertexId;
-                    let v = rng.gen_index(n) as VertexId;
-                    (u != v).then_some((u, v))
-                })
-                .collect();
-            let g = DiGraph::from_edges(n, &edges).unwrap();
+            let g = gen::random_digraph(n, 160, 77 + seed);
             let cond = Dag::condense(&g);
             let comp = QueryFilters::build(&cond.dag);
             let proj = comp.project(&cond.comp_of);

@@ -281,24 +281,11 @@ mod tests {
         }
     }
 
-    fn assert_matches_bfs(dag: &Dag, hl: &HierarchicalLabeling) {
-        let n = dag.num_vertices() as VertexId;
-        for u in 0..n {
-            for v in 0..n {
-                assert_eq!(
-                    hl.query(u, v),
-                    traversal::reaches(dag.graph(), u, v),
-                    "mismatch at ({u},{v})"
-                );
-            }
-        }
-    }
-
     #[test]
     fn diamond_complete() {
         let dag = Dag::from_edges(5, &[(0, 1), (0, 2), (1, 3), (2, 3), (3, 4)]).unwrap();
         let hl = HierarchicalLabeling::build(&dag, &small_cfg());
-        assert_matches_bfs(&dag, &hl);
+        traversal::assert_matches_bfs(dag.graph(), "diamond", |u, v| hl.query(u, v));
     }
 
     #[test]
@@ -306,7 +293,8 @@ mod tests {
         for seed in 0..8 {
             let dag = gen::random_dag(60, 180, seed);
             let hl = HierarchicalLabeling::build(&dag, &small_cfg());
-            assert_matches_bfs(&dag, &hl);
+            let what = format!("random_dag seed {seed}");
+            traversal::assert_matches_bfs(dag.graph(), &what, |u, v| hl.query(u, v));
         }
     }
 
@@ -317,7 +305,8 @@ mod tests {
                 let dag = gen::random_dag(50, 140, seed);
                 let cfg = HlConfig { eps, ..small_cfg() };
                 let hl = HierarchicalLabeling::build(&dag, &cfg);
-                assert_matches_bfs(&dag, &hl);
+                let what = format!("ε={eps}, random_dag seed {seed}");
+                traversal::assert_matches_bfs(dag.graph(), &what, |u, v| hl.query(u, v));
             }
         }
     }
@@ -325,12 +314,15 @@ mod tests {
     #[test]
     fn tree_and_powerlaw_and_layered_complete() {
         for seed in 0..4 {
-            let d = gen::tree_plus_dag(70, 20, seed);
-            assert_matches_bfs(&d, &HierarchicalLabeling::build(&d, &small_cfg()));
-            let d = gen::power_law_dag(70, 210, seed);
-            assert_matches_bfs(&d, &HierarchicalLabeling::build(&d, &small_cfg()));
-            let d = gen::layered_dag(70, 5, 160, seed);
-            assert_matches_bfs(&d, &HierarchicalLabeling::build(&d, &small_cfg()));
+            for (dag, family) in [
+                (gen::tree_plus_dag(70, 20, seed), "tree"),
+                (gen::power_law_dag(70, 210, seed), "power-law"),
+                (gen::layered_dag(70, 5, 160, seed), "layered"),
+            ] {
+                let hl = HierarchicalLabeling::build(&dag, &small_cfg());
+                let what = format!("{family} seed {seed}");
+                traversal::assert_matches_bfs(dag.graph(), &what, |u, v| hl.query(u, v));
+            }
         }
     }
 
@@ -343,7 +335,7 @@ mod tests {
             "expected a real hierarchy, got {:?}",
             hl.level_sizes()
         );
-        assert_matches_bfs(&dag, &hl);
+        traversal::assert_matches_bfs(dag.graph(), "random_dag seed 9", |u, v| hl.query(u, v));
     }
 
     #[test]
@@ -358,11 +350,7 @@ mod tests {
 
         let dag = Dag::from_edges(6, &[]).unwrap();
         let hl = HierarchicalLabeling::build(&dag, &HlConfig::default());
-        for u in 0..6u32 {
-            for v in 0..6u32 {
-                assert_eq!(hl.query(u, v), u == v);
-            }
-        }
+        traversal::assert_matches_bfs(dag.graph(), "edgeless", |u, v| hl.query(u, v));
     }
 
     #[test]
@@ -381,7 +369,7 @@ mod tests {
             hl.core_formula3_used(),
             "diameter 2 core must use Formula 3"
         );
-        assert_matches_bfs(&dag, &hl);
+        traversal::assert_matches_bfs(dag.graph(), "diamond mesh", |u, v| hl.query(u, v));
     }
 
     #[test]
@@ -396,7 +384,7 @@ mod tests {
         };
         let hl = HierarchicalLabeling::build(&dag, &cfg);
         assert!(!hl.core_formula3_used());
-        assert_matches_bfs(&dag, &hl);
+        traversal::assert_matches_bfs(dag.graph(), "path", |u, v| hl.query(u, v));
     }
 
     #[test]
@@ -410,7 +398,8 @@ mod tests {
                 ..small_cfg()
             };
             let hl = HierarchicalLabeling::build(&dag, &cfg);
-            assert_matches_bfs(&dag, &hl);
+            let what = format!("formula 3, random_dag seed {seed}");
+            traversal::assert_matches_bfs(dag.graph(), &what, |u, v| hl.query(u, v));
         }
     }
 

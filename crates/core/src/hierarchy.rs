@@ -180,20 +180,10 @@ mod tests {
         let h = Hierarchy::build(&dag, &HierarchyConfig::default_small());
         for i in 1..h.num_levels() {
             let lvl = &h.levels[i];
-            let m = lvl.dag.num_vertices() as VertexId;
-            for a in 0..m {
-                for b in 0..m {
-                    assert_eq!(
-                        traversal::reaches(lvl.dag.graph(), a, b),
-                        traversal::reaches(
-                            dag.graph(),
-                            lvl.to_orig[a as usize],
-                            lvl.to_orig[b as usize]
-                        ),
-                        "level {i} mismatch"
-                    );
-                }
-            }
+            traversal::assert_matches_bfs(lvl.dag.graph(), &format!("level {i}"), |a, b| {
+                let (a, b) = (lvl.to_orig[a as usize], lvl.to_orig[b as usize]);
+                traversal::reaches(dag.graph(), a, b)
+            });
         }
     }
 

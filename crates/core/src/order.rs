@@ -4,7 +4,7 @@
 //! simplest hierarchy — a total order" (§5). The paper's chosen rank is
 //! the degree product `(|N_out(v)|+1)·(|N_in(v)|+1)`, which counts the
 //! vertex pairs within distance 2 that `v` can cover. The alternatives
-//! here exist for the ordering ablation bench (`benches/ordering.rs`).
+//! here exist for the DL order table of `paper ablation`.
 
 use hoplite_graph::gen::Rng;
 use hoplite_graph::{Dag, TransitiveClosure, VertexId};

@@ -12,7 +12,7 @@
 //! motivates (reachability as a high-QPS primitive inside social
 //! network / ontology / web services): once Distribution-Labeling has
 //! built its small labels, query throughput scales with cores. The
-//! `throughput` Criterion bench measures the scaling curve.
+//! scaling stage of `paper perf` measures the curve.
 //!
 //! ```
 //! use hoplite_graph::{gen, Dag};

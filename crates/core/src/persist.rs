@@ -600,23 +600,11 @@ fn open_arena(buf: Arc<ArenaBuf>, verify: bool) -> Result<Oracle, PersistError> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hoplite_graph::gen;
-
-    fn random_cyclic_digraph(n: usize, m: usize, seed: u64) -> hoplite_graph::DiGraph {
-        let mut rng = gen::Rng::new(seed);
-        let edges: Vec<(u32, u32)> = (0..m)
-            .filter_map(|_| {
-                let u = rng.gen_index(n) as u32;
-                let v = rng.gen_index(n) as u32;
-                (u != v).then_some((u, v))
-            })
-            .collect();
-        hoplite_graph::DiGraph::from_edges(n, &edges).unwrap()
-    }
+    use hoplite_graph::{gen, traversal};
 
     #[test]
     fn arena_roundtrip_preserves_queries_and_structure() {
-        let g = random_cyclic_digraph(60, 200, 91);
+        let g = gen::random_digraph(60, 200, 91);
         let o = Oracle::new(&g);
         let mut buf = Vec::new();
         o.save_arena(&mut buf).unwrap();
@@ -630,11 +618,7 @@ mod tests {
         assert_eq!(o.num_components(), o2.num_components());
         assert_eq!(o.label_entries(), o2.label_entries());
         assert_eq!(o.comp_of(), o2.comp_of());
-        for u in 0..60u32 {
-            for v in 0..60u32 {
-                assert_eq!(o.reaches(u, v), o2.reaches(u, v), "({u},{v})");
-            }
-        }
+        traversal::assert_matches_bfs(&g, "reopened arena", |u, v| o2.reaches(u, v));
         let pairs: Vec<(u32, u32)> = (0..60).flat_map(|u| (0..60).map(move |v| (u, v))).collect();
         assert_eq!(o.reaches_batch(&pairs, 3), o2.reaches_batch(&pairs, 3));
         // Every array is arena-addressed (nothing was deserialized),
@@ -650,7 +634,7 @@ mod tests {
 
     #[test]
     fn arena_corruption_is_rejected() {
-        let g = random_cyclic_digraph(30, 90, 93);
+        let g = gen::random_digraph(30, 90, 93);
         let o = Oracle::new(&g);
         let mut buf = Vec::new();
         o.save_arena(&mut buf).unwrap();
@@ -685,7 +669,7 @@ mod tests {
 
     #[test]
     fn arena_open_from_disk_mapped_and_owned() {
-        let g = random_cyclic_digraph(40, 130, 94);
+        let g = gen::random_digraph(40, 130, 94);
         let o = Oracle::new(&g);
         let path = std::env::temp_dir().join(format!(
             "hoplite-arena-test-{}-{:p}.hopl",
@@ -713,12 +697,8 @@ mod tests {
         )
         .unwrap();
         assert_eq!(owned.backend(), crate::store::StoreBackend::Heap);
-        for u in 0..40u32 {
-            for v in 0..40u32 {
-                assert_eq!(o.reaches(u, v), mapped.reaches(u, v), "mapped ({u},{v})");
-                assert_eq!(o.reaches(u, v), owned.reaches(u, v), "owned ({u},{v})");
-            }
-        }
+        traversal::assert_matches_bfs(&g, "mapped", |u, v| mapped.reaches(u, v));
+        traversal::assert_matches_bfs(&g, "owned", |u, v| owned.reaches(u, v));
         // A v1 header through the same `open` entry point is refused
         // by version, with both backends.
         let mut v1 = b"HOPL\x01\x00\x00\x00\x04".to_vec();

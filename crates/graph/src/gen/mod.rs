@@ -10,18 +10,20 @@
 //! * [`random_dag`] — uniform Erdős–Rényi DAGs (p2p-like).
 //! * [`layered_dag`] — XML-ish layered documents (xmark).
 //! * [`grid_dag`] — deterministic worst-case-ish lattice used in tests.
+//! * [`random_digraph`] — a cyclic digraph (not a [`Dag`]) for the
+//!   layers that condense SCCs first.
 //!
-//! All generators are deterministic in `(parameters, seed)` and return
-//! validated [`Dag`]s. Edges are always generated from a smaller to a
-//! larger position in a hidden random permutation, so acyclicity holds
-//! by construction (and is re-checked by `Dag::new`).
+//! All generators are deterministic in `(parameters, seed)`. The DAG
+//! families return validated [`Dag`]s: edges always go from a smaller
+//! to a larger position in a hidden random permutation, so acyclicity
+//! holds by construction (and is re-checked by `Dag::new`).
 
 mod rng;
 
 pub use rng::Rng;
 
 use crate::dag::Dag;
-use crate::digraph::GraphBuilder;
+use crate::digraph::{DiGraph, GraphBuilder};
 use crate::hash::FxHashSet;
 use crate::VertexId;
 
@@ -344,6 +346,29 @@ pub fn kronecker_dag(scale: u32, edges: usize, seed: u64) -> Dag {
         }
     }
     Dag::new(builder.build()).expect("priority-oriented edges are acyclic")
+}
+
+/// Random digraph with `n` vertices and up to `m` edges: `m` uniform
+/// endpoint draws, self-loops skipped, so cycles and duplicate edges
+/// are very much included. The cyclic input every SCC-condensing layer
+/// is tested on.
+///
+/// ```
+/// use hoplite_graph::gen;
+/// let g = gen::random_digraph(30, 90, 7);
+/// assert_eq!(g.num_vertices(), 30);
+/// assert_eq!(g, gen::random_digraph(30, 90, 7));
+/// ```
+pub fn random_digraph(n: usize, m: usize, seed: u64) -> DiGraph {
+    let mut rng = Rng::new(seed);
+    let edges: Vec<(VertexId, VertexId)> = (0..m)
+        .filter_map(|_| {
+            let u = rng.gen_index(n) as VertexId;
+            let v = rng.gen_index(n) as VertexId;
+            (u != v).then_some((u, v))
+        })
+        .collect();
+    DiGraph::from_edges(n, &edges).expect("edges are in range")
 }
 
 /// Deterministic `rows × cols` grid DAG with edges right and down.

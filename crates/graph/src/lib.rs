@@ -13,13 +13,15 @@
 //!   digraph into its component [`Dag`].
 //! * [`Dag`] — a validated acyclic graph with a cached topological order.
 //! * [`traversal`] — allocation-reusing BFS/DFS machinery, bounded
-//!   neighborhoods, and online reachability checks (the "no index"
-//!   baseline of the paper).
+//!   neighborhoods, online reachability checks (the "no index"
+//!   baseline of the paper), and [`traversal::assert_matches_bfs`],
+//!   the one BFS reference every correctness test compares against.
 //! * [`bitset`] / [`tc`] — packed bitsets and full transitive-closure
 //!   materialization (ground truth for tests; substrate for the
 //!   transitive-closure-compression baselines).
 //! * [`gen`] — seeded synthetic DAG generators standing in for the
-//!   paper's real-world datasets.
+//!   paper's real-world datasets, plus the cyclic
+//!   [`gen::random_digraph`] test input.
 //! * [`io`] — edge-list and `.gra` (GRAIL/SCARAB) format readers and
 //!   writers.
 //!

@@ -102,31 +102,18 @@ mod tests {
     use super::*;
     use crate::traversal;
 
-    fn check_against_bfs(dag: &Dag) {
-        let tc = TransitiveClosure::build(dag);
-        let n = dag.num_vertices() as VertexId;
-        for u in 0..n {
-            for v in 0..n {
-                assert_eq!(
-                    tc.reaches(u, v),
-                    traversal::reaches(dag.graph(), u, v),
-                    "mismatch at ({u},{v})"
-                );
-            }
-        }
-    }
-
     #[test]
     fn diamond_matches_bfs() {
         let dag = Dag::from_edges(5, &[(0, 1), (0, 2), (1, 3), (2, 3), (3, 4)]).unwrap();
-        check_against_bfs(&dag);
+        let tc = TransitiveClosure::build(&dag);
+        traversal::assert_matches_bfs(dag.graph(), "diamond", |u, v| tc.reaches(u, v));
     }
 
     #[test]
     fn disconnected_matches_bfs() {
         let dag = Dag::from_edges(6, &[(0, 1), (2, 3)]).unwrap();
-        check_against_bfs(&dag);
         let tc = TransitiveClosure::build(&dag);
+        traversal::assert_matches_bfs(dag.graph(), "disconnected", |u, v| tc.reaches(u, v));
         assert_eq!(tc.num_pairs(), 2);
     }
 

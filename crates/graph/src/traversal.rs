@@ -257,6 +257,37 @@ pub fn bounded_neighborhood(
     }
 }
 
+/// Asserts `answer(u, v)` equals BFS reachability in `g` for every
+/// ordered pair, building one [`collect_reachable`] row per source.
+/// This is the ground truth every index and serving layer is tested
+/// against.
+///
+/// # Panics
+///
+/// On the first disagreement, with the one-line message
+/// `"{what}: reach(u, v) = got, BFS = want"`. Put the seed and step in
+/// `what`, and that line is the reproducer.
+#[track_caller]
+pub fn assert_matches_bfs(
+    g: &DiGraph,
+    what: &str,
+    mut answer: impl FnMut(VertexId, VertexId) -> bool,
+) {
+    let n = g.num_vertices();
+    let mut scratch = TraversalScratch::new(n);
+    let mut row = Vec::new();
+    for u in 0..n as VertexId {
+        row.clear();
+        collect_reachable(g, u, Direction::Forward, &mut scratch, &mut row);
+        // The row's vertices are exactly those left marked visited.
+        for v in 0..n as VertexId {
+            let want = scratch.visited.contains(v);
+            let got = answer(u, v);
+            assert!(got == want, "{what}: reach({u}, {v}) = {got}, BFS = {want}");
+        }
+    }
+}
+
 /// Vertices in DFS preorder from `v` following `dir`. Iterative; used by
 /// GRAIL-style labeling and tests.
 pub fn dfs_preorder(g: &DiGraph, v: VertexId, dir: Direction) -> Vec<VertexId> {
@@ -374,6 +405,15 @@ mod tests {
         bounded_neighborhood(&g, 4, 2, Direction::Reverse, &mut scratch, &mut out);
         let verts: Vec<_> = out.iter().map(|&(v, _)| v).collect();
         assert_eq!(verts, vec![4, 3, 1, 2]);
+    }
+
+    #[test]
+    #[should_panic(expected = "diamond seed 7: reach(4, 0) = true, BFS = false")]
+    fn checker_names_what_and_the_flipped_pair() {
+        let g = diamond();
+        assert_matches_bfs(&g, "diamond seed 7", |u, v| {
+            (u, v) == (4, 0) || reaches(&g, u, v)
+        });
     }
 
     #[test]

@@ -78,29 +78,4 @@ mod tests {
         assert!(!o.reaches(3, 5));
         assert!(o.reaches(2, 2));
     }
-
-    #[test]
-    fn batch_matches_single_queries_through_sccs() {
-        let g = DiGraph::from_edges(6, &[(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (5, 3)]).unwrap();
-        let o = Oracle::new(&g);
-        let pairs: Vec<(u32, u32)> = (0..6).flat_map(|u| (0..6).map(move |v| (u, v))).collect();
-        for threads in [1, 4] {
-            let batch = o.reaches_batch(&pairs, threads);
-            for (&(u, v), &got) in pairs.iter().zip(&batch) {
-                assert_eq!(got, o.reaches(u, v), "({u},{v}) at {threads} threads");
-            }
-        }
-    }
-
-    #[test]
-    fn oracle_on_plain_dag_matches_bfs() {
-        let g = DiGraph::from_edges(5, &[(0, 1), (0, 2), (1, 3), (2, 3), (3, 4)]).unwrap();
-        let o = Oracle::new(&g);
-        for u in 0..5u32 {
-            for v in 0..5u32 {
-                assert_eq!(o.reaches(u, v), hoplite_graph::traversal::reaches(&g, u, v));
-            }
-        }
-        assert!(o.label_entries() > 0);
-    }
 }

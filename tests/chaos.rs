@@ -26,12 +26,12 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use hoplite::core::WalConfig;
-use hoplite::graph::gen::Rng;
+use hoplite::graph::{gen, traversal};
 use hoplite::server::loadgen::{run_load, LoadSpec};
 use hoplite::server::{
     Client, ClientError, ErrorCode, Registry, Request, Server, ServerConfig, ServerHandle,
 };
-use hoplite::{Dag, DiGraph, Oracle, VertexId};
+use hoplite::{Dag, Oracle};
 
 // ---------------------------------------------------------------------
 // Fault-injecting proxy.
@@ -169,18 +169,6 @@ fn temp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-fn random_cyclic_digraph(n: usize, m: usize, seed: u64) -> DiGraph {
-    let mut rng = Rng::new(seed);
-    let edges: Vec<(VertexId, VertexId)> = (0..m)
-        .filter_map(|_| {
-            let u = rng.gen_index(n) as VertexId;
-            let v = rng.gen_index(n) as VertexId;
-            (u != v).then_some((u, v))
-        })
-        .collect();
-    DiGraph::from_edges(n, &edges).expect("edges are in range")
-}
-
 /// A server admitting roughly `1/factor` of the load the spec offers —
 /// the drill every overload test runs at 3–4x the shed threshold.
 /// Both budgets count frames in flight per reactor tick, across every
@@ -203,7 +191,7 @@ fn overloaded_server(
 }
 
 fn frozen_registry(vertices: usize, edges: usize, seed: u64) -> Registry {
-    let g = random_cyclic_digraph(vertices, edges, seed);
+    let g = gen::random_digraph(vertices, edges, seed);
     let registry = Registry::new();
     registry.insert_frozen("web", Oracle::new(&g)).unwrap();
     registry
@@ -723,17 +711,13 @@ fn reactor_coalesced_reads_refuse_typed_not_ready_during_startup() {
 #[test]
 fn proxy_with_no_faults_is_transparent() {
     let registry = frozen_registry(60, 200, 0xFEED);
-    let g = random_cyclic_digraph(60, 200, 0xFEED);
+    let g = gen::random_digraph(60, 200, 0xFEED);
     let handle = Server::bind("127.0.0.1:0", Arc::new(registry), ServerConfig::default())
         .expect("bind loopback");
     let proxy = ChaosProxy::start(handle.local_addr(), vec![Fault::None]);
     let mut client = Client::connect(proxy.addr).unwrap();
-    for (u, v) in [(0u32, 1u32), (5, 40), (59, 0), (12, 12)] {
-        assert_eq!(
-            client.reach("web", u, v).unwrap(),
-            hoplite::graph::traversal::reaches(&g, u, v),
-            "({u}, {v}) through the transparent proxy"
-        );
-    }
+    traversal::assert_matches_bfs(&g, "through the transparent proxy", |u, v| {
+        client.reach("web", u, v).unwrap()
+    });
     handle.shutdown();
 }

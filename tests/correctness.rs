@@ -1,6 +1,8 @@
 //! Cross-crate correctness: every index in the workspace must agree
-//! with the materialized transitive closure on every vertex pair, for
-//! every generator family.
+//! with BFS on every vertex pair, for every generator family. This
+//! matrix is the one place that proves "index X = BFS on family F"; a
+//! new index or configuration is proven by adding a row to
+//! [`all_indexes`].
 
 use hoplite::baselines::twohop::TwoHopConfig;
 use hoplite::baselines::{
@@ -8,7 +10,7 @@ use hoplite::baselines::{
     PrunedLandmark, Pwah8, Scarab, TfLabel, TwoHop,
 };
 use hoplite::core::{DistributionLabeling, DlConfig, HierarchicalLabeling, HlConfig, ReachIndex};
-use hoplite::graph::{gen, Dag, TransitiveClosure};
+use hoplite::graph::{gen, traversal, Dag};
 
 /// Builds one of every index over `dag`.
 fn all_indexes(dag: &Dag, seed: u64) -> Vec<Box<dyn ReachIndex>> {
@@ -22,18 +24,26 @@ fn all_indexes(dag: &Dag, seed: u64) -> Vec<Box<dyn ReachIndex>> {
             },
         )),
         Box::new(Grail::build(dag, 5, seed)),
+        Box::new(Grail::build(dag, 1, seed)),
         Box::new(IntervalIndex::build(dag, u64::MAX).expect("no budget")),
         Box::new(PathTree::build(dag, u64::MAX).expect("no budget")),
         Box::new(Pwah8::build(dag, u64::MAX).expect("no budget")),
         Box::new(KReach::build(dag, u64::MAX).expect("no budget")),
         Box::new(TwoHop::build(dag, &TwoHopConfig::default()).expect("no budget")),
         Box::new(TfLabel::build(dag, 12)),
+        Box::new(TfLabel::build(dag, 8)),
         Box::new(PrunedLandmark::build(dag)),
         Box::new(
             Scarab::build(dag, 2, "GL*", |bb| Ok(Grail::build(bb, 5, seed))).expect("inner ok"),
         ),
         Box::new(
             Scarab::build(dag, 2, "PT*", |bb| PathTree::build(bb, u64::MAX)).expect("inner ok"),
+        ),
+        Box::new(
+            Scarab::build(dag, 1, "GL*", |bb| Ok(Grail::build(bb, 3, seed))).expect("inner ok"),
+        ),
+        Box::new(
+            Scarab::build(dag, 3, "GL*", |bb| Ok(Grail::build(bb, 3, seed))).expect("inner ok"),
         ),
         Box::new(BfsOnline::build(dag)),
         Box::new(DfsOnline::build(dag)),
@@ -43,19 +53,9 @@ fn all_indexes(dag: &Dag, seed: u64) -> Vec<Box<dyn ReachIndex>> {
 }
 
 fn check_all(dag: &Dag, seed: u64) {
-    let tc = TransitiveClosure::build(dag);
-    let n = dag.num_vertices() as u32;
-    for idx in all_indexes(dag, seed) {
-        for u in 0..n {
-            for v in 0..n {
-                assert_eq!(
-                    idx.query(u, v),
-                    tc.reaches(u, v),
-                    "{} disagrees with TC at ({u},{v}), seed {seed}",
-                    idx.name()
-                );
-            }
-        }
+    for (row, idx) in all_indexes(dag, seed).iter().enumerate() {
+        let what = format!("all_indexes[{row}] ({}), seed {seed}", idx.name());
+        traversal::assert_matches_bfs(dag.graph(), &what, |u, v| idx.query(u, v));
     }
 }
 
@@ -71,6 +71,8 @@ fn all_indexes_on_tree_like_dags() {
     for seed in 0..3 {
         check_all(&gen::tree_plus_dag(80, 24, seed), seed);
     }
+    // A pure tree: every reachable set is one subtree.
+    check_all(&gen::tree_plus_dag(80, 0, 3), 3);
 }
 
 #[test]
@@ -91,6 +93,22 @@ fn all_indexes_on_layered_dags() {
 fn all_indexes_on_forest_dags() {
     for seed in 0..3 {
         check_all(&gen::forest_dag(80, 50, seed), seed);
+    }
+}
+
+#[test]
+fn all_indexes_on_deep_chain_dags() {
+    // The `batch_scan` benchmark's family: six deep chains with sparse
+    // cross edges.
+    for seed in 0..3 {
+        check_all(&gen::deep_chain_dag(240, 6, 40, seed), seed);
+    }
+}
+
+#[test]
+fn all_indexes_on_kronecker_dags() {
+    for seed in 0..3 {
+        check_all(&gen::kronecker_dag(7, 400, seed), seed);
     }
 }
 

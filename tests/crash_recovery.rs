@@ -61,21 +61,10 @@ fn apply_ops(seed: &[(u32, u32)], ops: &[EdgeOp]) -> BTreeSet<(u32, u32)> {
     edges
 }
 
-/// All-pairs check: `answer(u, v)` must equal BFS over `edges`.
-fn assert_matches_bfs(
-    n: usize,
-    edges: &BTreeSet<(u32, u32)>,
-    ctx: &str,
-    mut answer: impl FnMut(u32, u32) -> bool,
-) {
-    let edge_vec: Vec<(u32, u32)> = edges.iter().copied().collect();
-    let g = DiGraph::from_edges(n, &edge_vec).expect("ground-truth graph");
-    for u in 0..n as u32 {
-        for v in 0..n as u32 {
-            let want = traversal::reaches(&g, u, v);
-            assert_eq!(answer(u, v), want, "{ctx}: reach({u}, {v})");
-        }
-    }
+/// The ground-truth graph on `n` vertices with exactly `edges`.
+fn graph_of(n: usize, edges: &BTreeSet<(u32, u32)>) -> DiGraph {
+    let edges: Vec<(u32, u32)> = edges.iter().copied().collect();
+    DiGraph::from_edges(n, &edges).expect("ground-truth graph")
 }
 
 /// The fixed op script most dirs in this suite log: inserts and
@@ -177,7 +166,7 @@ fn torn_tail_at_every_byte_recovers_the_prefix_and_matches_bfs() {
         let mut oracle = DynamicOracle::new(rec.base);
         oracle.replay(&rec.ops).expect("replay");
         let truth = apply_ops(SEED_EDGES, &rec.ops);
-        assert_matches_bfs(SEED_N, &truth, &format!("cut {cut}"), |u, v| {
+        traversal::assert_matches_bfs(&graph_of(SEED_N, &truth), &format!("cut {cut}"), |u, v| {
             oracle.query(u, v)
         });
     }
@@ -206,9 +195,11 @@ fn bit_flips_anywhere_in_the_log_truncate_at_the_damaged_record() {
             let mut oracle = DynamicOracle::new(rec.base);
             oracle.replay(&rec.ops).expect("replay");
             let truth = apply_ops(SEED_EDGES, &rec.ops);
-            assert_matches_bfs(SEED_N, &truth, &format!("flip {byte}.{bit}"), |u, v| {
-                oracle.query(u, v)
-            });
+            traversal::assert_matches_bfs(
+                &graph_of(SEED_N, &truth),
+                &format!("flip {byte}.{bit}"),
+                |u, v| oracle.query(u, v),
+            );
         }
     }
     fs::remove_dir_all(&root).ok();
@@ -238,7 +229,9 @@ fn rotation_crash_artifacts_fall_back_to_the_valid_generation() {
     let mut oracle = DynamicOracle::new(rec.base);
     oracle.replay(&rec.ops).expect("replay");
     let truth = apply_ops(SEED_EDGES, SCRIPT);
-    assert_matches_bfs(SEED_N, &truth, "artifacts", |u, v| oracle.query(u, v));
+    traversal::assert_matches_bfs(&graph_of(SEED_N, &truth), "artifacts", |u, v| {
+        oracle.query(u, v)
+    });
     fs::remove_dir_all(&root).ok();
 }
 
@@ -302,9 +295,11 @@ fn remove_then_reverse_insert_mid_rebuild_survives_rotation_and_restart() {
             .replay(&rec.ops)
             .expect("replaying a rotated log with a reverse insert must not fail");
         let truth = apply_ops(&[(1, 2), (1, 0)], &[]);
-        assert_matches_bfs(3, &truth, &format!("restart {restart}"), |u, v| {
-            recovered.query(u, v)
-        });
+        traversal::assert_matches_bfs(
+            &graph_of(3, &truth),
+            &format!("restart {restart}"),
+            |u, v| recovered.query(u, v),
+        );
     }
     fs::remove_dir_all(&root).ok();
 }
@@ -340,7 +335,9 @@ fn the_staged_checkpoint_is_the_published_index() {
     let arena = fs::read(root.join("checkpoint.tmp")).expect("read staged arena");
     let staged = Oracle::open_arena_bytes(&arena).expect("staged arena opens");
     assert_eq!(staged.label_entries(), oracle.label_entries());
-    assert_matches_bfs(n, &folded, "staged arena", |u, v| staged.reaches(u, v));
+    traversal::assert_matches_bfs(&graph_of(n, &folded), "staged arena", |u, v| {
+        staged.reaches(u, v)
+    });
     fs::remove_dir_all(&root).ok();
 }
 
@@ -412,7 +409,7 @@ fn restart_adopts_the_rotated_checkpoint_labels() {
             "the adopted labels stay mapped: {stats:?}"
         );
     }
-    assert_matches_bfs(n, &truth, "adopted", |u, v| {
+    traversal::assert_matches_bfs(&graph_of(n, &truth), "adopted", |u, v| {
         handle.reach(u, v).expect("reach")
     });
     fs::remove_dir_all(&root).ok();
@@ -451,7 +448,9 @@ fn double_recovery_and_double_replay_are_idempotent() {
     oracle.replay(&first.ops).expect("first replay");
     oracle.replay(&first.ops).expect("second replay is a no-op");
     let truth = apply_ops(SEED_EDGES, SCRIPT);
-    assert_matches_bfs(SEED_N, &truth, "double replay", |u, v| oracle.query(u, v));
+    traversal::assert_matches_bfs(&graph_of(SEED_N, &truth), "double replay", |u, v| {
+        oracle.query(u, v)
+    });
     fs::remove_dir_all(&root).ok();
 }
 
@@ -507,7 +506,7 @@ fn registry_restart_after_background_rebuilds_matches_bfs() {
             handle.rebuilds_completed() >= 1,
             "threshold 2 over 30+ mutations must have rebuilt"
         );
-        assert_matches_bfs(n, &truth, "before restart", |u, v| {
+        traversal::assert_matches_bfs(&graph_of(n, &truth), "before restart", |u, v| {
             handle.reach(u, v).expect("reach")
         });
         // Registry dropped here — the "kill". Acknowledged ops are on
@@ -522,9 +521,11 @@ fn registry_restart_after_background_rebuilds_matches_bfs() {
             .open_durable("live", decoy, &root, WalConfig::sync_every_record(), None)
             .expect("reopen durable");
         let handle = registry.get("live").unwrap();
-        assert_matches_bfs(n, &truth, &format!("restart {restart}"), |u, v| {
-            handle.reach(u, v).expect("reach")
-        });
+        traversal::assert_matches_bfs(
+            &graph_of(n, &truth),
+            &format!("restart {restart}"),
+            |u, v| handle.reach(u, v).expect("reach"),
+        );
     }
     fs::remove_dir_all(&root).ok();
 }
@@ -628,7 +629,7 @@ proptest! {
 
         let handle = registry.get("live").unwrap();
         handle.quiesce("live");
-        assert_matches_bfs(n as usize, &truth, "served", |u, v| {
+        traversal::assert_matches_bfs(&graph_of(n as usize, &truth), "served", |u, v| {
             writer.reach("live", u, v).expect("reach")
         });
 
@@ -653,7 +654,7 @@ proptest! {
             .open_durable("live", decoy, &root, WalConfig::default(), None)
             .expect("reopen");
         let handle = registry.get("live").unwrap();
-        assert_matches_bfs(n as usize, &truth, "restarted", |u, v| {
+        traversal::assert_matches_bfs(&graph_of(n as usize, &truth), "restarted", |u, v| {
             handle.reach(u, v).expect("recovered reach")
         });
         fs::remove_dir_all(&root).ok();

@@ -1,60 +1,43 @@
 //! Randomized equivalence suite for the query pre-filter stack: the
 //! filtered `Oracle` hot path, the unfiltered label-intersection path,
-//! and BFS ground truth must agree on random cyclic digraphs — on the
-//! freshly built oracle, after a HOPL v3 `save_arena`/open round-trip,
-//! and through the `hoplite-server` wire path.
+//! and BFS ground truth must agree on random cyclic digraphs, plain
+//! DAGs and DAGs with many small SCCs — on the freshly built oracle,
+//! after a HOPL v3 `save_arena`/open round-trip, and through the
+//! `hoplite-server` wire path. This is the root facade's all-pairs BFS
+//! sweep: singles and batches, filtered and unfiltered, at 1 and 3
+//! threads.
 
 use std::sync::Arc;
 
 use hoplite::core::{FilterVerdict, Parallelism};
-use hoplite::graph::gen::Rng;
+use hoplite::graph::gen::{self, Rng};
 use hoplite::graph::traversal;
 use hoplite::server::{Client, Registry, Server, ServerConfig};
 use hoplite::{DiGraph, DlConfig, Oracle, VertexId};
 
-fn random_cyclic_digraph(n: usize, m: usize, seed: u64) -> DiGraph {
-    let mut rng = Rng::new(seed);
-    let edges: Vec<(VertexId, VertexId)> = (0..m)
-        .filter_map(|_| {
-            let u = rng.gen_index(n) as VertexId;
-            let v = rng.gen_index(n) as VertexId;
-            (u != v).then_some((u, v))
-        })
+/// Checks every query entry point against BFS on all n² pairs:
+/// filtered and unfiltered singles, and filtered and unfiltered
+/// batches at 1 and 3 threads.
+fn check_entry_points(g: &DiGraph, oracle: &Oracle, what: &str) {
+    let n = g.num_vertices();
+    traversal::assert_matches_bfs(g, &format!("{what}, filtered"), |u, v| oracle.reaches(u, v));
+    traversal::assert_matches_bfs(g, &format!("{what}, unfiltered"), |u, v| {
+        oracle.reaches_unfiltered(u, v)
+    });
+    let pairs: Vec<(VertexId, VertexId)> = (0..n as VertexId)
+        .flat_map(|u| (0..n as VertexId).map(move |v| (u, v)))
         .collect();
-    DiGraph::from_edges(n, &edges).expect("edges are in range")
-}
-
-/// Asserts the oracle agrees with BFS on all n² pairs, via every query
-/// entry point: filtered single, unfiltered single, filtered batch,
-/// unfiltered batch.
-fn assert_oracle_matches_bfs(g: &DiGraph, oracle: &Oracle, ctx: &str) {
-    let n = g.num_vertices() as VertexId;
-    let mut scratch = hoplite::graph::traversal::TraversalScratch::new(g.num_vertices());
-    let pairs: Vec<(VertexId, VertexId)> =
-        (0..n).flat_map(|u| (0..n).map(move |v| (u, v))).collect();
-    let truth: Vec<bool> = pairs
-        .iter()
-        .map(|&(u, v)| traversal::reaches_with(g, u, v, &mut scratch))
-        .collect();
-    for (&(u, v), &expect) in pairs.iter().zip(&truth) {
-        assert_eq!(oracle.reaches(u, v), expect, "{ctx}: filtered ({u},{v})");
-        assert_eq!(
-            oracle.reaches_unfiltered(u, v),
-            expect,
-            "{ctx}: unfiltered ({u},{v})"
-        );
-    }
     for threads in [1, 3] {
-        assert_eq!(
-            oracle.reaches_batch(&pairs, threads),
-            truth,
-            "{ctx}: filtered batch, {threads} threads"
-        );
-        assert_eq!(
-            oracle.reaches_batch_unfiltered(&pairs, threads),
-            truth,
-            "{ctx}: unfiltered batch, {threads} threads"
-        );
+        for (path, batch) in [
+            ("filtered", oracle.reaches_batch(&pairs, threads)),
+            (
+                "unfiltered",
+                oracle.reaches_batch_unfiltered(&pairs, threads),
+            ),
+        ] {
+            let what = format!("{what}, {path} batch, {threads} threads");
+            traversal::assert_matches_bfs(g, &what, |u, v| batch[u as usize * n + v as usize]);
+        }
     }
 }
 
@@ -65,15 +48,27 @@ fn filtered_unfiltered_and_bfs_agree_on_random_cyclic_digraphs() {
         // dense ones the SCC condensation and positive cuts.
         let n = 48 + (seed as usize % 3) * 16;
         let m = n * (2 + seed as usize % 4);
-        let g = random_cyclic_digraph(n, m, 0xC0FFEE ^ seed);
+        let g = gen::random_digraph(n, m, 0xC0FFEE ^ seed);
         let oracle = Oracle::new(&g);
-        assert_oracle_matches_bfs(&g, &oracle, &format!("seed {seed}"));
+        check_entry_points(&g, &oracle, &format!("seed {seed}"));
+    }
+    // Two more shapes: a plain DAG (nothing to condense), and the same
+    // DAG with every fifth edge closed into a 2-cycle (many small SCCs).
+    for seed in 0..5u64 {
+        let dag = gen::random_dag(60, 150, seed);
+        let mut edges: Vec<(VertexId, VertexId)> = dag.graph().edges().collect();
+        let back: Vec<_> = edges.iter().step_by(5).map(|&(u, v)| (v, u)).collect();
+        edges.extend(back);
+        let two_cycles = DiGraph::from_edges(60, &edges).unwrap();
+        for (g, shape) in [(dag.graph(), "dag"), (&two_cycles, "dag + 2-cycles")] {
+            check_entry_points(g, &Oracle::new(g), &format!("{shape} seed {seed}"));
+        }
     }
 }
 
 #[test]
 fn every_build_engine_feeds_an_equivalent_oracle() {
-    let g = random_cyclic_digraph(70, 250, 99);
+    let g = gen::random_digraph(70, 250, 99);
     for parallelism in [
         Parallelism::Auto,
         Parallelism::Threads(1),
@@ -87,21 +82,21 @@ fn every_build_engine_feeds_an_equivalent_oracle() {
                 ..DlConfig::default()
             },
         );
-        assert_oracle_matches_bfs(&g, &oracle, &format!("{parallelism:?}"));
+        check_entry_points(&g, &oracle, &format!("{parallelism:?}"));
     }
 }
 
 #[test]
 fn equivalence_survives_save_load_roundtrip() {
     for seed in 0..4u64 {
-        let g = random_cyclic_digraph(56, 180, 0xBEEF ^ seed);
+        let g = gen::random_digraph(56, 180, 0xBEEF ^ seed);
         let oracle = Oracle::new(&g);
         let mut buf = Vec::new();
         oracle.save_arena(&mut buf).expect("save");
         let restored = Oracle::open_arena_bytes(&buf).expect("open");
         // The filter records are served straight from the arena, so
         // the restored oracle must pass the same full-matrix check.
-        assert_oracle_matches_bfs(&g, &restored, &format!("roundtrip seed {seed}"));
+        check_entry_points(&g, &restored, &format!("roundtrip seed {seed}"));
         // And the two oracles' filter verdicts are identical: the
         // arena carries the built records byte for byte.
         let n = g.num_vertices() as VertexId;
@@ -120,36 +115,26 @@ fn equivalence_survives_save_load_roundtrip() {
 #[test]
 fn equivalence_through_the_server_wire_path() {
     let n = 50usize;
-    let g = random_cyclic_digraph(n, 170, 0xFADE);
+    let g = gen::random_digraph(n, 170, 0xFADE);
     let registry = Registry::new();
     registry.insert_frozen("equiv", Oracle::new(&g)).unwrap();
     let handle = Server::bind("127.0.0.1:0", Arc::new(registry), ServerConfig::default())
         .expect("bind ephemeral loopback port");
 
     let mut client = Client::connect(handle.local_addr()).expect("connect");
-    let mut scratch = hoplite::graph::traversal::TraversalScratch::new(n);
     let pairs: Vec<(u32, u32)> = (0..n as u32)
         .flat_map(|u| (0..n as u32).map(move |v| (u, v)))
         .collect();
-    // Singles for a sample, BATCH for the full matrix: both handlers
-    // run the filtered hot path.
-    for &(u, v) in pairs.iter().step_by(17) {
-        assert_eq!(
-            client.reach("equiv", u, v).expect("REACH"),
-            traversal::reaches_with(&g, u, v, &mut scratch),
-            "wire REACH ({u},{v})"
-        );
-    }
-    for chunk in pairs.chunks(500) {
-        let answers = client.reach_batch("equiv", chunk).expect("BATCH");
-        for (&(u, v), &got) in chunk.iter().zip(&answers) {
-            assert_eq!(
-                got,
-                traversal::reaches_with(&g, u, v, &mut scratch),
-                "wire BATCH ({u},{v})"
-            );
-        }
-    }
+    // REACH and BATCH over the full matrix: both handlers run the
+    // filtered hot path.
+    traversal::assert_matches_bfs(&g, "wire REACH", |u, v| {
+        client.reach("equiv", u, v).expect("REACH")
+    });
+    let batch: Vec<bool> = pairs
+        .chunks(500)
+        .flat_map(|chunk| client.reach_batch("equiv", chunk).expect("BATCH"))
+        .collect();
+    traversal::assert_matches_bfs(&g, "wire BATCH", |u, v| batch[u as usize * n + v as usize]);
     handle.shutdown();
 }
 
@@ -158,7 +143,7 @@ fn equivalence_through_the_server_wire_path() {
 /// to label intersections.
 #[test]
 fn filters_decide_queries_on_the_oracle_workload() {
-    let g = random_cyclic_digraph(300, 900, 0xABCD);
+    let g = gen::random_digraph(300, 900, 0xABCD);
     let oracle = Oracle::new(&g);
     let mut rng = Rng::new(1);
     let mut decided = 0usize;

@@ -99,11 +99,7 @@ fn figure2_distribution_steps_match_the_paper() {
     assert!(l11.contains(&13) && !l11.contains(&7));
 
     // And the whole labeling answers correctly.
-    for u in 0..32u32 {
-        for v in 0..32u32 {
-            assert_eq!(dl.query(u, v), traversal::reaches(dag.graph(), u, v));
-        }
-    }
+    traversal::assert_matches_bfs(dag.graph(), "Figure 2 DL", |u, v| dl.query(u, v));
 }
 
 #[test]
@@ -125,14 +121,10 @@ fn figure1_hierarchy_and_labeling_invariants() {
     }
     // Lemma 1 on the fixture: level-1 reachability equals G0's.
     let l1 = &hier.levels[1];
-    for a in 0..l1.dag.num_vertices() as u32 {
-        for b in 0..l1.dag.num_vertices() as u32 {
-            assert_eq!(
-                traversal::reaches(l1.dag.graph(), a, b),
-                traversal::reaches(dag.graph(), l1.to_orig[a as usize], l1.to_orig[b as usize])
-            );
-        }
-    }
+    traversal::assert_matches_bfs(l1.dag.graph(), "Figure 1 level 1", |a, b| {
+        let (a, b) = (l1.to_orig[a as usize], l1.to_orig[b as usize]);
+        traversal::reaches(dag.graph(), a, b)
+    });
     // The level-wise labeling is complete (Theorem 1).
     let hl = HierarchicalLabeling::build(
         &dag,
@@ -143,11 +135,7 @@ fn figure1_hierarchy_and_labeling_invariants() {
             ..HlConfig::default()
         },
     );
-    for u in 0..40u32 {
-        for v in 0..40u32 {
-            assert_eq!(hl.query(u, v), traversal::reaches(dag.graph(), u, v));
-        }
-    }
+    traversal::assert_matches_bfs(dag.graph(), "Figure 1 HL", |u, v| hl.query(u, v));
     // "each vertex by default records itself in both Lin and Lout".
     for v in 0..40u32 {
         assert!(hl.labeling().out_label(v).contains(&v));

@@ -9,28 +9,16 @@ use proptest::prelude::*;
 
 use hoplite::core::persist::PersistError;
 use hoplite::core::store::checksum;
-use hoplite::graph::{gen, traversal, DiGraph, VertexId};
+use hoplite::graph::{gen, traversal, DiGraph};
 use hoplite::Oracle;
 
 // ---------------------------------------------------------------------
 // HOPL v3 arena failure injection
 // ---------------------------------------------------------------------
 
-fn random_cyclic_digraph(n: usize, m: usize, seed: u64) -> DiGraph {
-    let mut rng = gen::Rng::new(seed);
-    let edges: Vec<(VertexId, VertexId)> = (0..m)
-        .filter_map(|_| {
-            let u = rng.gen_index(n) as VertexId;
-            let v = rng.gen_index(n) as VertexId;
-            (u != v).then_some((u, v))
-        })
-        .collect();
-    DiGraph::from_edges(n, &edges).expect("edges are in range")
-}
-
 /// A serialized v3 arena over a small cyclic digraph.
 fn arena_fixture() -> (DiGraph, Vec<u8>) {
-    let g = random_cyclic_digraph(36, 120, 15);
+    let g = gen::random_digraph(36, 120, 15);
     let oracle = Oracle::new(&g);
     let mut buf = Vec::new();
     oracle.save_arena(&mut buf).expect("in-memory write");
@@ -240,7 +228,7 @@ proptest! {
     /// mmap ≡ owned ≡ BFS equivalence invariant.
     #[test]
     fn mapped_equals_owned_equals_bfs(seed in 0u64..500, n in 8usize..40, m in 10usize..120) {
-        let g = random_cyclic_digraph(n, m, seed);
+        let g = gen::random_digraph(n, m, seed);
         let built = Oracle::new(&g);
         let mut arena = Vec::new();
         built.save_arena(&mut arena).expect("write arena");
@@ -255,13 +243,9 @@ proptest! {
         )
         .expect("owned open");
         std::fs::remove_file(&path).ok();
-        for u in 0..n as u32 {
-            for v in 0..n as u32 {
-                let truth = traversal::reaches(&g, u, v);
-                prop_assert_eq!(built.reaches(u, v), truth, "built ({},{})", u, v);
-                prop_assert_eq!(mapped.reaches(u, v), truth, "mapped ({},{})", u, v);
-                prop_assert_eq!(owned.reaches(u, v), truth, "owned ({},{})", u, v);
-            }
+        for (what, oracle) in [("built", &built), ("mapped", &mapped), ("owned", &owned)] {
+            let what = format!("{what}, random_digraph({n}, {m}, {seed})");
+            traversal::assert_matches_bfs(&g, &what, |u, v| oracle.reaches(u, v));
         }
     }
 
@@ -276,16 +260,8 @@ proptest! {
         let mut bad = buf.clone();
         bad[pos] ^= 1 << bit;
         if let Ok(oracle) = Oracle::open_arena_bytes(&bad) {
-            let n = g.num_vertices() as VertexId;
-            for u in 0..n {
-                for v in 0..n {
-                    prop_assert_eq!(
-                        oracle.reaches(u, v),
-                        traversal::reaches(&g, u, v),
-                        "byte {} bit {} survived with a wrong answer at ({},{})", pos, bit, u, v
-                    );
-                }
-            }
+            let what = format!("byte {pos} bit {bit} survived");
+            traversal::assert_matches_bfs(&g, &what, |u, v| oracle.reaches(u, v));
         }
     }
 }

@@ -3,8 +3,8 @@
 //! Strategy: an arbitrary edge set over `n ≤ 40` vertices is forced
 //! acyclic by orienting every edge from the smaller to the larger id;
 //! vertex ids are *not* permuted here, which is fine because the crates
-//! under test never assume id order (the unit suites cover permuted
-//! generators).
+//! under test never assume id order (the correctness matrix in
+//! `tests/correctness.rs` covers permuted generators).
 
 use proptest::prelude::*;
 
@@ -13,7 +13,7 @@ use hoplite::core::{
     sorted_intersect, DistributionLabeling, DlConfig, HierarchicalLabeling, HlConfig, OrderKind,
     ReachIndex,
 };
-use hoplite::graph::{scc, traversal, Dag, DiGraph, TransitiveClosure};
+use hoplite::graph::{scc, traversal, Dag, DiGraph};
 
 /// An arbitrary DAG with up to `max_n` vertices and `max_m` candidate
 /// edges.
@@ -60,23 +60,18 @@ proptest! {
         let oracle = hoplite::Oracle::new(&g);
         let comp_of = oracle.comp_of();
         let labeling = oracle.inner().labeling();
-        let n = g.num_vertices() as u32;
-        let mut scratch = traversal::TraversalScratch::new(g.num_vertices());
-        let mut pairs = Vec::with_capacity((n * n) as usize);
-        let mut truth = Vec::with_capacity((n * n) as usize);
-        for u in 0..n {
-            for v in 0..n {
-                let t = traversal::reaches_with(&g, u, v, &mut scratch);
-                prop_assert_eq!(oracle.reaches(u, v), t, "filtered ({},{})", u, v);
-                prop_assert_eq!(oracle.reaches_unfiltered(u, v), t, "unfiltered ({},{})", u, v);
-                let (cu, cv) = (comp_of[u as usize], comp_of[v as usize]);
-                prop_assert_eq!(labeling.query_unsigned(cu, cv), t, "unsigned ({},{})", u, v);
-                pairs.push((u, v));
-                truth.push(t);
-            }
-        }
+        let n = g.num_vertices();
+        traversal::assert_matches_bfs(&g, "filtered", |u, v| oracle.reaches(u, v));
+        traversal::assert_matches_bfs(&g, "unfiltered", |u, v| oracle.reaches_unfiltered(u, v));
+        traversal::assert_matches_bfs(&g, "unsigned", |u, v| {
+            labeling.query_unsigned(comp_of[u as usize], comp_of[v as usize])
+        });
+        let pairs: Vec<(u32, u32)> =
+            (0..n as u32).flat_map(|u| (0..n as u32).map(move |v| (u, v))).collect();
         let (answers, tally) = oracle.reaches_batch_tallied(&pairs, 3);
-        prop_assert_eq!(answers, truth, "tallied batch");
+        traversal::assert_matches_bfs(&g, "tallied batch", |u, v| {
+            answers[u as usize * n + v as usize]
+        });
         prop_assert_eq!(tally.total(), pairs.len() as u64);
     }
 
@@ -84,36 +79,25 @@ proptest! {
     /// ground truth on every pair of every random DAG.
     #[test]
     fn dl_and_hl_match_ground_truth(dag in arb_dag(36, 120)) {
-        let tc = TransitiveClosure::build(&dag);
         let dl = DistributionLabeling::build(&dag, &DlConfig::default());
         let hl = HierarchicalLabeling::build(&dag, &HlConfig {
             core_size_limit: 6,
             ..HlConfig::default()
         });
-        let n = dag.num_vertices() as u32;
-        for u in 0..n {
-            for v in 0..n {
-                prop_assert_eq!(dl.query(u, v), tc.reaches(u, v), "DL ({},{})", u, v);
-                prop_assert_eq!(hl.query(u, v), tc.reaches(u, v), "HL ({},{})", u, v);
-            }
-        }
+        traversal::assert_matches_bfs(dag.graph(), "DL", |u, v| dl.query(u, v));
+        traversal::assert_matches_bfs(dag.graph(), "HL", |u, v| hl.query(u, v));
     }
 
     /// DL with *any* processing order stays complete (Theorem 3 does
     /// not depend on the rank function).
     #[test]
     fn dl_complete_under_random_orders(dag in arb_dag(30, 90), seed in 0u64..1000) {
-        let tc = TransitiveClosure::build(&dag);
         let dl = DistributionLabeling::build(&dag, &DlConfig {
             order: OrderKind::Random(seed),
             ..DlConfig::default()
         });
-        let n = dag.num_vertices() as u32;
-        for u in 0..n {
-            for v in 0..n {
-                prop_assert_eq!(dl.query(u, v), tc.reaches(u, v));
-            }
-        }
+        let what = format!("DL, Random({seed}) order");
+        traversal::assert_matches_bfs(dag.graph(), &what, |u, v| dl.query(u, v));
     }
 
     /// Theorem 4 (non-redundancy) as a property: no single DL hop can
@@ -126,13 +110,19 @@ proptest! {
             (0..n as u32).map(|v| dl.labeling().out_label(v).to_vec()).collect();
         let in_: Vec<Vec<u32>> =
             (0..n as u32).map(|v| dl.labeling().in_label(v).to_vec()).collect();
-        let complete = |out: &[Vec<u32>], in_: &[Vec<u32>]| {
-            (0..n as u32).all(|u| (0..n as u32).all(|v| {
-                sorted_intersect(&out[u as usize], &in_[v as usize])
-                    == (u == v || traversal::reaches(dag.graph(), u, v))
-            }))
+        let answers = |out: &[Vec<u32>], in_: &[Vec<u32>]| -> Vec<bool> {
+            (0..n)
+                .flat_map(|u| (0..n).map(move |v| (u, v)))
+                .map(|(u, v)| sorted_intersect(&out[u], &in_[v]))
+                .collect()
         };
-        prop_assert!(complete(&out, &in_));
+        let full = answers(&out, &in_);
+        traversal::assert_matches_bfs(dag.graph(), "DL labels", |u, v| {
+            full[u as usize * n + v as usize]
+        });
+        // Trimming only loses answers, so a complete labeling stays
+        // complete iff it still gives every answer `full` gives.
+        let complete = |out: &[Vec<u32>], in_: &[Vec<u32>]| answers(out, in_) == full;
         for v in 0..n {
             for k in 0..out[v].len() {
                 let mut t = out.clone();
@@ -150,7 +140,6 @@ proptest! {
     /// Baseline indexes agree with ground truth on random DAGs.
     #[test]
     fn baselines_match_ground_truth(dag in arb_dag(30, 90), seed in 0u64..100) {
-        let tc = TransitiveClosure::build(&dag);
         let indexes: Vec<Box<dyn ReachIndex>> = vec![
             Box::new(Grail::build(&dag, 3, seed)),
             Box::new(IntervalIndex::build(&dag, u64::MAX).unwrap()),
@@ -159,16 +148,9 @@ proptest! {
             Box::new(KReach::build(&dag, u64::MAX).unwrap()),
             Box::new(TfLabel::build(&dag, 6)),
         ];
-        let n = dag.num_vertices() as u32;
         for idx in &indexes {
-            for u in 0..n {
-                for v in 0..n {
-                    prop_assert_eq!(
-                        idx.query(u, v), tc.reaches(u, v),
-                        "{} at ({},{})", idx.name(), u, v
-                    );
-                }
-            }
+            let what = format!("{}, seed {seed}", idx.name());
+            traversal::assert_matches_bfs(dag.graph(), &what, |u, v| idx.query(u, v));
         }
     }
 
@@ -177,15 +159,10 @@ proptest! {
     #[test]
     fn condensation_preserves_reachability(g in arb_digraph(24, 80)) {
         let cond = scc::condense(&g);
-        let n = g.num_vertices() as u32;
-        for u in 0..n {
-            for v in 0..n {
-                let orig = traversal::reaches(&g, u, v);
-                let (cu, cv) = (cond.comp_of[u as usize], cond.comp_of[v as usize]);
-                let via_dag = cu == cv || traversal::reaches(cond.dag.graph(), cu, cv);
-                prop_assert_eq!(orig, via_dag, "({},{})", u, v);
-            }
-        }
+        traversal::assert_matches_bfs(&g, "via the condensation", |u, v| {
+            let (cu, cv) = (cond.comp_of[u as usize], cond.comp_of[v as usize]);
+            cu == cv || traversal::reaches(cond.dag.graph(), cu, cv)
+        });
     }
 
     /// Condensation component ids are topological.
@@ -276,19 +253,14 @@ proptest! {
         prop_assert_eq!(acc.count_ones(), truth.len() as u64);
     }
 
-    /// Persisted oracles reopen to identical query behaviour.
+    /// Persisted oracles reopen to BFS-exact answers.
     #[test]
     fn persistence_roundtrip(dag in arb_dag(24, 70)) {
         let oracle = hoplite::Oracle::new(dag.graph());
         let mut buf = Vec::new();
         oracle.save_arena(&mut buf).expect("serialize");
         let reopened = hoplite::Oracle::open_arena_bytes(&buf).expect("open");
-        let n = dag.num_vertices() as u32;
-        for u in 0..n {
-            for v in 0..n {
-                prop_assert_eq!(oracle.reaches(u, v), reopened.reaches(u, v));
-            }
-        }
+        traversal::assert_matches_bfs(dag.graph(), "reopened", |u, v| reopened.reaches(u, v));
     }
 
     /// Generators are pure functions of `(parameters, seed)` and keep
@@ -455,14 +427,6 @@ proptest! {
             }
         }
         let rebuilt = DiGraph::from_edges(n, &edges).expect("valid");
-        for u in 0..n as u32 {
-            for v in 0..n as u32 {
-                prop_assert_eq!(
-                    oracle.query(u, v),
-                    traversal::reaches(&rebuilt, u, v),
-                    "({},{})", u, v
-                );
-            }
-        }
+        traversal::assert_matches_bfs(&rebuilt, "overlay", |u, v| oracle.query(u, v));
     }
 }

@@ -9,25 +9,13 @@ use std::net::TcpStream;
 use std::sync::Arc;
 
 use hoplite::core::DynamicOracle;
-use hoplite::graph::gen::Rng;
+use hoplite::graph::gen::{self, Rng};
 use hoplite::graph::traversal;
 use hoplite::server::{
     Client, ClientError, NamespaceKind, Registry, Request, Response, Server, ServerConfig,
     MAX_FRAME_LEN, PROTOCOL_VERSION,
 };
-use hoplite::{Dag, DiGraph, Oracle, VertexId};
-
-fn random_cyclic_digraph(n: usize, m: usize, seed: u64) -> DiGraph {
-    let mut rng = Rng::new(seed);
-    let edges: Vec<(VertexId, VertexId)> = (0..m)
-        .filter_map(|_| {
-            let u = rng.gen_index(n) as VertexId;
-            let v = rng.gen_index(n) as VertexId;
-            (u != v).then_some((u, v))
-        })
-        .collect();
-    DiGraph::from_edges(n, &edges).expect("edges are in range")
-}
+use hoplite::{Dag, DiGraph, Oracle};
 
 fn serve(registry: Registry) -> hoplite::server::ServerHandle {
     serve_with(registry, ServerConfig::default())
@@ -40,43 +28,51 @@ fn serve_with(registry: Registry, config: ServerConfig) -> hoplite::server::Serv
 #[test]
 fn concurrent_clients_agree_with_bfs_ground_truth() {
     let n = 60;
-    let g = random_cyclic_digraph(n, 200, 0xFEED);
+    let g = gen::random_digraph(n, 200, 0xFEED);
     let registry = Registry::new();
     registry.insert_frozen("web", Oracle::new(&g)).unwrap();
     let handle = serve(registry);
     let addr = handle.local_addr();
 
-    // 6 concurrent clients; each takes a slice of the full n×n query
-    // matrix, alternating single REACH and BATCH frames.
+    // 6 concurrent clients; client c takes the pairs whose matrix
+    // index u·n + v is c mod 6, alternating single REACH and BATCH
+    // frames.
     let clients = 6u32;
+    let mut answers = vec![false; n * n];
     std::thread::scope(|scope| {
-        for c in 0..clients {
-            let g = &g;
-            scope.spawn(move || {
-                let mut client = Client::connect(addr).expect("connect");
-                let mine: Vec<(u32, u32)> = (0..n as u32)
-                    .flat_map(|u| (0..n as u32).map(move |v| (u, v)))
-                    .filter(|&(u, v)| (u * n as u32 + v) % clients == c)
-                    .collect();
-                for chunk in mine.chunks(64) {
-                    if chunk.len() % 2 == 1 {
-                        // Odd chunks go one by one.
-                        for &(u, v) in chunk {
-                            assert_eq!(
-                                client.reach("web", u, v).expect("REACH"),
-                                traversal::reaches(g, u, v),
-                                "client {c}: ({u},{v})"
+        let workers: Vec<_> = (0..clients)
+            .map(|c| {
+                scope.spawn(move || {
+                    let mut client = Client::connect(addr).expect("connect");
+                    let mine: Vec<(u32, u32)> = (0..n as u32)
+                        .flat_map(|u| (0..n as u32).map(move |v| (u, v)))
+                        .filter(|&(u, v)| (u * n as u32 + v) % clients == c)
+                        .collect();
+                    let mut got = Vec::with_capacity(mine.len());
+                    for chunk in mine.chunks(64) {
+                        if chunk.len() % 2 == 1 {
+                            // Odd chunks go one by one.
+                            got.extend(
+                                chunk
+                                    .iter()
+                                    .map(|&(u, v)| client.reach("web", u, v).expect("REACH")),
                             );
-                        }
-                    } else {
-                        let answers = client.reach_batch("web", chunk).expect("BATCH");
-                        for (&(u, v), &got) in chunk.iter().zip(&answers) {
-                            assert_eq!(got, traversal::reaches(g, u, v), "client {c}: ({u},{v})");
+                        } else {
+                            got.extend(client.reach_batch("web", chunk).expect("BATCH"));
                         }
                     }
-                }
-            });
+                    mine.into_iter().zip(got).collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        for worker in workers {
+            for ((u, v), got) in worker.join().expect("client thread") {
+                answers[u as usize * n + v as usize] = got;
+            }
         }
+    });
+    traversal::assert_matches_bfs(&g, "6 concurrent clients", |u, v| {
+        answers[u as usize * n + v as usize]
     });
 
     let mut probe = Client::connect(addr).unwrap();
@@ -136,7 +132,7 @@ fn dynamic_mutations_become_visible_to_subsequent_queries() {
 
 #[test]
 fn batch_and_single_queries_agree_through_the_wire() {
-    let g = random_cyclic_digraph(40, 130, 7);
+    let g = gen::random_digraph(40, 130, 7);
     let registry = Registry::new();
     registry.insert_frozen("g", Oracle::new(&g)).unwrap();
     let handle = serve(registry);
@@ -203,7 +199,7 @@ fn send_raw(addr: std::net::SocketAddr, payload: &[u8]) -> Option<Response> {
 
 #[test]
 fn malformed_frames_get_clean_error_replies_never_panics_or_wrong_answers() {
-    let g = random_cyclic_digraph(20, 60, 3);
+    let g = gen::random_digraph(20, 60, 3);
     let registry = Registry::new();
     registry.insert_frozen("g", Oracle::new(&g)).unwrap();
     let handle = serve(registry);
@@ -312,7 +308,7 @@ fn malformed_frames_get_clean_error_replies_never_panics_or_wrong_answers() {
 fn frozen_namespace_from_saved_index_serves_identically() {
     // The "build once, ship to replicas" path: save an Oracle, load it
     // as a replica would, serve the loaded copy, and cross-check.
-    let g = random_cyclic_digraph(32, 100, 21);
+    let g = gen::random_digraph(32, 100, 21);
     let original = Oracle::new(&g);
     let mut blob = Vec::new();
     original.save_arena(&mut blob).unwrap();
@@ -322,15 +318,7 @@ fn frozen_namespace_from_saved_index_serves_identically() {
     registry.insert_frozen("replica", replica).unwrap();
     let handle = serve(registry);
     let mut client = Client::connect(handle.local_addr()).unwrap();
-    for u in 0..32u32 {
-        for v in 0..32u32 {
-            assert_eq!(
-                client.reach("replica", u, v).unwrap(),
-                traversal::reaches(&g, u, v),
-                "({u},{v})"
-            );
-        }
-    }
+    traversal::assert_matches_bfs(&g, "replica", |u, v| client.reach("replica", u, v).unwrap());
     handle.shutdown();
 }
 
@@ -341,7 +329,7 @@ fn mapped_arena_index_serves_and_reports_its_backend() {
     // (replica fan-out without cloning the index), serve over the
     // wire, and cross-check against BFS ground truth. STATS must
     // report the mapped backend and a mapped-byte footprint.
-    let g = random_cyclic_digraph(40, 130, 23);
+    let g = gen::random_digraph(40, 130, 23);
     let original = Oracle::new(&g);
     let path =
         std::env::temp_dir().join(format!("hoplite-server-arena-{}.hopl3", std::process::id()));
@@ -363,9 +351,7 @@ fn mapped_arena_index_serves_and_reports_its_backend() {
             .flat_map(|u| (0..40u32).map(move |v| (u, v)))
             .collect();
         let answers = client.reach_batch(ns, &pairs).unwrap();
-        for (&(u, v), &got) in pairs.iter().zip(&answers) {
-            assert_eq!(got, traversal::reaches(&g, u, v), "{ns} ({u},{v})");
-        }
+        traversal::assert_matches_bfs(&g, ns, |u, v| answers[(u * 40 + v) as usize]);
         let stats = client.stats(ns).unwrap();
         // Only a real mmap may report "mapped" (the split is an RSS
         // report); off unix, map_file falls back to a heap read and
@@ -539,7 +525,7 @@ mod reactor {
 
     #[test]
     fn byte_at_a_time_half_frames_are_reassembled() {
-        let g = random_cyclic_digraph(30, 90, 0xD1CE);
+        let g = gen::random_digraph(30, 90, 0xD1CE);
         let registry = Registry::new();
         registry.insert_frozen("g", Oracle::new(&g)).unwrap();
         let handle = serve(registry);
@@ -564,7 +550,7 @@ mod reactor {
 
     #[test]
     fn slow_loris_idle_sockets_do_not_starve_active_clients() {
-        let g = random_cyclic_digraph(30, 90, 0x510);
+        let g = gen::random_digraph(30, 90, 0x510);
         let registry = Registry::new();
         registry.insert_frozen("g", Oracle::new(&g)).unwrap();
         let handle = serve(registry);
@@ -586,15 +572,9 @@ mod reactor {
         // get every answer — idle sockets cost the reactor nothing but
         // their fds.
         let mut client = Client::connect(addr).unwrap();
-        for u in 0..30u32 {
-            for v in 0..30u32 {
-                assert_eq!(
-                    client.reach("g", u, v).unwrap(),
-                    traversal::reaches(&g, u, v),
-                    "({u},{v})"
-                );
-            }
-        }
+        traversal::assert_matches_bfs(&g, "behind the loris flood", |u, v| {
+            client.reach("g", u, v).unwrap()
+        });
 
         // The parked half-frames are still half a frame, not garbage:
         // completing one now gets its answer.
@@ -617,7 +597,7 @@ mod reactor {
     #[test]
     fn write_backpressure_on_oversized_batch_replies_stalls_and_recovers() {
         let n = 50u32;
-        let g = random_cyclic_digraph(n as usize, 170, 0xBACC);
+        let g = gen::random_digraph(n as usize, 170, 0xBACC);
         let registry = Registry::new();
         registry.insert_frozen("g", Oracle::new(&g)).unwrap();
         // A deliberately tiny write budget: a couple of BATCH replies
@@ -692,7 +672,7 @@ mod reactor {
     #[test]
     fn a_thousand_concurrent_connections_agree_with_bfs_ground_truth() {
         let n = 40u32;
-        let g = random_cyclic_digraph(n as usize, 130, 0x1000);
+        let g = gen::random_digraph(n as usize, 130, 0x1000);
         let registry = Registry::new();
         registry.insert_frozen("g", Oracle::new(&g)).unwrap();
         let handle = serve(registry);
@@ -802,7 +782,7 @@ mod reactor {
 #[test]
 fn metrics_op_reports_query_outcomes_and_latency_summaries() {
     let n = 30u32;
-    let g = random_cyclic_digraph(n as usize, 90, 0x0B5);
+    let g = gen::random_digraph(n as usize, 90, 0x0B5);
     let registry = Registry::new();
     registry.insert_frozen("g", Oracle::new(&g)).unwrap();
     registry

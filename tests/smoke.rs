@@ -9,50 +9,13 @@
 //! truth is plain BFS over the original graph
 //! ([`hoplite::graph::traversal::reaches`]).
 
-use hoplite::graph::gen::Rng;
+use hoplite::graph::gen::{self, Rng};
 use hoplite::graph::traversal;
-use hoplite::{DiGraph, Oracle, ReachIndex, VertexId};
-
-/// A random digraph with `n` vertices and up to `m` edges, cycles and
-/// duplicate edges very much included.
-fn random_cyclic_digraph(n: usize, m: usize, seed: u64) -> DiGraph {
-    let mut rng = Rng::new(seed);
-    let edges: Vec<(VertexId, VertexId)> = (0..m)
-        .filter_map(|_| {
-            let u = rng.gen_index(n) as VertexId;
-            let v = rng.gen_index(n) as VertexId;
-            (u != v).then_some((u, v))
-        })
-        .collect();
-    DiGraph::from_edges(n, &edges).expect("edges are in range")
-}
-
-#[test]
-fn oracle_matches_bfs_on_random_cyclic_digraphs() {
-    for (seed, n, m) in [
-        (1u64, 24usize, 40usize),
-        (2, 32, 96),
-        (3, 48, 160),
-        (4, 16, 64),
-    ] {
-        let g = random_cyclic_digraph(n, m, seed);
-        let oracle = Oracle::new(&g);
-        assert!(oracle.num_components() <= n);
-        for u in 0..n as VertexId {
-            for v in 0..n as VertexId {
-                assert_eq!(
-                    oracle.reaches(u, v),
-                    traversal::reaches(&g, u, v),
-                    "seed {seed}: ({u},{v})"
-                );
-            }
-        }
-    }
-}
+use hoplite::{Oracle, ReachIndex, VertexId};
 
 #[test]
 fn batch_path_matches_singles_and_bfs() {
-    let g = random_cyclic_digraph(40, 130, 7);
+    let g = gen::random_digraph(40, 130, 7);
     let oracle = Oracle::new(&g);
     let mut rng = Rng::new(99);
     let pairs: Vec<(VertexId, VertexId)> = (0..2000)
@@ -73,7 +36,7 @@ fn batch_path_matches_singles_and_bfs() {
 
 #[test]
 fn oracle_reports_nonempty_index_stats() {
-    let g = random_cyclic_digraph(30, 70, 11);
+    let g = gen::random_digraph(30, 70, 11);
     let oracle = Oracle::new(&g);
     assert!(oracle.label_entries() > 0, "labels were built");
     // Three independent views of the component structure must agree:
