@@ -22,7 +22,7 @@ use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::time::{Duration, Instant};
 
-use hoplite_core::{Labeling, LabelingBuilder, ReachIndex};
+use hoplite_core::{Labeling, LabelingBuilder, OrderKind, ReachIndex};
 use hoplite_graph::bitset::FixedBitset;
 use hoplite_graph::{Dag, GraphError, TransitiveClosure, VertexId};
 
@@ -160,7 +160,7 @@ impl TwoHop {
         }
 
         Ok(TwoHop {
-            labeling: b.finish(),
+            labeling: b.finish(dag, &OrderKind::DegProduct.compute(dag)),
             selection,
         })
     }
@@ -273,6 +273,24 @@ mod tests {
         let dag = Dag::from_edges(11, &edges).unwrap();
         let idx = TwoHop::build(&dag, &TwoHopConfig::default()).unwrap();
         assert_eq!(idx.selection()[0], 5);
+    }
+
+    /// Reach masks over the highest degree products sit on top of the
+    /// set-cover lists: they decide some pairs, and every answer still
+    /// matches BFS.
+    #[test]
+    fn degree_top_hops_back_the_masks() {
+        use hoplite_core::LabelPath;
+        use hoplite_graph::traversal;
+        let dag = gen::random_dag(120, 300, 5);
+        let idx = TwoHop::build(&dag, &TwoHopConfig::default()).unwrap();
+        let mut masked = 0;
+        traversal::assert_matches_bfs(dag.graph(), "2HOP, masks", |u, v| {
+            let (answer, path) = idx.labeling().query_traced(u, v);
+            masked += (path == LabelPath::Masked) as usize;
+            answer
+        });
+        assert!(masked > 0);
     }
 
     #[test]

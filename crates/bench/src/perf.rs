@@ -11,13 +11,13 @@
 //! * **Query** — filtered vs unfiltered batch throughput through
 //!   [`Oracle::reaches_batch`] / [`Oracle::reaches_batch_unfiltered`],
 //!   per-layer [`FilterVerdict`] hit rates, and the
-//!   [`QueryTally`] stage mix (pre-filter / signature cut / merge)
+//!   [`QueryTally`] stage mix (pre-filter / reach masks / merge)
 //!   over the same workload.
 //! * **Graph families** — beyond the headline `random_dag` workload,
 //!   a `deep_chain` bundle (adversarial for the level cut; the
 //!   doubled interval cuts carry it) and a `kronecker` R-MAT DAG
-//!   (scale-free degrees, the signature layer's best case on raw
-//!   labels), each with its own build/query/stage numbers.
+//!   (scale-free degrees, where a few top hops cover most pairs), each
+//!   with its own build/query/stage numbers.
 //! * **Thread scaling** — build time and batch-query throughput on the
 //!   headline index at 1/2/4/8 threads, the curve the CI
 //!   `perf-multicore` job records so a parallelism regression shows up
@@ -173,10 +173,10 @@ impl EngineTimings {
 }
 
 /// Cold-start measurements on the headline index: save → drop → open
-/// the HOPL v3 arena, read into the heap vs mapped.
+/// the HOPL v4 arena, read into the heap vs mapped.
 #[derive(Clone, Debug)]
 pub struct ColdStart {
-    /// HOPL v3 arena size in bytes.
+    /// HOPL v4 arena size in bytes.
     pub file_bytes: u64,
     /// `Oracle::open_with` `mmap: false`: the portable fallback that
     /// reads the whole file into an aligned heap buffer, then
@@ -293,7 +293,7 @@ pub struct FamilyReport {
     pub queries: usize,
     /// Positive answers (sanity/context).
     pub reachable: usize,
-    /// Throughput with the pre-filter stack disabled (signatures on —
+    /// Throughput with the pre-filter stack disabled (reach masks on —
     /// they are part of the label store).
     pub unfiltered_qps: f64,
     /// Throughput through the full hot path.
@@ -406,7 +406,8 @@ pub struct PerfReport {
     pub main: FamilyReport,
     /// Pre-filter footprint in 32-bit integers.
     pub filter_integers: u64,
-    /// Rank-band signature footprint in bytes.
+    /// Top-hop reach-mask footprint in bytes (the JSON key keeps its
+    /// pre-mask name, `signature_bytes`).
     pub signature_bytes: u64,
     /// Build-engine timings on the headline workload.
     pub build: EngineTimings,
@@ -545,7 +546,7 @@ fn run_family(
     (report, oracle, pairs)
 }
 
-/// The cold-start stage: persist the built index as a HOPL v3 arena,
+/// The cold-start stage: persist the built index as a HOPL v4 arena,
 /// drop every in-memory structure, and time opening it read into the
 /// heap (`mmap: false`) and mapped, verified and unverified. Answers of
 /// every reopened oracle are cross-checked against the builder's
@@ -561,8 +562,8 @@ fn run_cold_start(oracle: &Oracle, pairs: &[(u32, u32)], rounds: usize, seed: u6
         std::process::id()
     ));
     let mut bytes = Vec::new();
-    oracle.save_arena(&mut bytes).expect("serialize v3");
-    std::fs::write(&path, &bytes).expect("write v3 arena");
+    oracle.save_arena(&mut bytes).expect("serialize arena");
+    std::fs::write(&path, &bytes).expect("write arena");
     let file_bytes = bytes.len() as u64;
     drop(bytes);
 
@@ -1026,7 +1027,7 @@ pub fn run_perf(opts: &PerfOptions) -> PerfReport {
         query_threads: threads,
         main,
         filter_integers: filters.size_in_integers(),
-        signature_bytes: oracle.inner().labeling().signature_bytes(),
+        signature_bytes: oracle.inner().labeling().mask_bytes(),
         build,
         identity_widths: IDENTITY_WIDTHS.to_vec(),
         verdict_counts,
@@ -1873,7 +1874,7 @@ mod tests {
             query_threads: 2,
             main,
             filter_integers: oracle.filters().size_in_integers(),
-            signature_bytes: oracle.inner().labeling().signature_bytes(),
+            signature_bytes: oracle.inner().labeling().mask_bytes(),
             build: EngineTimings {
                 width_ms: vec![(1, 2.0), (2, 2.5), (4, 2.6)],
                 auto_ms: 2.0,

@@ -15,6 +15,25 @@
 //! (Theorem 4): removing any single hop entry breaks completeness. Both
 //! properties are enforced by this crate's tests.
 //!
+//! ### The top hops live in reach masks
+//!
+//! The [`TOP_HOPS`] highest-ranked hops are not distributed into the
+//! lists at all. One topological sweep per side records, for every
+//! vertex `c`, which of them `c` reaches (`F(c)`) and which reach `c`
+//! (`B(c)`) — see [`crate::label`]. Distribution then starts at rank
+//! [`TOP_HOPS`], so the 64 least-pruned BFS passes never run, and the
+//! lists keep exactly the paper's entries of rank ≥ [`TOP_HOPS`]:
+//!
+//! * a `u → v` path through a top hop shows as `F(u) & B(v) ≠ 0`;
+//! * otherwise the pair's highest-ranked witness has rank ≥
+//!   [`TOP_HOPS`] and is still in both lists.
+//!
+//! By the same argument a hop-`h` BFS prunes `u` on the reverse side
+//! when `F(u) & B(h) ≠ 0`, and `w` on the forward side when
+//! `F(h) & B(w) ≠ 0`, before its rank-set test.
+//! [`DistributionLabeling::full_labels`] restores the top hops' exact
+//! Algorithm 2 entries from the masks.
+//!
 //! ### Hop ids are ranks
 //!
 //! Labels store the *rank* of a hop, not its vertex id. Ranks are
@@ -51,9 +70,9 @@
 //!    The set of vertices a hop labels is order-independent (each
 //!    vertex is claimed and tested exactly once, against state fixed at
 //!    hop start), so every thread count emits labels *byte-identical*
-//!    to the paper-literal per-pop sorted merge — enforced by tests
-//!    across {1, 2, 3, 4, 8} threads against a test-only transcription
-//!    of that loop.
+//!    to the paper-literal per-pop sorted merge minus its rank <
+//!    [`TOP_HOPS`] entries — enforced by tests across {1, 2, 3, 4, 8}
+//!    threads against a test-only transcription of that loop.
 //!
 //! Levels too small to be worth waking the pool — every level at
 //! width 1, and most levels of the heavily pruned low-rank hops at any
@@ -67,7 +86,7 @@ use std::sync::{Condvar, Mutex};
 
 use hoplite_graph::{Dag, DiGraph, VertexId};
 
-use crate::label::{Labeling, LabelingBuilder};
+use crate::label::{Labeling, LabelingBuilder, ReachMasks, TOP_HOPS};
 use crate::metrics::BuildTrace;
 use crate::oracle::ReachIndex;
 use crate::order::OrderKind;
@@ -179,7 +198,7 @@ impl RankSet {
 pub struct DistributionLabeling {
     labeling: Labeling,
     /// `order[r]` = vertex processed at rank `r`. A [`Store`] so a
-    /// HOPL v3 open addresses the persisted table in place.
+    /// HOPL v4 open addresses the persisted table in place.
     order: Store<u32>,
 }
 
@@ -256,14 +275,19 @@ impl DistributionLabeling {
             })
         });
         let threads = cfg.parallelism.resolve(n);
-        let engine = || build_chunked(dag, &order, threads, trace);
-        let b = match trace {
+        let engine = || {
+            let masks = ReachMasks::compute(dag, &order[..n.min(TOP_HOPS)]);
+            let lists = build_chunked(dag, &order, &masks, threads, trace);
+            (lists, masks)
+        };
+        let (lists, masks) = match trace {
             Some(t) => t.span("distribute", engine),
             None => engine(),
         };
+        let freeze = || lists.finish_with_masks(masks);
         let labeling = match trace {
-            Some(t) => t.span("freeze", || b.finish()),
-            None => b.finish(),
+            Some(t) => t.span("freeze", freeze),
+            None => freeze(),
         };
         DistributionLabeling {
             labeling,
@@ -276,7 +300,7 @@ impl DistributionLabeling {
         &self.labeling
     }
 
-    /// Reassembles an oracle from persisted parts: a HOPL v3 open
+    /// Reassembles an oracle from persisted parts: a HOPL v4 open
     /// hands in the label stores and the mapped order table.
     pub(crate) fn from_parts(labeling: Labeling, order: impl Into<Store<u32>>) -> Self {
         DistributionLabeling {
@@ -285,7 +309,7 @@ impl DistributionLabeling {
         }
     }
 
-    /// True byte footprint (labels + signatures + the order table),
+    /// True byte footprint (labels + reach masks + the order table),
     /// split by backing.
     pub fn memory(&self) -> crate::store::MemorySplit {
         let mut m = self.labeling.memory();
@@ -302,6 +326,41 @@ impl DistributionLabeling {
     pub fn order(&self) -> &[VertexId] {
         &self.order
     }
+
+    /// The complete labels the paper's Algorithm 2 emits: the stored
+    /// lists with the top hops' entries restored from the reach masks.
+    /// Top hop `i` is in `L_out(c)` iff `c` reaches it and no
+    /// higher-ranked top hop lies between them (`F(c) & B(v_i)` has no
+    /// bit below `i`), and in `L_in(c)` iff it reaches `c` and
+    /// `B(c) & F(v_i)` has no bit below `i`. HL labels its core with
+    /// these; queries never need them.
+    pub fn full_labels(&self) -> LabelingBuilder {
+        let l = &self.labeling;
+        let n = l.num_vertices();
+        let mut b = LabelingBuilder::new(n);
+        let top_entries = |own: u64, hop_mask: &dyn Fn(VertexId) -> u64| -> Vec<u32> {
+            let mut ranks = Vec::new();
+            let mut bits = own;
+            while bits != 0 {
+                let i = bits.trailing_zeros();
+                bits &= bits - 1;
+                let below = (1u64 << i) - 1;
+                if own & hop_mask(self.order[i as usize]) & below == 0 {
+                    ranks.push(i);
+                }
+            }
+            ranks
+        };
+        for c in 0..n as VertexId {
+            let out = &mut b.out[c as usize];
+            *out = top_entries(l.out_mask(c), &|h| l.in_mask(h));
+            out.extend_from_slice(l.out_label(c));
+            let in_ = &mut b.in_[c as usize];
+            *in_ = top_entries(l.in_mask(c), &|h| l.out_mask(h));
+            in_.extend_from_slice(l.in_label(c));
+        }
+        b
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -317,6 +376,9 @@ impl DistributionLabeling {
 // the processing order. Chunks may interleave arbitrarily across
 // threads and levels may gather next-frontiers in any order; the
 // emitted labels cannot differ.
+//
+// The mask probe is sound for the same reason: it reads `u`'s own mask
+// and the hop's, both fixed before distribution starts.
 //
 // Snapshot timing: both snapshots are taken at hop start, *before* the
 // reverse BFS runs. The paper's loop intersects with `L_out(v_i)` after
@@ -430,12 +492,15 @@ struct SyncRankSet(UnsafeCell<RankSet>);
 unsafe impl Sync for SyncRankSet {}
 
 /// One level's worth of parallel work: scan `frontier`, append rank
-/// `r` to survivors on `side`. The frontier buffer lives on the
-/// coordinator's stack and is stable for the job's lifetime.
+/// `r` to survivors on `side`. `word` is the hop's own reach mask on
+/// that side (`B(h)` reverse, `F(h)` forward). The frontier buffer
+/// lives on the coordinator's stack and is stable for the job's
+/// lifetime.
 #[derive(Copy, Clone)]
 struct LevelJob {
     side: Side,
     r: u32,
+    word: u64,
     frontier: *const VertexId,
     frontier_len: usize,
 }
@@ -453,12 +518,13 @@ struct JobSlot {
     job: Option<LevelJob>,
 }
 
-/// Everything the coordinator and the pool share: the graph, both
-/// label sides, both per-hop snapshots, the visited set, job dispatch,
-/// the chunk cursor, the gathered next frontier, and completion
-/// tracking.
+/// Everything the coordinator and the pool share: the graph, the
+/// reach masks, both label sides, both per-hop snapshots, the visited
+/// set, job dispatch, the chunk cursor, the gathered next frontier,
+/// and completion tracking.
 struct Engine<'g> {
     g: &'g DiGraph,
+    masks: &'g ReachMasks,
     out: SharedLists,
     in_: SharedLists,
     members_rev: SyncRankSet,
@@ -472,16 +538,18 @@ struct Engine<'g> {
     next: Mutex<Vec<VertexId>>,
 }
 
-/// Rank-bitmap engine: level-synchronous BFS where large frontiers are
-/// split into [`CHUNK`]-sized ranges pulled from a shared atomic cursor
-/// by `threads − 1` long-lived scoped workers (plus the coordinator
-/// itself). Small frontiers — the common case on pruned hops, and
-/// every frontier at `threads == 1` — are scanned inline without
-/// waking the pool. With a trace, each hop's full distribution (both
-/// BFS sides) lands in the trace's per-hop histogram.
+/// Rank-bitmap engine: level-synchronous BFS from every hop of rank ≥
+/// [`TOP_HOPS`], where large frontiers are split into [`CHUNK`]-sized
+/// ranges pulled from a shared atomic cursor by `threads − 1`
+/// long-lived scoped workers (plus the coordinator itself). Small
+/// frontiers — the common case on pruned hops, and every frontier at
+/// `threads == 1` — are scanned inline without waking the pool. With a
+/// trace, each distributed hop (both BFS sides) lands in the trace's
+/// per-hop histogram.
 fn build_chunked(
     dag: &Dag,
     order: &[VertexId],
+    masks: &ReachMasks,
     threads: usize,
     trace: Option<&BuildTrace>,
 ) -> LabelingBuilder {
@@ -492,6 +560,7 @@ fn build_chunked(
     {
         let engine = Engine {
             g: dag.graph(),
+            masks,
             out: SharedLists::new(&mut out),
             in_: SharedLists::new(&mut in_),
             members_rev: SyncRankSet(UnsafeCell::new(RankSet::new(n))),
@@ -525,7 +594,7 @@ impl Engine<'_> {
     fn run_hops(&self, order: &[VertexId], workers: usize, trace: Option<&BuildTrace>) {
         let mut frontier: Vec<VertexId> = Vec::new();
         let mut next: Vec<VertexId> = Vec::new();
-        for (rank, &vi) in order.iter().enumerate() {
+        for (rank, &vi) in order.iter().enumerate().skip(TOP_HOPS) {
             let hop_started = trace.map(|_| std::time::Instant::now());
             let r = rank as u32;
             // Hop-start snapshots for both sides (see the timing note
@@ -536,6 +605,10 @@ impl Engine<'_> {
                 (*self.members_fwd.0.get()).load(self.out.cell(vi));
             }
             for side in [Side::Reverse, Side::Forward] {
+                let word = match side {
+                    Side::Reverse => self.masks.in_[vi as usize],
+                    Side::Forward => self.masks.out[vi as usize],
+                };
                 self.visited.next_epoch();
                 let claimed = self.visited.claim::<true>(vi);
                 debug_assert!(claimed, "fresh epoch cannot have claimed vi");
@@ -544,11 +617,12 @@ impl Engine<'_> {
                 while !frontier.is_empty() {
                     next.clear();
                     if workers == 0 || frontier.len() < PAR_FRONTIER_MIN {
-                        self.scan::<true>(side, r, &frontier, &mut next);
+                        self.scan::<true>(side, r, word, &frontier, &mut next);
                     } else {
                         let job = LevelJob {
                             side,
                             r,
+                            word,
                             frontier: frontier.as_ptr(),
                             frontier_len: frontier.len(),
                         };
@@ -564,23 +638,29 @@ impl Engine<'_> {
     }
 
     /// Scans one slice of a level's frontier on `side`: prune-test each
-    /// vertex against the hop-start snapshot, append `r` to survivors,
-    /// claim-and-collect their unvisited neighbors into `discovered`.
-    /// `PARKED` selects the claim mode ([`AtomicVisited::claim`]).
+    /// vertex against the hop's mask `word` and the hop-start snapshot,
+    /// append `r` to survivors, claim-and-collect their unvisited
+    /// neighbors into `discovered`. `PARKED` selects the claim mode
+    /// ([`AtomicVisited::claim`]).
     #[inline]
     fn scan<const PARKED: bool>(
         &self,
         side: Side,
         r: u32,
+        word: u64,
         frontier: &[VertexId],
         discovered: &mut Vec<VertexId>,
     ) {
         let g = self.g;
         // SAFETY (snapshots): reloaded only while the pool is parked.
+        // Reverse: `u` reaches the hop through a top hop iff
+        // `F(u) & B(h) ≠ 0`; forward: `F(h) & B(w) ≠ 0`.
         match side {
             Side::Reverse => self.scan_side::<PARKED>(
                 frontier,
                 r,
+                &self.masks.out,
+                word,
                 &self.out,
                 unsafe { &*self.members_rev.0.get() },
                 |u| g.in_neighbors(u),
@@ -589,6 +669,8 @@ impl Engine<'_> {
             Side::Forward => self.scan_side::<PARKED>(
                 frontier,
                 r,
+                &self.masks.in_,
+                word,
                 &self.in_,
                 unsafe { &*self.members_fwd.0.get() },
                 |w| g.out_neighbors(w),
@@ -597,17 +679,25 @@ impl Engine<'_> {
         }
     }
 
+    #[allow(clippy::too_many_arguments)]
     #[inline]
     fn scan_side<'a, const PARKED: bool>(
         &self,
         frontier: &[VertexId],
         r: u32,
+        masks: &[u64],
+        word: u64,
         lists: &SharedLists,
         members: &RankSet,
         neighbors: impl Fn(VertexId) -> &'a [VertexId],
         discovered: &mut Vec<VertexId>,
     ) {
         for &u in frontier {
+            // A zero hop word (no top hop on this side of the hop, the
+            // common case on sparse graphs) skips the mask load.
+            if word != 0 && masks[u as usize] & word != 0 {
+                continue;
+            }
             // SAFETY: `u` appears exactly once in this level's frontier
             // and the chunks partition it.
             let list = unsafe { lists.cell(u) };
@@ -635,7 +725,7 @@ impl Engine<'_> {
                 return;
             }
             let chunk = &frontier[start..(start + CHUNK).min(frontier.len())];
-            self.scan::<false>(job.side, job.r, chunk, local);
+            self.scan::<false>(job.side, job.r, job.word, chunk, local);
         }
     }
 
@@ -702,14 +792,10 @@ impl ReachIndex for DistributionLabeling {
     }
 
     fn size_in_integers(&self) -> u64 {
-        // Labels + offsets + the rank→vertex table.
-        self.labeling.size_in_integers() + self.order.len() as u64
-    }
-
-    fn memory_bytes(&self) -> u64 {
-        // The default 4·size_in_integers() misses the 16 B/vertex
-        // signature arrays; report the real footprint.
-        self.memory().total()
+        // Labels + offsets + the rank→vertex table + the reach masks
+        // (two u64 = four u32 per component): the masks hold the top
+        // hops' answers the lists no longer do.
+        self.labeling.size_in_integers() + 5 * self.order.len() as u64
     }
 }
 
@@ -736,10 +822,13 @@ mod tests {
         }
     }
 
+    /// Every order, on graphs past [`TOP_HOPS`] so the mask-pruned
+    /// distribution runs: the stored lists are the reference's minus
+    /// its top hops, and every answer matches BFS.
     #[test]
     fn random_dags_complete_all_orders() {
         for seed in 0..8 {
-            let dag = gen::random_dag(40, 120, seed);
+            let dag = gen::random_dag(160, 480, seed);
             for order in [
                 OrderKind::DegProduct,
                 OrderKind::DegSum,
@@ -747,14 +836,9 @@ mod tests {
                 OrderKind::Topological,
                 OrderKind::CoverSize,
             ] {
-                let dl = DistributionLabeling::build(
-                    &dag,
-                    &DlConfig {
-                        order,
-                        ..DlConfig::default()
-                    },
-                );
                 let what = format!("{order:?}, random_dag seed {seed}");
+                let dl = assert_matches_reference(&dag, order, 2, &what);
+                assert!(dl.labeling().total_entries() > 0, "{what}");
                 traversal::assert_matches_bfs(dag.graph(), &what, |u, v| dl.query(u, v));
             }
         }
@@ -764,11 +848,12 @@ mod tests {
     fn tree_and_powerlaw_complete() {
         for seed in 0..4 {
             for (dag, family) in [
-                (gen::tree_plus_dag(60, 15, seed), "tree"),
-                (gen::power_law_dag(60, 180, seed), "power-law"),
+                (gen::tree_plus_dag(150, 40, seed), "tree"),
+                (gen::power_law_dag(150, 450, seed), "power-law"),
             ] {
                 let dl = DistributionLabeling::build(&dag, &DlConfig::default());
                 let what = format!("{family} seed {seed}");
+                assert!(dl.labeling().total_entries() > 0, "{what}");
                 traversal::assert_matches_bfs(dag.graph(), &what, |u, v| dl.query(u, v));
             }
         }
@@ -783,15 +868,62 @@ mod tests {
         let dag = Dag::from_edges(1, &[]).unwrap();
         let dl = DistributionLabeling::build(&dag, &DlConfig::default());
         assert!(dl.query(0, 0));
-        // Singleton labels itself on both sides.
-        assert_eq!(dl.labeling().total_entries(), 2);
+        // The singleton is top hop 0: its masks hold it, its lists are
+        // empty, and the full labels list it on both sides.
+        assert_eq!(dl.labeling().total_entries(), 0);
+        assert_eq!(
+            (dl.labeling().out_mask(0), dl.labeling().in_mask(0)),
+            (1, 1)
+        );
+        let full = dl.full_labels();
+        assert_eq!((&full.out[0][..], &full.in_[0][..]), (&[0][..], &[0][..]));
+    }
+
+    /// `F` and `B` are exact: bit `i` of `F(c)` iff `c` reaches the
+    /// rank-`i` hop, of `B(c)` iff that hop reaches `c` — on graphs
+    /// smaller than [`TOP_HOPS`] (every vertex a top hop, every list
+    /// empty), around it, and larger.
+    #[test]
+    fn masks_match_bfs_on_small_dags() {
+        let mut dags = vec![
+            Dag::from_edges(0, &[]).unwrap(),
+            Dag::from_edges(1, &[]).unwrap(),
+            Dag::from_edges(4, &[(0, 1), (1, 2), (2, 3)]).unwrap(),
+        ];
+        for (n, seed) in [(20, 1), (63, 2), (64, 3), (65, 4), (150, 5)] {
+            dags.push(gen::random_dag(n, 3 * n, seed));
+        }
+        for dag in &dags {
+            let n = dag.num_vertices();
+            let dl = DistributionLabeling::build(dag, &DlConfig::default());
+            let l = dl.labeling();
+            for c in 0..n as VertexId {
+                for (i, &h) in dl.order().iter().take(TOP_HOPS).enumerate() {
+                    let what = format!("n={n}, c={c}, top hop {i} = {h}");
+                    let reaches = |a, b| traversal::reaches(dag.graph(), a, b);
+                    assert_eq!(l.out_mask(c) >> i & 1 == 1, reaches(c, h), "F: {what}");
+                    assert_eq!(l.in_mask(c) >> i & 1 == 1, reaches(h, c), "B: {what}");
+                }
+            }
+            if n <= TOP_HOPS {
+                assert_eq!(l.total_entries(), 0, "n={n}: every vertex is a top hop");
+            }
+            for c in 0..n as VertexId {
+                let mut stored = l.out_label(c).iter().chain(l.in_label(c));
+                assert!(stored.all(|&r| r as usize >= TOP_HOPS), "n={n}, c={c}");
+            }
+            traversal::assert_matches_bfs(dag.graph(), &format!("masks, n={n}"), |u, v| {
+                dl.query(u, v)
+            });
+        }
     }
 
     #[test]
     fn label_lists_are_strictly_sorted_ranks() {
-        let dag = gen::random_dag(50, 150, 3);
+        let dag = gen::random_dag(200, 600, 3);
         let dl = DistributionLabeling::build(&dag, &DlConfig::default());
-        for v in 0..50u32 {
+        assert!(dl.labeling().total_entries() > 0);
+        for v in 0..200u32 {
             for l in [dl.labeling().out_label(v), dl.labeling().in_label(v)] {
                 assert!(l.windows(2).all(|w| w[0] < w[1]), "unsorted label at {v}");
             }
@@ -799,20 +931,14 @@ mod tests {
     }
 
     /// Theorem 4: the labeling is non-redundant — removing any single
-    /// hop entry breaks completeness.
+    /// hop entry of the full labels breaks completeness.
     #[test]
     fn non_redundancy_on_small_dags() {
         for seed in 0..5 {
             let dag = gen::random_dag(14, 28, seed);
             let dl = DistributionLabeling::build(&dag, &DlConfig::default());
             let n = dag.num_vertices();
-            // Reconstruct mutable lists from the frozen labeling.
-            let out: Vec<Vec<u32>> = (0..n as u32)
-                .map(|v| dl.labeling().out_label(v).to_vec())
-                .collect();
-            let in_: Vec<Vec<u32>> = (0..n as u32)
-                .map(|v| dl.labeling().in_label(v).to_vec())
-                .collect();
+            let LabelingBuilder { out, in_ } = dl.full_labels();
             // Completeness in the paper's Cov(V) sense: labels must
             // cover reflexive pairs too (every vertex records itself),
             // so the intersection is checked without a u == v shortcut.
@@ -855,7 +981,9 @@ mod tests {
 
     /// The paper-literal Algorithm 2: one BFS per hop and side, with a
     /// full sorted-merge prune test on every pop. The engine must emit
-    /// exactly these lists at every width.
+    /// exactly these lists minus their rank < [`TOP_HOPS`] entries at
+    /// every width, and [`DistributionLabeling::full_labels`] exactly
+    /// these lists.
     fn sorted_merge_reference(dag: &Dag, order: &[VertexId]) -> LabelingBuilder {
         fn distribute<'g>(
             side: &mut [Vec<u32>],
@@ -903,32 +1031,77 @@ mod tests {
         b
     }
 
-    /// Builds at `threads` and asserts order and every label list are
-    /// byte-identical to [`sorted_merge_reference`].
-    fn assert_matches_reference(dag: &Dag, threads: usize, what: &str) -> DistributionLabeling {
-        let order = OrderKind::DegProduct.compute(dag);
+    /// Builds with `kind` at `threads` and asserts the order, every
+    /// stored list (the reference's with ranks < [`TOP_HOPS`] removed)
+    /// and every full label list are byte-identical to
+    /// [`sorted_merge_reference`].
+    fn assert_matches_reference(
+        dag: &Dag,
+        kind: OrderKind,
+        threads: usize,
+        what: &str,
+    ) -> DistributionLabeling {
+        let order = kind.compute(dag);
         let reference = sorted_merge_reference(dag, &order);
         let dl = DistributionLabeling::build(
             dag,
             &DlConfig {
-                order: OrderKind::DegProduct,
+                order: kind,
                 parallelism: Parallelism::Threads(threads),
             },
         );
         assert_eq!(dl.order(), &order[..], "{what}, t={threads}");
+        let trimmed = |list: &[u32]| -> Vec<u32> {
+            list.iter()
+                .copied()
+                .filter(|&r| r as usize >= TOP_HOPS)
+                .collect()
+        };
+        let full = dl.full_labels();
         for v in 0..dag.num_vertices() as VertexId {
+            let (want_out, want_in) = (&reference.out[v as usize], &reference.in_[v as usize]);
             assert_eq!(
                 dl.labeling().out_label(v),
-                &reference.out[v as usize][..],
+                trimmed(want_out),
                 "{what}, t={threads}, L_out({v})"
             );
             assert_eq!(
                 dl.labeling().in_label(v),
-                &reference.in_[v as usize][..],
+                trimmed(want_in),
                 "{what}, t={threads}, L_in({v})"
+            );
+            assert_eq!(
+                &full.out[v as usize], want_out,
+                "{what}, t={threads}, full L_out({v})"
+            );
+            assert_eq!(
+                &full.in_[v as usize], want_in,
+                "{what}, t={threads}, full L_in({v})"
             );
         }
         dl
+    }
+
+    /// [`TOP_HOPS`] stars of 25 + 25 private leaves (degree product
+    /// 676) ahead of a 600-wide fan `w → mids → s` (product 601): the
+    /// first distributed hops have levels wide enough
+    /// (≥ PAR_FRONTIER_MIN) to wake the pool.
+    fn wide_fan_behind_top_hops() -> Dag {
+        let mut edges = Vec::new();
+        let mut next = TOP_HOPS as VertexId;
+        for hub in 0..TOP_HOPS as VertexId {
+            for _ in 0..25 {
+                edges.push((next, hub));
+                edges.push((hub, next + 1));
+                next += 2;
+            }
+        }
+        let (w, s) = (next, next + 1);
+        for mid in s + 1..s + 601 {
+            edges.push((w, mid));
+            edges.push((mid, s));
+        }
+        Dag::from_edges(s as usize + 601, &edges).unwrap()
     }
 
     /// The identity matrix: widths {1, 2, 3, 4, 8} emit the reference's
@@ -938,6 +1111,7 @@ mod tests {
     #[test]
     fn chunked_engine_byte_identical_across_thread_matrix() {
         let mut graphs = vec![
+            (wide_fan_behind_top_hops(), "wide fan behind the top hops"),
             (gen::random_dag(600, 2_400, 5), "random 600"),
             (gen::power_law_dag(300, 900, 7), "power-law 300"),
             (gen::tree_plus_dag(500, 60, 8), "tree 500"),
@@ -949,7 +1123,7 @@ mod tests {
         }
         for (dag, what) in &graphs {
             for threads in [1usize, 2, 3, 4, 8] {
-                let dl = assert_matches_reference(dag, threads, what);
+                let dl = assert_matches_reference(dag, OrderKind::DegProduct, threads, what);
                 let what = format!("{what}, t={threads}");
                 traversal::assert_matches_bfs(dag.graph(), &what, |u, v| dl.query(u, v));
             }
@@ -968,7 +1142,8 @@ mod tests {
             Dag::from_edges(4, &[(0, 1), (1, 2), (2, 3)]).unwrap(),
         ] {
             for threads in [1usize, 2, 8] {
-                let dl = assert_matches_reference(&dag, threads, "degenerate");
+                let dl =
+                    assert_matches_reference(&dag, OrderKind::DegProduct, threads, "degenerate");
                 let what = format!("degenerate n={}, t={threads}", dag.num_vertices());
                 traversal::assert_matches_bfs(dag.graph(), &what, |u, v| dl.query(u, v));
             }
@@ -977,7 +1152,8 @@ mod tests {
 
     /// Tracing must be an observer: a traced build emits exactly the
     /// labels of the untraced one, records the expected spans, and
-    /// records one per-hop sample per vertex at every width.
+    /// records one per-hop sample per distributed hop (every vertex
+    /// past the top hops) at every width.
     #[test]
     fn traced_build_is_label_identical_and_records_spans() {
         use crate::metrics::BuildTrace;
@@ -1002,7 +1178,7 @@ mod tests {
             assert_eq!(names, ["order", "distribute", "freeze"], "t={threads}");
             assert_eq!(
                 trace.hop_snapshot().count(),
-                dag.num_vertices() as u64,
+                (dag.num_vertices() - TOP_HOPS) as u64,
                 "t={threads}"
             );
         }

@@ -223,7 +223,7 @@ impl DynamicOracle {
         self.dl.labeling().total_entries()
     }
 
-    /// True byte footprint: the labeled snapshot (labels, signatures,
+    /// True byte footprint: the labeled snapshot (labels, reach masks,
     /// rank order, `comp_of`; mapped when adopted from a checkpoint),
     /// the DAG, and the mutation overlay.
     pub fn memory(&self) -> MemorySplit {
@@ -998,7 +998,8 @@ mod tests {
         ] {
             for seed in 0..3 {
                 let mut rng = Rng::new(seed);
-                let base = gen::random_dag(24, 40, seed);
+                // Past the top hops, so snapshots carry label lists.
+                let base = gen::random_dag(96, 160, seed);
                 let n = base.num_vertices();
                 let mut edges: Vec<(u32, u32)> = base.graph().edges().collect();
                 let mut o = DynamicOracle::with_config(base, DlConfig::default(), threshold);

@@ -133,7 +133,7 @@ pub(crate) struct FilterRecord {
 }
 
 /// Byte size of one [`FilterRecord`] — eight `u32` fields, no padding.
-/// This is the unit the HOPL v3 `FILTREC` arena section is measured
+/// This is the unit the HOPL v4 `FILTREC` arena section is measured
 /// in; the const assertion below keeps the wire contract honest.
 pub(crate) const FILTER_RECORD_BYTES: usize = 32;
 const _: () = assert!(std::mem::size_of::<FilterRecord>() == FILTER_RECORD_BYTES);
@@ -221,8 +221,9 @@ fn min_reachable_post(dag: &Dag, post: &[u32]) -> Vec<u32> {
 ///
 /// Built in `O(n + m)` by [`QueryFilters::build`]; all state is one
 /// flat array of 32-byte per-vertex records, so a filter set is cheap
-/// to clone, ship, and (in [`crate::persist`]) rebuild from a loaded
-/// condensation — the on-disk HOPL format carries no filter payload.
+/// to clone and ship — [`crate::persist`] writes the records verbatim
+/// as the HOPL `FILTREC` section and serves them from the arena on
+/// open, with nothing rebuilt.
 ///
 /// ```
 /// use hoplite_graph::Dag;
@@ -277,7 +278,7 @@ impl QueryFilters {
         QueryFilters { recs: recs.into() }
     }
 
-    /// Wraps a store of records directly — the HOPL v3 arena path. The
+    /// Wraps a store of records directly — the HOPL v4 arena path. The
     /// 32-byte filter records are persisted verbatim, so a mapped open
     /// performs **no** filter recomputation (the expensive-to-derive /
     /// cheap-to-store trade O'Reach points out).
@@ -286,7 +287,7 @@ impl QueryFilters {
     }
 
     /// The records as raw little-endian bytes — the persistence
-    /// layer's view (written verbatim as the v3 `FILTREC` section).
+    /// layer's view (written verbatim as the v4 `FILTREC` section).
     pub(crate) fn record_bytes(&self) -> &[u8] {
         // SAFETY: `FilterRecord` is Pod (`repr(C)`, padding-free), so
         // viewing the slice as bytes is always defined.

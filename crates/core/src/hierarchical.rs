@@ -16,7 +16,10 @@
 //!
 //! Hop ids in the resulting labels are **original vertex ids** (unlike
 //! DL, which stores ranks); lists are sorted and deduplicated as they
-//! are merged.
+//! are merged. The lists are complete; the labeling's reach masks
+//! ([`crate::label`]) cover the DAG's [`crate::TOP_HOPS`] highest degree
+//! products on top of them, an O(1) shortcut for the pairs those hubs
+//! decide.
 //!
 //! Unlike DL, HL cannot detect that an inherited hop is redundant
 //! (§5's motivation for DL) — the `hl_labels_can_be_redundant` test
@@ -134,7 +137,8 @@ impl HierarchicalLabeling {
                 }
             }
         } else {
-            // DL on the core, ranks translated to original ids.
+            // DL on the core, its complete labels (top hops restored
+            // from the reach masks) translated to original ids.
             let dl = DistributionLabeling::build(
                 &core.dag,
                 &DlConfig {
@@ -142,8 +146,9 @@ impl HierarchicalLabeling {
                     ..DlConfig::default()
                 },
             );
-            for c in 0..core.dag.num_vertices() as VertexId {
-                let orig = core.to_orig[c as usize] as usize;
+            let full = dl.full_labels();
+            for c in 0..core.dag.num_vertices() {
+                let orig = core.to_orig[c] as usize;
                 let translate = |ranks: &[u32]| -> Vec<u32> {
                     let mut hops: Vec<u32> = ranks
                         .iter()
@@ -152,8 +157,8 @@ impl HierarchicalLabeling {
                     hops.sort_unstable();
                     hops
                 };
-                b.out[orig] = translate(dl.labeling().out_label(c));
-                b.in_[orig] = translate(dl.labeling().in_label(c));
+                b.out[orig] = translate(&full.out[c]);
+                b.in_[orig] = translate(&full.in_[c]);
             }
         }
 
@@ -201,7 +206,7 @@ impl HierarchicalLabeling {
         }
 
         HierarchicalLabeling {
-            labeling: b.finish(),
+            labeling: b.finish(dag, &OrderKind::DegProduct.compute(dag)),
             level_sizes: hier.level_sizes(),
             core_formula3_used: use_formula3,
         }
@@ -260,8 +265,9 @@ impl ReachIndex for HierarchicalLabeling {
     }
 
     fn memory_bytes(&self) -> u64 {
-        // Include the 16 B/vertex signature arrays the default
-        // 4·size_in_integers() knows nothing about.
+        // Include the 16 B/vertex reach-mask arrays the default
+        // 4·size_in_integers() knows nothing about (the complete lists
+        // alone are the paper's index size; the masks only shortcut).
         self.labeling.memory().total()
     }
 }
@@ -385,6 +391,28 @@ mod tests {
         let hl = HierarchicalLabeling::build(&dag, &cfg);
         assert!(!hl.core_formula3_used());
         traversal::assert_matches_bfs(dag.graph(), "path", |u, v| hl.query(u, v));
+    }
+
+    /// The complete lists carry reach masks over the DAG's highest
+    /// degree products: they decide some pairs, and every answer still
+    /// matches BFS.
+    #[test]
+    fn degree_top_hop_masks_decide_exactly() {
+        use crate::label::LabelPath;
+        let dag = gen::random_dag(300, 900, 4);
+        let cfg = HlConfig {
+            core_size_limit: 120,
+            ..HlConfig::default()
+        };
+        let hl = HierarchicalLabeling::build(&dag, &cfg);
+        assert!(hl.level_sizes().len() > 1, "{:?}", hl.level_sizes());
+        let mut masked = 0;
+        traversal::assert_matches_bfs(dag.graph(), "HL, masks", |u, v| {
+            let (answer, path) = hl.labeling().query_traced(u, v);
+            masked += (path == LabelPath::Masked) as usize;
+            answer
+        });
+        assert!(masked > 0);
     }
 
     #[test]

@@ -12,21 +12,33 @@
 //! Hierarchical-Labeling stores original vertex ids. Queries only need
 //! the two sides to share a namespace.
 //!
-//! ### Rank-band signatures
+//! ### Top-hop reach masks
 //!
-//! On top of the CSR, [`Labeling`] keeps one 64-bit *rank-band
-//! signature* per vertex per side: the hop-id space is cut into 64
-//! equal bands, and bit `i` of `sig(v)` is set iff the list contains a
-//! hop whose id falls in band `i`. Two lists can only intersect if
-//! their signatures share a bit, so [`Labeling::query`] rejects most
-//! negative queries with a single `AND` before touching either list —
-//! the same memory-layout argument the paper makes for sorted arrays,
-//! taken one level further (a 16-byte summary per vertex instead of a
-//! ~100-byte list). Pairs that survive the signature test run a
-//! size-adaptive kernel: an 8-lane unrolled merge on near-equal list
-//! lengths, galloping ([`sorted_intersect_adaptive`]) on skewed ones.
+//! On top of the CSR, [`Labeling`] keeps two exact 64-bit *reach masks*
+//! per vertex over the [`TOP_HOPS`] highest-ranked hops — O'Reach's
+//! supportive vertices (Hanauer, Schulz & Trummer) stored the way
+//! pruned landmark labeling stores its bit-parallel roots (Akiba,
+//! Iwata & Yoshida): bit `i` of `F(v)` is set iff `v` reaches top hop
+//! `i`, and bit `i` of `B(v)` iff top hop `i` reaches `v`.
+//! [`Labeling::query`] tests them before touching either list:
+//!
+//! * `F(u) & B(v) ≠ 0` — a top hop lies on a `u → v` path: reachable;
+//! * `B(u) & !B(v) ≠ 0` or `F(v) & !F(u) ≠ 0` — some top hop reaches
+//!   `u` but not `v`, or is reached from `v` but not from `u`:
+//!   unreachable.
+//!
+//! Both tests are exact for masks over *any* set of at most
+//! [`TOP_HOPS`] vertices, so every labeling carries them:
+//! Distribution-Labeling stores the masks *instead of* its 64 top hops'
+//! label entries (the masks hold answers the lists no longer do, so no
+//! query path may skip them), while labelings that keep full lists (HL,
+//! the 2HOP baseline) add masks over the DAG's [`TOP_HOPS`] highest
+//! degree products (DL's default order) as a pure O(1) shortcut. Pairs
+//! the masks leave open run a size-adaptive kernel: an 8-lane unrolled
+//! merge on near-equal list lengths, galloping
+//! ([`sorted_intersect_adaptive`]) on skewed ones.
 
-use hoplite_graph::VertexId;
+use hoplite_graph::{Dag, VertexId};
 
 use crate::stats::LabelStats;
 use crate::store::{MemorySplit, Store, StoreBackend};
@@ -48,8 +60,7 @@ const GALLOP_RATIO: usize = 16;
 #[inline]
 pub fn sorted_intersect(a: &[u32], b: &[u32]) -> bool {
     // O(1) disjointness pre-check: if the ranges don't overlap (one
-    // list ends before the other starts) the merge cannot hit. Hop
-    // labels are rank-banded, so this fires often in practice.
+    // list ends before the other starts) the merge cannot hit.
     let (Some(&a_last), Some(&b_last)) = (a.last(), b.last()) else {
         return false;
     };
@@ -97,8 +108,7 @@ fn merge_intersect(a: &[u32], b: &[u32]) -> bool {
 /// longer, gallop (exponential + binary search) through it instead of
 /// merging — `O(s·log(L/s))` versus `O(s + L)`; on the near-equal
 /// lengths hop labels usually have it falls back to the 8-lane
-/// unrolled merge of [`sorted_intersect`] (see the `label_kernel`
-/// bench for the ablation).
+/// unrolled merge of [`sorted_intersect`].
 #[inline]
 pub fn sorted_intersect_adaptive(a: &[u32], b: &[u32]) -> bool {
     let (small, large) = if a.len() <= b.len() { (a, b) } else { (b, a) };
@@ -135,11 +145,59 @@ pub fn sorted_intersect_adaptive(a: &[u32], b: &[u32]) -> bool {
     false
 }
 
+/// Hops the reach masks cover: the `TOP_HOPS` highest-ranked, one bit
+/// each of a `u64`. Distribution-Labeling stores these hops in the
+/// masks and starts list distribution at rank `TOP_HOPS`.
+pub const TOP_HOPS: usize = 64;
+
+/// The exact reach masks of every vertex over up to [`TOP_HOPS`] top
+/// hops: `out[v]` = `F(v)`, `in_[v]` = `B(v)` (see the module docs).
+pub(crate) struct ReachMasks {
+    pub(crate) out: Vec<u64>,
+    pub(crate) in_: Vec<u64>,
+}
+
+impl ReachMasks {
+    /// One topological sweep per side, `O(n + m)` word ops: a vertex's
+    /// `B` is its own bit (when `top[i]` is it) OR'd with its
+    /// in-neighbors' `B`, sources first; `F` likewise over
+    /// out-neighbors, sinks first.
+    ///
+    /// # Panics
+    /// Panics if `top` holds more than [`TOP_HOPS`] vertices.
+    pub(crate) fn compute(dag: &Dag, top: &[VertexId]) -> Self {
+        assert!(top.len() <= TOP_HOPS, "at most {TOP_HOPS} top hops");
+        let g = dag.graph();
+        let mut own = vec![0u64; dag.num_vertices()];
+        for (i, &h) in top.iter().enumerate() {
+            own[h as usize] = 1 << i;
+        }
+        let mut in_ = own.clone();
+        for &v in dag.topo_order() {
+            in_[v as usize] = g
+                .in_neighbors(v)
+                .iter()
+                .fold(in_[v as usize], |m, &u| m | in_[u as usize]);
+        }
+        let mut out = own;
+        for &v in dag.topo_order().iter().rev() {
+            out[v as usize] = g
+                .out_neighbors(v)
+                .iter()
+                .fold(out[v as usize], |m, &w| m | out[w as usize]);
+        }
+        ReachMasks { out, in_ }
+    }
+}
+
 /// Mutable per-vertex label lists used during construction.
 ///
 /// Finish with [`LabelingBuilder::finish`] (lists must already be
 /// sorted, e.g. hops appended in rank order) or
-/// [`LabelingBuilder::finish_sorting`] (sorts and dedups first).
+/// [`LabelingBuilder::finish_sorting`] (sorts and dedups first). Both
+/// compute the reach masks over the first [`TOP_HOPS`] vertices of the
+/// order they are given, so the lists must answer every pair a path
+/// through those hops does not — complete lists always do.
 #[derive(Clone, Debug)]
 pub struct LabelingBuilder {
     /// `out[v]` = hops reached from `v`.
@@ -162,49 +220,91 @@ impl LabelingBuilder {
         self.out.len()
     }
 
-    /// Freezes into a [`Labeling`], asserting (in debug builds) that
-    /// every list is strictly ascending.
-    pub fn finish(self) -> Labeling {
+    /// Freezes into a [`Labeling`] whose reach masks cover the first
+    /// [`TOP_HOPS`] vertices of `order` — vertices of `dag`, the graph
+    /// these lists label, most central first — asserting (in debug
+    /// builds) that every list is strictly ascending.
+    ///
+    /// # Panics
+    /// Panics if `dag` has a different vertex count than the lists.
+    pub fn finish(self, dag: &Dag, order: &[VertexId]) -> Labeling {
+        assert_eq!(dag.num_vertices(), self.num_vertices());
+        let top = &order[..order.len().min(TOP_HOPS)];
+        self.finish_with_masks(ReachMasks::compute(dag, top))
+    }
+
+    /// Sorts and dedups every list, then freezes as [`Self::finish`].
+    pub fn finish_sorting(mut self, dag: &Dag, order: &[VertexId]) -> Labeling {
+        for l in self.out.iter_mut().chain(self.in_.iter_mut()) {
+            l.sort_unstable();
+            l.dedup();
+        }
+        self.finish(dag, order)
+    }
+
+    /// Freezes with the given reach masks; see the module docs.
+    pub(crate) fn finish_with_masks(self, masks: ReachMasks) -> Labeling {
         debug_assert!(self
             .out
             .iter()
             .chain(self.in_.iter())
             .all(|l| l.windows(2).all(|w| w[0] < w[1])));
-        Labeling::from_lists(&self.out, &self.in_)
-    }
-
-    /// Sorts and dedups every list, then freezes.
-    pub fn finish_sorting(mut self) -> Labeling {
-        for l in self.out.iter_mut().chain(self.in_.iter_mut()) {
-            l.sort_unstable();
-            l.dedup();
+        let ReachMasks {
+            out: out_masks,
+            in_: in_masks,
+        } = masks;
+        assert_eq!(out_masks.len(), self.num_vertices());
+        assert_eq!(in_masks.len(), self.num_vertices());
+        let (out_offsets, out_hops) = pack(&self.out);
+        let (in_offsets, in_hops) = pack(&self.in_);
+        Labeling {
+            out_offsets: out_offsets.into(),
+            out_hops: out_hops.into(),
+            in_offsets: in_offsets.into(),
+            in_hops: in_hops.into(),
+            out_masks: out_masks.into(),
+            in_masks: in_masks.into(),
         }
-        Labeling::from_lists(&self.out, &self.in_)
     }
 }
 
+/// Packs per-vertex lists into one CSR `(offsets, hops)` pair.
+fn pack(lists: &[Vec<u32>]) -> (Vec<u32>, Vec<u32>) {
+    let total: usize = lists.iter().map(Vec::len).sum();
+    assert!(
+        (total as u64) < u32::MAX as u64,
+        "label entries exceed u32 offset space"
+    );
+    let mut offsets = Vec::with_capacity(lists.len() + 1);
+    let mut hops = Vec::with_capacity(total);
+    offsets.push(0u32);
+    for l in lists {
+        hops.extend_from_slice(l);
+        offsets.push(hops.len() as u32);
+    }
+    (offsets, hops)
+}
+
 /// Which stage of the label store answered a query — the query-side
-/// analogue of [`crate::FilterVerdict`], feeding the signature/merge
+/// analogue of [`crate::FilterVerdict`], feeding the `signature`/merge
 /// hit counters the `STATS` wire reply and `paper perf` report.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum LabelPath {
     /// `u == v`; no label was touched.
     Reflexive,
-    /// The O(1) signature `AND` proved the lists disjoint (answer:
-    /// unreachable).
-    SignatureCut,
+    /// The O(1) top-hop reach masks decided (either answer). Counted
+    /// as `signature` by the tallies and metrics.
+    Masked,
     /// The adaptive intersection kernel ran over the two lists.
     Merge,
 }
 
-/// Immutable hop labels in CSR form: the complete reachability oracle.
+/// Immutable hop labels in CSR form plus the top-hop reach masks: the
+/// complete reachability oracle.
 ///
-/// Alongside the two CSR sides it stores one 64-bit rank-band
-/// signature per vertex per side (see the module docs); signatures are
-/// derived from the lists on construction and persisted beside them.
 /// Every array lives in a [`Store`]: owned `Vec`s when built in
 /// process, typed windows into one shared arena when opened from a
-/// HOPL v3 file (see [`crate::store`]). The accessors below cannot tell
+/// HOPL v4 file (see [`crate::store`]). The accessors below cannot tell
 /// the difference.
 #[derive(Clone, Debug)]
 pub struct Labeling {
@@ -212,58 +312,13 @@ pub struct Labeling {
     out_hops: Store<u32>,
     in_offsets: Store<u32>,
     in_hops: Store<u32>,
-    /// `out_sigs[v]` summarizes `L_out(v)`: bit `i` ⇔ some hop id in
-    /// band `i` (band = `id >> sig_shift`).
-    out_sigs: Store<u64>,
-    in_sigs: Store<u64>,
-    /// Right-shift mapping a hop id to its band `0..64`; chosen so the
-    /// largest hop id lands in band ≤ 63.
-    sig_shift: u32,
-}
-
-/// Shift such that `max_hop >> shift <= 63` (bands cover the id space
-/// in 64 equal slices).
-fn signature_shift(max_hop: u32) -> u32 {
-    let mut shift = 0u32;
-    while (max_hop >> shift) > 63 {
-        shift += 1;
-    }
-    shift
-}
-
-/// Folds one sorted hop list into its 64-bit band signature.
-#[inline]
-fn signature_of(list: &[u32], shift: u32) -> u64 {
-    let mut sig = 0u64;
-    for &h in list {
-        debug_assert!((h >> shift) < 64);
-        sig |= 1u64 << (h >> shift);
-    }
-    sig
+    /// `out_masks[v]` = `F(v)`: bit `i` ⇔ `v` reaches top hop `i`.
+    out_masks: Store<u64>,
+    /// `in_masks[v]` = `B(v)`: bit `i` ⇔ top hop `i` reaches `v`.
+    in_masks: Store<u64>,
 }
 
 impl Labeling {
-    fn from_lists(out: &[Vec<u32>], in_: &[Vec<u32>]) -> Self {
-        fn pack(lists: &[Vec<u32>]) -> (Vec<u32>, Vec<u32>) {
-            let total: usize = lists.iter().map(Vec::len).sum();
-            assert!(
-                (total as u64) < u32::MAX as u64,
-                "label entries exceed u32 offset space"
-            );
-            let mut offsets = Vec::with_capacity(lists.len() + 1);
-            let mut hops = Vec::with_capacity(total);
-            offsets.push(0u32);
-            for l in lists {
-                hops.extend_from_slice(l);
-                offsets.push(hops.len() as u32);
-            }
-            (offsets, hops)
-        }
-        let (out_offsets, out_hops) = pack(out);
-        let (in_offsets, in_hops) = pack(in_);
-        Self::from_csr_unchecked(out_offsets, out_hops, in_offsets, in_hops)
-    }
-
     /// Number of vertices labeled.
     pub fn num_vertices(&self) -> usize {
         self.out_offsets.len() - 1
@@ -285,39 +340,34 @@ impl Labeling {
         &self.in_hops[lo..hi]
     }
 
-    /// `L_out(v)`'s rank-band signature.
+    /// `F(v)`: bit `i` set iff `v` reaches top hop `i`.
     #[inline]
-    pub fn out_signature(&self, v: VertexId) -> u64 {
-        self.out_sigs[v as usize]
+    pub fn out_mask(&self, v: VertexId) -> u64 {
+        self.out_masks[v as usize]
     }
 
-    /// `L_in(v)`'s rank-band signature.
+    /// `B(v)`: bit `i` set iff top hop `i` reaches `v`.
     #[inline]
-    pub fn in_signature(&self, v: VertexId) -> u64 {
-        self.in_sigs[v as usize]
+    pub fn in_mask(&self, v: VertexId) -> u64 {
+        self.in_masks[v as usize]
     }
 
-    /// The hop-id → band shift the signatures were built with.
-    pub fn signature_shift(&self) -> u32 {
-        self.sig_shift
-    }
-
-    /// Footprint of the signature arrays in bytes (16 per vertex),
+    /// Footprint of the mask arrays in bytes (16 per vertex),
     /// whichever backing they live in.
-    pub fn signature_bytes(&self) -> u64 {
-        ((self.out_sigs.len() + self.in_sigs.len()) * std::mem::size_of::<u64>()) as u64
+    pub fn mask_bytes(&self) -> u64 {
+        ((self.out_masks.len() + self.in_masks.len()) * std::mem::size_of::<u64>()) as u64
     }
 
     /// True byte footprint of the label store — CSR offsets, hop
-    /// arrays, *and* the signature arrays — split by backing.
+    /// arrays, *and* the mask arrays — split by backing.
     pub fn memory(&self) -> MemorySplit {
         let mut m = MemorySplit::default();
         m.add(MemorySplit::of(&self.out_offsets));
         m.add(MemorySplit::of(&self.out_hops));
         m.add(MemorySplit::of(&self.in_offsets));
         m.add(MemorySplit::of(&self.in_hops));
-        m.add(MemorySplit::of(&self.out_sigs));
-        m.add(MemorySplit::of(&self.in_sigs));
+        m.add(MemorySplit::of(&self.out_masks));
+        m.add(MemorySplit::of(&self.in_masks));
         m
     }
 
@@ -326,16 +376,32 @@ impl Labeling {
         self.out_hops.backend()
     }
 
-    /// The oracle query: `u` reaches `v` iff the labels intersect.
-    /// Reflexive: `query(v, v)` is `true`.
+    /// The reach-mask stage: `Some(answer)` when the masks decide
+    /// `u → v` (`u != v`), `None` when the lists must.
+    #[inline(always)]
+    fn mask_verdict(&self, u: VertexId, v: VertexId) -> Option<bool> {
+        let (fu, bu) = (self.out_masks[u as usize], self.in_masks[u as usize]);
+        let (fv, bv) = (self.out_masks[v as usize], self.in_masks[v as usize]);
+        if fu & bv != 0 {
+            Some(true)
+        } else if (bu & !bv) | (fv & !fu) != 0 {
+            Some(false)
+        } else {
+            None
+        }
+    }
+
+    /// The oracle query: `u` reaches `v` iff the masks say so or the
+    /// lists intersect. Reflexive: `query(v, v)` is `true`.
     ///
-    /// Runs the O(1) signature rejection first; survivors fall through
-    /// to the size-adaptive intersection kernel.
+    /// Runs the O(1) reach-mask test first; pairs it leaves open fall
+    /// through to the size-adaptive intersection kernel.
     #[inline]
     pub fn query(&self, u: VertexId, v: VertexId) -> bool {
         u == v
-            || (self.out_sigs[u as usize] & self.in_sigs[v as usize] != 0
-                && sorted_intersect_adaptive(self.out_label(u), self.in_label(v)))
+            || self
+                .mask_verdict(u, v)
+                .unwrap_or_else(|| sorted_intersect_adaptive(self.out_label(u), self.in_label(v)))
     }
 
     /// [`Self::query`] that also reports which stage decided — the
@@ -346,25 +412,19 @@ impl Labeling {
         if u == v {
             return (true, LabelPath::Reflexive);
         }
-        if self.out_sigs[u as usize] & self.in_sigs[v as usize] == 0 {
-            return (false, LabelPath::SignatureCut);
+        match self.mask_verdict(u, v) {
+            Some(answer) => (answer, LabelPath::Masked),
+            None => (
+                sorted_intersect_adaptive(self.out_label(u), self.in_label(v)),
+                LabelPath::Merge,
+            ),
         }
-        (
-            sorted_intersect_adaptive(self.out_label(u), self.in_label(v)),
-            LabelPath::Merge,
-        )
-    }
-
-    /// [`Self::query`] with the signature rejection disabled — always
-    /// runs the intersection kernel. Exists for the perf harness and
-    /// equivalence tests; the answers are identical.
-    #[inline]
-    pub fn query_unsigned(&self, u: VertexId, v: VertexId) -> bool {
-        u == v || sorted_intersect(self.out_label(u), self.in_label(v))
     }
 
     /// Total label entries `Σ (|L_out(v)| + |L_in(v)|)` — the
-    /// paper's index-size metric (Figures 3–4 count integers).
+    /// paper's index-size metric (Figures 3–4 count integers). The
+    /// reach masks are not entries; owners that store answers in them
+    /// count their words separately.
     pub fn total_entries(&self) -> u64 {
         (self.out_hops.len() + self.in_hops.len()) as u64
     }
@@ -390,77 +450,36 @@ impl Labeling {
         )
     }
 
-    /// Rebuilds from raw CSR parts, deriving the signature arrays.
-    /// The caller (the persistence layer) must have validated monotone
-    /// offsets and sorted hop lists.
-    pub(crate) fn from_csr_unchecked(
-        out_offsets: Vec<u32>,
-        out_hops: Vec<u32>,
-        in_offsets: Vec<u32>,
-        in_hops: Vec<u32>,
-    ) -> Self {
-        debug_assert_eq!(out_offsets.len(), in_offsets.len());
-        debug_assert_eq!(*out_offsets.last().unwrap_or(&0) as usize, out_hops.len());
-        debug_assert_eq!(*in_offsets.last().unwrap_or(&0) as usize, in_hops.len());
-        let max_hop = out_hops
-            .iter()
-            .chain(in_hops.iter())
-            .copied()
-            .max()
-            .unwrap_or(0);
-        let sig_shift = signature_shift(max_hop);
-        let fold = |offsets: &[u32], hops: &[u32]| -> Vec<u64> {
-            offsets
-                .windows(2)
-                .map(|w| signature_of(&hops[w[0] as usize..w[1] as usize], sig_shift))
-                .collect()
-        };
-        let out_sigs = fold(&out_offsets, &out_hops);
-        let in_sigs = fold(&in_offsets, &in_hops);
-        Labeling {
-            out_offsets: out_offsets.into(),
-            out_hops: out_hops.into(),
-            in_offsets: in_offsets.into(),
-            in_hops: in_hops.into(),
-            out_sigs: out_sigs.into(),
-            in_sigs: in_sigs.into(),
-            sig_shift,
-        }
+    /// The mask arrays `(out_masks, in_masks)` — the persistence
+    /// layer's view.
+    pub(crate) fn mask_parts(&self) -> (&[u64], &[u64]) {
+        (&self.out_masks, &self.in_masks)
     }
 
-    /// Assembles a labeling directly from stores — the HOPL v3 arena
+    /// Assembles a labeling directly from stores — the HOPL v4 arena
     /// path: nothing is copied and nothing is re-derived. The caller
     /// (the arena reader) must have validated that offsets are
-    /// monotone and that the signatures/shift match the hop lists;
-    /// with a checksummed arena that is the writer's guarantee.
+    /// monotone; sorted lists and exact masks are the checksummed
+    /// arena's writer guarantee.
     pub(crate) fn from_stores_unchecked(
         out_offsets: Store<u32>,
         out_hops: Store<u32>,
         in_offsets: Store<u32>,
         in_hops: Store<u32>,
-        out_sigs: Store<u64>,
-        in_sigs: Store<u64>,
-        sig_shift: u32,
+        out_masks: Store<u64>,
+        in_masks: Store<u64>,
     ) -> Self {
         debug_assert_eq!(out_offsets.len(), in_offsets.len());
-        debug_assert_eq!(out_offsets.len(), out_sigs.len() + 1);
+        debug_assert_eq!(out_offsets.len(), out_masks.len() + 1);
+        debug_assert_eq!(out_masks.len(), in_masks.len());
         Labeling {
             out_offsets,
             out_hops,
             in_offsets,
             in_hops,
-            out_sigs,
-            in_sigs,
-            sig_shift,
+            out_masks,
+            in_masks,
         }
-    }
-
-    /// The signature arrays and their shift,
-    /// `(out_sigs, in_sigs, sig_shift)` — the persistence layer's view
-    /// (persisted as the optional `SIGS` section and cross-checked on
-    /// load).
-    pub(crate) fn signature_parts(&self) -> (&[u64], &[u64], u32) {
-        (&self.out_sigs, &self.in_sigs, self.sig_shift)
     }
 }
 
@@ -563,52 +582,88 @@ mod tests {
         assert!(!sorted_intersect(&evens, &odds));
     }
 
-    #[test]
-    fn signatures_summarize_lists() {
-        let mut b = LabelingBuilder::new(3);
-        b.out[0] = vec![0, 63];
-        b.in_[1] = vec![1];
-        b.in_[2] = vec![63];
-        let l = b.finish();
-        // Max hop 63 → shift 0: band == hop id.
-        assert_eq!(l.signature_shift(), 0);
-        assert_eq!(l.out_signature(0), 1 | 1 << 63);
-        assert_eq!(l.in_signature(1), 1 << 1);
-        assert_eq!(l.in_signature(2), 1 << 63);
-        assert_eq!(l.out_signature(1), 0, "empty list has empty signature");
-        assert_eq!(l.signature_bytes(), 6 * 8);
+    fn dag(n: usize, edges: &[(VertexId, VertexId)]) -> Dag {
+        Dag::from_edges(n, edges).unwrap()
     }
 
     #[test]
-    fn signature_shift_covers_the_id_space() {
-        let mut b = LabelingBuilder::new(2);
-        b.out[0] = vec![0, 100, 1000];
-        b.in_[1] = vec![1000];
-        let l = b.finish();
-        // 1000 >> shift must be ≤ 63 → shift 4 (1000 >> 4 = 62).
-        assert_eq!(l.signature_shift(), 4);
-        assert!(l.out_signature(0) & l.in_signature(1) != 0);
-        assert!(l.query(0, 1));
-    }
-
-    #[test]
-    fn query_traced_reports_the_deciding_stage() {
+    fn no_top_hops_leave_every_pair_to_the_lists() {
         let mut b = LabelingBuilder::new(3);
         b.out[0] = vec![0];
         b.in_[1] = vec![63];
         b.out[2] = vec![0, 63];
-        let l = b.finish();
+        let l = b.finish(&dag(3, &[]), &[]);
+        assert_eq!(l.mask_bytes(), 6 * 8);
         assert_eq!(l.query_traced(0, 0), (true, LabelPath::Reflexive));
-        // Disjoint bands: killed by the signature AND.
-        assert_eq!(l.query_traced(0, 1), (false, LabelPath::SignatureCut));
-        // Shared band: the kernel must run (and find hop 63).
+        assert_eq!(l.query_traced(0, 1), (false, LabelPath::Merge));
         assert_eq!(l.query_traced(2, 1), (true, LabelPath::Merge));
-        for u in 0..3u32 {
-            for v in 0..3u32 {
+    }
+
+    /// A 4-path `0 → 1 → 2 → 3` whose only top hop (bit 0) is vertex
+    /// 1: the masks decide every pair that 1's cones separate, and the
+    /// lists hold only the answers the masks cannot give.
+    #[test]
+    fn masks_decide_before_the_lists() {
+        let path = dag(4, &[(0, 1), (1, 2), (2, 3)]);
+        let mut b = LabelingBuilder::new(4);
+        b.out[2] = vec![64];
+        b.in_[2] = vec![64];
+        b.in_[3] = vec![64];
+        let l = b.finish(&path, &[1]);
+        // F: 0 and 1 reach hop 1; B: 1, 2 and 3 are reached from it.
+        assert_eq!(
+            (0..4).map(|v| l.out_mask(v)).collect::<Vec<_>>(),
+            [1, 1, 0, 0]
+        );
+        assert_eq!(
+            (0..4).map(|v| l.in_mask(v)).collect::<Vec<_>>(),
+            [0, 1, 1, 1]
+        );
+        assert_eq!(l.query_traced(0, 3), (true, LabelPath::Masked));
+        assert_eq!(l.query_traced(1, 2), (true, LabelPath::Masked));
+        // Hop 1 reaches 3 but not 0, and 2 but not 1's ancestors.
+        assert_eq!(l.query_traced(3, 0), (false, LabelPath::Masked));
+        assert_eq!(l.query_traced(2, 0), (false, LabelPath::Masked));
+        // Hop 1 reaches both 2 and 3 and neither reaches it: the lists
+        // decide.
+        assert_eq!(l.query_traced(2, 3), (true, LabelPath::Merge));
+        assert_eq!(l.query_traced(3, 2), (false, LabelPath::Merge));
+        for u in 0..4u32 {
+            for v in 0..4u32 {
                 assert_eq!(l.query_traced(u, v).0, l.query(u, v));
-                assert_eq!(l.query(u, v), l.query_unsigned(u, v));
+                assert_eq!(l.query(u, v), u <= v, "({u}, {v})");
             }
         }
+    }
+
+    /// Masks over *any* top-hop set are exact beside complete lists:
+    /// every choice of top hops on a small random DAG leaves every
+    /// answer equal to BFS, and some choice lets the masks decide.
+    #[test]
+    fn masks_over_any_top_set_keep_complete_lists_exact() {
+        use hoplite_graph::{gen, traversal};
+        let g = gen::random_dag(40, 100, 17);
+        let mut full = LabelingBuilder::new(40);
+        for v in 0..40 {
+            // Complete, redundant lists: every vertex lists its whole
+            // forward and backward cone.
+            for w in 0..40 {
+                if traversal::reaches(g.graph(), v, w) {
+                    full.out[v as usize].push(w);
+                    full.in_[w as usize].push(v);
+                }
+            }
+        }
+        let mut masked = 0;
+        for top in [vec![], vec![0], vec![39, 7, 3], (0..40).rev().collect()] {
+            let l = full.clone().finish(&g, &top);
+            traversal::assert_matches_bfs(g.graph(), &format!("top {top:?}"), |u, v| l.query(u, v));
+            masked += (0..40)
+                .flat_map(|u| (0..40).map(move |v| (u, v)))
+                .filter(|&(u, v)| l.query_traced(u, v).1 == LabelPath::Masked)
+                .count();
+        }
+        assert!(masked > 0);
     }
 
     #[test]
@@ -618,7 +673,7 @@ mod tests {
         b.in_[2] = vec![0, 1];
         b.out[1] = vec![1];
         b.in_[1] = vec![1];
-        let l = b.finish();
+        let l = b.finish(&dag(3, &[(0, 2), (1, 2)]), &[]);
         assert_eq!(l.out_label(0), &[0, 2]);
         assert_eq!(l.in_label(2), &[0, 1]);
         assert_eq!(l.out_label(2), &[] as &[u32]);
@@ -633,7 +688,7 @@ mod tests {
         let mut b = LabelingBuilder::new(2);
         b.out[0] = vec![5, 1, 5, 3];
         b.in_[1] = vec![3, 3];
-        let l = b.finish_sorting();
+        let l = b.finish_sorting(&dag(2, &[(0, 1)]), &[]);
         assert_eq!(l.out_label(0), &[1, 3, 5]);
         assert_eq!(l.in_label(1), &[3]);
         assert!(l.query(0, 1));
@@ -644,7 +699,7 @@ mod tests {
         let mut b = LabelingBuilder::new(2);
         b.out[0] = vec![1];
         b.in_[1] = vec![1];
-        let l = b.finish();
+        let l = b.finish(&dag(2, &[(0, 1)]), &[]);
         assert_eq!(l.total_entries(), 2);
         // 2 entries + two offset arrays of len 3 each.
         assert_eq!(l.size_in_integers(), 2 + 6);
@@ -652,7 +707,7 @@ mod tests {
 
     #[test]
     fn empty_labeling() {
-        let l = LabelingBuilder::new(0).finish();
+        let l = LabelingBuilder::new(0).finish(&dag(0, &[]), &[]);
         assert_eq!(l.num_vertices(), 0);
         assert_eq!(l.total_entries(), 0);
     }

@@ -57,7 +57,7 @@ pub use filter::{FilterVerdict, QueryFilters};
 pub use hierarchical::{CoreLabeler, HierarchicalLabeling, HlConfig};
 pub use hierarchy::Hierarchy;
 pub use label::{
-    sorted_intersect, sorted_intersect_adaptive, LabelPath, Labeling, LabelingBuilder,
+    sorted_intersect, sorted_intersect_adaptive, LabelPath, Labeling, LabelingBuilder, TOP_HOPS,
 };
 pub use metrics::{BuildTrace, Counter, Histogram, HistogramSnapshot, TraceSpan};
 pub use oracle::{Oracle, ReachIndex};

@@ -68,7 +68,7 @@ pub trait ReachIndex: Send {
 /// assert!(!oracle.reaches(4, 5));
 /// ```
 ///
-/// A built oracle can be shipped to query-serving replicas as a HOPL v3
+/// A built oracle can be shipped to query-serving replicas as a HOPL v4
 /// arena with [`Oracle::save_arena`] (see [`crate::persist`]), opened
 /// zero-copy with [`Oracle::open`], and served over the network by
 /// `hoplite-server`.
@@ -91,7 +91,7 @@ pub struct Oracle {
     dl: DistributionLabeling,
     /// O(1) pre-filters, projected into original-vertex space. Built
     /// from the DAG on construction; addressed in place (no
-    /// recomputation) on HOPL v3 opens.
+    /// recomputation) on HOPL v4 opens.
     filters: QueryFilters,
 }
 
@@ -150,7 +150,7 @@ impl Oracle {
         }
     }
 
-    /// Reassembles an oracle from fully persisted state — the HOPL v3
+    /// Reassembles an oracle from fully persisted state — the HOPL v4
     /// arena path: the filter records arrive ready-made (and possibly
     /// mapped), so nothing is derived here — not even the DAG, which
     /// materializes from its CSR sections on first [`Oracle::dag`]
@@ -236,7 +236,8 @@ impl Oracle {
     }
 
     /// [`Self::reaches_batch`] that also reports where the batch's
-    /// queries died (filter / signature / merge). Identical answers.
+    /// queries died (filter / reach masks, tallied as `signature_cut` /
+    /// merge). Identical answers.
     pub fn reaches_batch_tallied(
         &self,
         pairs: &[(VertexId, VertexId)],
@@ -328,7 +329,7 @@ impl Oracle {
     }
 
     /// True byte footprint of everything the oracle serves from —
-    /// labels, signatures, the rank order, filter records, the
+    /// labels, reach masks, the rank order, filter records, the
     /// component tables, and the (always owned) condensation DAG —
     /// split into heap vs mapped-arena bytes. An index opened with
     /// [`Oracle::open`] reports almost everything under
@@ -355,7 +356,7 @@ impl Oracle {
     }
 
     /// [`StoreBackend::Mapped`] iff the hot arrays live in a shared
-    /// arena (the label store is the tell — every v3 section shares
+    /// arena (the label store is the tell — every v4 section shares
     /// one buffer).
     pub fn backend(&self) -> StoreBackend {
         self.dl.labeling().backend()

@@ -33,7 +33,7 @@ use crate::filter::QueryFilters;
 use crate::label::{LabelPath, Labeling};
 
 /// Where a workload's queries died, per stage: the O(1) pre-filter
-/// stack, the O(1) signature rejection, or the intersection kernel.
+/// stack, the O(1) top-hop reach masks, or the intersection kernel.
 /// Accumulated off the hot path (each batch worker counts locally and
 /// totals are folded once per chunk), so operators can watch the stage
 /// mix without taxing throughput.
@@ -42,7 +42,9 @@ pub struct QueryTally {
     /// Decided by the pre-filter stack (including reflexive /
     /// same-component pairs).
     pub filter_decided: u64,
-    /// Rejected by the rank-band signature `AND`.
+    /// Decided (either answer) by the top-hop reach masks. The name
+    /// predates the masks: it is the `signature` stage of every tally,
+    /// metric and `STATS` reply.
     pub signature_cut: u64,
     /// Ran the adaptive label-intersection kernel.
     pub merged: u64,
@@ -89,7 +91,7 @@ pub(crate) fn answer_tallied(
         // Without a filter stack a reflexive pair is still an O(1)
         // pre-label decision; count it with the filter stage.
         LabelPath::Reflexive => tally.filter_decided += 1,
-        LabelPath::SignatureCut => tally.signature_cut += 1,
+        LabelPath::Masked => tally.signature_cut += 1,
         LabelPath::Merge => tally.merged += 1,
     }
     answer
@@ -177,7 +179,7 @@ fn prefetch_index<T>(slice: &[T], i: usize) {
 const PREFETCH_DISTANCE: usize = 12;
 
 /// [`par_query_batch_mapped`] that also reports *where queries died*
-/// (pre-filter, signature, merge) as a [`QueryTally`]. Answers are
+/// (pre-filter, reach masks, merge) as a [`QueryTally`]. Answers are
 /// identical; the tally costs each worker three register increments
 /// per query plus one fold per chunk. This is the engine behind
 /// [`crate::Oracle::reaches_batch_tallied`] and the `hoplite-server`
@@ -278,8 +280,7 @@ impl ThroughputReport {
 }
 
 /// Runs the batch at each requested thread count and reports the
-/// scaling curve. The `examples/` and the `throughput` bench print
-/// these directly.
+/// scaling curve. `examples/parallel_service.rs` prints it.
 pub fn measure_scaling(
     labeling: &Labeling,
     pairs: &[(VertexId, VertexId)],

@@ -1,4 +1,4 @@
-//! Binary persistence for built oracles: the HOPL v3 zero-copy arena.
+//! Binary persistence for built oracles: the HOPL v4 zero-copy arena.
 //!
 //! The paper's headline is cheap construction, but a production user
 //! still wants to build once and ship the index to query-serving
@@ -6,12 +6,12 @@
 //! serve --index NAME=FILE` opens an [`Oracle::save_arena`] file and
 //! answers it over the wire.
 //!
-//! ## HOPL v3 — the zero-copy arena
+//! ## HOPL v4 — the zero-copy arena
 //!
 //! [`Oracle::save_arena`] / [`Oracle::open`] turn the file itself into
 //! the index: a 64-byte header, a checksummed section table, and raw
 //! little-endian arrays at 64-byte-aligned offsets — including the
-//! rank-band signatures **and the 32-byte filter records**, the state
+//! top-hop reach masks **and the 32-byte filter records**, the state
 //! O'Reach observes is cheap to store and expensive to derive.
 //! [`Oracle::open`] maps the file ([`crate::store::ArenaBuf`]),
 //! validates the table, and serves straight out of the mapping: no
@@ -27,13 +27,21 @@
 //!
 //! ## One version
 //!
-//! v3 is the only version the readers accept. Indexes are derived
-//! data, so an older file (the v1 streaming format, with or without
-//! its trailing signature section) is not migrated: every reader
-//! refuses it with a [`PersistError::Format`] naming its version and
-//! the rebuild route — build the oracle from the edge list again
+//! v4 is the only version the readers accept. Indexes are derived
+//! data, so an older file (the v1 streaming format, or a v3 arena
+//! whose labels still carry the top hops beside rank-band signatures)
+//! is not migrated: every reader refuses it with a
+//! [`PersistError::Format`] naming its version and the rebuild route
+//! — build the oracle from the edge list again
 //! (`hoplited serve --frozen NAME=FILE`, or
 //! `Oracle::new(..).save_arena(..)`).
+//!
+//! A WAL checkpoint has no edge list to rebuild from: the arena is the
+//! only copy of a durable namespace's base graph. So the crate keeps
+//! one narrow v3 reader, for the component and condensation-DAG
+//! sections v3 and v4 share, and [`crate::wal::WalDir::recover`] uses
+//! it to relabel a v3 checkpoint into a v4 one in place. Index files
+//! opened for serving stay v4-only.
 //!
 //! ```
 //! use hoplite_graph::DiGraph;
@@ -54,6 +62,8 @@ use std::fmt;
 use std::io::{Read, Write};
 use std::path::Path;
 use std::sync::Arc;
+
+use hoplite_graph::DiGraph;
 
 use crate::distribution::DistributionLabeling;
 use crate::filter::{QueryFilters, FILTER_RECORD_BYTES};
@@ -99,11 +109,16 @@ impl From<std::io::Error> for PersistError {
 }
 
 // ---------------------------------------------------------------------
-// HOPL v3: the zero-copy arena
+// HOPL v4: the zero-copy arena
 // ---------------------------------------------------------------------
 
 /// HOPL version of the arena format.
-pub const ARENA_VERSION: u32 = 3;
+pub const ARENA_VERSION: u32 = 4;
+/// The previous arena version. Its header, section table, component
+/// tables and condensation-DAG sections are laid out exactly as v4's;
+/// its label sections are not (the lists kept the top hops, beside
+/// rank-band signatures whose shift sat in header bytes 32..36).
+const LEGACY_ARENA_VERSION: u32 = 3;
 /// Fixed arena header length; the section table starts right after.
 const ARENA_HEADER_LEN: usize = 64;
 /// One section-table entry: 8-byte tag + offset + length + checksum.
@@ -127,8 +142,8 @@ const SEC_OUT_OFF: &[u8; 8] = b"OUT_OFF\0";
 const SEC_OUT_HOP: &[u8; 8] = b"OUT_HOP\0";
 const SEC_IN_OFF: &[u8; 8] = b"IN_OFF\0\0";
 const SEC_IN_HOP: &[u8; 8] = b"IN_HOP\0\0";
-const SEC_OUT_SIG: &[u8; 8] = b"OUT_SIG\0";
-const SEC_IN_SIG: &[u8; 8] = b"IN_SIG\0\0";
+const SEC_OUT_MASK: &[u8; 8] = b"OUT_MASK";
+const SEC_IN_MASK: &[u8; 8] = b"IN_MASK\0";
 const SEC_FILTREC: &[u8; 8] = b"FILTREC\0";
 
 fn align_up(x: usize, align: usize) -> usize {
@@ -153,7 +168,7 @@ impl SectionData<'_> {
         }
     }
 
-    /// The section's file bytes, borrowed in place. HOPL v3 is a
+    /// The section's file bytes, borrowed in place. HOPL v4 is a
     /// little-endian-only format served by reinterpreting mapped
     /// bytes, so on LE targets (the only ones [`arena_endianness_ok`]
     /// admits) the live arrays *are* the encoding — one borrow, zero
@@ -178,7 +193,7 @@ impl SectionData<'_> {
     }
 }
 
-/// HOPL v3 serves typed slices straight out of the file bytes, so the
+/// HOPL v4 serves typed slices straight out of the file bytes, so the
 /// format is little-endian-only end to end — a big-endian host must
 /// refuse instead of silently writing or reading byte-swapped arrays.
 fn arena_endianness_ok() -> Result<(), PersistError> {
@@ -186,7 +201,7 @@ fn arena_endianness_ok() -> Result<(), PersistError> {
         Ok(())
     } else {
         Err(arena_err(
-            "HOPL v3 arenas are little-endian-only; this host is big-endian",
+            "HOPL arenas are little-endian-only; this host is big-endian",
         ))
     }
 }
@@ -222,10 +237,10 @@ impl Default for OpenOptions {
 }
 
 impl Oracle {
-    /// Serializes the oracle as a HOPL v3 arena: header, checksummed
+    /// Serializes the oracle as a HOPL v4 arena: header, checksummed
     /// section table, then every array — component tables,
     /// condensation-DAG CSR (both directions), rank order, label CSRs,
-    /// rank-band signatures, and the 32-byte filter records — as raw
+    /// top-hop reach masks, and the 32-byte filter records — as raw
     /// little-endian bytes at 64-byte-aligned offsets. A file written
     /// here opens in O(header) via [`Oracle::open`]: nothing needs to
     /// be re-derived, re-validated element-by-element, or copied.
@@ -233,7 +248,7 @@ impl Oracle {
         arena_endianness_ok().map_err(std::io::Error::other)?;
         let labeling = self.inner().labeling();
         let (oo, oh, io_, ih) = labeling.csr_parts();
-        let (osig, isig, sig_shift) = labeling.signature_parts();
+        let (out_masks, in_masks) = labeling.mask_parts();
         let (doo, dot, dio, dit) = self.dag().graph().csr_parts();
         let sections: Vec<(&[u8; 8], SectionData)> = vec![
             (SEC_COMP_OF, SectionData::U32(self.comp_of())),
@@ -247,8 +262,8 @@ impl Oracle {
             (SEC_OUT_HOP, SectionData::U32(oh)),
             (SEC_IN_OFF, SectionData::U32(io_)),
             (SEC_IN_HOP, SectionData::U32(ih)),
-            (SEC_OUT_SIG, SectionData::U64(osig)),
-            (SEC_IN_SIG, SectionData::U64(isig)),
+            (SEC_OUT_MASK, SectionData::U64(out_masks)),
+            (SEC_IN_MASK, SectionData::U64(in_masks)),
             (SEC_FILTREC, SectionData::Raw(self.filters().record_bytes())),
         ];
 
@@ -278,8 +293,9 @@ impl Oracle {
         header.extend_from_slice(&(sections.len() as u32).to_le_bytes());
         header.extend_from_slice(&(self.num_vertices() as u64).to_le_bytes());
         header.extend_from_slice(&(self.num_components() as u64).to_le_bytes());
-        header.extend_from_slice(&sig_shift.to_le_bytes());
-        header.extend_from_slice(&[0u8; 4]);
+        // Bytes 32..40 are reserved and zero (v3 kept its signature
+        // shift at 32).
+        header.extend_from_slice(&[0u8; 8]);
         header.extend_from_slice(&(file_len as u64).to_le_bytes());
         header.extend_from_slice(&checksum(&table).to_le_bytes());
         debug_assert_eq!(header.len(), 56);
@@ -301,7 +317,7 @@ impl Oracle {
         w.flush()
     }
 
-    /// Opens an on-disk HOPL v3 arena with the default
+    /// Opens an on-disk HOPL v4 arena with the default
     /// [`OpenOptions`]: mapped (unix `mmap`, aligned read elsewhere),
     /// checksums verified, served zero-copy. Any other version is a
     /// [`PersistError::Format`] naming it and the rebuild route.
@@ -333,7 +349,7 @@ impl Oracle {
         open_arena(Arc::new(buf), opts.verify)
     }
 
-    /// Opens a HOPL v3 arena already in memory (network-shipped
+    /// Opens a HOPL v4 arena already in memory (network-shipped
     /// indexes, tests). The bytes are copied once into an aligned
     /// buffer; everything else is identical to [`Oracle::open`].
     pub fn open_arena_bytes(bytes: &[u8]) -> Result<Oracle, PersistError> {
@@ -353,17 +369,23 @@ fn arena_err(msg: impl Into<String>) -> PersistError {
     PersistError::Format(msg.into())
 }
 
-/// Rejects anything but a HOPL v3 prefix: the magic, then the version
-/// word. Needs only the first 8 bytes, so a legacy file gets its
-/// version named however short it is.
-fn check_magic_and_version(bytes: &[u8]) -> Result<(), PersistError> {
+/// The version word of a HOPL prefix, after checking the magic. Needs
+/// only the first 8 bytes.
+fn arena_version(bytes: &[u8]) -> Result<u32, PersistError> {
     if bytes.len() < 8 {
         return Err(arena_err("arena shorter than its 64-byte header"));
     }
     if &bytes[..4] != MAGIC {
         return Err(arena_err("bad magic (not a hoplite index)"));
     }
-    let version = u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes"));
+    Ok(u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes")))
+}
+
+/// Rejects anything but a HOPL v4 prefix: the magic, then the version
+/// word. Needs only the first 8 bytes, so a legacy file gets its
+/// version named however short it is.
+fn check_magic_and_version(bytes: &[u8]) -> Result<(), PersistError> {
+    let version = arena_version(bytes)?;
     if version != ARENA_VERSION {
         return Err(arena_err(format!(
             "HOPL version {version} is not supported (this build reads only v{ARENA_VERSION} \
@@ -374,11 +396,11 @@ fn check_magic_and_version(bytes: &[u8]) -> Result<(), PersistError> {
     Ok(())
 }
 
-/// Parses and validates the arena header + section table — the
-/// O(header) part every open pays: bounds, alignment, ordering,
-/// overlap, and the two table/header checksums.
-fn parse_arena_table(bytes: &[u8]) -> Result<(Vec<Section>, u64, u64, u32), PersistError> {
-    check_magic_and_version(bytes)?;
+/// Parses and validates the header + section table of an arena whose
+/// magic and `version` the caller checked — the O(header) part every
+/// open pays: bounds, alignment, ordering, overlap, and the two
+/// table/header checksums.
+fn parse_arena_table(bytes: &[u8], version: u32) -> Result<(Vec<Section>, u64, u64), PersistError> {
     if bytes.len() < ARENA_HEADER_LEN {
         return Err(arena_err("arena shorter than its 64-byte header"));
     }
@@ -401,7 +423,9 @@ fn parse_arena_table(bytes: &[u8]) -> Result<(Vec<Section>, u64, u64, u32), Pers
             "implausible vertex/component counts ({n}/{c})"
         )));
     }
-    let sig_shift = u32_at(32);
+    if version == ARENA_VERSION && u64_at(32) != 0 {
+        return Err(arena_err("reserved header bytes 32..40 are not zero"));
+    }
     let file_len = u64_at(40);
     if file_len != bytes.len() as u64 {
         return Err(arena_err(format!(
@@ -463,7 +487,85 @@ fn parse_arena_table(bytes: &[u8]) -> Result<(Vec<Section>, u64, u64, u32), Pers
             sum,
         });
     }
-    Ok((sections, n, c, sig_shift))
+    Ok((sections, n, c))
+}
+
+/// The one section tagged `tag`: missing or duplicated is an error.
+fn find_section<'s>(sections: &'s [Section], tag: &[u8; 8]) -> Result<&'s Section, PersistError> {
+    let name = || {
+        String::from_utf8_lossy(tag)
+            .trim_end_matches('\0')
+            .to_string()
+    };
+    let mut hits = sections.iter().filter(|s| &s.tag == tag);
+    let first = hits
+        .next()
+        .ok_or_else(|| arena_err(format!("missing section {}", name())))?;
+    if hits.next().is_some() {
+        return Err(arena_err(format!("duplicate section {}", name())));
+    }
+    Ok(first)
+}
+
+/// Checks every section's bytes against its table checksum.
+fn verify_section_checksums(bytes: &[u8], sections: &[Section]) -> Result<(), PersistError> {
+    for s in sections {
+        if checksum(&bytes[s.offset..s.offset + s.len]) != s.sum {
+            return Err(arena_err(format!(
+                "section {} checksum mismatch",
+                String::from_utf8_lossy(&s.tag).trim_end_matches('\0')
+            )));
+        }
+    }
+    Ok(())
+}
+
+/// The graph a HOPL v3 arena captured, as `(comp_of, condensation
+/// DAG)` — the one thing this build still reads from a v3 file, so
+/// that a WAL checkpoint written before v4 can be relabeled
+/// ([`crate::wal::WalDir::recover`]). Every section is checksummed and
+/// every id range-checked; the label sections are ignored. `Ok(None)`
+/// when `bytes` is not a v3 arena.
+pub(crate) fn read_v3_graph(bytes: &[u8]) -> Result<Option<(Vec<u32>, DiGraph)>, PersistError> {
+    if arena_version(bytes)? != LEGACY_ARENA_VERSION {
+        return Ok(None);
+    }
+    let (sections, n, c) = parse_arena_table(bytes, LEGACY_ARENA_VERSION)?;
+    verify_section_checksums(bytes, &sections)?;
+    let (n, c) = (n as usize, c as usize);
+    let u32s = |tag: &[u8; 8], want: usize| -> Result<Vec<u32>, PersistError> {
+        let s = find_section(&sections, tag)?;
+        if s.len != want * 4 {
+            return Err(arena_err(format!(
+                "section {} is {} bytes, expected {}",
+                String::from_utf8_lossy(tag).trim_end_matches('\0'),
+                s.len,
+                want * 4
+            )));
+        }
+        Ok(bytes[s.offset..s.offset + s.len]
+            .chunks_exact(4)
+            .map(|w| u32::from_le_bytes(w.try_into().expect("4 bytes")))
+            .collect())
+    };
+    let comp_of = u32s(SEC_COMP_OF, n)?;
+    if comp_of.iter().any(|&comp| comp as usize >= c) {
+        return Err(arena_err("comp_of entry out of component range"));
+    }
+    let offsets = u32s(SEC_DAG_OOF, c + 1)?;
+    if offsets[0] != 0 || offsets.windows(2).any(|w| w[0] > w[1]) {
+        return Err(arena_err("dag out: offsets not monotone from 0"));
+    }
+    let targets = u32s(SEC_DAG_OTG, offsets[c] as usize)?;
+    let edges: Vec<(u32, u32)> = (0..c)
+        .flat_map(|a| {
+            targets[offsets[a] as usize..offsets[a + 1] as usize]
+                .iter()
+                .map(move |&b| (a as u32, b))
+        })
+        .collect();
+    let dag = DiGraph::from_edges(c, &edges).map_err(|e| arena_err(e.to_string()))?;
+    Ok(Some((comp_of, dag)))
 }
 
 /// Assembles a serving [`Oracle`] from a validated arena buffer.
@@ -472,41 +574,18 @@ fn parse_arena_table(bytes: &[u8]) -> Result<(Vec<Section>, u64, u64, u32), Pers
 /// section bytes to check their checksums plus the cheap structural
 /// invariants the query path indexes by (monotone offsets, in-range
 /// component ids); content invariants below that — sorted hop lists,
-/// signature/list agreement — are the writer's checksummed guarantee
+/// exact reach masks — are the writer's checksummed guarantee
 /// and are *not* re-derived (that recomputation is what the arena
 /// exists to avoid).
 fn open_arena(buf: Arc<ArenaBuf>, verify: bool) -> Result<Oracle, PersistError> {
     arena_endianness_ok()?;
     let bytes = buf.bytes();
-    let (sections, n, c, sig_shift) = parse_arena_table(bytes)?;
+    check_magic_and_version(bytes)?;
+    let (sections, n, c) = parse_arena_table(bytes, ARENA_VERSION)?;
     let (n, c) = (n as usize, c as usize);
-
-    let find = |tag: &[u8; 8]| -> Result<&Section, PersistError> {
-        let mut hits = sections.iter().filter(|s| &s.tag == tag);
-        let first = hits.next().ok_or_else(|| {
-            arena_err(format!(
-                "missing section {}",
-                String::from_utf8_lossy(tag).trim_end_matches('\0')
-            ))
-        })?;
-        if hits.next().is_some() {
-            return Err(arena_err(format!(
-                "duplicate section {}",
-                String::from_utf8_lossy(tag).trim_end_matches('\0')
-            )));
-        }
-        Ok(first)
-    };
-
+    let find = |tag: &[u8; 8]| find_section(&sections, tag);
     if verify {
-        for s in &sections {
-            if checksum(&bytes[s.offset..s.offset + s.len]) != s.sum {
-                return Err(arena_err(format!(
-                    "section {} checksum mismatch",
-                    String::from_utf8_lossy(&s.tag).trim_end_matches('\0')
-                )));
-            }
-        }
+        verify_section_checksums(bytes, &sections)?;
     }
 
     /// Typed window with an exact element-count requirement.
@@ -532,8 +611,8 @@ fn open_arena(buf: Arc<ArenaBuf>, verify: bool) -> Result<Oracle, PersistError> 
     let order: Store<u32> = typed(&buf, find(SEC_ORDER)?, c)?;
     let out_offsets: Store<u32> = typed(&buf, find(SEC_OUT_OFF)?, c + 1)?;
     let in_offsets: Store<u32> = typed(&buf, find(SEC_IN_OFF)?, c + 1)?;
-    let out_sigs: Store<u64> = typed(&buf, find(SEC_OUT_SIG)?, c)?;
-    let in_sigs: Store<u64> = typed(&buf, find(SEC_IN_SIG)?, c)?;
+    let out_masks: Store<u64> = typed(&buf, find(SEC_OUT_MASK)?, c)?;
+    let in_masks: Store<u64> = typed(&buf, find(SEC_IN_MASK)?, c)?;
     let filtrec = typed::<crate::filter::FilterRecord>(&buf, find(SEC_FILTREC)?, n)?;
 
     // Entry arrays are sized by their offset arrays' final values —
@@ -585,9 +664,8 @@ fn open_arena(buf: Arc<ArenaBuf>, verify: bool) -> Result<Oracle, PersistError> 
         out_hops,
         in_offsets,
         in_hops,
-        out_sigs,
-        in_sigs,
-        sig_shift,
+        out_masks,
+        in_masks,
     );
     let dl = DistributionLabeling::from_parts(labeling, order);
     let filters = QueryFilters::from_store(filtrec);
@@ -604,8 +682,10 @@ mod tests {
 
     #[test]
     fn arena_roundtrip_preserves_queries_and_structure() {
-        let g = gen::random_digraph(60, 200, 91);
+        let g = gen::random_digraph(160, 240, 91);
         let o = Oracle::new(&g);
+        // Past the top hops, so the label-list sections are non-empty.
+        assert!(o.num_components() > crate::label::TOP_HOPS);
         let mut buf = Vec::new();
         o.save_arena(&mut buf).unwrap();
         assert_eq!(buf.len() % 64, 0, "arena files are 64-byte padded");
@@ -619,7 +699,9 @@ mod tests {
         assert_eq!(o.label_entries(), o2.label_entries());
         assert_eq!(o.comp_of(), o2.comp_of());
         traversal::assert_matches_bfs(&g, "reopened arena", |u, v| o2.reaches(u, v));
-        let pairs: Vec<(u32, u32)> = (0..60).flat_map(|u| (0..60).map(move |v| (u, v))).collect();
+        let pairs: Vec<(u32, u32)> = (0..160)
+            .flat_map(|u| (0..160).map(move |v| (u, v)))
+            .collect();
         assert_eq!(o.reaches_batch(&pairs, 3), o2.reaches_batch(&pairs, 3));
         // Every array is arena-addressed (nothing was deserialized),
         // and a heap-backed arena accounts them all as heap RSS.
@@ -627,9 +709,9 @@ mod tests {
         assert_eq!(m.mapped_bytes, 0, "{m:?}");
         assert!(m.heap_bytes > 0, "{m:?}");
         // An opened oracle re-saves to the identical bytes.
-        let mut v3 = Vec::new();
-        o2.save_arena(&mut v3).unwrap();
-        assert_eq!(v3, buf, "arena re-serialization is byte-identical");
+        let mut resaved = Vec::new();
+        o2.save_arena(&mut resaved).unwrap();
+        assert_eq!(resaved, buf, "arena re-serialization is byte-identical");
     }
 
     #[test]
@@ -665,6 +747,56 @@ mod tests {
         bad.extend_from_slice(&[0u8; 64]);
         let err = Oracle::open_arena_bytes(&bad).unwrap_err();
         assert!(err.to_string().contains("length"), "{err}");
+    }
+
+    /// The v3 graph reader returns exactly the components and
+    /// condensation a v3 arena holds, ignores its label sections, and
+    /// fails closed (an error, never a panic) on truncation, bit flips
+    /// and other versions.
+    #[test]
+    fn v3_graph_reader_reads_the_graph_and_fails_closed() {
+        let g = gen::random_digraph(90, 200, 95);
+        let o = Oracle::new(&g);
+        let mut v4 = Vec::new();
+        o.save_arena(&mut v4).unwrap();
+        assert!(read_v3_graph(&v4).unwrap().is_none(), "v4 is not v3");
+        // Relabel as v3: version word, a signature shift where v4 keeps
+        // zeros, both covering checksums resealed.
+        let mut v3 = v4.clone();
+        v3[4..8].copy_from_slice(&LEGACY_ARENA_VERSION.to_le_bytes());
+        v3[32..36].copy_from_slice(&7u32.to_le_bytes());
+        let count = u32::from_le_bytes(v3[12..16].try_into().unwrap()) as usize;
+        let table_sum = checksum(&v3[64..64 + count * 32]);
+        v3[48..56].copy_from_slice(&table_sum.to_le_bytes());
+        let header_sum = checksum(&v3[..56]);
+        v3[56..64].copy_from_slice(&header_sum.to_le_bytes());
+        let (comp_of, condensation) = read_v3_graph(&v3).unwrap().expect("a v3 arena");
+        assert_eq!(comp_of, o.comp_of());
+        let edges = |g: &DiGraph| {
+            let mut e: Vec<(u32, u32)> = g.edges().collect();
+            e.sort_unstable();
+            (g.num_vertices(), e)
+        };
+        assert_eq!(edges(&condensation), edges(o.dag().graph()));
+        for keep in [8, 63, 64, 200, v3.len() / 2, v3.len() - 1] {
+            assert!(read_v3_graph(&v3[..keep]).is_err(), "keep={keep}");
+        }
+        // The header, the table, and the first byte of every non-empty
+        // section (offset at entry + 8, length at entry + 16).
+        let mut flips = vec![9, 20, 70, 100];
+        for entry in v3[64..64 + count * 32].chunks_exact(32) {
+            let offset = u64::from_le_bytes(entry[8..16].try_into().unwrap()) as usize;
+            if u64::from_le_bytes(entry[16..24].try_into().unwrap()) > 0 {
+                flips.push(offset);
+            }
+        }
+        for at in flips {
+            let mut bad = v3.clone();
+            bad[at] ^= 0x10;
+            assert!(read_v3_graph(&bad).is_err(), "byte {at}");
+        }
+        assert!(read_v3_graph(b"HOPL\x01\x00\x00\x00").unwrap().is_none());
+        assert!(read_v3_graph(b"NOPE\x03\x00\x00\x00").is_err());
     }
 
     #[test]

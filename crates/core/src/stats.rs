@@ -15,13 +15,13 @@ pub struct LabelStats {
     pub max_label: usize,
     /// Mean of `|L_out(v)| + |L_in(v)|` per vertex.
     pub avg_per_vertex: f64,
-    /// Bytes spent on the per-vertex rank-band signatures (16 per
+    /// Bytes spent on the per-vertex top-hop reach masks (16 per
     /// vertex: one `u64` per side).
-    pub signature_bytes: u64,
+    pub mask_bytes: u64,
     /// Process-private heap bytes of the label store (CSR offsets,
-    /// hop arrays, signatures).
+    /// hop arrays, reach masks).
     pub heap_bytes: u64,
-    /// Bytes addressed inside a shared mapped arena (a HOPL v3
+    /// Bytes addressed inside a shared mapped arena (a HOPL v4
     /// [`crate::Oracle::open`]); 0 for owned labelings.
     pub mapped_bytes: u64,
 }
@@ -52,7 +52,7 @@ impl LabelStats {
             total_in,
             max_label,
             avg_per_vertex,
-            signature_bytes: l.signature_bytes(),
+            mask_bytes: l.mask_bytes(),
             heap_bytes: memory.heap_bytes,
             mapped_bytes: memory.mapped_bytes,
         }
@@ -63,13 +63,13 @@ impl std::fmt::Display for LabelStats {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "n={} |Lout|={} |Lin|={} max={} avg/vertex={:.2} sig-bytes={} heap-bytes={} mapped-bytes={}",
+            "n={} |Lout|={} |Lin|={} max={} avg/vertex={:.2} mask-bytes={} heap-bytes={} mapped-bytes={}",
             self.num_vertices,
             self.total_out,
             self.total_in,
             self.max_label,
             self.avg_per_vertex,
-            self.signature_bytes,
+            self.mask_bytes,
             self.heap_bytes,
             self.mapped_bytes
         )
@@ -79,6 +79,7 @@ impl std::fmt::Display for LabelStats {
 #[cfg(test)]
 mod tests {
     use crate::label::LabelingBuilder;
+    use hoplite_graph::Dag;
 
     #[test]
     fn stats_count_correctly() {
@@ -86,7 +87,9 @@ mod tests {
         b.out[0] = vec![0, 1, 2];
         b.in_[1] = vec![0];
         b.in_[2] = vec![0, 1];
-        let s = b.finish().stats();
+        let s = b
+            .finish(&Dag::from_edges(3, &[(0, 1), (1, 2)]).unwrap(), &[])
+            .stats();
         assert_eq!(s.total_out, 3);
         assert_eq!(s.total_in, 3);
         assert_eq!(s.max_label, 3);
@@ -96,7 +99,9 @@ mod tests {
 
     #[test]
     fn empty_stats() {
-        let s = LabelingBuilder::new(0).finish().stats();
+        let s = LabelingBuilder::new(0)
+            .finish(&Dag::from_edges(0, &[]).unwrap(), &[])
+            .stats();
         assert_eq!(s.avg_per_vertex, 0.0);
         assert_eq!(s.num_vertices, 0);
     }

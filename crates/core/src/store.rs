@@ -1,14 +1,14 @@
 //! Pluggable label storage: owned heap arrays or one shared mapped
 //! arena.
 //!
-//! Every hot array in the index stack — label CSRs, rank-band
-//! signatures, filter records, the component mapping — is held in a
+//! Every hot array in the index stack — label CSRs, top-hop
+//! reach masks, filter records, the component mapping — is held in a
 //! [`Store<T>`]. A store is *born* one of two ways:
 //!
 //! * **Owned** — a `Vec<T>`, produced by construction. Nothing about
 //!   the build pipeline changes.
 //! * **Mapped** — a typed window into one page-aligned, reference-
-//!   counted [`ArenaBuf`] (an `mmap` of a HOPL v3 file on unix, a
+//!   counted [`ArenaBuf`] (an `mmap` of a HOPL v4 file on unix, a
 //!   page-aligned heap read elsewhere). Opening an index then costs
 //!   O(header): the arrays are *addressed*, never copied, and any
 //!   number of [`Store`]s — across namespaces, replicas, and reloads —
@@ -35,7 +35,7 @@ use std::io::Read;
 use std::path::Path;
 use std::sync::Arc;
 
-/// Alignment of every [`ArenaBuf`] and every section inside a HOPL v3
+/// Alignment of every [`ArenaBuf`] and every section inside a HOPL v4
 /// arena: one cache line on the serving hosts we target, and a common
 /// divisor of every element alignment a store carries. (`mmap` returns
 /// page-aligned memory, which is stricter still.)

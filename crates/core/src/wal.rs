@@ -6,7 +6,7 @@
 //!
 //! ```text
 //! <wal-dir>/<ns>/
-//!     checkpoint.<N>   HOPL v3 arena of the generation-N base DAG
+//!     checkpoint.<N>   HOPL v4 arena of the generation-N base DAG
 //!     wal.<N>          edge ops acknowledged since checkpoint N
 //! ```
 //!
@@ -34,13 +34,17 @@
 //!   either side leaves at least one complete generation on disk, and
 //!   [`WalDir::recover`] picks the newest valid one.
 //!
-//! The checkpoint itself is the HOPL v3 arena ([`Oracle::save_arena`])
+//! The checkpoint itself is the HOPL v4 arena ([`Oracle::save_arena`])
 //! of the very index the namespace serves: a rebuild labels its folded
 //! base once and stages that [`Oracle`] here, and recovery opens the
 //! arena and hands it back in [`Recovered::index`] for the namespace to
 //! adopt without relabeling. A dynamic namespace is always a DAG, so
 //! every condensation component is a singleton and the original vertex
 //! numbering is recovered by inverting `comp_of` — see [`recover_dag`].
+//! The one exception to "without relabeling" is a checkpoint written
+//! as a HOPL v3 arena, before the top-hop reach masks changed the
+//! labels: recovery reads its graph, relabels it, and replaces it with
+//! a v4 checkpoint in place (same generation, same base, same log).
 
 use std::borrow::Cow;
 use std::fmt;
@@ -49,9 +53,10 @@ use std::io::{self, BufWriter, Seek, Write};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
-use hoplite_graph::Dag;
+use hoplite_graph::{Dag, DiGraph};
 
 use crate::oracle::Oracle;
+use crate::persist;
 
 /// One logged mutation of a dynamic namespace.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -495,11 +500,12 @@ impl WalDir {
     /// Recovers the newest valid generation: `Ok(None)` if the
     /// directory holds no checkpoint (fresh namespace), the opened
     /// checkpoint, its base DAG and the valid WAL prefix otherwise.
-    /// Nothing is relabeled. Crash artifacts — a stale
-    /// `checkpoint.tmp`, a torn WAL tail, leftovers of a superseded
-    /// generation — are tolerated, never an error. Read-only: calling
-    /// it twice yields the same answer (the fault suite leans on
-    /// this).
+    /// Nothing is relabeled, except a HOPL v3 checkpoint, which is
+    /// upgraded in place first ([`Self::upgrade_v3_checkpoint`]).
+    /// Crash artifacts — a stale `checkpoint.tmp`, a torn WAL tail,
+    /// leftovers of a superseded generation — are tolerated, never an
+    /// error. Idempotent: calling it twice yields the same answer (the
+    /// fault suite leans on this), and only the v3 upgrade writes.
     pub fn recover(&self) -> io::Result<Option<Recovered>> {
         let mut gens = self.generations()?;
         gens.reverse();
@@ -510,13 +516,20 @@ impl WalDir {
         for gen in gens {
             let index = match Oracle::open(self.checkpoint_path(gen)) {
                 Ok(index) => index,
-                Err(e) => {
+                Err(e) => match self.upgrade_v3_checkpoint(gen) {
+                    Ok(Some(index)) => index,
                     // A checkpoint is only ever published by an atomic
                     // rename, so an invalid one means real corruption;
                     // fall back to the previous generation if any.
-                    last_err = Some(format!("checkpoint.{gen}: {e}"));
-                    continue;
-                }
+                    Ok(None) => {
+                        last_err = Some(format!("checkpoint.{gen}: {e}"));
+                        continue;
+                    }
+                    Err(up) => {
+                        last_err = Some(format!("checkpoint.{gen}: v3 upgrade failed: {up}"));
+                        continue;
+                    }
+                },
             };
             let base = recover_dag(&index)?;
             let wal_raw = match fs::read(self.wal_path(gen)) {
@@ -541,6 +554,26 @@ impl WalDir {
                 last_err.unwrap_or_default()
             ),
         ))
+    }
+
+    /// Replaces a HOPL v3 `checkpoint.<generation>` with a v4 one over
+    /// the same graph, and opens it: reads the graph v3 and v4 lay out
+    /// alike, labels it with the default configuration, stages the
+    /// arena and renames it over the old file (the commit point, as in
+    /// [`Durability::rotate`]; a crash before it leaves the v3 file to
+    /// upgrade again). `Ok(None)` when the file is not a v3 arena.
+    fn upgrade_v3_checkpoint(&self, generation: u64) -> io::Result<Option<Oracle>> {
+        let path = self.checkpoint_path(generation);
+        let bytes = fs::read(&path)?;
+        let Some((comp_of, condensation)) = persist::read_v3_graph(&bytes).map_err(invalid_data)?
+        else {
+            return Ok(None);
+        };
+        let base = base_dag(&comp_of, &condensation)?;
+        self.prepare_checkpoint(&Oracle::new(base.graph()))?;
+        fs::rename(self.tmp_path(), &path)?;
+        sync_dir(&self.dir)?;
+        Oracle::open(&path).map(Some).map_err(invalid_data)
     }
 
     /// Initializes generation 0 for a fresh namespace: stages and
@@ -611,10 +644,13 @@ pub trait Checkpoint {
 /// `comp_of` is a bijection original-vertex → component; inverting it
 /// maps the condensation's edges back into the original numbering.
 pub fn recover_dag(oracle: &Oracle) -> io::Result<Dag> {
-    let comp_of = oracle.comp_of();
-    if oracle.num_components() != comp_of.len() {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
+    base_dag(oracle.comp_of(), oracle.dag().graph())
+}
+
+/// [`recover_dag`] over the raw parts: `comp_of` and the condensation.
+fn base_dag(comp_of: &[u32], condensation: &DiGraph) -> io::Result<Dag> {
+    if condensation.num_vertices() != comp_of.len() {
+        return Err(invalid_data(
             "checkpoint captured a cyclic graph (non-singleton component)",
         ));
     }
@@ -622,14 +658,15 @@ pub fn recover_dag(oracle: &Oracle) -> io::Result<Dag> {
     for (v, &c) in comp_of.iter().enumerate() {
         inv[c as usize] = v as u32;
     }
-    let edges: Vec<(u32, u32)> = oracle
-        .dag()
-        .graph()
+    let edges: Vec<(u32, u32)> = condensation
         .edges()
         .map(|(a, b)| (inv[a as usize], inv[b as usize]))
         .collect();
-    Dag::from_edges(comp_of.len(), &edges)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
+    Dag::from_edges(comp_of.len(), &edges).map_err(invalid_data)
+}
+
+fn invalid_data(e: impl ToString) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, e.to_string())
 }
 
 /// Fsyncs a directory so renames and creations inside it are durable.

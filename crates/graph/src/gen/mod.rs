@@ -246,7 +246,7 @@ pub fn layered_dag(n: usize, layers: usize, m: usize, seed: u64) -> Dag {
 /// so cross-chain pairs survive it about half the time and the later
 /// layers must carry the load (measured in `BENCH_4.json`: the
 /// doubled GRAIL interval cuts absorb most cross-chain negatives
-/// before the signature stage ever sees them).
+/// before the reach-mask stage ever sees them).
 pub fn deep_chain_dag(n: usize, chains: usize, cross: usize, seed: u64) -> Dag {
     assert!(chains >= 1, "deep_chain_dag needs at least one chain");
     let mut rng = Rng::new(seed);

@@ -7,7 +7,7 @@
 //! ```
 //!
 //! * `serve` loads graphs (`--frozen`, edge-list or `.gra` via
-//!   `hoplite_graph::io`), prebuilt HOPL v3 indexes (`--index`, via
+//!   `hoplite_graph::io`), prebuilt HOPL v4 indexes (`--index`, via
 //!   `hoplite_core::persist`), and mutable DAGs (`--dynamic`), then
 //!   serves them until killed.
 //! * `smoke` starts a server on port 0, runs PING / REACH / STATS /
@@ -43,7 +43,7 @@ SERVE:
     --batch-threads N      fan-out width for BATCH queries (default: cores, max 8)
     --frozen NAME=FILE     build a frozen namespace from a graph file
                            (.gra adjacency, anything else = edge list)
-    --index NAME=FILE      load a frozen namespace from a HOPL v3 arena
+    --index NAME=FILE      load a frozen namespace from a HOPL v4 arena
                            (Oracle::save_arena); any other version is
                            refused at startup: rebuild it with --frozen
     --mmap                 serve indexes zero-copy out of an mmap

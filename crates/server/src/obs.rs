@@ -291,7 +291,8 @@ pub struct QueryObs {
     /// Single `REACH` latency for queries the O(1) pre-filter stack
     /// decided.
     pub filter_ns: Histogram,
-    /// Single `REACH` latency for queries the signature `AND` killed.
+    /// Single `REACH` latency for queries the top-hop reach masks
+    /// decided (the `signature` stage).
     pub signature_ns: Histogram,
     /// Single `REACH` latency for queries that ran the label merge.
     pub merge_ns: Histogram,

@@ -453,10 +453,10 @@ impl fmt::Display for NamespaceKind {
 /// wire twin of [`hoplite_core::StoreBackend`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum IndexBackend {
-    /// Process-private heap (built in process, or a HOPL v3 arena
+    /// Process-private heap (built in process, or a HOPL v4 arena
     /// read onto the heap).
     Heap,
-    /// One shared HOPL v3 arena (`Oracle::open`), page-cache-shared
+    /// One shared HOPL v4 arena (`Oracle::open`), page-cache-shared
     /// across replicas of the same file.
     Mapped,
 }
@@ -570,11 +570,13 @@ pub struct NamespaceStats {
     pub pending_deletions: u64,
     /// Reachability queries served (batch pairs count individually).
     pub queries: u64,
-    /// Frozen only: bytes spent on the per-vertex rank-band signatures.
+    /// Frozen only: bytes spent on the per-vertex top-hop reach masks
+    /// (the field keeps its pre-mask name).
     pub signature_bytes: u64,
     /// Frozen only: queries decided by the O(1) pre-filter stack.
     pub filter_hits: u64,
-    /// Frozen only: queries rejected by the signature `AND`.
+    /// Frozen only: queries decided by the top-hop reach masks (the
+    /// `signature` stage).
     pub signature_hits: u64,
     /// Frozen only: queries that ran the label-intersection kernel —
     /// the operator's "where do my queries die" denominator together
@@ -582,10 +584,10 @@ pub struct NamespaceStats {
     pub merge_runs: u64,
     /// Which backing the namespace's index arrays live in.
     pub backend: IndexBackend,
-    /// Process-private heap bytes of the index (labels, signatures,
+    /// Process-private heap bytes of the index (labels, reach masks,
     /// filter records, component tables, DAG, overlay).
     pub heap_bytes: u64,
-    /// Bytes addressed inside a shared mapped arena (a HOPL v3
+    /// Bytes addressed inside a shared mapped arena (a HOPL v4
     /// `Oracle::open`); these are page cache, shared across every
     /// replica and namespace serving the same file.
     pub mapped_bytes: u64,

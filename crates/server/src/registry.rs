@@ -102,12 +102,12 @@ impl From<MutationError> for ServeError {
 struct FrozenNs {
     /// The snapshot, behind its own `Arc` so `LIST`-able namespaces,
     /// replicas, and reloads can *share* one index (and, for a mapped
-    /// HOPL v3 oracle, one arena) instead of cloning it — see
+    /// HOPL v4 oracle, one arena) instead of cloning it — see
     /// [`Registry::insert_frozen`].
     oracle: Arc<Oracle>,
     queries: AtomicU64,
     /// Per-stage death counters ("where do my queries die"): decided
-    /// by the pre-filter stack / rejected by the signature `AND` / ran
+    /// by the pre-filter stack / decided by the top-hop reach masks / ran
     /// the intersection kernel. Batches fold a whole
     /// [`hoplite_core::QueryTally`] in at once, so the hot path pays
     /// three relaxed adds per *batch*, not per query.
@@ -544,7 +544,7 @@ impl NamespaceHandle {
                     pending_inserts: 0,
                     pending_deletions: 0,
                     queries: ns.queries.load(Ordering::Relaxed),
-                    signature_bytes: ns.oracle.inner().labeling().signature_bytes(),
+                    signature_bytes: ns.oracle.inner().labeling().mask_bytes(),
                     filter_hits: ns.filter_hits.load(Ordering::Relaxed),
                     signature_hits: ns.signature_hits.load(Ordering::Relaxed),
                     merge_runs: ns.merge_runs.load(Ordering::Relaxed),
@@ -568,7 +568,7 @@ impl NamespaceHandle {
                     pending_deletions: oracle.pending_deletions() as u64,
                     queries: ns.queries.load(Ordering::Relaxed),
                     // The dynamic query path answers through its
-                    // overlay, not the frozen signature/merge kernels.
+                    // overlay and keeps no per-stage tallies.
                     signature_bytes: 0,
                     filter_hits: 0,
                     signature_hits: 0,
@@ -1256,7 +1256,7 @@ mod tests {
         assert!(stats.filter_hits > 0, "{stats:?}");
         assert!(
             stats.signature_bytes > 0,
-            "frozen namespaces report signature bytes"
+            "frozen namespaces report their reach-mask bytes"
         );
     }
 }

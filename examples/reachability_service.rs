@@ -116,8 +116,8 @@ fn main() {
         );
     }
 
-    // Zero-copy reload: persist the snapshot as a HOPL v3 arena, open
-    // it mapped (O(header) — no deserialization, no filter/signature
+    // Zero-copy reload: persist the snapshot as a HOPL v4 arena, open
+    // it mapped (O(header) — no deserialization, no filter/reach-mask
     // recompute), and atomically swap it in. One `Arc<Oracle>` backs
     // both the fresh "web" and a fan-out replica namespace, so the
     // reload shares a single file mapping instead of cloning a

@@ -17,6 +17,7 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 
+use hoplite::core::store::checksum;
 use hoplite::core::wal::{decode_records, encode_record, RECORD_LEN};
 use hoplite::core::{
     Durability, DynamicOracle, EdgeOp, FailpointWriter, Oracle, Wal, WalConfig, WalDir,
@@ -311,7 +312,8 @@ fn remove_then_reverse_insert_mid_rebuild_survives_rotation_and_restart() {
 fn the_staged_checkpoint_is_the_published_index() {
     let root = temp_dir("staged");
     let wal = WalDir::open(&root).expect("open wal dir");
-    let base = gen::random_dag(60, 180, 11);
+    // Past the top hops, so the checkpoint carries label lists.
+    let base = gen::random_dag(120, 360, 11);
     let n = base.num_vertices();
     let topo = base.topo_order().to_vec();
     let seed: Vec<(u32, u32)> = base.graph().edges().collect();
@@ -669,5 +671,122 @@ fn checkpoints_are_plain_hopl_arenas() {
     let (_wal, root, _full) = seeded_wal_dir("arena");
     let oracle = Oracle::open(root.join("checkpoint.0")).expect("checkpoint opens as HOPL");
     assert_eq!(oracle.comp_of().len(), SEED_N);
+    fs::remove_dir_all(&root).ok();
+}
+
+// ---------------------------------------------------------------------
+// Checkpoints written in the previous arena format.
+// ---------------------------------------------------------------------
+
+/// Rewrites a v4 arena as the v3 file the previous format wrote: the
+/// version word, a rank-band signature shift in header bytes 32..36,
+/// the `OUT_SIG`/`IN_SIG` tags where v4 has its mask sections, and
+/// both covering checksums resealed.
+fn as_v3_arena(v4: &[u8]) -> Vec<u8> {
+    let mut buf = v4.to_vec();
+    buf[4..8].copy_from_slice(&3u32.to_le_bytes());
+    buf[32..36].copy_from_slice(&9u32.to_le_bytes());
+    let count = u32::from_le_bytes(buf[12..16].try_into().unwrap()) as usize;
+    let table_end = 64 + count * 32;
+    for entry in buf[64..table_end].chunks_exact_mut(32) {
+        match &entry[..8] {
+            b"OUT_MASK" => entry[..8].copy_from_slice(b"OUT_SIG\0"),
+            b"IN_MASK\0" => entry[..8].copy_from_slice(b"IN_SIG\0\0"),
+            _ => {}
+        }
+    }
+    let table_sum = checksum(&buf[64..table_end]);
+    buf[48..56].copy_from_slice(&table_sum.to_le_bytes());
+    let header_sum = checksum(&buf[..56]);
+    buf[56..64].copy_from_slice(&header_sum.to_le_bytes());
+    buf
+}
+
+/// A durable namespace whose checkpoint is a HOPL v3 arena — written
+/// before the top-hop reach masks changed the labels — still opens:
+/// recovery relabels the checkpoint's graph into a v4 checkpoint in
+/// place, the log replays on top, and the served answers match BFS
+/// over the acknowledged edges. A damaged v3 checkpoint is an error
+/// naming the failed upgrade, not an empty namespace.
+#[test]
+fn a_v3_checkpoint_is_upgraded_in_place_and_its_log_replays() {
+    let root = temp_dir("v3");
+    let n = 150usize;
+    let base = gen::random_dag(n, 450, 21);
+    let seed_edges: Vec<(u32, u32)> = base.graph().edges().collect();
+    let wal = WalDir::open(&root).expect("open wal dir");
+    wal.initialize(&base).expect("initialize generation 0");
+
+    // A log that removes a seed edge and inserts every candidate that
+    // keeps the graph acyclic.
+    let mut ops = vec![EdgeOp::Remove(seed_edges[0].0, seed_edges[0].1)];
+    for (u, v) in [(0u32, 149u32), (149, 0), (7, 93), (120, 3), (40, 41)] {
+        let mut with = apply_ops(&seed_edges, &ops);
+        with.insert((u, v));
+        if Dag::new(graph_of(n, &with)).is_ok() {
+            ops.push(EdgeOp::Insert(u, v));
+        }
+    }
+    assert!(ops.len() >= 3, "{ops:?}");
+    let mut dur = wal
+        .durability(0, 0, 0, WalConfig::sync_every_record())
+        .expect("open appender");
+    for &op in &ops {
+        dur.log(op).expect("log");
+    }
+    dur.sync().expect("sync");
+    drop(dur);
+
+    let path = root.join("checkpoint.0");
+    let v3 = as_v3_arena(&fs::read(&path).unwrap());
+    fs::write(&path, &v3).unwrap();
+    let refused = Oracle::open(&path).unwrap_err().to_string();
+    assert!(refused.contains("version 3"), "{refused}");
+
+    // A bit flip in a v3 section fails the upgrade, and with no older
+    // generation that is an error.
+    let comp_of_at = u64::from_le_bytes(v3[72..80].try_into().unwrap()) as usize;
+    let mut damaged = v3.clone();
+    damaged[comp_of_at] ^= 0x01;
+    fs::write(&path, &damaged).unwrap();
+    let err = wal
+        .recover()
+        .err()
+        .expect("damaged v3 checkpoint")
+        .to_string();
+    assert!(err.contains("v3 upgrade"), "{err}");
+    fs::write(&path, &v3).unwrap();
+
+    // The registry opens the v3 directory: the seed it is handed loses
+    // to the upgraded checkpoint plus its log.
+    let truth = apply_ops(&seed_edges, &ops);
+    {
+        let registry = Registry::new();
+        let decoy = Dag::from_edges(n, &[]).unwrap();
+        registry
+            .open_durable("old", decoy, &root, WalConfig::sync_every_record(), None)
+            .expect("open durable over a v3 checkpoint");
+        let handle = registry.get("old").unwrap();
+        traversal::assert_matches_bfs(&graph_of(n, &truth), "served after the upgrade", |u, v| {
+            handle.reach(u, v).expect("reach")
+        });
+    }
+
+    // On disk the checkpoint is now v4 over the same base, with labels,
+    // and recovering again is a plain, stable open.
+    let upgraded = Oracle::open(&path).expect("checkpoint.0 is v4 after the upgrade");
+    assert!(upgraded.label_entries() > 0);
+    traversal::assert_matches_bfs(base.graph(), "upgraded checkpoint", |u, v| {
+        upgraded.reaches(u, v)
+    });
+    let first = wal.recover().unwrap().expect("generation 0");
+    let second = wal.recover().unwrap().expect("generation 0");
+    assert_eq!(first.generation, 0);
+    assert_eq!(first.base.graph(), base.graph());
+    assert_eq!(first.ops, ops);
+    assert_eq!(
+        (second.generation, second.ops, second.wal_bytes),
+        (first.generation, first.ops.clone(), first.wal_bytes)
+    );
     fs::remove_dir_all(&root).ok();
 }

@@ -2,7 +2,7 @@
 //! filtered `Oracle` hot path, the unfiltered label-intersection path,
 //! and BFS ground truth must agree on random cyclic digraphs, plain
 //! DAGs and DAGs with many small SCCs — on the freshly built oracle,
-//! after a HOPL v3 `save_arena`/open round-trip, and through the
+//! after a HOPL v4 `save_arena`/open round-trip, and through the
 //! `hoplite-server` wire path. This is the root facade's all-pairs BFS
 //! sweep: singles and batches, filtered and unfiltered, at 1 and 3
 //! threads.
@@ -114,10 +114,17 @@ fn equivalence_survives_save_load_roundtrip() {
 
 #[test]
 fn equivalence_through_the_server_wire_path() {
-    let n = 50usize;
+    // Sparse enough to condense past the top hops: the wire path
+    // serves masks and label lists.
+    let n = 100usize;
     let g = gen::random_digraph(n, 170, 0xFADE);
+    let oracle = Oracle::new(&g);
+    assert!(
+        oracle.label_entries() > 0,
+        "the fixture reaches past the top hops"
+    );
     let registry = Registry::new();
-    registry.insert_frozen("equiv", Oracle::new(&g)).unwrap();
+    registry.insert_frozen("equiv", oracle).unwrap();
     let handle = Server::bind("127.0.0.1:0", Arc::new(registry), ServerConfig::default())
         .expect("bind ephemeral loopback port");
 

@@ -63,7 +63,12 @@ fn figure2_constraints_hold_in_the_fixture() {
 fn figure2_distribution_steps_match_the_paper() {
     let (dag, order) = figure2_graph();
     let dl = DistributionLabeling::build_with_order(&dag, order.clone());
-    let l = dl.labeling();
+    // All 32 vertices are top hops, so the stored lists are empty and
+    // the masks hold every answer; the walkthrough reads Algorithm 2's
+    // labels, which `full_labels` restores from the masks.
+    let full = dl.full_labels();
+    let out_label = |v: u32| -> &[u32] { &full.out[v as usize] };
+    let in_label = |v: u32| -> &[u32] { &full.in_[v as usize] };
     let names = |hops: &[u32]| -> Vec<u32> { hops.iter().map(|&r| order[r as usize]).collect() };
     let walkthrough = |hops: &[u32]| -> Vec<u32> {
         let mut v: Vec<u32> = names(hops)
@@ -76,26 +81,26 @@ fn figure2_distribution_steps_match_the_paper() {
 
     // Figure 2(b): "for all u ∈ TC^-1(7), Lout(u) = {7, 13}".
     for u in [1u32, 2, 7] {
-        assert_eq!(walkthrough(l.out_label(u)), vec![7, 13], "ancestor {u}");
+        assert_eq!(walkthrough(out_label(u)), vec![7, 13], "ancestor {u}");
     }
     // "...and for all w ∈ TC(7) \ TC(13), Lin(w) = {7}".
-    assert_eq!(walkthrough(l.in_label(31)), vec![7]);
-    assert_eq!(walkthrough(l.in_label(7)), vec![7]);
+    assert_eq!(walkthrough(in_label(31)), vec![7]);
+    assert_eq!(walkthrough(in_label(7)), vec![7]);
     // Descendants of 13 carry hop 13, not 7 (Lemma 2's split).
-    assert_eq!(walkthrough(l.in_label(30)), vec![13]);
-    assert_eq!(walkthrough(l.in_label(13)), vec![13]);
+    assert_eq!(walkthrough(in_label(30)), vec![13]);
+    assert_eq!(walkthrough(in_label(13)), vec![13]);
     // Figure 2(c): 25 is added to Lin(w) for w ∈ TC(25) and to
     // Lout(u) only for u ∈ TC^-1(25) \ (TC^-1(13) ∪ TC^-1(7)) = {25}.
-    assert_eq!(walkthrough(l.in_label(25)), vec![13, 25]);
-    assert_eq!(walkthrough(l.out_label(25)), vec![25]);
+    assert_eq!(walkthrough(in_label(25)), vec![13, 25]);
+    assert_eq!(walkthrough(out_label(25)), vec![25]);
     for u in [1u32, 2, 7, 11, 13] {
         assert!(
-            !walkthrough(l.out_label(u)).contains(&25),
+            !walkthrough(out_label(u)).contains(&25),
             "hop 25 must be pruned from Lout({u}) (X covers it)"
         );
     }
     // 11 reaches 13 but not 7.
-    let l11 = walkthrough(l.out_label(11));
+    let l11 = walkthrough(out_label(11));
     assert!(l11.contains(&13) && !l11.contains(&7));
 
     // And the whole labeling answers correctly.

@@ -1,4 +1,4 @@
-//! Failure injection for the persistence layer: the HOPL v3 arena
+//! Failure injection for the persistence layer: the HOPL v4 arena
 //! reader fed hostile bytes must return a structured [`PersistError`]
 //! — never panic, never serve an oracle that answers wrong — and a
 //! file in any other HOPL version must be refused by version.
@@ -13,10 +13,10 @@ use hoplite::graph::{gen, traversal, DiGraph};
 use hoplite::Oracle;
 
 // ---------------------------------------------------------------------
-// HOPL v3 arena failure injection
+// HOPL v4 arena failure injection
 // ---------------------------------------------------------------------
 
-/// A serialized v3 arena over a small cyclic digraph.
+/// A serialized v4 arena over a small cyclic digraph.
 fn arena_fixture() -> (DiGraph, Vec<u8>) {
     let g = gen::random_digraph(36, 120, 15);
     let oracle = Oracle::new(&g);
@@ -189,12 +189,75 @@ fn v1_files_are_refused_with_a_typed_rebuild_error() {
     }
     std::fs::remove_file(&path).ok();
     // Any other version word is refused the same way.
-    for version in [0, 2, 4, u32::MAX] {
+    for version in [0, 2, 3, 5, u32::MAX] {
         assert_refused_by_version(
             Oracle::open_arena_bytes(&legacy_file(version, &[])),
             version,
             "bytes",
         );
+    }
+}
+
+#[test]
+fn v3_arenas_are_refused_with_a_typed_rebuild_error() {
+    // A v3 arena kept the top hops in its label lists beside rank-band
+    // signatures; its lists alone would answer wrong under v4's masks.
+    // A well-formed v4 arena relabeled v3 (checksums resealed, so only
+    // the version word differs) is refused by every reader.
+    let (_, buf) = arena_fixture();
+    let mut v3 = buf.clone();
+    v3[4..8].copy_from_slice(&3u32.to_le_bytes());
+    reseal_arena(&mut v3);
+    assert_refused_by_version(Oracle::open_arena_bytes(&v3), 3, "bytes");
+    let path = std::env::temp_dir().join(format!("hoplite-fuzz-v3-{}.hopl", std::process::id()));
+    std::fs::write(&path, &v3).expect("write temp v3 file");
+    assert_refused_by_version(Oracle::open(&path), 3, "open");
+    let read = hoplite::core::OpenOptions {
+        mmap: false,
+        ..Default::default()
+    };
+    assert_refused_by_version(Oracle::open_with(&path, &read), 3, "open_with read");
+    std::fs::remove_file(&path).ok();
+    // v4 requires the header word v3 used for its signature shift to
+    // be zero.
+    let mut shifted = buf;
+    shifted[32] = 7;
+    reseal_arena(&mut shifted);
+    let err = Oracle::open_arena_bytes(&shifted).unwrap_err();
+    assert!(err.to_string().contains("reserved"), "{err}");
+}
+
+/// `(offset, len)` of the section tagged `tag` in an arena's table.
+fn section(buf: &[u8], tag: &[u8; 8]) -> (usize, usize) {
+    let count = u32::from_le_bytes(buf[12..16].try_into().unwrap()) as usize;
+    let entry = buf[64..64 + count * 32]
+        .chunks_exact(32)
+        .find(|e| &e[..8] == tag)
+        .expect("section present");
+    let word = |at: usize| u64::from_le_bytes(entry[at..at + 8].try_into().unwrap()) as usize;
+    (word(8), word(16))
+}
+
+#[test]
+fn mask_bit_flips_fail_the_section_checksum() {
+    // The masks hold answers the label lists no longer carry, so a
+    // flipped mask bit would answer wrong: every one must be caught.
+    let (_, buf) = arena_fixture();
+    for (tag, name) in [(b"OUT_MASK", "OUT_MASK"), (b"IN_MASK\0", "IN_MASK")] {
+        let (offset, len) = section(&buf, tag);
+        assert!(len > 0, "{name} is empty");
+        for at in [offset, offset + len / 2, offset + len - 1] {
+            for bit in [0, 5] {
+                let mut bad = buf.clone();
+                bad[at] ^= 1 << bit;
+                let err = Oracle::open_arena_bytes(&bad).unwrap_err();
+                assert!(
+                    err.to_string()
+                        .contains(&format!("{name} checksum mismatch")),
+                    "{name} byte {at} bit {bit}: {err}"
+                );
+            }
+        }
     }
 }
 
@@ -213,7 +276,7 @@ proptest! {
         ));
     }
 
-    /// Byte soup dressed as a v3 arena (valid magic + version) never
+    /// Byte soup dressed as a v4 arena (valid magic + version) never
     /// panics the arena reader either.
     #[test]
     fn arena_reader_never_panics_on_junk(junk in proptest::collection::vec(any::<u8>(), 0..512)) {
@@ -225,9 +288,10 @@ proptest! {
 
     /// On any random cyclic digraph, the mapped (mmap), owned-read,
     /// and builder oracles agree with BFS ground truth pairwise — the
-    /// mmap ≡ owned ≡ BFS equivalence invariant.
+    /// mmap ≡ owned ≡ BFS equivalence invariant. Sizes span both
+    /// sides of `TOP_HOPS` components: masks only, and masks + lists.
     #[test]
-    fn mapped_equals_owned_equals_bfs(seed in 0u64..500, n in 8usize..40, m in 10usize..120) {
+    fn mapped_equals_owned_equals_bfs(seed in 0u64..500, n in 8usize..120, m in 10usize..160) {
         let g = gen::random_digraph(n, m, seed);
         let built = Oracle::new(&g);
         let mut arena = Vec::new();

@@ -115,9 +115,17 @@ fn harness_reproduces_paper_feasibility_boundary() {
 fn oracle_label_metrics_exposed() {
     let g = cyclic_graph(11);
     let oracle = Oracle::new(&g);
-    assert!(oracle.label_entries() > 0);
-    assert!(oracle.num_components() > 1);
+    let c = oracle.num_components();
+    assert!(c > 1);
     assert_eq!(oracle.comp_of().len(), g.num_vertices());
     // The inner DL oracle is reachable for power users.
-    assert!(oracle.inner().labeling().total_entries() == oracle.label_entries());
+    let labeling = oracle.inner().labeling();
+    assert!(labeling.total_entries() == oracle.label_entries());
+    // At most 60 components: every one is a top hop, so the reach
+    // masks (16 B per component) hold the whole index and the label
+    // lists are empty.
+    assert!(c <= hoplite::core::TOP_HOPS);
+    assert_eq!(oracle.label_entries(), 0);
+    assert_eq!(labeling.mask_bytes(), 16 * c as u64);
+    assert!((0..c as u32).all(|x| labeling.out_mask(x) & labeling.in_mask(x) != 0));
 }

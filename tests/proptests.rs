@@ -1,24 +1,31 @@
 //! Property-based tests over randomized DAGs (proptest).
 //!
-//! Strategy: an arbitrary edge set over `n ≤ 40` vertices is forced
+//! Strategy: an arbitrary edge set over `n ≤ 120` vertices is forced
 //! acyclic by orienting every edge from the smaller to the larger id;
 //! vertex ids are *not* permuted here, which is fine because the crates
 //! under test never assume id order (the correctness matrix in
 //! `tests/correctness.rs` covers permuted generators).
 
+use std::ops::RangeInclusive;
+
 use proptest::prelude::*;
 
 use hoplite::baselines::{Grail, IntervalIndex, KReach, PathTree, Pwah8, TfLabel};
 use hoplite::core::{
-    sorted_intersect, DistributionLabeling, DlConfig, HierarchicalLabeling, HlConfig, OrderKind,
-    ReachIndex,
+    sorted_intersect, DistributionLabeling, DlConfig, HierarchicalLabeling, HlConfig, LabelPath,
+    LabelingBuilder, OrderKind, ReachIndex, TOP_HOPS,
 };
 use hoplite::graph::{scc, traversal, Dag, DiGraph};
 
-/// An arbitrary DAG with up to `max_n` vertices and `max_m` candidate
-/// edges.
-fn arb_dag(max_n: u32, max_m: usize) -> impl Strategy<Value = Dag> {
-    (2..=max_n).prop_flat_map(move |n| {
+/// Vertex counts past [`TOP_HOPS`]: DL stores label lists only for the
+/// ranks after its top hops, so a DL property checked on fewer vertices
+/// would exercise the reach masks alone.
+const PAST_TOP_HOPS: RangeInclusive<u32> = TOP_HOPS as u32 + 1..=120;
+
+/// An arbitrary DAG with a vertex count in `n_range` and up to `max_m`
+/// candidate edges.
+fn arb_dag(n_range: RangeInclusive<u32>, max_m: usize) -> impl Strategy<Value = Dag> {
+    n_range.prop_flat_map(move |n| {
         proptest::collection::vec((0..n, 0..n), 0..max_m).prop_map(move |pairs| {
             let edges: Vec<(u32, u32)> = pairs
                 .into_iter()
@@ -49,22 +56,26 @@ fn arb_digraph(max_n: u32, max_m: usize) -> impl Strategy<Value = DiGraph> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The signature-accelerated hot path (`Oracle::reaches`), the
-    /// filter-free label path (`reaches_unfiltered`, signatures on),
-    /// the signature-free kernel (`Labeling::query_unsigned`), the
+    /// The mask-accelerated hot path (`Oracle::reaches`), the
+    /// filter-free label path (`reaches_unfiltered`, masks on), the
     /// tallied batch path, and BFS ground truth all agree on random
-    /// *cyclic* digraphs — the signature layer may only reject pairs
-    /// whose lists are truly disjoint.
+    /// *cyclic* digraphs, and every verdict the top-hop reach masks
+    /// give (the `signature` stage) is BFS's. Condensations of at most
+    /// `TOP_HOPS` components make every vertex a top hop, so there the
+    /// masks decide every pair and no query merges.
     #[test]
-    fn signature_query_paths_match_bfs_on_cyclic_digraphs(g in arb_digraph(30, 140)) {
+    fn signature_query_paths_match_bfs_on_cyclic_digraphs(g in arb_digraph(100, 220)) {
         let oracle = hoplite::Oracle::new(&g);
         let comp_of = oracle.comp_of();
         let labeling = oracle.inner().labeling();
         let n = g.num_vertices();
         traversal::assert_matches_bfs(&g, "filtered", |u, v| oracle.reaches(u, v));
         traversal::assert_matches_bfs(&g, "unfiltered", |u, v| oracle.reaches_unfiltered(u, v));
-        traversal::assert_matches_bfs(&g, "unsigned", |u, v| {
-            labeling.query_unsigned(comp_of[u as usize], comp_of[v as usize])
+        traversal::assert_matches_bfs(&g, "mask-decided", |u, v| {
+            match labeling.query_traced(comp_of[u as usize], comp_of[v as usize]) {
+                (answer, LabelPath::Masked) => answer,
+                _ => traversal::reaches(&g, u, v),
+            }
         });
         let pairs: Vec<(u32, u32)> =
             (0..n as u32).flat_map(|u| (0..n as u32).map(move |v| (u, v))).collect();
@@ -73,13 +84,17 @@ proptest! {
             answers[u as usize * n + v as usize]
         });
         prop_assert_eq!(tally.total(), pairs.len() as u64);
+        if oracle.num_components() <= TOP_HOPS {
+            prop_assert_eq!(tally.merged, 0);
+        }
     }
 
     /// The flagship invariant: both of the paper's oracles agree with
     /// ground truth on every pair of every random DAG.
     #[test]
-    fn dl_and_hl_match_ground_truth(dag in arb_dag(36, 120)) {
+    fn dl_and_hl_match_ground_truth(dag in arb_dag(PAST_TOP_HOPS, 400)) {
         let dl = DistributionLabeling::build(&dag, &DlConfig::default());
+        prop_assert!(dl.labeling().total_entries() > 0);
         let hl = HierarchicalLabeling::build(&dag, &HlConfig {
             core_size_limit: 6,
             ..HlConfig::default()
@@ -91,25 +106,24 @@ proptest! {
     /// DL with *any* processing order stays complete (Theorem 3 does
     /// not depend on the rank function).
     #[test]
-    fn dl_complete_under_random_orders(dag in arb_dag(30, 90), seed in 0u64..1000) {
+    fn dl_complete_under_random_orders(dag in arb_dag(PAST_TOP_HOPS, 300), seed in 0u64..1000) {
         let dl = DistributionLabeling::build(&dag, &DlConfig {
             order: OrderKind::Random(seed),
             ..DlConfig::default()
         });
+        prop_assert!(dl.labeling().total_entries() > 0);
         let what = format!("DL, Random({seed}) order");
         traversal::assert_matches_bfs(dag.graph(), &what, |u, v| dl.query(u, v));
     }
 
-    /// Theorem 4 (non-redundancy) as a property: no single DL hop can
-    /// be dropped without breaking label-level completeness.
+    /// Theorem 4 (non-redundancy) as a property: no single hop of DL's
+    /// full labels (top hops restored from the masks) can be dropped
+    /// without breaking label-level completeness.
     #[test]
-    fn dl_non_redundant(dag in arb_dag(14, 34)) {
+    fn dl_non_redundant(dag in arb_dag(2..=14, 34)) {
         let dl = DistributionLabeling::build(&dag, &DlConfig::default());
         let n = dag.num_vertices();
-        let out: Vec<Vec<u32>> =
-            (0..n as u32).map(|v| dl.labeling().out_label(v).to_vec()).collect();
-        let in_: Vec<Vec<u32>> =
-            (0..n as u32).map(|v| dl.labeling().in_label(v).to_vec()).collect();
+        let LabelingBuilder { out, in_ } = dl.full_labels();
         let answers = |out: &[Vec<u32>], in_: &[Vec<u32>]| -> Vec<bool> {
             (0..n)
                 .flat_map(|u| (0..n).map(move |v| (u, v)))
@@ -139,7 +153,7 @@ proptest! {
 
     /// Baseline indexes agree with ground truth on random DAGs.
     #[test]
-    fn baselines_match_ground_truth(dag in arb_dag(30, 90), seed in 0u64..100) {
+    fn baselines_match_ground_truth(dag in arb_dag(2..=30, 90), seed in 0u64..100) {
         let indexes: Vec<Box<dyn ReachIndex>> = vec![
             Box::new(Grail::build(&dag, 3, seed)),
             Box::new(IntervalIndex::build(&dag, u64::MAX).unwrap()),
@@ -180,8 +194,9 @@ proptest! {
     /// Label lists produced by DL are strictly increasing (sorted,
     /// duplicate-free) — the invariant the query merge relies on.
     #[test]
-    fn dl_labels_sorted(dag in arb_dag(32, 100)) {
+    fn dl_labels_sorted(dag in arb_dag(PAST_TOP_HOPS, 300)) {
         let dl = DistributionLabeling::build(&dag, &DlConfig::default());
+        prop_assert!(dl.labeling().total_entries() > 0);
         for v in 0..dag.num_vertices() as u32 {
             let l = dl.labeling();
             prop_assert!(l.out_label(v).windows(2).all(|w| w[0] < w[1]));
@@ -255,8 +270,9 @@ proptest! {
 
     /// Persisted oracles reopen to BFS-exact answers.
     #[test]
-    fn persistence_roundtrip(dag in arb_dag(24, 70)) {
+    fn persistence_roundtrip(dag in arb_dag(PAST_TOP_HOPS, 300)) {
         let oracle = hoplite::Oracle::new(dag.graph());
+        prop_assert!(oracle.label_entries() > 0);
         let mut buf = Vec::new();
         oracle.save_arena(&mut buf).expect("serialize");
         let reopened = hoplite::Oracle::open_arena_bytes(&buf).expect("open");
@@ -299,13 +315,14 @@ proptest! {
     /// any thread count (order preserved, no lost or duplicated work).
     #[test]
     fn parallel_batch_matches_sequential(
-        dag in arb_dag(30, 90),
+        dag in arb_dag(PAST_TOP_HOPS, 300),
         threads in 1usize..9,
         seed in 0u64..100,
     ) {
         use hoplite::core::parallel::{par_count_reachable, par_query_batch};
         use hoplite::graph::gen::Rng;
         let dl = DistributionLabeling::build(&dag, &DlConfig::default());
+        prop_assert!(dl.labeling().total_entries() > 0);
         let n = dag.num_vertices();
         let mut rng = Rng::new(seed);
         let pairs: Vec<(u32, u32)> = (0..64)
@@ -411,8 +428,8 @@ proptest! {
     /// sequence of acyclic insertions.
     #[test]
     fn dynamic_overlay_matches_rebuild(
-        dag in arb_dag(20, 40),
-        extra in proptest::collection::vec((0u32..20, 0u32..20), 0..12),
+        dag in arb_dag(PAST_TOP_HOPS, 160),
+        extra in proptest::collection::vec((0u32..120, 0u32..120), 0..12),
     ) {
         use hoplite::core::dynamic::DynamicOracle;
         let n = dag.num_vertices();

@@ -324,7 +324,7 @@ fn frozen_namespace_from_saved_index_serves_identically() {
 
 #[test]
 fn mapped_arena_index_serves_and_reports_its_backend() {
-    // The zero-copy replica path: save a HOPL v3 arena, open it
+    // The zero-copy replica path: save a HOPL v4 arena, open it
     // mapped, register ONE Arc'd snapshot under several namespaces
     // (replica fan-out without cloning the index), serve over the
     // wire, and cross-check against BFS ground truth. STATS must

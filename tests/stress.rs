@@ -58,10 +58,16 @@ fn dense_bipartite_core() {
     traversal::assert_matches_bfs(dag.graph(), "HL on the biclique", |u, v| hl.query(u, v));
     // A direct biclique has no middle vertex, so *any* 2-hop labeling
     // needs Θ(a·b) entries (each of the 1600 pairs needs a witness
-    // that is one of its own endpoints). Check we are within a small
-    // constant of that information-theoretic floor, not above n².
-    let stats = dl.labeling().stats();
-    let total = stats.total_out + stats.total_in;
+    // that is one of its own endpoints). Check DL's full labels (the
+    // top hops' entries restored from the reach masks) are within a
+    // small constant of that information-theoretic floor, not above n².
+    let full = dl.full_labels();
+    let total: u64 = full
+        .out
+        .iter()
+        .chain(&full.in_)
+        .map(|l| l.len() as u64)
+        .sum();
     assert!(
         (1_600..=4 * 1_600).contains(&total),
         "biclique labels should be Θ(a·b) = ~1600, got {total}"
