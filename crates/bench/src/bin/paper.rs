@@ -126,13 +126,12 @@ fn main() {
 
 /// `paper perf [--quick] [--check] [--out=FILE] [--seed=N] [--no-wire]`
 /// — runs the hot-path suite (`hoplite_bench::perf`), prints the JSON
-/// report to stdout (and `--out=FILE`), and with `--check` enforces the
-/// CI invariants (filter/auto/scaling/metrics-overhead/dynamic/wire/
-/// overload gates; see `PerfReport::check`). `--no-wire` skips both
-/// wire stages (the sweep and the overload drill), for sandboxes
-/// without loopback TCP.
+/// report to stdout (and `--out=FILE`), one line per stage to stderr,
+/// and with `--check` exits 1 naming every failed row of
+/// `perf::gate_table`. `--no-wire` skips both wire stages (the sweep
+/// and the overload drill), for sandboxes without loopback TCP.
 fn perf_cmd(args: &[String]) {
-    use hoplite_bench::perf::{run_perf, PerfOptions};
+    use hoplite_bench::perf::{json_number, run_perf, PerfOptions};
     // The wire stage re-invokes this very binary as the server child.
     let mut opts = PerfOptions {
         wire_server: std::env::current_exe().ok(),
@@ -168,111 +167,25 @@ fn perf_cmd(args: &[String]) {
         }
         eprintln!("# perf: report written to {path}");
     }
-    let widths: Vec<String> = report
-        .build
-        .width_ms
-        .iter()
-        .map(|(t, ms)| format!("{ms:.0} ms at {t} thr"))
-        .collect();
-    eprintln!(
-        "# perf: build {} -> {:.0} ms (auto, {} thr); \
-         query {:.2} Mq/s (unfiltered) -> {:.2} Mq/s (filtered), hit rate {:.1}%; \
-         stages filter/sig/merge = {}/{}/{}",
-        widths.join(", "),
-        report.build.auto_ms,
-        report.build.auto_threads,
-        report.main.unfiltered_qps / 1e6,
-        report.main.filtered_qps / 1e6,
-        report.main.filter_hit_rate * 100.0,
-        report.main.tally.filter_decided,
-        report.main.tally.signature_cut,
-        report.main.tally.merged,
-    );
-    for f in &report.families {
-        eprintln!(
-            "# perf[{}]: build {:.0} ms; {:.2} Mq/s filtered ({:.2} unfiltered), hit rate {:.1}%",
-            f.kind,
-            f.build_auto_ms,
-            f.filtered_qps / 1e6,
-            f.unfiltered_qps / 1e6,
-            f.filter_hit_rate * 100.0
-        );
+    for stage in &report.stages {
+        let metrics: Vec<String> = stage
+            .metrics
+            .iter()
+            .map(|&(name, value)| format!("{name}={}", json_number(value)))
+            .collect();
+        eprintln!("# perf[{}]: {}", stage.name, metrics.join(" "));
     }
-    eprintln!(
-        "# perf[cold]: open {:.2} ms read -> {:.2} ms mapped, {:.1}x \
-         ({:.2} ms unverified; arena {} bytes)",
-        report.cold_start.read_open_ms,
-        report.cold_start.mapped_open_ms,
-        report.cold_start.speedup(),
-        report.cold_start.mapped_unverified_open_ms,
-        report.cold_start.file_bytes,
-    );
-    for s in &report.scaling {
-        eprintln!(
-            "# perf[scaling]: {} thr -> build {:.0} ms, query {:.2} Mq/s",
-            s.threads,
-            s.build_ms,
-            s.query_qps / 1e6
-        );
-    }
-    eprintln!(
-        "# perf[metrics]: chunked query {:.2} Mq/s plain -> {:.2} Mq/s instrumented \
-         ({:.1}% retained)",
-        report.metrics_overhead.plain_qps / 1e6,
-        report.metrics_overhead.instrumented_qps / 1e6,
-        report.metrics_overhead.ratio() * 100.0,
-    );
-    eprintln!(
-        "# perf[dynamic]: {} mutations at {:.0}/s ({} rejected), {} rebuilds in \
-         background; {} reads, p50/p99 = {:.1}/{:.1} µs ({} overlapped a rebuild, \
-         p99 {:.1} µs, max {:.2} ms)",
-        report.dynamic.mutations,
-        report.dynamic.mutation_qps,
-        report.dynamic.rejected,
-        report.dynamic.rebuilds,
-        report.dynamic.reads,
-        report.dynamic.read_p50_ns as f64 / 1e3,
-        report.dynamic.read_p99_ns as f64 / 1e3,
-        report.dynamic.reads_during_rebuild,
-        report.dynamic.read_p99_during_rebuild_ns as f64 / 1e3,
-        report.dynamic.read_max_during_rebuild_ns as f64 / 1e6,
-    );
-    if let Some(wire) = &report.wire {
-        for s in &wire.steps {
-            eprintln!(
-                "# perf[wire]: {} conns -> {:.0} q/s over TCP ({} queries, {} errors; \
-                 reply p50/p99/p99.9 = {:.0}/{:.0}/{:.0} µs)",
-                s.connections,
-                s.qps,
-                s.queries,
-                s.errors,
-                s.p50_ns as f64 / 1e3,
-                s.p99_ns as f64 / 1e3,
-                s.p999_ns as f64 / 1e3,
-            );
-        }
-    }
-    if let Some(ov) = &report.wire_overload {
-        eprintln!(
-            "# perf[overload]: {}x budgets -> goodput {:.0} q/s, shed {:.1}% \
-             ({} deadline-expired, {} errors), accepted reply p50/p99 = {:.0}/{:.0} µs",
-            ov.factor,
-            ov.goodput_qps,
-            ov.shed_fraction * 100.0,
-            ov.deadline_exceeded,
-            ov.errors,
-            ov.accepted_p50_ns as f64 / 1e3,
-            ov.accepted_p99_ns as f64 / 1e3,
-        );
-    } else {
-        eprintln!("# perf[wire]: sweep and overload drill skipped (--no-wire)");
+    if opts.wire_server.is_none() {
+        eprintln!("# perf: wire sweep and overload drill skipped (--no-wire)");
     }
     if check {
-        if let Err(msg) = report.check() {
-            eprintln!("perf check FAILED: {msg}");
+        if let Err(failed) = report.check() {
+            for gate in &failed {
+                eprintln!("perf check FAILED: {gate}");
+            }
             std::process::exit(1);
         }
-        eprintln!("# perf: checks passed");
+        eprintln!("# perf: all {} gates passed", report.gates.len());
     }
 }
 

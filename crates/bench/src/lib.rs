@@ -15,12 +15,13 @@
 //!   "—" cells.
 //! * [`tables`] — plain-text renderers shaped like Tables 1–7 and the
 //!   index-size series of Figures 3–4.
-//! * [`perf`] — the hot-path JSON benchmark behind `paper perf`: the
-//!   DL build timed at 1, 2 and 4 threads plus `Parallelism::Auto`,
-//!   filtered vs unfiltered query throughput with per-layer filter hit
-//!   rates and the filter/signature/merge stage tally, thread scaling,
-//!   cold start, metrics overhead, a dynamic stage and the wire stages
-//!   (`BENCH_*.json`).
+//! * [`perf`] — the hot-path JSON benchmark behind `paper perf`
+//!   (`BENCH_*.json`): stages of named metrics and one gate table. The
+//!   DL build timed at 1, 2, 3, 4 and 8 threads plus
+//!   `Parallelism::Auto`, filtered vs unfiltered query throughput with
+//!   per-layer filter verdicts and the filter/mask/merge stage tally,
+//!   thread scaling, cold start, the instrumentation's cost per kernel
+//!   call, a dynamic stage and the wire stages.
 //!
 //! The `paper` binary (`cargo run --release -p hoplite-bench --bin
 //! paper -- all`) drives everything.

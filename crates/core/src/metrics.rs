@@ -11,8 +11,9 @@
 //! 2. **Zero cost in the hot kernel.** Nothing in this module is
 //!    called from the per-pair label-intersection kernel. All timing
 //!    happens at frame/batch boundaries in the serving layer, and the
-//!    `paper perf` metrics-overhead stage *measures* that the
-//!    instrumented query path stays within 3% of the bare one.
+//!    `paper perf` metrics-overhead stage times what one served batch
+//!    call records (counter adds, a clock pair, one histogram record)
+//!    and gates it at 3% of the kernel call it wraps.
 //! 3. **Mergeable snapshots.** [`HistogramSnapshot`]s from different
 //!    histograms (per-worker, per-namespace, per-process) add
 //!    losslessly, so percentiles can be reported at any aggregation
