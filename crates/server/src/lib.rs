@@ -67,8 +67,8 @@ pub use loadgen::{LoadReport, LoadSpec};
 pub use obs::{LogLevel, QueryObs, ServerObs, SlowLog, SlowQuery};
 pub use protocol::{
     ErrorCode, FrameAccumulator, IndexBackend, MetricsReport, MetricsSummary, NamespaceInfo,
-    NamespaceKind, NamespaceStats, Request, Response, WireError, MAX_BATCH_PAIRS, MAX_FRAME_LEN,
-    MAX_NAME_LEN, PROTOCOL_VERSION,
+    NamespaceKind, NamespaceStats, PackedPairs, Request, RequestRef, Response, WireError,
+    MAX_BATCH_PAIRS, MAX_FRAME_LEN, MAX_NAME_LEN, PROTOCOL_VERSION,
 };
 pub use registry::{NamespaceHandle, Registry, ServeError};
 pub use server::{Server, ServerConfig, ServerHandle};

@@ -156,22 +156,32 @@ pub fn read_frame<R: Read>(r: &mut R, max_len: u32) -> Result<Vec<u8>, WireError
 /// [`read_frame`] needs a blocking reader; the reactor gets bytes in
 /// arbitrary slices (half a length prefix now, three frames at once
 /// later). An accumulator buffers whatever arrives and yields complete
-/// payloads as they materialize, tolerating byte-at-a-time input:
+/// payloads as they materialize, tolerating byte-at-a-time input.
+/// [`next_frame_ref`](Self::next_frame_ref) lends each payload straight
+/// out of the buffer, and [`RequestRef::decode`] parses it in place, so
+/// the server's read path copies no payload and allocates no name;
+/// [`next_frame`](Self::next_frame) is the owned form:
 ///
 /// ```
-/// use hoplite_server::protocol::{FrameAccumulator, Request};
+/// use hoplite_server::protocol::{FrameAccumulator, Request, RequestRef};
 ///
-/// let payload = Request::Ping.encode().unwrap();
+/// let payload = Request::Reach { ns: "web".into(), u: 1, v: 2 }.encode().unwrap();
 /// let mut frame = (payload.len() as u32).to_le_bytes().to_vec();
 /// frame.extend_from_slice(&payload);
 ///
 /// let mut acc = FrameAccumulator::new(1024);
 /// for &byte in &frame[..frame.len() - 1] {
 ///     acc.extend(&[byte]);
-///     assert!(acc.next_frame().unwrap().is_none(), "frame not complete yet");
+///     assert!(acc.next_frame_ref().unwrap().is_none(), "frame not complete yet");
 /// }
 /// acc.extend(&frame[frame.len() - 1..]);
-/// assert_eq!(acc.next_frame().unwrap().unwrap(), payload);
+/// let borrowed = acc.next_frame_ref().unwrap().unwrap();
+/// assert_eq!(borrowed, payload);
+/// assert_eq!(
+///     RequestRef::decode(borrowed).unwrap(),
+///     RequestRef::Reach { ns: "web", u: 1, v: 2 }
+/// );
+/// assert!(acc.next_frame().unwrap().is_none(), "each frame is yielded once");
 /// ```
 ///
 /// A length prefix over the limit is a [`WireError::FrameTooLarge`];
@@ -213,10 +223,16 @@ impl FrameAccumulator {
         self.buf.len() - self.pos
     }
 
-    /// Yields the next complete frame payload, `None` if more bytes
-    /// are needed, or [`WireError::FrameTooLarge`] if the pending
-    /// length prefix exceeds the limit.
+    /// Yields the next complete frame payload as an owned copy; see
+    /// [`next_frame_ref`](Self::next_frame_ref).
     pub fn next_frame(&mut self) -> Result<Option<Vec<u8>>, WireError> {
+        Ok(self.next_frame_ref()?.map(<[u8]>::to_vec))
+    }
+
+    /// Lends the next complete frame payload out of the buffer, `None`
+    /// if more bytes are needed, or [`WireError::FrameTooLarge`] if the
+    /// pending length prefix exceeds the limit.
+    pub fn next_frame_ref(&mut self) -> Result<Option<&[u8]>, WireError> {
         let pending = &self.buf[self.pos..];
         if pending.len() < 4 {
             return Ok(None);
@@ -232,9 +248,9 @@ impl FrameAccumulator {
         if pending.len() < 4 + len {
             return Ok(None);
         }
-        let payload = pending[4..4 + len].to_vec();
-        self.pos += 4 + len;
-        Ok(Some(payload))
+        let start = self.pos + 4;
+        self.pos = start + len;
+        Ok(Some(&self.buf[start..self.pos]))
     }
 }
 
@@ -289,11 +305,12 @@ impl<'a> ByteReader<'a> {
         Ok(u64::from_le_bytes(a))
     }
 
-    /// `u8`-length-prefixed UTF-8 string (namespace names).
-    fn name(&mut self) -> Result<String, WireError> {
+    /// `u8`-length-prefixed UTF-8 string (namespace names), borrowed
+    /// from the payload.
+    fn name(&mut self) -> Result<&'a str, WireError> {
         let len = self.u8()? as usize;
         let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec())
+        std::str::from_utf8(bytes)
             .map_err(|_| WireError::Malformed("name is not valid UTF-8".into()))
     }
 
@@ -788,21 +805,84 @@ impl Request {
         Ok(out)
     }
 
-    /// Decodes a frame payload, validating strictly.
+    /// Decodes a frame payload, validating strictly: the owned form of
+    /// [`RequestRef::decode`].
     pub fn decode(payload: &[u8]) -> Result<Request, WireError> {
+        RequestRef::decode(payload).map(Request::from)
+    }
+}
+
+/// A decoded client request that borrows its frame payload: names are
+/// `&str` slices of it and `BATCH` pairs stay in their wire encoding,
+/// so decoding allocates nothing. It is the protocol's one request
+/// parser; the server dispatches on it directly, and
+/// [`Request::decode`] converts it to the owned [`Request`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum RequestRef<'a> {
+    /// Liveness probe.
+    Ping,
+    /// Does `u` reach `v` in namespace `ns`?
+    Reach {
+        /// Namespace name.
+        ns: &'a str,
+        /// Source vertex (original id).
+        u: u32,
+        /// Target vertex (original id).
+        v: u32,
+    },
+    /// Answer every pair, preserving order.
+    Batch {
+        /// Namespace name.
+        ns: &'a str,
+        /// Query pairs (original ids).
+        pairs: PackedPairs<'a>,
+    },
+    /// Insert an edge into a dynamic namespace.
+    AddEdge {
+        /// Namespace name.
+        ns: &'a str,
+        /// Edge tail.
+        u: u32,
+        /// Edge head.
+        v: u32,
+    },
+    /// Remove an edge from a dynamic namespace.
+    RemoveEdge {
+        /// Namespace name.
+        ns: &'a str,
+        /// Edge tail.
+        u: u32,
+        /// Edge head.
+        v: u32,
+    },
+    /// Per-namespace counters.
+    Stats {
+        /// Namespace name.
+        ns: &'a str,
+    },
+    /// Enumerate namespaces.
+    List,
+    /// Observability dump; an empty `ns` asks for the server-wide
+    /// report.
+    Metrics {
+        /// Namespace name, or empty for server-wide.
+        ns: &'a str,
+    },
+}
+
+impl<'a> RequestRef<'a> {
+    /// Decodes a frame payload in place, validating strictly.
+    pub fn decode(payload: &'a [u8]) -> Result<RequestRef<'a>, WireError> {
         let mut r = ByteReader::new(payload);
         check_version(&mut r)?;
         let opcode = r.u8()?;
         let req = match opcode {
-            OP_PING => Request::Ping,
-            OP_REACH => {
-                let ns = r.name()?;
-                Request::Reach {
-                    ns,
-                    u: r.u32()?,
-                    v: r.u32()?,
-                }
-            }
+            OP_PING => RequestRef::Ping,
+            OP_REACH => RequestRef::Reach {
+                ns: r.name()?,
+                u: r.u32()?,
+                v: r.u32()?,
+            },
             OP_BATCH => {
                 let ns = r.name()?;
                 let k = r.u32()?;
@@ -812,41 +892,98 @@ impl Request {
                     )));
                 }
                 // Each pair is 8 body bytes; a count the body cannot
-                // hold must not size an allocation.
+                // hold must not size an allocation downstream.
                 if k as usize > r.remaining() / 8 {
                     return Err(WireError::Malformed(format!(
                         "batch count {k} exceeds the frame body"
                     )));
                 }
-                let mut pairs = Vec::with_capacity(k as usize);
-                for _ in 0..k {
-                    pairs.push((r.u32()?, r.u32()?));
-                }
-                Request::Batch { ns, pairs }
-            }
-            OP_ADD_EDGE => {
-                let ns = r.name()?;
-                Request::AddEdge {
+                RequestRef::Batch {
                     ns,
-                    u: r.u32()?,
-                    v: r.u32()?,
+                    pairs: PackedPairs(r.take(k as usize * 8)?),
                 }
             }
-            OP_REMOVE_EDGE => {
-                let ns = r.name()?;
-                Request::RemoveEdge {
-                    ns,
-                    u: r.u32()?,
-                    v: r.u32()?,
-                }
-            }
-            OP_STATS => Request::Stats { ns: r.name()? },
-            OP_LIST => Request::List,
-            OP_METRICS => Request::Metrics { ns: r.name()? },
+            OP_ADD_EDGE => RequestRef::AddEdge {
+                ns: r.name()?,
+                u: r.u32()?,
+                v: r.u32()?,
+            },
+            OP_REMOVE_EDGE => RequestRef::RemoveEdge {
+                ns: r.name()?,
+                u: r.u32()?,
+                v: r.u32()?,
+            },
+            OP_STATS => RequestRef::Stats { ns: r.name()? },
+            OP_LIST => RequestRef::List,
+            OP_METRICS => RequestRef::Metrics { ns: r.name()? },
             other => return Err(WireError::UnknownOpcode(other)),
         };
         r.finish()?;
         Ok(req)
+    }
+}
+
+impl From<RequestRef<'_>> for Request {
+    fn from(req: RequestRef<'_>) -> Request {
+        match req {
+            RequestRef::Ping => Request::Ping,
+            RequestRef::Reach { ns, u, v } => Request::Reach {
+                ns: ns.to_owned(),
+                u,
+                v,
+            },
+            RequestRef::Batch { ns, pairs } => Request::Batch {
+                ns: ns.to_owned(),
+                pairs: pairs.iter().collect(),
+            },
+            RequestRef::AddEdge { ns, u, v } => Request::AddEdge {
+                ns: ns.to_owned(),
+                u,
+                v,
+            },
+            RequestRef::RemoveEdge { ns, u, v } => Request::RemoveEdge {
+                ns: ns.to_owned(),
+                u,
+                v,
+            },
+            RequestRef::Stats { ns } => Request::Stats { ns: ns.to_owned() },
+            RequestRef::List => Request::List,
+            RequestRef::Metrics { ns } => Request::Metrics { ns: ns.to_owned() },
+        }
+    }
+}
+
+/// A `BATCH` body's query pairs still in their wire encoding,
+/// `(u:u32 v:u32)×k` little-endian; [`iter`](Self::iter) decodes them
+/// on the fly.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub struct PackedPairs<'a>(&'a [u8]);
+
+impl<'a> PackedPairs<'a> {
+    /// Number of pairs.
+    pub fn len(&self) -> usize {
+        self.0.len() / 8
+    }
+
+    /// No pairs at all?
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// The pairs, in wire order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = (u32, u32)> + Clone + 'a {
+        self.0.chunks_exact(8).map(|p| {
+            (
+                u32::from_le_bytes([p[0], p[1], p[2], p[3]]),
+                u32::from_le_bytes([p[4], p[5], p[6], p[7]]),
+            )
+        })
+    }
+}
+
+impl fmt::Debug for PackedPairs<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
     }
 }
 
@@ -916,7 +1053,25 @@ impl Response {
 
     /// Encodes into a frame payload (version + opcode + body).
     pub fn encode(&self) -> Result<Vec<u8>, WireError> {
-        let mut out = vec![PROTOCOL_VERSION];
+        let mut out = Vec::new();
+        self.encode_into(&mut out)?;
+        Ok(out)
+    }
+
+    /// Appends the frame payload (version + opcode + body) to `out`,
+    /// so a server can encode replies straight into a connection's
+    /// write buffer. On error `out` is left as it was.
+    pub fn encode_into(&self, out: &mut Vec<u8>) -> Result<(), WireError> {
+        let start = out.len();
+        let encoded = self.put_payload(out);
+        if encoded.is_err() {
+            out.truncate(start);
+        }
+        encoded
+    }
+
+    fn put_payload(&self, out: &mut Vec<u8>) -> Result<(), WireError> {
+        out.push(PROTOCOL_VERSION);
         match self {
             Response::Pong => out.push(RE_PONG),
             Response::Bool(b) => {
@@ -931,54 +1086,54 @@ impl Response {
                     )));
                 }
                 out.push(RE_BOOLS);
-                pack_bools(&mut out, bs);
+                pack_bools(out, bs);
             }
             Response::Stats(s) => {
                 out.push(RE_STATS);
                 out.push(s.kind.to_u8());
-                put_u64(&mut out, s.vertices);
-                put_u64(&mut out, s.label_entries);
-                put_u64(&mut out, s.pending_inserts);
-                put_u64(&mut out, s.pending_deletions);
-                put_u64(&mut out, s.queries);
-                put_u64(&mut out, s.signature_bytes);
-                put_u64(&mut out, s.filter_hits);
-                put_u64(&mut out, s.signature_hits);
-                put_u64(&mut out, s.merge_runs);
+                put_u64(out, s.vertices);
+                put_u64(out, s.label_entries);
+                put_u64(out, s.pending_inserts);
+                put_u64(out, s.pending_deletions);
+                put_u64(out, s.queries);
+                put_u64(out, s.signature_bytes);
+                put_u64(out, s.filter_hits);
+                put_u64(out, s.signature_hits);
+                put_u64(out, s.merge_runs);
                 out.push(s.backend.to_u8());
-                put_u64(&mut out, s.heap_bytes);
-                put_u64(&mut out, s.mapped_bytes);
-                put_u64(&mut out, s.wal_bytes);
-                put_u64(&mut out, s.wal_records);
-                put_u64(&mut out, s.rebuilds);
+                put_u64(out, s.heap_bytes);
+                put_u64(out, s.mapped_bytes);
+                put_u64(out, s.wal_bytes);
+                put_u64(out, s.wal_records);
+                put_u64(out, s.rebuilds);
                 out.push(s.rebuild_in_flight as u8);
             }
             Response::List(infos) => {
                 out.push(RE_LIST);
-                put_u32(&mut out, infos.len() as u32);
+                put_u32(out, infos.len() as u32);
                 for info in infos {
-                    put_name(&mut out, &info.name)?;
+                    put_name(out, &info.name)?;
                     out.push(info.kind.to_u8());
                 }
             }
             Response::Metrics(m) => {
                 out.push(RE_METRICS);
-                put_u32(&mut out, m.counters.len() as u32);
+                put_u32(out, m.counters.len() as u32);
                 for (name, value) in &m.counters {
-                    put_text(&mut out, name);
-                    put_u64(&mut out, *value);
+                    put_text(out, name);
+                    put_u64(out, *value);
                 }
-                put_u32(&mut out, m.histograms.len() as u32);
+                put_u32(out, m.histograms.len() as u32);
                 for (name, s) in &m.histograms {
-                    put_text(&mut out, name);
+                    put_text(out, name);
                     for v in [s.count, s.sum, s.p50, s.p90, s.p99, s.p999, s.max] {
-                        put_u64(&mut out, v);
+                        put_u64(out, v);
                     }
                 }
             }
             Response::Error(msg) => {
                 out.push(RE_ERROR);
-                put_text(&mut out, msg);
+                put_text(out, msg);
             }
             Response::Fail {
                 code,
@@ -987,11 +1142,11 @@ impl Response {
             } => {
                 out.push(RE_FAIL);
                 out.push(code.to_u8());
-                put_u32(&mut out, *retry_after_ms);
-                put_text(&mut out, message);
+                put_u32(out, *retry_after_ms);
+                put_text(out, message);
             }
         }
-        Ok(out)
+        Ok(())
     }
 
     /// Decodes a frame payload, validating strictly.
@@ -1049,7 +1204,7 @@ impl Response {
                 let mut infos = Vec::with_capacity(k as usize);
                 for _ in 0..k {
                     infos.push(NamespaceInfo {
-                        name: r.name()?,
+                        name: r.name()?.to_owned(),
                         kind: NamespaceKind::from_u8(r.u8()?)?,
                     });
                 }
@@ -1115,7 +1270,20 @@ mod tests {
 
     fn roundtrip_req(req: Request) {
         let bytes = req.encode().unwrap();
+        assert_decoders_agree(&bytes);
         assert_eq!(Request::decode(&bytes).unwrap(), req);
+    }
+
+    /// The borrowed decoder and [`Request::decode`] give the same
+    /// request, or the same error, for `payload`.
+    fn assert_decoders_agree(payload: &[u8]) {
+        let borrowed = RequestRef::decode(payload);
+        let owned = Request::decode(payload);
+        match (&borrowed, &owned) {
+            (Ok(b), Ok(o)) => assert_eq!(Request::from(*b), *o, "payload {payload:?}"),
+            (Err(b), Err(o)) => assert_eq!(b.to_string(), o.to_string(), "payload {payload:?}"),
+            _ => panic!("payload {payload:?}: borrowed {borrowed:?}, owned {owned:?}"),
+        }
     }
 
     fn roundtrip_resp(resp: Response) {
@@ -1151,6 +1319,24 @@ mod tests {
             v: 7,
         });
         roundtrip_req(Request::Stats { ns: "g".into() });
+
+        // The borrowed form points into the payload: names are slices
+        // of it, and pairs decode from it in wire order.
+        let bytes = Request::Batch {
+            ns: "ønt".into(),
+            pairs: vec![(1, 2), (u32::MAX, 0)],
+        }
+        .encode()
+        .unwrap();
+        match RequestRef::decode(&bytes).unwrap() {
+            RequestRef::Batch { ns, pairs } => {
+                assert_eq!(ns, "ønt");
+                assert!(bytes.as_ptr_range().contains(&ns.as_ptr()));
+                assert_eq!(pairs.len(), 2);
+                assert_eq!(pairs.iter().collect::<Vec<_>>(), [(1, 2), (u32::MAX, 0)]);
+            }
+            other => panic!("got {other:?}"),
+        }
     }
 
     #[test]
@@ -1313,11 +1499,20 @@ mod tests {
         }
         .encode()
         .unwrap();
-        for cut in 0..full.len() {
-            assert!(
-                Request::decode(&full[..cut]).is_err(),
-                "prefix of {cut} bytes must not parse"
-            );
+        let batch = Request::Batch {
+            ns: "web".into(),
+            pairs: vec![(1, 2), (3, 4)],
+        }
+        .encode()
+        .unwrap();
+        for full in [full, batch] {
+            for cut in 0..full.len() {
+                assert!(
+                    Request::decode(&full[..cut]).is_err(),
+                    "prefix of {cut} bytes must not parse"
+                );
+                assert_decoders_agree(&full[..cut]);
+            }
         }
     }
 
@@ -1507,13 +1702,20 @@ mod tests {
                 .wrapping_add(1442695040888963407);
             (state >> 33) as u32
         };
-        for _ in 0..2000 {
+        for round in 0..4000 {
             let len = (next() % 64) as usize;
             let mut payload = Vec::with_capacity(len);
             for _ in 0..len {
                 payload.push(next() as u8);
             }
-            let _ = Request::decode(&payload);
+            // Half the rounds get a valid version and a request opcode
+            // (or a neighbour of one), so the body parsers see garbage
+            // too, not just the version check.
+            if round % 2 == 1 && len >= 2 {
+                payload[0] = PROTOCOL_VERSION;
+                payload[1] = (next() % 10) as u8;
+            }
+            assert_decoders_agree(&payload);
             let _ = Response::decode(&payload);
         }
     }

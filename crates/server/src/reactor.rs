@@ -15,7 +15,12 @@
 //!    [`FrameAccumulator`] tolerates half frames; a slow client can
 //!    trickle one byte per tick without desynchronizing framing), and
 //!    flushing writable connections' buffered replies;
-//! 2. decodes the complete frames. `PING`/`LIST`/`STATS`/mutations and
+//! 2. decodes the complete frames in place — each payload is borrowed
+//!    from the connection's accumulator and parsed by
+//!    [`RequestRef::decode`], so a frame costs no copy and no name
+//!    allocation. A namespace is resolved through the [`Registry`]
+//!    once per tick, by the first frame naming it; later frames find
+//!    the tick's handle by name. `PING`/`LIST`/`STATS`/mutations and
 //!    malformed payloads are answered inline; `REACH`/`BATCH` against
 //!    **frozen** namespaces are *coalesced* — their pairs from every
 //!    connection are gathered into one shared batch per namespace;
@@ -25,8 +30,9 @@
 //!    configured fan-out), so the prefetch-pipelined adaptive kernel
 //!    sees deep batches even when every client sends one-pair frames;
 //! 4. scatters the answers back, encoding each connection's replies
-//!    **in its own request order** (the protocol guarantee; across
-//!    connections replies may complete in any order), then writes as
+//!    straight into its write buffer **in its own request order** (the
+//!    protocol guarantee; across connections replies may complete in
+//!    any order), then writes as
 //!    much as each socket accepts. Unwritten bytes stay in a
 //!    per-connection buffer; a connection whose buffered replies
 //!    exceed [`ServerConfig::write_backpressure`] stops being *read*
@@ -46,7 +52,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crate::obs::ServerObs;
-use crate::protocol::{ErrorCode, FrameAccumulator, Request, Response, MAX_BATCH_PAIRS};
+use crate::protocol::{ErrorCode, FrameAccumulator, RequestRef, Response, MAX_BATCH_PAIRS};
 use crate::registry::{NamespaceHandle, Registry, ServeError};
 use crate::server::{ServerConfig, ServerCounters};
 
@@ -174,6 +180,7 @@ fn untoken(token: u64) -> (u32, u32) {
 
 /// Where one coalesced frame's answers live in its namespace's shared
 /// pair vector, and what reply shape it expects.
+#[derive(Clone, Copy)]
 struct Target {
     slot: usize,
     start: usize,
@@ -182,9 +189,13 @@ struct Target {
     batch: bool,
 }
 
-/// One frozen namespace's gathered queries for this tick.
+/// One namespace as a tick sees it: the handle the tick's first frame
+/// naming it resolved, and, when it is frozen, the reads gathered for
+/// its one kernel call. Entries outlive the tick so their vectors are
+/// reused; the handle does not, so each tick resolves the namespace
+/// afresh and a replaced or removed namespace is never served stale.
 struct Job {
-    handle: NamespaceHandle,
+    handle: Option<NamespaceHandle>,
     pairs: Vec<(u32, u32)>,
     targets: Vec<Target>,
 }
@@ -204,13 +215,50 @@ struct Slot {
 #[derive(Default)]
 struct Tick {
     slots: Vec<Slot>,
-    jobs: HashMap<String, Job>,
+    /// Every namespace a frame has named, by name: its index in `jobs`.
+    names: HashMap<String, usize>,
+    jobs: Vec<Job>,
     /// Connections touched this tick (deduplicated coarsely); flushed
     /// and swept after scatter.
     dirty: Vec<u64>,
 }
 
 impl Tick {
+    /// The index in `jobs` of namespace `ns`, whose handle the
+    /// registry is asked for only by the tick's first frame naming it.
+    fn resolve(&mut self, registry: &Registry, ns: &str) -> Result<usize, ServeError> {
+        let unknown = || ServeError::UnknownNamespace(ns.to_owned());
+        let Some(&index) = self.names.get(ns) else {
+            let handle = registry.get(ns).ok_or_else(unknown)?;
+            self.jobs.push(Job {
+                handle: Some(handle),
+                pairs: Vec::new(),
+                targets: Vec::new(),
+            });
+            self.names.insert(ns.to_owned(), self.jobs.len() - 1);
+            return Ok(self.jobs.len() - 1);
+        };
+        let job = &mut self.jobs[index];
+        if job.handle.is_none() {
+            job.handle = Some(registry.get(ns).ok_or_else(unknown)?);
+        }
+        Ok(index)
+    }
+
+    /// This tick's handle of a namespace [`Tick::resolve`] found.
+    fn handle(&self, index: usize) -> &NamespaceHandle {
+        self.jobs[index]
+            .handle
+            .as_ref()
+            .expect("resolve sets the handle for this tick")
+    }
+
+    /// This tick's handle of namespace `ns`.
+    fn lookup(&mut self, registry: &Registry, ns: &str) -> Result<&NamespaceHandle, ServeError> {
+        let index = self.resolve(registry, ns)?;
+        Ok(self.handle(index))
+    }
+
     fn push_dirty(&mut self, token: u64) {
         if self.dirty.last() != Some(&token) {
             self.dirty.push(token);
@@ -303,9 +351,10 @@ fn run(
         }
         run_jobs(&mut tick, config, counters, obs);
         scatter(&mut tick, &mut slab, counters, obs);
-        for token in std::mem::take(&mut tick.dirty) {
+        for &token in &tick.dirty {
             flush_and_sweep(token, &mut slab, poller, config, counters, obs);
         }
+        tick.dirty.clear();
         tick.slots.clear();
         // Connection hygiene rides the poll tick: reap connections idle
         // past `idle_timeout` and slow-loris peers holding a half frame
@@ -474,14 +523,12 @@ fn read_ready(
         conn.last_activity = now;
     }
 
-    // Decode every complete frame in arrival order.
+    // Decode every complete frame in arrival order, each borrowed from
+    // the accumulator.
     loop {
-        let Some(conn) = slab.get_mut(token) else {
-            return;
-        };
-        match conn.acc.next_frame() {
+        match conn.acc.next_frame_ref() {
             Ok(Some(payload)) => {
-                decode_frame(&payload, token, now, tick, registry, config, counters, obs);
+                decode_frame(payload, token, now, tick, registry, config, counters, obs);
             }
             Ok(None) => break,
             Err(e) => {
@@ -500,18 +547,14 @@ fn read_ready(
     // Track how long a half frame has been outstanding (slow-loris
     // clock): armed when a partial frame first appears, cleared the
     // moment the connection is frame-aligned again.
-    if let Some(conn) = slab.get_mut(token) {
-        if conn.acc.pending_bytes() > 0 {
-            conn.partial_since.get_or_insert(now);
-        } else {
-            conn.partial_since = None;
-        }
+    if conn.acc.pending_bytes() > 0 {
+        conn.partial_since.get_or_insert(now);
+    } else {
+        conn.partial_since = None;
     }
     if eof {
         // Peer half-closed: answer what it already sent, then close.
-        if let Some(conn) = slab.get_mut(token) {
-            conn.close_after_flush = true;
-        }
+        conn.close_after_flush = true;
     }
     tick.push_dirty(token);
 }
@@ -528,7 +571,7 @@ fn decode_frame(
     counters: &ServerCounters,
     obs: &ServerObs,
 ) {
-    let response = match Request::decode(payload) {
+    let response = match RequestRef::decode(payload) {
         Ok(request) => dispatch(request, arrived, tick, registry, config, counters, obs),
         Err(e) => Some(Response::Error(format!("bad request: {e}"))),
     };
@@ -539,7 +582,7 @@ fn decode_frame(
 /// read on this tick's coalesced job and returns `None` (`run_jobs`
 /// fills its slot).
 fn dispatch(
-    request: Request,
+    request: RequestRef<'_>,
     arrived: Instant,
     tick: &mut Tick,
     registry: &Registry,
@@ -553,7 +596,7 @@ fn dispatch(
     // `run_jobs`). `PING` is exempt: liveness probes must answer even
     // on a drowning server.
     if let Some(deadline) = config.request_deadline {
-        if !matches!(request, Request::Ping) && arrived.elapsed() > deadline {
+        if !matches!(request, RequestRef::Ping) && arrived.elapsed() > deadline {
             return Some(Response::deadline_exceeded(
                 "request aged past its deadline before dispatch",
             ));
@@ -567,7 +610,7 @@ fn dispatch(
     // *during* overload) are never shed.
     let in_flight = tick.slots.len();
     if config.shed_inflight_hwm.is_some_and(|hwm| in_flight >= hwm)
-        && matches!(request, Request::Reach { .. } | Request::Batch { .. })
+        && matches!(request, RequestRef::Reach { .. } | RequestRef::Batch { .. })
     {
         return Some(Response::overloaded(
             retry_after_ms(config),
@@ -579,7 +622,7 @@ fn dispatch(
     // (it reports what *has* loaded so far) gets a typed `NOT_READY` —
     // not a misleading "unknown namespace" from a registry that simply
     // hasn't loaded yet.
-    if !registry.is_ready() && !matches!(request, Request::Ping | Request::List) {
+    if !registry.is_ready() && !matches!(request, RequestRef::Ping | RequestRef::List) {
         return Some(Response::not_ready(
             retry_after_ms(config),
             "server is starting up (namespace load / WAL replay in progress)",
@@ -591,29 +634,29 @@ fn dispatch(
             Err(e) => Response::Error(e.to_string()),
         }
     }
-    let lookup = |ns: &str| {
-        registry
-            .get(ns)
-            .ok_or_else(|| ServeError::UnknownNamespace(ns.to_owned()))
-    };
     match request {
-        Request::Reach { ns, u, v } => query(tick, registry, config, &ns, &[(u, v)], false),
-        Request::Batch { ns, pairs } => query(tick, registry, config, &ns, &pairs, true),
-        Request::Ping => Some(Response::Pong),
-        Request::List => Some(Response::List(registry.list())),
-        Request::AddEdge { ns, u, v } => Some(reply(
-            lookup(&ns).and_then(|h| h.add_edge(&ns, u, v)),
+        RequestRef::Reach { ns, u, v } => {
+            query(tick, registry, config, ns, [(u, v)].into_iter(), false)
+        }
+        RequestRef::Batch { ns, pairs } => query(tick, registry, config, ns, pairs.iter(), true),
+        RequestRef::Ping => Some(Response::Pong),
+        RequestRef::List => Some(Response::List(registry.list())),
+        RequestRef::AddEdge { ns, u, v } => Some(reply(
+            tick.lookup(registry, ns).and_then(|h| h.add_edge(ns, u, v)),
             |()| Response::Bool(true),
         )),
-        Request::RemoveEdge { ns, u, v } => Some(reply(
-            lookup(&ns).and_then(|h| h.remove_edge(&ns, u, v)),
+        RequestRef::RemoveEdge { ns, u, v } => Some(reply(
+            tick.lookup(registry, ns)
+                .and_then(|h| h.remove_edge(ns, u, v)),
             Response::Bool,
         )),
-        Request::Stats { ns } => Some(reply(lookup(&ns).map(|h| h.stats()), Response::Stats)),
-        Request::Metrics { ns } => Some(if !ns.is_empty() && registry.get(&ns).is_none() {
-            Response::Error(ServeError::UnknownNamespace(ns).to_string())
-        } else {
-            Response::Metrics(crate::obs::collect_metrics(registry, counters, obs, &ns))
+        RequestRef::Stats { ns } => Some(reply(
+            tick.lookup(registry, ns).map(|h| h.stats()),
+            Response::Stats,
+        )),
+        RequestRef::Metrics { ns } => Some(match tick.lookup(registry, ns) {
+            Err(e) if !ns.is_empty() => Response::Error(e.to_string()),
+            _ => Response::Metrics(crate::obs::collect_metrics(registry, counters, obs, ns)),
         }),
     }
 }
@@ -627,24 +670,25 @@ fn query(
     registry: &Registry,
     config: &ServerConfig,
     ns: &str,
-    pairs: &[(u32, u32)],
+    pairs: impl ExactSizeIterator<Item = (u32, u32)> + Clone,
     batch: bool,
 ) -> Option<Response> {
-    let Some(handle) = registry.get(ns) else {
-        return Some(Response::Error(
-            ServeError::UnknownNamespace(ns.to_owned()).to_string(),
-        ));
+    let index = match tick.resolve(registry, ns) {
+        Ok(index) => index,
+        Err(e) => return Some(Response::Error(e.to_string())),
     };
+    let handle = tick.handle(index);
     if !handle.is_frozen() {
-        return Some(match handle.reach_batch(pairs, 1) {
+        let pairs: Vec<(u32, u32)> = pairs.collect();
+        return Some(match handle.reach_batch(&pairs, 1) {
             Ok(answers) if batch => Response::Bools(answers),
             Ok(answers) => Response::Bool(answers[0]),
             Err(e) => Response::Error(e.to_string()),
         });
     }
     if let Err(e) = pairs
-        .iter()
-        .try_for_each(|&(u, v)| handle.validate_pair(u, v))
+        .clone()
+        .try_for_each(|(u, v)| handle.validate_pair(u, v))
     {
         return Some(Response::Error(e.to_string()));
     }
@@ -652,7 +696,9 @@ fn query(
     // one tick can commit to. A frame that would bust it is shed —
     // unless the namespace's batch is still empty, so an
     // oversized-but-legal batch always makes progress eventually.
-    let queued = tick.jobs.get(ns).map_or(0, |j| j.pairs.len());
+    let slot = tick.slots.len();
+    let job = &mut tick.jobs[index];
+    let queued = job.pairs.len();
     if config
         .shed_coalesced_pairs
         .is_some_and(|budget| queued > 0 && queued + pairs.len() > budget)
@@ -662,19 +708,13 @@ fn query(
             format!("overloaded: coalesced-batch budget for namespace {ns:?} exhausted this tick"),
         ));
     }
-    let slot = tick.slots.len();
-    let job = tick.jobs.entry(ns.to_owned()).or_insert_with(|| Job {
-        handle,
-        pairs: Vec::new(),
-        targets: Vec::new(),
-    });
     job.targets.push(Target {
         slot,
-        start: job.pairs.len(),
+        start: queued,
         len: pairs.len(),
         batch,
     });
-    job.pairs.extend_from_slice(pairs);
+    job.pairs.extend(pairs);
     None
 }
 
@@ -687,76 +727,104 @@ fn retry_after_ms(config: &ServerConfig) -> u32 {
 /// Runs every namespace's coalesced batch through one kernel call
 /// (chunked at the protocol's `MAX_BATCH_PAIRS` so a tick of many
 /// maximal batches cannot force one unbounded allocation), then fills
-/// the targets' slots.
+/// the targets' slots. Every job leaves emptied and its handle
+/// dropped; its vectors are kept for the next tick, the pair vector at
+/// most one maximal batch's worth.
 fn run_jobs(tick: &mut Tick, config: &ServerConfig, counters: &ServerCounters, obs: &ServerObs) {
-    let jobs = std::mem::take(&mut tick.jobs);
     let dispatch = Instant::now();
-    for (_, mut job) in jobs {
-        // Last deadline check, at the moment the kernel call would
-        // start: frames that aged out queued behind this tick's other
-        // work answer `DEADLINE_EXCEEDED` and their pairs drop out of
-        // the batch rather than consuming kernel time.
-        if let Some(deadline) = config.request_deadline {
-            let mut live_pairs: Vec<(u32, u32)> = Vec::with_capacity(job.pairs.len());
-            let mut live_targets: Vec<Target> = Vec::with_capacity(job.targets.len());
-            for mut target in job.targets {
-                let arrived = tick.slots[target.slot].arrived;
-                if dispatch.duration_since(arrived) > deadline {
-                    tick.slots[target.slot].response = Some(Response::deadline_exceeded(
-                        "request aged past its deadline before dispatch",
-                    ));
-                    continue;
-                }
-                let slice = &job.pairs[target.start..target.start + target.len];
-                target.start = live_pairs.len();
-                live_pairs.extend_from_slice(slice);
-                live_targets.push(target);
-            }
-            job.pairs = live_pairs;
-            job.targets = live_targets;
-            if job.targets.is_empty() {
-                continue;
+    for job in &mut tick.jobs {
+        if let Some(handle) = job.handle.take() {
+            if !job.targets.is_empty() {
+                run_job(
+                    &handle,
+                    job,
+                    &mut tick.slots,
+                    dispatch,
+                    config,
+                    counters,
+                    obs,
+                );
             }
         }
-        obs.coalesce_batch.record(job.pairs.len() as u64);
-        let mut answers: Vec<bool> = Vec::with_capacity(job.pairs.len());
-        let mut failed = None;
-        for chunk in job
-            .pairs
-            .chunks(MAX_BATCH_PAIRS as usize)
-            .filter(|c| !c.is_empty())
-        {
-            match job.handle.reach_batch(chunk, config.batch_threads) {
-                Ok(mut a) => answers.append(&mut a),
-                Err(e) => {
-                    // Unreachable in practice: every pair was
-                    // validated at decode time. Fail the frames of
-                    // this namespace rather than the whole tick.
-                    failed = Some(e.to_string());
-                    break;
-                }
+        job.pairs.clear();
+        job.pairs.shrink_to(MAX_BATCH_PAIRS as usize);
+        job.targets.clear();
+    }
+}
+
+/// One namespace's kernel call for this tick.
+fn run_job(
+    handle: &NamespaceHandle,
+    job: &mut Job,
+    slots: &mut [Slot],
+    dispatch: Instant,
+    config: &ServerConfig,
+    counters: &ServerCounters,
+    obs: &ServerObs,
+) {
+    // Last deadline check, at the moment the kernel call would start:
+    // frames that aged out queued behind this tick's other work answer
+    // `DEADLINE_EXCEEDED` and their pairs drop out of the batch (the
+    // live ones slide down in place) rather than consuming kernel time.
+    if let Some(deadline) = config.request_deadline {
+        let mut live = 0;
+        job.targets.retain_mut(|target| {
+            let slot = &mut slots[target.slot];
+            if dispatch.duration_since(slot.arrived) > deadline {
+                slot.response = Some(Response::deadline_exceeded(
+                    "request aged past its deadline before dispatch",
+                ));
+                return false;
+            }
+            job.pairs
+                .copy_within(target.start..target.start + target.len, live);
+            target.start = live;
+            live += target.len;
+            true
+        });
+        job.pairs.truncate(live);
+        if job.targets.is_empty() {
+            return;
+        }
+    }
+    obs.coalesce_batch.record(job.pairs.len() as u64);
+    let mut answers: Vec<bool> = Vec::with_capacity(job.pairs.len());
+    let mut failed = None;
+    for chunk in job
+        .pairs
+        .chunks(MAX_BATCH_PAIRS as usize)
+        .filter(|c| !c.is_empty())
+    {
+        match handle.reach_batch(chunk, config.batch_threads) {
+            Ok(mut a) => answers.append(&mut a),
+            Err(e) => {
+                // Unreachable in practice: every pair was validated at
+                // decode time. Fail the frames of this namespace rather
+                // than the whole tick.
+                failed = Some(e.to_string());
+                break;
             }
         }
-        if job.targets.len() > 1 {
-            counters.coalesced_calls.fetch_add(1, Ordering::Relaxed);
-            counters
-                .coalesced_frames
-                .fetch_add(job.targets.len() as u64, Ordering::Relaxed);
-        }
-        for target in job.targets {
-            let response = match &failed {
-                Some(message) => Response::Error(message.clone()),
-                None => {
-                    let slice = &answers[target.start..target.start + target.len];
-                    if target.batch {
-                        Response::Bools(slice.to_vec())
-                    } else {
-                        Response::Bool(slice[0])
-                    }
+    }
+    if job.targets.len() > 1 {
+        counters.coalesced_calls.fetch_add(1, Ordering::Relaxed);
+        counters
+            .coalesced_frames
+            .fetch_add(job.targets.len() as u64, Ordering::Relaxed);
+    }
+    for target in &job.targets {
+        let response = match &failed {
+            Some(message) => Response::Error(message.clone()),
+            None => {
+                let slice = &answers[target.start..target.start + target.len];
+                if target.batch {
+                    Response::Bools(slice.to_vec())
+                } else {
+                    Response::Bool(slice[0])
                 }
-            };
-            tick.slots[target.slot].response = Some(response);
-        }
+            }
+        };
+        slots[target.slot].response = Some(response);
     }
 }
 
@@ -774,7 +842,7 @@ fn scatter(tick: &mut Tick, slab: &mut Slab, counters: &ServerCounters, obs: &Se
         let Some(conn) = slab.get_mut(slot.token) else {
             continue; // connection died mid-tick; drop its replies
         };
-        encode_into(&mut conn.out, &response);
+        encode_frame(&mut conn.out, &response);
         obs.reply_latency_ns
             .record(slot.arrived.elapsed().as_nanos() as u64);
     }
@@ -803,15 +871,19 @@ fn count_reply(counters: &ServerCounters, response: &Response) {
     counter.fetch_add(1, Ordering::Relaxed);
 }
 
-/// Encodes `response` as one length-prefixed frame appended to `out`.
-fn encode_into(out: &mut Vec<u8>, response: &Response) {
-    let payload = response.encode().unwrap_or_else(|e| {
+/// Encodes `response` in place as one length-prefixed frame appended
+/// to `out`: the payload goes straight into the buffer and the length
+/// prefix is patched in after it.
+fn encode_frame(out: &mut Vec<u8>, response: &Response) {
+    let start = out.len();
+    out.extend_from_slice(&[0; 4]);
+    if let Err(e) = response.encode_into(out) {
         Response::Error(format!("internal encode failure: {e}"))
-            .encode()
-            .expect("plain error replies always encode")
-    });
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&payload);
+            .encode_into(out)
+            .expect("plain error replies always encode");
+    }
+    let len = (out.len() - start - 4) as u32;
+    out[start..start + 4].copy_from_slice(&len.to_le_bytes());
 }
 
 /// Writes as much of a connection's buffer as the socket accepts, then

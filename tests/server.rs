@@ -549,6 +549,135 @@ mod reactor {
     }
 
     #[test]
+    fn one_pipelined_burst_across_namespaces_replies_in_send_order() {
+        // Two frozen namespaces, one dynamic one, and frames that name
+        // each of them, an unknown one and none at all, sent in one
+        // write so they decode in one tick. The reactor resolves each
+        // namespace once per tick and reuses the handle for later
+        // frames; every reply must still match its own frame.
+        let ga = gen::random_digraph(40, 120, 0xA11);
+        let gb = gen::random_digraph(30, 90, 0xB22);
+        let dag = gen::random_dag(25, 60, 0xD33);
+        let gd = dag.graph().clone();
+        let registry = Arc::new(Registry::new());
+        registry.insert_frozen("a", Oracle::new(&ga)).unwrap();
+        registry.insert_frozen("b", Oracle::new(&gb)).unwrap();
+        registry
+            .insert_dynamic("d", DynamicOracle::new(dag))
+            .unwrap();
+        let handle = Server::bind(
+            "127.0.0.1:0",
+            Arc::clone(&registry),
+            ServerConfig::default(),
+        )
+        .expect("bind ephemeral loopback port");
+
+        let batch: Vec<(u32, u32)> = (0..30).map(|i| (i, (i * 7 + 3) % 30)).collect();
+        let mut burst = Vec::new();
+        for req in [
+            Request::Reach {
+                ns: "a".into(),
+                u: 0,
+                v: 17,
+            },
+            Request::Batch {
+                ns: "b".into(),
+                pairs: batch.clone(),
+            },
+            Request::Reach {
+                ns: "absent".into(),
+                u: 0,
+                v: 1,
+            },
+            Request::Reach {
+                ns: "a".into(),
+                u: 3,
+                v: 40,
+            },
+        ] {
+            burst.extend_from_slice(&frame(&req));
+        }
+        burst.extend_from_slice(&2u32.to_le_bytes());
+        burst.extend_from_slice(&[PROTOCOL_VERSION, 0x42]); // unknown opcode
+        for req in [
+            Request::Reach {
+                ns: "d".into(),
+                u: 2,
+                v: 21,
+            },
+            Request::Reach {
+                ns: "a".into(),
+                u: 39,
+                v: 5,
+            },
+        ] {
+            burst.extend_from_slice(&frame(&req));
+        }
+        let mut conn = RawConn::connect(handle.local_addr());
+        conn.stream.write_all(&burst).unwrap();
+
+        let error = |conn: &mut RawConn, what: &str, needle: &str| match conn.recv() {
+            Response::Error(message) => {
+                assert!(
+                    message.contains(needle),
+                    "{what}: {message:?} lacks {needle:?}"
+                )
+            }
+            other => panic!("{what}: expected an error reply, got {other:?}"),
+        };
+        let reach = |conn: &mut RawConn, g: &DiGraph, u: u32, v: u32| match conn.recv() {
+            Response::Bool(got) => assert_eq!(got, traversal::reaches(g, u, v), "({u},{v})"),
+            other => panic!("({u},{v}): expected BOOL, got {other:?}"),
+        };
+        reach(&mut conn, &ga, 0, 17);
+        match conn.recv() {
+            Response::Bools(got) => {
+                assert_eq!(got.len(), batch.len());
+                for (&(u, v), got) in batch.iter().zip(got) {
+                    assert_eq!(got, traversal::reaches(&gb, u, v), "batch ({u},{v})");
+                }
+            }
+            other => panic!("BATCH on b: expected BOOLS, got {other:?}"),
+        }
+        error(&mut conn, "unknown namespace", "unknown namespace");
+        error(&mut conn, "out-of-range vertex", "out of range");
+        error(&mut conn, "bad opcode", "unknown opcode");
+        reach(&mut conn, &gd, 2, 21);
+        reach(&mut conn, &ga, 39, 5);
+
+        // Only the answered pairs were queried.
+        let mut client = Client::connect(handle.local_addr()).unwrap();
+        assert_eq!(client.stats("a").unwrap().queries, 2);
+        assert_eq!(client.stats("b").unwrap().queries, batch.len() as u64);
+
+        // A tick's handles do not outlive it: once `a` is replaced and
+        // `b` removed, the next burst sees the new `a` and no `b`.
+        let ga2 = gen::random_digraph(40, 120, 0xA12);
+        registry.insert_frozen("a", Oracle::new(&ga2)).unwrap();
+        assert!(registry.remove("b"));
+        let mut burst = Vec::new();
+        for req in [
+            Request::Reach {
+                ns: "a".into(),
+                u: 0,
+                v: 17,
+            },
+            Request::Reach {
+                ns: "b".into(),
+                u: 0,
+                v: 1,
+            },
+        ] {
+            burst.extend_from_slice(&frame(&req));
+        }
+        conn.stream.write_all(&burst).unwrap();
+        reach(&mut conn, &ga2, 0, 17);
+        error(&mut conn, "removed namespace", "unknown namespace");
+        assert_eq!(client.stats("a").unwrap().queries, 1, "the new snapshot");
+        handle.shutdown();
+    }
+
+    #[test]
     fn slow_loris_idle_sockets_do_not_starve_active_clients() {
         let g = gen::random_digraph(30, 90, 0x510);
         let registry = Registry::new();
