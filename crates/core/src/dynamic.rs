@@ -223,6 +223,12 @@ impl DynamicOracle {
         self.dl.labeling().total_entries()
     }
 
+    /// Footprint of the snapshot labeling's top-hop reach masks in
+    /// bytes (see [`crate::Labeling::mask_bytes`]).
+    pub fn mask_bytes(&self) -> u64 {
+        self.dl.labeling().mask_bytes()
+    }
+
     /// True byte footprint: the labeled snapshot (labels, reach masks,
     /// rank order, `comp_of`; mapped when adopted from a checkpoint),
     /// the DAG, and the mutation overlay.

@@ -349,17 +349,8 @@ impl QueryFilters {
     /// in-bounds contract).
     #[inline]
     pub fn prefetch(&self, u: VertexId, v: VertexId) {
-        #[cfg(target_arch = "x86_64")]
-        unsafe {
-            use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-            let base = self.recs.as_ptr();
-            _mm_prefetch(base.wrapping_add(u as usize) as *const i8, _MM_HINT_T0);
-            _mm_prefetch(base.wrapping_add(v as usize) as *const i8, _MM_HINT_T0);
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        {
-            let _ = (u, v);
-        }
+        crate::label::prefetch_index(&self.recs[..], u as usize);
+        crate::label::prefetch_index(&self.recs[..], v as usize);
     }
 
     /// Negative cut: `true` ⇒ `u` does **not** reach `v` (`u ≠ v`).

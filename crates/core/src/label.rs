@@ -145,6 +145,52 @@ pub fn sorted_intersect_adaptive(a: &[u32], b: &[u32]) -> bool {
     false
 }
 
+/// Cache-prefetch hint for `slice[i]`'s line — the crate's one
+/// prefetch primitive, behind the batch kernel's lookahead
+/// ([`crate::parallel`]), [`Labeling::prefetch_offsets`],
+/// [`Labeling::prefetch_lists`] and [`crate::QueryFilters::prefetch`].
+/// Purely advisory: no-op off x86_64, never dereferences, and
+/// out-of-range indices are harmless (the address is computed without
+/// `add`'s in-bounds contract).
+#[inline(always)]
+pub(crate) fn prefetch_index<T>(slice: &[T], i: usize) {
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: `_mm_prefetch` is a hint that never faults, whatever the
+    // address; `wrapping_add` makes computing it defined too.
+    unsafe {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        _mm_prefetch(slice.as_ptr().wrapping_add(i) as *const i8, _MM_HINT_T0);
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        let _ = (slice, i);
+    }
+}
+
+/// Cache lines of one list [`Labeling::prefetch_lists`] requests at
+/// most. A merge walks a list from its head and galloping touches only
+/// a few lines of a long one, so the head lines are the ones the
+/// kernel stalls on; the hardware streamer covers the rest.
+const LIST_PREFETCH_LINES: usize = 8;
+
+/// Prefetches the lines `hops[lo..hi]` spans, at most
+/// [`LIST_PREFETCH_LINES`] of them, head first.
+#[inline(always)]
+fn prefetch_list(hops: &[u32], lo: usize, hi: usize) {
+    const LINE: usize = 64;
+    const PER_LINE: usize = LINE / std::mem::size_of::<u32>();
+    if lo >= hi {
+        return;
+    }
+    let line_of = |i: usize| (hops.as_ptr() as usize + i * std::mem::size_of::<u32>()) / LINE;
+    let lines = (line_of(hi - 1) - line_of(lo) + 1).min(LIST_PREFETCH_LINES);
+    // `lo + k·PER_LINE` sits at the same offset one line further on,
+    // so the k-th hint lands in the list's k-th line.
+    for k in 0..lines {
+        prefetch_index(hops, lo + k * PER_LINE);
+    }
+}
+
 /// Hops the reach masks cover: the `TOP_HOPS` highest-ranked, one bit
 /// each of a `u64`. Distribution-Labeling stores these hops in the
 /// masks and starts list distribution at rank `TOP_HOPS`.
@@ -379,7 +425,7 @@ impl Labeling {
     /// The reach-mask stage: `Some(answer)` when the masks decide
     /// `u → v` (`u != v`), `None` when the lists must.
     #[inline(always)]
-    fn mask_verdict(&self, u: VertexId, v: VertexId) -> Option<bool> {
+    pub(crate) fn mask_verdict(&self, u: VertexId, v: VertexId) -> Option<bool> {
         let (fu, bu) = (self.out_masks[u as usize], self.in_masks[u as usize]);
         let (fv, bv) = (self.out_masks[v as usize], self.in_masks[v as usize]);
         if fu & bv != 0 {
@@ -389,6 +435,35 @@ impl Labeling {
         } else {
             None
         }
+    }
+
+    /// The list stage: does `L_out(u)` share a hop with `L_in(v)`?
+    #[inline(always)]
+    pub(crate) fn lists_intersect(&self, u: VertexId, v: VertexId) -> bool {
+        sorted_intersect_adaptive(self.out_label(u), self.in_label(v))
+    }
+
+    /// Hints `L_out(u)`'s and `L_in(v)`'s CSR offsets toward L1, so a
+    /// later [`Self::prefetch_lists`] of the same pair finds them.
+    #[inline(always)]
+    pub(crate) fn prefetch_offsets(&self, u: VertexId, v: VertexId) {
+        prefetch_index(&self.out_offsets[..], u as usize);
+        prefetch_index(&self.in_offsets[..], v as usize);
+    }
+
+    /// Hints the head lines of `L_out(u)` and `L_in(v)` toward L1
+    /// (see [`LIST_PREFETCH_LINES`]). Reads the four CSR offsets, so
+    /// issue [`Self::prefetch_offsets`] for the pair well before.
+    #[inline(always)]
+    pub(crate) fn prefetch_lists(&self, u: VertexId, v: VertexId) {
+        let (u, v) = (u as usize, v as usize);
+        let out = (
+            self.out_offsets[u] as usize,
+            self.out_offsets[u + 1] as usize,
+        );
+        let in_ = (self.in_offsets[v] as usize, self.in_offsets[v + 1] as usize);
+        prefetch_list(&self.out_hops, out.0, out.1);
+        prefetch_list(&self.in_hops, in_.0, in_.1);
     }
 
     /// The oracle query: `u` reaches `v` iff the masks say so or the

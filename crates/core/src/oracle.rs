@@ -243,11 +243,32 @@ impl Oracle {
         pairs: &[(VertexId, VertexId)],
         threads: usize,
     ) -> (Vec<bool>, crate::parallel::QueryTally) {
-        crate::parallel::par_query_batch_mapped_tallied(
+        let mut answers = vec![false; pairs.len()];
+        let tally = self.reaches_batch_into(pairs, &mut answers, threads);
+        (answers, tally)
+    }
+
+    /// The batch kernel ([`crate::parallel::par_query_batch_into`])
+    /// over this oracle: answers `pairs[i]` into `out[i]` and reports
+    /// where the queries died, allocating nothing per call beyond each
+    /// worker's bounded merge queue. Answers and tally equal
+    /// [`Self::reaches_tallied`] pair by pair.
+    ///
+    /// # Panics
+    /// Panics if `out` and `pairs` differ in length or a vertex id is
+    /// out of range.
+    pub fn reaches_batch_into(
+        &self,
+        pairs: &[(VertexId, VertexId)],
+        out: &mut [bool],
+        threads: usize,
+    ) -> crate::parallel::QueryTally {
+        crate::parallel::par_query_batch_into(
             self.dl.labeling(),
             Some(&self.filters),
             &self.comp_of,
             pairs,
+            out,
             threads,
         )
     }

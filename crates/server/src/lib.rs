@@ -19,7 +19,7 @@
 //! immutable, so the query fast path takes no lock; each coalesced
 //! batch runs the [`hoplite_core::QueryFilters`] O(1) pre-filter stack
 //! before any label intersection and fans out through
-//! [`hoplite_core::parallel::par_query_batch_mapped`] exactly like the
+//! [`hoplite_core::parallel::par_query_batch_into`] exactly like the
 //! in-process [`hoplite_core::Oracle::reaches_batch`] API. Serving
 //! needs epoll or kqueue; elsewhere [`Server::bind`] fails with
 //! `ErrorKind::Unsupported`.

@@ -25,10 +25,11 @@
 //!    **frozen** namespaces are *coalesced* — their pairs from every
 //!    connection are gathered into one shared batch per namespace;
 //! 3. runs each namespace's gathered batch through one
-//!    [`NamespaceHandle::reach_batch`] call (i.e.
-//!    `hoplite_core::parallel::par_query_batch_mapped` at the
-//!    configured fan-out), so the prefetch-pipelined adaptive kernel
-//!    sees deep batches even when every client sends one-pair frames;
+//!    [`NamespaceHandle::reach_batch_into`] call (i.e.
+//!    `hoplite_core::parallel::par_query_batch_into` at the configured
+//!    fan-out) into an answer buffer kept across ticks, so the
+//!    two-stage prefetching kernel sees deep batches even when every
+//!    client sends one-pair frames;
 //! 4. scatters the answers back, encoding each connection's replies
 //!    straight into its write buffer **in its own request order** (the
 //!    protocol guarantee; across connections replies may complete in
@@ -218,6 +219,9 @@ struct Tick {
     /// Every namespace a frame has named, by name: its index in `jobs`.
     names: HashMap<String, usize>,
     jobs: Vec<Job>,
+    /// The kernel's answers for the job being run, kept across ticks
+    /// like the jobs' pair vectors.
+    answers: Vec<bool>,
     /// Connections touched this tick (deduplicated coarsely); flushed
     /// and swept after scatter.
     dirty: Vec<u64>,
@@ -466,8 +470,9 @@ fn sweep_stale(slab: &mut Slab, config: &ServerConfig, counters: &ServerCounters
     }
 }
 
-/// Pulls every available byte from a readable connection and decodes
-/// the complete frames into this tick's slots/jobs.
+/// Pulls the available bytes from a readable connection (until a
+/// short read, EOF or one maximal frame's worth) and decodes the
+/// complete frames into this tick's slots/jobs.
 fn read_ready(
     token: u64,
     slab: &mut Slab,
@@ -507,6 +512,13 @@ fn read_ready(
             Ok(k) => {
                 got_bytes = true;
                 conn.acc.extend(&buf[..k]);
+                if k < READ_CHUNK {
+                    // A short read drained the socket: skip the read
+                    // that would only return `EAGAIN`. Readiness is
+                    // level-triggered, so bytes landing after it are
+                    // reported again next tick.
+                    break;
+                }
                 if conn.acc.pending_bytes() as u64 > config.max_frame_len as u64 + 4 {
                     break; // one frame's worth is buffered; parse first
                 }
@@ -679,12 +691,16 @@ fn query(
     };
     let handle = tick.handle(index);
     if !handle.is_frozen() {
-        let pairs: Vec<(u32, u32)> = pairs.collect();
-        return Some(match handle.reach_batch(&pairs, 1) {
-            Ok(answers) if batch => Response::Bools(answers),
-            Ok(answers) => Response::Bool(answers[0]),
-            Err(e) => Response::Error(e.to_string()),
-        });
+        let mut pairs = pairs;
+        let answered = match (batch, pairs.next()) {
+            // A `REACH` needs neither a pair nor an answer vector.
+            (false, Some((u, v))) => handle.reach(u, v).map(Response::Bool),
+            (_, first) => {
+                let pairs: Vec<(u32, u32)> = first.into_iter().chain(pairs).collect();
+                handle.reach_batch(&pairs, 1).map(Response::Bools)
+            }
+        };
+        return Some(answered.unwrap_or_else(|e| Response::Error(e.to_string())));
     }
     if let Err(e) = pairs
         .clone()
@@ -725,11 +741,10 @@ fn retry_after_ms(config: &ServerConfig) -> u32 {
 }
 
 /// Runs every namespace's coalesced batch through one kernel call
-/// (chunked at the protocol's `MAX_BATCH_PAIRS` so a tick of many
-/// maximal batches cannot force one unbounded allocation), then fills
-/// the targets' slots. Every job leaves emptied and its handle
-/// dropped; its vectors are kept for the next tick, the pair vector at
-/// most one maximal batch's worth.
+/// into the tick's answer buffer, then fills the targets' slots. Every
+/// job leaves emptied and its handle dropped; its vectors and the
+/// answer buffer are kept for the next tick, each at most one maximal
+/// batch's worth.
 fn run_jobs(tick: &mut Tick, config: &ServerConfig, counters: &ServerCounters, obs: &ServerObs) {
     let dispatch = Instant::now();
     for job in &mut tick.jobs {
@@ -738,6 +753,7 @@ fn run_jobs(tick: &mut Tick, config: &ServerConfig, counters: &ServerCounters, o
                 run_job(
                     &handle,
                     job,
+                    &mut tick.answers,
                     &mut tick.slots,
                     dispatch,
                     config,
@@ -750,12 +766,16 @@ fn run_jobs(tick: &mut Tick, config: &ServerConfig, counters: &ServerCounters, o
         job.pairs.shrink_to(MAX_BATCH_PAIRS as usize);
         job.targets.clear();
     }
+    tick.answers.clear();
+    tick.answers.shrink_to(MAX_BATCH_PAIRS as usize);
 }
 
 /// One namespace's kernel call for this tick.
+#[allow(clippy::too_many_arguments)] // one call site, like `decode_frame`
 fn run_job(
     handle: &NamespaceHandle,
     job: &mut Job,
+    answers: &mut Vec<bool>,
     slots: &mut [Slot],
     dispatch: Instant,
     config: &ServerConfig,
@@ -788,24 +808,15 @@ fn run_job(
         }
     }
     obs.coalesce_batch.record(job.pairs.len() as u64);
-    let mut answers: Vec<bool> = Vec::with_capacity(job.pairs.len());
-    let mut failed = None;
-    for chunk in job
-        .pairs
-        .chunks(MAX_BATCH_PAIRS as usize)
-        .filter(|c| !c.is_empty())
-    {
-        match handle.reach_batch(chunk, config.batch_threads) {
-            Ok(mut a) => answers.append(&mut a),
-            Err(e) => {
-                // Unreachable in practice: every pair was validated at
-                // decode time. Fail the frames of this namespace rather
-                // than the whole tick.
-                failed = Some(e.to_string());
-                break;
-            }
-        }
-    }
+    answers.clear();
+    answers.resize(job.pairs.len(), false);
+    // Unreachable in practice: every pair was validated at decode
+    // time. Fail the frames of this namespace rather than the whole
+    // tick.
+    let failed = handle
+        .reach_batch_into(&job.pairs, answers, config.batch_threads)
+        .err()
+        .map(|e| e.to_string());
     if job.targets.len() > 1 {
         counters.coalesced_calls.fetch_add(1, Ordering::Relaxed);
         counters

@@ -377,16 +377,34 @@ impl NamespaceHandle {
         }
     }
 
-    /// Answers every pair, preserving order. Frozen namespaces fan the
-    /// batch out over `threads` workers
-    /// ([`hoplite_core::parallel::par_query_batch_mapped`], which maps
-    /// component ids and runs the pre-filter stack inside each worker);
-    /// dynamic ones answer inline under their lock.
+    /// Answers every pair, preserving order: [`Self::reach_batch_into`]
+    /// into a fresh vector.
     pub fn reach_batch(
         &self,
         pairs: &[(u32, u32)],
         threads: usize,
     ) -> Result<Vec<bool>, ServeError> {
+        let mut answers = vec![false; pairs.len()];
+        self.reach_batch_into(pairs, &mut answers, threads)?;
+        Ok(answers)
+    }
+
+    /// Answers `pairs[i]` into `out[i]`. Frozen namespaces run the
+    /// batch kernel ([`hoplite_core::parallel::par_query_batch_into`],
+    /// which maps component ids and runs the pre-filter stack inside
+    /// each of its `threads` workers) straight into `out`; dynamic ones
+    /// answer inline under their lock. On `Err` (a vertex out of
+    /// range) nothing was answered and `out` is untouched.
+    ///
+    /// # Panics
+    /// Panics if `out` and `pairs` differ in length.
+    pub fn reach_batch_into(
+        &self,
+        pairs: &[(u32, u32)],
+        out: &mut [bool],
+        threads: usize,
+    ) -> Result<(), ServeError> {
+        assert_eq!(pairs.len(), out.len(), "one answer slot per pair");
         match &self.inner {
             Inner::Frozen(ns) => {
                 let n = ns.oracle.num_vertices();
@@ -396,10 +414,10 @@ impl NamespaceHandle {
                 }
                 ns.queries.fetch_add(pairs.len() as u64, Ordering::Relaxed);
                 let started = std::time::Instant::now();
-                let (answers, tally) = ns.oracle.reaches_batch_tallied(pairs, threads);
+                let tally = ns.oracle.reaches_batch_into(pairs, out, threads);
                 ns.obs.batch_ns.record(started.elapsed().as_nanos() as u64);
                 ns.record(&tally);
-                Ok(answers)
+                Ok(())
             }
             Inner::Dynamic(ns) => {
                 let oracle = lock_unpoisoned(&ns.oracle);
@@ -409,7 +427,10 @@ impl NamespaceHandle {
                     self.check(v, n)?;
                 }
                 ns.queries.fetch_add(pairs.len() as u64, Ordering::Relaxed);
-                Ok(pairs.iter().map(|&(u, v)| oracle.query(u, v)).collect())
+                for (slot, &(u, v)) in out.iter_mut().zip(pairs) {
+                    *slot = oracle.query(u, v);
+                }
+                Ok(())
             }
         }
     }
@@ -567,9 +588,9 @@ impl NamespaceHandle {
                     pending_inserts: oracle.pending_edges() as u64,
                     pending_deletions: oracle.pending_deletions() as u64,
                     queries: ns.queries.load(Ordering::Relaxed),
+                    signature_bytes: oracle.mask_bytes(),
                     // The dynamic query path answers through its
                     // overlay and keeps no per-stage tallies.
-                    signature_bytes: 0,
                     filter_hits: 0,
                     signature_hits: 0,
                     merge_runs: 0,
@@ -1258,5 +1279,31 @@ mod tests {
             stats.signature_bytes > 0,
             "frozen namespaces report their reach-mask bytes"
         );
+    }
+
+    /// A dynamic namespace's snapshot carries reach masks like a frozen
+    /// one; over the same DAG, `STATS` reports the same mask bytes, and
+    /// both kinds answer a batch into a caller's buffer alike.
+    #[test]
+    fn dynamic_stats_report_the_snapshot_mask_bytes() {
+        let dag = hoplite_graph::gen::random_dag(120, 360, 3);
+        let registry = Registry::new();
+        registry
+            .insert_frozen("f", Oracle::new(dag.graph()))
+            .unwrap();
+        registry
+            .insert_dynamic("d", DynamicOracle::new(dag.clone()))
+            .unwrap();
+        let (frozen, dynamic) = (registry.get("f").unwrap(), registry.get("d").unwrap());
+        let want = frozen.stats().signature_bytes;
+        assert_eq!(want, 16 * 120, "one F and one B word per component");
+        assert_eq!(dynamic.stats().signature_bytes, want);
+
+        let pairs: Vec<(u32, u32)> = (0..120).map(|u| (u, (u * 7 + 3) % 120)).collect();
+        let (mut a, mut b) = (vec![false; pairs.len()], vec![true; pairs.len()]);
+        frozen.reach_batch_into(&pairs, &mut a, 2).unwrap();
+        dynamic.reach_batch_into(&pairs, &mut b, 1).unwrap();
+        assert_eq!(a, b);
+        assert_eq!(a, frozen.reach_batch(&pairs, 1).unwrap());
     }
 }

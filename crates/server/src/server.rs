@@ -31,7 +31,7 @@ use crate::registry::Registry;
 pub struct ServerConfig {
     /// Fan-out width for each per-tick coalesced super-batch on a
     /// frozen namespace
-    /// ([`hoplite_core::parallel::par_query_batch_mapped`]).
+    /// ([`hoplite_core::parallel::par_query_batch_into`]).
     pub batch_threads: usize,
     /// Largest accepted frame payload.
     pub max_frame_len: u32,

@@ -5,19 +5,21 @@
 //! after a HOPL v4 `save_arena`/open round-trip, and through the
 //! `hoplite-server` wire path. This is the root facade's all-pairs BFS
 //! sweep: singles and batches, filtered and unfiltered, at 1 and 3
-//! threads.
+//! threads, plus the batch kernel's stage tally against the per-pair
+//! path's.
 
 use std::sync::Arc;
 
-use hoplite::core::{FilterVerdict, Parallelism};
+use hoplite::core::{FilterVerdict, Parallelism, QueryTally};
 use hoplite::graph::gen::{self, Rng};
 use hoplite::graph::traversal;
 use hoplite::server::{Client, Registry, Server, ServerConfig};
 use hoplite::{DiGraph, DlConfig, Oracle, VertexId};
 
 /// Checks every query entry point against BFS on all n² pairs:
-/// filtered and unfiltered singles, and filtered and unfiltered
-/// batches at 1 and 3 threads.
+/// filtered and unfiltered singles, filtered and unfiltered batches at
+/// 1 and 3 threads, and the batch kernel against the tallied singles
+/// at 1, 2 and 3 threads.
 fn check_entry_points(g: &DiGraph, oracle: &Oracle, what: &str) {
     let n = g.num_vertices();
     traversal::assert_matches_bfs(g, &format!("{what}, filtered"), |u, v| oracle.reaches(u, v));
@@ -38,6 +40,20 @@ fn check_entry_points(g: &DiGraph, oracle: &Oracle, what: &str) {
             let what = format!("{what}, {path} batch, {threads} threads");
             traversal::assert_matches_bfs(g, &what, |u, v| batch[u as usize * n + v as usize]);
         }
+    }
+    // The batch kernel into a caller's buffer: the per-pair tallied
+    // path's answers (BFS's, checked above) and its stage tally, every
+    // slot written at every width.
+    let mut per_pair = QueryTally::default();
+    let want: Vec<bool> = pairs
+        .iter()
+        .map(|&(u, v)| oracle.reaches_tallied(u, v, &mut per_pair))
+        .collect();
+    for threads in [1, 2, 3] {
+        let mut out: Vec<bool> = want.iter().map(|b| !b).collect();
+        let tally = oracle.reaches_batch_into(&pairs, &mut out, threads);
+        assert!(out == want, "{what}, batch into, {threads} threads");
+        assert_eq!(tally, per_pair, "{what}, batch into, {threads} threads");
     }
 }
 

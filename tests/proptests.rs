@@ -13,7 +13,7 @@ use proptest::prelude::*;
 use hoplite::baselines::{Grail, IntervalIndex, KReach, PathTree, Pwah8, TfLabel};
 use hoplite::core::{
     sorted_intersect, DistributionLabeling, DlConfig, HierarchicalLabeling, HlConfig, LabelPath,
-    LabelingBuilder, OrderKind, ReachIndex, TOP_HOPS,
+    LabelingBuilder, OrderKind, QueryTally, ReachIndex, TOP_HOPS,
 };
 use hoplite::graph::{scc, traversal, Dag, DiGraph};
 
@@ -84,6 +84,13 @@ proptest! {
             answers[u as usize * n + v as usize]
         });
         prop_assert_eq!(tally.total(), pairs.len() as u64);
+        // The batch kernel decides every pair at the stage the
+        // single-query path does.
+        let mut per_pair = QueryTally::default();
+        for &(u, v) in &pairs {
+            oracle.reaches_tallied(u, v, &mut per_pair);
+        }
+        prop_assert_eq!(tally, per_pair);
         if oracle.num_components() <= TOP_HOPS {
             prop_assert_eq!(tally.merged, 0);
         }

@@ -548,6 +548,47 @@ mod reactor {
         handle.shutdown();
     }
 
+    /// One `BATCH` frame over twice the reactor's 64 KiB read chunk,
+    /// then a `REACH`, sent in a single `write`: a full chunk must keep
+    /// the read loop going (only a short read ends it), and both frames
+    /// are answered, matching BFS.
+    #[test]
+    fn a_batch_frame_larger_than_a_read_chunk_in_one_write() {
+        let n = 200usize;
+        let g = gen::random_digraph(n, 600, 0xB16);
+        let registry = Registry::new();
+        registry.insert_frozen("g", Oracle::new(&g)).unwrap();
+        let handle = serve(registry);
+
+        let mut rng = Rng::new(0xC4A);
+        let pairs: Vec<(u32, u32)> = (0..20_000)
+            .map(|_| (rng.gen_index(n) as u32, rng.gen_index(n) as u32))
+            .collect();
+        let mut bytes = frame(&Request::Batch {
+            ns: "g".into(),
+            pairs: pairs.clone(),
+        });
+        assert!(bytes.len() > 2 * 64 * 1024, "{} bytes", bytes.len());
+        bytes.extend(frame(&reach(3, 150)));
+        let mut conn = RawConn::connect(handle.local_addr());
+        // A blocking send queues the whole buffer in one call.
+        assert_eq!(conn.stream.write(&bytes).unwrap(), bytes.len());
+        match conn.recv() {
+            Response::Bools(got) => {
+                assert_eq!(got.len(), pairs.len());
+                for (&(u, v), &b) in pairs.iter().zip(&got) {
+                    assert_eq!(b, traversal::reaches(&g, u, v), "({u},{v})");
+                }
+            }
+            other => panic!("BATCH got {other:?}"),
+        }
+        match conn.recv() {
+            Response::Bool(got) => assert_eq!(got, traversal::reaches(&g, 3, 150)),
+            other => panic!("REACH got {other:?}"),
+        }
+        handle.shutdown();
+    }
+
     #[test]
     fn one_pipelined_burst_across_namespaces_replies_in_send_order() {
         // Two frozen namespaces, one dynamic one, and frames that name
