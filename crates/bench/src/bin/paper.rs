@@ -468,7 +468,7 @@ fn ablation(cfg: &RunConfig) {
 
 /// Recursive SCARAB study. §2.3 observes that "theoretically, the
 /// reachability backbone could be applied recursively; this may
-/// further slow down query performance. In [23], this option is not
+/// further slow down query performance. In \[23\], this option is not
 /// studied." — here we measure it: GRAIL behind a depth-0/1/2
 /// backbone stack, reporting backbone size, build time, and
 /// equal-load query time per depth.

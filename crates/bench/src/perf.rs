@@ -15,14 +15,14 @@
 //!
 //! * `random_dag`, `deep_chain`, `kronecker` — one per graph family:
 //!   the `Parallelism::Auto` build, filtered vs unfiltered batch
-//!   throughput through [`Oracle::reaches_batch`] /
-//!   [`Oracle::reaches_batch_unfiltered`], the per-layer
+//!   throughput through [`par_query_batch_into`] with and without the
+//!   oracle's filter stack, the per-layer
 //!   [`FilterVerdict`] counts, the [`QueryTally`] stage mix (pre-filter
 //!   / reach masks / merge) and the index footprint. `deep_chain` is
 //!   adversarial for the level cut; `kronecker` has scale-free degrees,
 //!   where a few top hops cover most pairs.
 //! * `build` — the Distribution-Labeling build on the headline graph,
-//!   timed round-robin at every width in [`WIDTHS`] and at
+//!   timed round-robin at every width in `WIDTHS` and at
 //!   [`Parallelism::Auto`]; every width must emit **byte-identical
 //!   labels** to the 1-thread build before any number is reported.
 //! * `threads_N` — one per width: that build time and the filtered
@@ -57,8 +57,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use hoplite_core::{
-    DistributionLabeling, DlConfig, FilterVerdict, Histogram, OpenOptions, Oracle, Parallelism,
-    QueryTally,
+    par_query_batch_into, DistributionLabeling, DlConfig, FilterVerdict, Histogram, OpenOptions,
+    Oracle, Parallelism, QueryTally,
 };
 use hoplite_graph::{gen, Dag};
 use hoplite_server::{loadgen, LoadSpec, ServeError};
@@ -446,22 +446,27 @@ fn run_family(
     );
     let mut unfiltered_ms = f64::INFINITY;
     let mut filtered_ms = f64::INFINITY;
-    let mut filtered = Vec::new();
+    let (labeling, comp_of) = (oracle.inner().labeling(), oracle.comp_of());
+    let mut unfiltered = vec![false; queries];
+    let mut filtered = vec![false; queries];
     for _ in 0..PAIRED_ROUNDS {
-        let (unfiltered, ms) = time_ms(|| oracle.reaches_batch_unfiltered(&pairs, threads));
+        let (_, ms) = time_ms(|| {
+            par_query_batch_into(labeling, None, comp_of, &pairs, &mut unfiltered, threads)
+        });
         unfiltered_ms = unfiltered_ms.min(ms);
-        let (answers, ms) = time_ms(|| oracle.reaches_batch(&pairs, threads));
+        let (_, ms) = time_ms(|| oracle.reaches_batch_into(&pairs, &mut filtered, threads));
         filtered_ms = filtered_ms.min(ms);
         assert_eq!(
-            answers, unfiltered,
+            filtered, unfiltered,
             "{kind}: filtered and unfiltered batch answers diverged"
         );
-        filtered = answers;
     }
     // Stage mix and verdicts, off the timed path; answers re-checked
-    // once more. Oracle filters are projected into original-vertex
-    // space, so classification takes original ids directly.
-    let (tallied, tally) = oracle.reaches_batch_tallied(&pairs, threads);
+    // once more, into a buffer holding the wrong answer in every slot.
+    // Oracle filters are projected into original-vertex space, so
+    // classification takes original ids directly.
+    let mut tallied: Vec<bool> = filtered.iter().map(|b| !b).collect();
+    let tally = oracle.reaches_batch_into(&pairs, &mut tallied, threads);
     assert_eq!(tallied, filtered, "{kind}: tallied answers diverged");
     let filters = oracle.filters();
     let mut verdicts = [0u64; FilterVerdict::ALL.len()];
@@ -568,7 +573,10 @@ fn run_scaling(
     let mut qps = Vec::new();
     for (&threads, &build_ms) in WIDTHS.iter().zip(width_ms) {
         eprintln!("# perf[scaling]: filtered batch at {threads} thread(s) ...");
-        let (answers, ms) = best_ms(ROUNDS, || oracle.reaches_batch(pairs, threads));
+        let mut answers = vec![false; pairs.len()];
+        let (_, ms) = best_ms(ROUNDS, || {
+            oracle.reaches_batch_into(pairs, &mut answers, threads)
+        });
         assert_eq!(
             answers.iter().filter(|&&b| b).count() as f64,
             reachable,
@@ -630,14 +638,19 @@ fn run_cold_start(oracle: &Oracle, pairs: &[(u32, u32)], seed: u64) -> Stage {
     std::fs::remove_file(&path).ok();
 
     let probe = &pairs[..pairs.len().min(20_000)];
-    let want = oracle.reaches_batch(probe, 1);
+    let answers = |o: &Oracle| {
+        let mut out = vec![false; probe.len()];
+        o.reaches_batch_into(probe, &mut out, 1);
+        out
+    };
+    let want = answers(oracle);
     for (what, reopened) in [
         ("read", &read),
         ("mapped", &mapped),
         ("unverified", &unverified),
     ] {
         assert_eq!(
-            reopened.reaches_batch(probe, 1),
+            answers(reopened),
             want,
             "{what}-open answers diverged from the built index"
         );
@@ -655,7 +668,7 @@ fn run_cold_start(oracle: &Oracle, pairs: &[(u32, u32)], seed: u64) -> Stage {
     )
 }
 
-/// What `NamespaceHandle::reach_batch` adds around each frozen
+/// What `NamespaceHandle::reach_batch_into` adds around each frozen
 /// namespace's kernel call: one `queries` add, the `Instant::now` /
 /// `elapsed` pair, one [`Histogram::record`] and the three stage-tally
 /// adds.
@@ -675,7 +688,7 @@ fn served_instrumentation() -> impl FnMut(&QueryTally) {
 
 /// The `metrics_overhead` stage: the per-call cost of `instrument`
 /// (normally [`served_instrumentation`]) as a share of one
-/// [`KERNEL_CALL_PAIRS`]-pair [`Oracle::reaches_batch_tallied`] call on
+/// [`KERNEL_CALL_PAIRS`]-pair [`Oracle::reaches_batch_into`] call on
 /// the same index. `instrument` runs `iters` times in a tight loop on a
 /// real call's tally; the kernel time is the best round's mean over
 /// every full chunk of `pairs`. Timing the instrumentation directly,
@@ -700,10 +713,12 @@ fn run_metrics_overhead(
     );
     let mut kernel_ns = f64::INFINITY;
     let mut tally = QueryTally::default();
+    let mut out = vec![false; KERNEL_CALL_PAIRS];
     for _ in 0..ROUNDS {
         let started = Instant::now();
         for chunk in pairs.chunks_exact(KERNEL_CALL_PAIRS) {
-            tally = std::hint::black_box(oracle.reaches_batch_tallied(chunk, threads)).1;
+            tally = oracle.reaches_batch_into(chunk, &mut out, threads);
+            std::hint::black_box(&out);
         }
         kernel_ns = kernel_ns.min(started.elapsed().as_nanos() as f64 / calls as f64);
     }

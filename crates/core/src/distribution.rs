@@ -114,8 +114,8 @@ const MAX_AUTO_THREADS: usize = 8;
 /// time only.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub enum Parallelism {
-    /// One thread per available core (capped at [`MAX_AUTO_THREADS`])
-    /// when the DAG has at least [`PARALLEL_MIN_VERTICES`] vertices and
+    /// One thread per available core (capped at `MAX_AUTO_THREADS`)
+    /// when the DAG has at least `PARALLEL_MIN_VERTICES` vertices and
     /// the host has ≥ 2 cores; one thread otherwise.
     #[default]
     Auto,

@@ -32,11 +32,12 @@
 //!   write-ahead log *before* it is applied (and before any caller
 //!   acknowledges it), so `acknowledged ⇒ logged` holds and a crash
 //!   recovers a prefix of acknowledged operations (see [`crate::wal`]).
-//! * **Non-blocking rebuild** — instead of the inline [`Self::rebuild`]
-//!   a server takes a cheap [`Self::rebuild_plan`] snapshot, runs the
+//! * **Non-blocking rebuild** — instead of the inline
+//!   [`DynamicOracle::rebuild`] a server takes a cheap
+//!   [`DynamicOracle::rebuild_plan`] snapshot, runs the
 //!   heavy [`RebuildPlan::execute`] off-lock on a worker thread while
 //!   readers keep answering through the overlay, and finally
-//!   [`Self::publish`]es the result: the overlay is re-derived by set
+//!   [`DynamicOracle::publish`]es the result: the overlay is re-derived by set
 //!   algebra so mutations that landed *mid-rebuild* are preserved.
 
 use std::cell::RefCell;

@@ -11,7 +11,7 @@
 //! REACH/BATCH handlers.
 //!
 //! Four observations are precomputed in `O(n + m)` from the DAG and
-//! packed into one 32-byte [`FilterRecord`] per vertex:
+//! packed into one 32-byte `FilterRecord` per vertex:
 //!
 //! * **Topological levels** (negative cut): `u → v` implies
 //!   `level(u) < level(v)`, where `level` is the longest-path depth.

@@ -104,7 +104,7 @@ fn merge_intersect(a: &[u32], b: &[u32]) -> bool {
 }
 
 /// Size-adaptive intersection — the query kernel behind
-/// [`Labeling::query`]: when one list is at least [`GALLOP_RATIO`]×
+/// [`Labeling::query`]: when one list is at least `GALLOP_RATIO`×
 /// longer, gallop (exponential + binary search) through it instead of
 /// merging — `O(s·log(L/s))` versus `O(s + L)`; on the near-equal
 /// lengths hop labels usually have it falls back to the 8-lane

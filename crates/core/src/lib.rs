@@ -62,10 +62,7 @@ pub use label::{
 pub use metrics::{BuildTrace, Counter, Histogram, HistogramSnapshot, TraceSpan};
 pub use oracle::{Oracle, ReachIndex};
 pub use order::OrderKind;
-pub use parallel::{
-    par_count_reachable, par_query_batch, par_query_batch_into, par_query_batch_mapped,
-    par_query_batch_mapped_tallied, QueryTally, ThroughputReport,
-};
+pub use parallel::{par_query_batch_into, QueryTally};
 pub use persist::{OpenOptions, PersistError};
 pub use stats::LabelStats;
 pub use store::{ArenaBuf, MemorySplit, Store, StoreBackend};

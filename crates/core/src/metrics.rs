@@ -39,10 +39,10 @@ const GROUP_BITS: u32 = 5;
 /// Sub-buckets per octave (`32`).
 const SUB_BUCKETS: usize = 1 << GROUP_BITS;
 /// Total bucket count covering all of `u64`: one linear group plus
-/// `64 - GROUP_BITS` log groups of [`SUB_BUCKETS`] each.
+/// `64 - GROUP_BITS` log groups of `SUB_BUCKETS` each.
 pub const NUM_BUCKETS: usize = SUB_BUCKETS * (64 - GROUP_BITS as usize + 1);
 
-/// Bucket index for a recorded value. Exact below [`SUB_BUCKETS`];
+/// Bucket index for a recorded value. Exact below `SUB_BUCKETS`;
 /// log-linear above.
 #[inline]
 pub fn bucket_index(value: u64) -> usize {

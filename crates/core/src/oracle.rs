@@ -176,49 +176,21 @@ impl Oracle {
 
     /// Does `u` reach `v` in the original graph? Reflexive.
     ///
-    /// Runs the O(1) pre-filter stack ([`QueryFilters`], projected
-    /// into original-vertex space — one cache-line load per side, no
-    /// component mapping) first; most queries never reach the label
-    /// intersection, and only the ones that do pay the `comp_of`
+    /// [`Self::reaches_tallied`] with a throwaway tally: the O(1)
+    /// pre-filter stack ([`QueryFilters`], projected into
+    /// original-vertex space — one cache-line load per side, no
+    /// component mapping) runs first; most queries never reach the
+    /// label intersection, and only the ones that do pay the `comp_of`
     /// lookup.
     pub fn reaches(&self, u: VertexId, v: VertexId) -> bool {
-        match self.filters.check(u, v) {
-            Some(answer) => answer,
-            None => {
-                let (cu, cv) = (self.comp_of[u as usize], self.comp_of[v as usize]);
-                self.dl.query(cu, cv)
-            }
-        }
-    }
-
-    /// [`Self::reaches`] with the pre-filter stage disabled — always
-    /// answers straight from the label intersection. Exists for the
-    /// perf harness and equivalence tests; the answers are identical.
-    pub fn reaches_unfiltered(&self, u: VertexId, v: VertexId) -> bool {
-        let (cu, cv) = (self.comp_of[u as usize], self.comp_of[v as usize]);
-        cu == cv || self.dl.query(cu, cv)
-    }
-
-    /// Answers a batch of `(u, v)` pairs (original vertex ids) using
-    /// `threads` worker threads, preserving order. The labels and
-    /// filters are immutable, so this needs no synchronization; each
-    /// worker maps through the component table and the pre-filter
-    /// stack itself (no intermediate mapped-pair allocation); see
-    /// [`crate::parallel`].
-    pub fn reaches_batch(&self, pairs: &[(VertexId, VertexId)], threads: usize) -> Vec<bool> {
-        crate::parallel::par_query_batch_mapped(
-            self.dl.labeling(),
-            Some(&self.filters),
-            &self.comp_of,
-            pairs,
-            threads,
-        )
+        self.reaches_tallied(u, v, &mut crate::parallel::QueryTally::default())
     }
 
     /// [`Self::reaches`] that also bumps the stage counter the query
-    /// died at in `tally` — the single-query twin of
-    /// [`Self::reaches_batch_tallied`], used by the `hoplite-server`
-    /// `REACH` handler to feed the `STATS` counters.
+    /// died at in `tally`: the batch kernel's stages for one pair, so
+    /// answer and tally equal [`Self::reaches_batch_into`]'s for that
+    /// pair. The one single-query body.
+    #[inline]
     pub fn reaches_tallied(
         &self,
         u: VertexId,
@@ -235,22 +207,12 @@ impl Oracle {
         )
     }
 
-    /// [`Self::reaches_batch`] that also reports where the batch's
-    /// queries died (filter / reach masks, tallied as `signature_cut` /
-    /// merge). Identical answers.
-    pub fn reaches_batch_tallied(
-        &self,
-        pairs: &[(VertexId, VertexId)],
-        threads: usize,
-    ) -> (Vec<bool>, crate::parallel::QueryTally) {
-        let mut answers = vec![false; pairs.len()];
-        let tally = self.reaches_batch_into(pairs, &mut answers, threads);
-        (answers, tally)
-    }
-
     /// The batch kernel ([`crate::parallel::par_query_batch_into`])
-    /// over this oracle: answers `pairs[i]` into `out[i]` and reports
-    /// where the queries died, allocating nothing per call beyond each
+    /// over this oracle: answers `pairs[i]` into `out[i]` on `threads`
+    /// workers, preserving order, and reports where the queries died
+    /// (filter / reach masks, tallied as `signature_cut` / merge). The
+    /// labels and filters are immutable, so this needs no
+    /// synchronization, and it allocates nothing per call beyond each
     /// worker's bounded merge queue. Answers and tally equal
     /// [`Self::reaches_tallied`] pair by pair.
     ///
@@ -273,20 +235,22 @@ impl Oracle {
         )
     }
 
-    /// [`Self::reaches_batch`] with the pre-filter stage disabled (perf
-    /// harness / equivalence-test hook; identical answers).
-    pub fn reaches_batch_unfiltered(
+    /// [`Self::reaches_batch_into`] into a fresh vector. Kept for
+    /// hopbench (ROADMAP item 6).
+    pub fn reaches_batch(&self, pairs: &[(VertexId, VertexId)], threads: usize) -> Vec<bool> {
+        self.reaches_batch_tallied(pairs, threads).0
+    }
+
+    /// [`Self::reaches_batch_into`] into a fresh vector, with the
+    /// tally. Kept for hopbench (ROADMAP item 6).
+    pub fn reaches_batch_tallied(
         &self,
         pairs: &[(VertexId, VertexId)],
         threads: usize,
-    ) -> Vec<bool> {
-        crate::parallel::par_query_batch_mapped(
-            self.dl.labeling(),
-            None,
-            &self.comp_of,
-            pairs,
-            threads,
-        )
+    ) -> (Vec<bool>, crate::parallel::QueryTally) {
+        let mut answers = vec![false; pairs.len()];
+        let tally = self.reaches_batch_into(pairs, &mut answers, threads);
+        (answers, tally)
     }
 
     /// Number of vertices of the original graph.

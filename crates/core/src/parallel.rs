@@ -1,10 +1,10 @@
 //! The batch query kernel, and its fan-out over threads.
 //!
 //! A built oracle is immutable, so concurrent readers need no
-//! synchronization at all: [`Labeling`] is `Sync`. Every batch entry
-//! point here runs one kernel, [`par_query_batch_into`], which writes
-//! answers into a caller-owned `&mut [bool]` and tallies where each
-//! query was decided ([`QueryTally`]). It splits the batch into one
+//! synchronization at all: [`Labeling`] is `Sync`. Every batch query
+//! runs one kernel, [`par_query_batch_into`], which writes answers into
+//! a caller-owned `&mut [bool]` and tallies where each query was
+//! decided ([`QueryTally`]). It splits the batch into one
 //! equal chunk per scoped OS thread (`std::thread::scope`, keeping the
 //! runtime crates dependency-free); chunks of equal count balance well
 //! without work stealing.
@@ -40,16 +40,23 @@
 //! scaling stage of `paper perf` measures the curve.
 //!
 //! ```
-//! use hoplite_graph::{gen, Dag};
-//! use hoplite_core::{DistributionLabeling, DlConfig};
-//! use hoplite_core::parallel::par_query_batch;
+//! use hoplite_graph::gen;
+//! use hoplite_core::Oracle;
+//! use hoplite_core::parallel::par_query_batch_into;
 //!
-//! let dag = gen::random_dag(200, 600, 7);
-//! let dl = DistributionLabeling::build(&dag, &DlConfig::default());
-//! let pairs = vec![(0, 10), (5, 199), (42, 42)];
-//! let answers = par_query_batch(dl.labeling(), &pairs, 2);
-//! assert_eq!(answers.len(), pairs.len());
+//! let oracle = Oracle::new(&gen::random_digraph(200, 600, 7));
+//! let pairs = [(0, 10), (5, 199), (42, 42)];
+//! let mut answers = [false; 3];
+//! let tally = par_query_batch_into(
+//!     oracle.inner().labeling(),
+//!     Some(oracle.filters()),
+//!     oracle.comp_of(),
+//!     &pairs,
+//!     &mut answers,
+//!     2,
+//! );
 //! assert!(answers[2], "reflexive");
+//! assert_eq!(tally.total(), 3);
 //! ```
 
 use hoplite_graph::VertexId;
@@ -104,15 +111,14 @@ const PREFETCH_DISTANCE: usize = 12;
 const MERGE_PREFETCH_DISTANCE: usize = 8;
 
 /// The O(1) stages of one query, tallied: the pre-filter stack (when
-/// given), the component mapping (identity when `comp_of` is `None`),
-/// the same-component check, and the reach masks. `Ok(answer)` when
-/// one of them decides; `Err((cu, cv))` when the lists must, which the
-/// caller tallies as a merge.
+/// given), the component mapping, the same-component check, and the
+/// reach masks. `Ok(answer)` when one of them decides; `Err((cu, cv))`
+/// when the lists must, which the caller tallies as a merge.
 #[inline(always)]
 fn decide(
     labeling: &Labeling,
     filters: Option<&QueryFilters>,
-    comp_of: Option<&[VertexId]>,
+    comp_of: &[VertexId],
     u: VertexId,
     v: VertexId,
     tally: &mut QueryTally,
@@ -125,10 +131,7 @@ fn decide(
             return Ok(decided);
         }
     }
-    let (cu, cv) = match comp_of {
-        Some(c) => (c[u as usize], c[v as usize]),
-        None => (u, v),
-    };
+    let (cu, cv) = (comp_of[u as usize], comp_of[v as usize]);
     if cu == cv {
         // Without a filter stack a reflexive pair is still an O(1)
         // pre-label decision; count it with the filter stage.
@@ -144,12 +147,11 @@ fn decide(
     }
 }
 
-/// The instrumented single-query path behind
-/// [`crate::Oracle::reaches_tallied`]: the batch kernel's stages for
-/// one pair, with the same answer and the same stage counter bump.
-/// `filters` must be indexed in `(u, v)`'s space (see
-/// [`par_query_batch_mapped`]); `comp_of` is only consulted when the
-/// filters fall through.
+/// The single-query body behind [`crate::Oracle::reaches_tallied`]:
+/// the batch kernel's stages for one pair, with the same answer and
+/// the same stage counter bump. `filters` must be indexed in
+/// `(u, v)`'s space (see [`par_query_batch_into`]); `comp_of` is only
+/// consulted when the filters fall through.
 #[inline]
 pub(crate) fn answer_tallied(
     labeling: &Labeling,
@@ -159,7 +161,7 @@ pub(crate) fn answer_tallied(
     v: VertexId,
     tally: &mut QueryTally,
 ) -> bool {
-    decide(labeling, filters, Some(comp_of), u, v, tally).unwrap_or_else(|(cu, cv)| {
+    decide(labeling, filters, comp_of, u, v, tally).unwrap_or_else(|(cu, cv)| {
         tally.merged += 1;
         labeling.lists_intersect(cu, cv)
     })
@@ -170,8 +172,7 @@ pub(crate) fn answer_tallied(
 struct Kernel<'a> {
     labeling: &'a Labeling,
     filters: Option<&'a QueryFilters>,
-    /// `None`: the pairs are already in label space.
-    comp_of: Option<&'a [VertexId]>,
+    comp_of: &'a [VertexId],
 }
 
 /// A pair stage 1 left to the lists: its index in the block and its
@@ -184,7 +185,7 @@ impl Kernel<'_> {
     /// thread) and folds their tallies.
     fn run(self, pairs: &[(VertexId, VertexId)], out: &mut [bool], threads: usize) -> QueryTally {
         assert_eq!(pairs.len(), out.len(), "one answer slot per pair");
-        let threads = effective_threads(threads, pairs.len());
+        let threads = threads.max(1).min(pairs.len().max(1));
         if threads <= 1 {
             return self.scan(pairs, out);
         }
@@ -247,40 +248,22 @@ impl Kernel<'_> {
     /// Stage 1's lookahead: the first lines a pair will load.
     #[inline(always)]
     fn lookahead(self, u: VertexId, v: VertexId) {
-        match (self.filters, self.comp_of) {
-            (Some(f), _) => f.prefetch(u, v),
-            (None, Some(comp_of)) => {
-                prefetch_index(comp_of, u as usize);
-                prefetch_index(comp_of, v as usize);
+        match self.filters {
+            Some(f) => f.prefetch(u, v),
+            None => {
+                prefetch_index(self.comp_of, u as usize);
+                prefetch_index(self.comp_of, v as usize);
             }
-            (None, None) => {}
         }
     }
-}
-
-/// Answers every `(u, v)` pair in `pairs` — label-space ids, no
-/// filters — using `threads` worker threads, preserving order.
-///
-/// `threads` is clamped to `1..=pairs.len()`; passing `0` or `1` runs
-/// inline on the caller's thread (no spawn cost for small batches).
-pub fn par_query_batch(
-    labeling: &Labeling,
-    pairs: &[(VertexId, VertexId)],
-    threads: usize,
-) -> Vec<bool> {
-    let mut answers = vec![false; pairs.len()];
-    Kernel {
-        labeling,
-        filters: None,
-        comp_of: None,
-    }
-    .run(pairs, &mut answers, threads);
-    answers
 }
 
 /// The batch kernel (see the module docs), in *original-graph* vertex
 /// space: answers `pairs[i]` into `out[i]` on `threads` workers and
 /// reports where the queries were decided.
+///
+/// `threads` is clamped to `1..=pairs.len()`; passing `0` or `1` runs
+/// inline on the caller's thread (no spawn cost for small batches).
 ///
 /// When `filters` is given it must be indexed in the same space as
 /// `pairs` (for an oracle over a cyclic graph that means projected
@@ -307,199 +290,17 @@ pub fn par_query_batch_into(
     Kernel {
         labeling,
         filters,
-        comp_of: Some(comp_of),
+        comp_of,
     }
     .run(pairs, out, threads)
-}
-
-/// [`par_query_batch_into`] into a fresh vector, without the tally.
-/// This is [`crate::Oracle::reaches_batch`]'s engine.
-///
-/// # Panics
-/// Panics if any vertex id in `pairs` is out of `comp_of`'s range.
-pub fn par_query_batch_mapped(
-    labeling: &Labeling,
-    filters: Option<&QueryFilters>,
-    comp_of: &[VertexId],
-    pairs: &[(VertexId, VertexId)],
-    threads: usize,
-) -> Vec<bool> {
-    par_query_batch_mapped_tallied(labeling, filters, comp_of, pairs, threads).0
-}
-
-/// [`par_query_batch_into`] into a fresh vector: the answers, and
-/// where the queries died (pre-filter, reach masks, merge). This is
-/// the engine behind [`crate::Oracle::reaches_batch_tallied`].
-///
-/// # Panics
-/// Panics if any vertex id in `pairs` is out of `comp_of`'s range.
-pub fn par_query_batch_mapped_tallied(
-    labeling: &Labeling,
-    filters: Option<&QueryFilters>,
-    comp_of: &[VertexId],
-    pairs: &[(VertexId, VertexId)],
-    threads: usize,
-) -> (Vec<bool>, QueryTally) {
-    let mut answers = vec![false; pairs.len()];
-    let tally = par_query_batch_into(labeling, filters, comp_of, pairs, &mut answers, threads);
-    (answers, tally)
-}
-
-/// [`par_query_batch`] reduced to its number of positive answers.
-pub fn par_count_reachable(
-    labeling: &Labeling,
-    pairs: &[(VertexId, VertexId)],
-    threads: usize,
-) -> u64 {
-    par_query_batch(labeling, pairs, threads)
-        .iter()
-        .filter(|&&b| b)
-        .count() as u64
-}
-
-/// Wall-clock throughput measurement of a query batch at a given
-/// thread count.
-#[derive(Clone, Copy, Debug)]
-pub struct ThroughputReport {
-    /// Worker threads actually used.
-    pub threads: usize,
-    /// Queries answered.
-    pub queries: usize,
-    /// Positive (reachable) answers.
-    pub positive: u64,
-    /// Total wall-clock time for the batch.
-    pub elapsed: std::time::Duration,
-}
-
-impl ThroughputReport {
-    /// Queries per second.
-    pub fn qps(&self) -> f64 {
-        self.queries as f64 / self.elapsed.as_secs_f64().max(f64::MIN_POSITIVE)
-    }
-}
-
-/// Runs the batch at each requested thread count and reports the
-/// scaling curve. `examples/parallel_service.rs` prints it.
-pub fn measure_scaling(
-    labeling: &Labeling,
-    pairs: &[(VertexId, VertexId)],
-    thread_counts: &[usize],
-) -> Vec<ThroughputReport> {
-    thread_counts
-        .iter()
-        .map(|&t| {
-            let start = std::time::Instant::now();
-            let positive = par_count_reachable(labeling, pairs, t);
-            ThroughputReport {
-                threads: effective_threads(t, pairs.len()),
-                queries: pairs.len(),
-                positive,
-                elapsed: start.elapsed(),
-            }
-        })
-        .collect()
-}
-
-fn effective_threads(requested: usize, work_items: usize) -> usize {
-    requested.max(1).min(work_items.max(1))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::label::{LabelPath, LabelingBuilder};
-    use crate::{DistributionLabeling, DlConfig, Oracle};
+    use crate::Oracle;
     use hoplite_graph::{gen, Dag};
-
-    fn fixture() -> (Labeling, Vec<(VertexId, VertexId)>) {
-        let dag = gen::power_law_dag(300, 900, 21);
-        let dl = DistributionLabeling::build(&dag, &DlConfig::default());
-        let mut rng = gen::Rng::new(99);
-        let pairs: Vec<_> = (0..1000)
-            .map(|_| (rng.gen_range(300) as u32, rng.gen_range(300) as u32))
-            .collect();
-        (dl.labeling().clone(), pairs)
-    }
-
-    #[test]
-    fn parallel_matches_sequential_at_every_width() {
-        let (labeling, pairs) = fixture();
-        let seq = par_query_batch(&labeling, &pairs, 1);
-        for threads in [2, 3, 4, 7, 16, 1000] {
-            assert_eq!(
-                par_query_batch(&labeling, &pairs, threads),
-                seq,
-                "threads={threads}"
-            );
-        }
-    }
-
-    #[test]
-    fn count_matches_batch_sum() {
-        let (labeling, pairs) = fixture();
-        let batch = par_query_batch(&labeling, &pairs, 4);
-        let expected = batch.iter().filter(|&&b| b).count() as u64;
-        for threads in [1, 2, 5, 8] {
-            assert_eq!(par_count_reachable(&labeling, &pairs, threads), expected);
-        }
-    }
-
-    #[test]
-    fn zero_threads_and_empty_batches_are_safe() {
-        let (labeling, pairs) = fixture();
-        assert_eq!(
-            par_query_batch(&labeling, &pairs, 0),
-            par_query_batch(&labeling, &pairs, 1)
-        );
-        assert!(par_query_batch(&labeling, &[], 8).is_empty());
-        assert_eq!(par_count_reachable(&labeling, &[], 8), 0);
-    }
-
-    #[test]
-    fn scaling_report_is_consistent() {
-        let (labeling, pairs) = fixture();
-        let reports = measure_scaling(&labeling, &pairs, &[1, 2, 4]);
-        assert_eq!(reports.len(), 3);
-        let positives: Vec<u64> = reports.iter().map(|r| r.positive).collect();
-        assert!(
-            positives.windows(2).all(|w| w[0] == w[1]),
-            "same answers at every width"
-        );
-        for r in &reports {
-            assert_eq!(r.queries, pairs.len());
-            assert!(r.qps() > 0.0);
-        }
-        assert_eq!(reports[0].threads, 1);
-        assert_eq!(reports[2].threads, 4);
-    }
-
-    #[test]
-    fn mapped_batch_matches_plain_batch_with_and_without_filters() {
-        let dag = gen::power_law_dag(300, 900, 21);
-        let dl = DistributionLabeling::build(&dag, &DlConfig::default());
-        let filters = QueryFilters::build(&dag);
-        let identity: Vec<VertexId> = (0..300).collect();
-        let mut rng = gen::Rng::new(99);
-        let pairs: Vec<_> = (0..1000)
-            .map(|_| (rng.gen_range(300) as u32, rng.gen_range(300) as u32))
-            .collect();
-        let expected = par_query_batch(dl.labeling(), &pairs, 1);
-        for threads in [1, 2, 7, 64] {
-            assert_eq!(
-                par_query_batch_mapped(dl.labeling(), None, &identity, &pairs, threads),
-                expected,
-                "unfiltered, threads={threads}"
-            );
-            assert_eq!(
-                par_query_batch_mapped(dl.labeling(), Some(&filters), &identity, &pairs, threads),
-                expected,
-                "filtered, threads={threads}"
-            );
-        }
-        assert!(
-            par_query_batch_mapped(dl.labeling(), Some(&filters), &identity, &[], 4).is_empty()
-        );
-    }
 
     fn random_pairs(n: usize, count: usize, seed: u64) -> Vec<(VertexId, VertexId)> {
         let mut rng = gen::Rng::new(seed);
@@ -548,9 +349,10 @@ mod tests {
         (answers, tally)
     }
 
-    /// Runs the kernel at 1, 2 and 3 threads into a buffer holding the
-    /// wrong answer in every slot, so a slot left unwritten fails too,
-    /// and checks answers and tally against `want`.
+    /// Runs the kernel at 0 (inline), 1, 2, 3 and 7 threads into a
+    /// buffer holding the wrong answer in every slot, so a slot left
+    /// unwritten fails too, and checks answers and tally against
+    /// `want`.
     fn assert_kernel(
         labeling: &Labeling,
         filters: Option<&QueryFilters>,
@@ -559,7 +361,7 @@ mod tests {
         want: &(Vec<bool>, QueryTally),
         what: &str,
     ) {
-        for threads in 1..=3 {
+        for threads in [0, 1, 2, 3, 7] {
             let mut out: Vec<bool> = want.0.iter().map(|b| !b).collect();
             let tally = par_query_batch_into(labeling, filters, comp_of, pairs, &mut out, threads);
             assert_eq!(out, want.0, "{what}, {threads} threads");
@@ -709,13 +511,5 @@ mod tests {
             assert_matches_per_pair(&mapped, &pairs, "mapped"),
             assert_matches_per_pair(&built, &pairs, "built")
         );
-    }
-
-    #[test]
-    fn more_threads_than_queries_clamps() {
-        let (labeling, _) = fixture();
-        let pairs = [(0u32, 1u32), (1, 0)];
-        let r = measure_scaling(&labeling, &pairs, &[64]);
-        assert_eq!(r[0].threads, 2, "clamped to batch size");
     }
 }

@@ -702,7 +702,12 @@ mod tests {
         let pairs: Vec<(u32, u32)> = (0..160)
             .flat_map(|u| (0..160).map(move |v| (u, v)))
             .collect();
-        assert_eq!(o.reaches_batch(&pairs, 3), o2.reaches_batch(&pairs, 3));
+        let (mut a, mut b) = (vec![false; pairs.len()], vec![true; pairs.len()]);
+        assert_eq!(
+            o.reaches_batch_into(&pairs, &mut a, 3),
+            o2.reaches_batch_into(&pairs, &mut b, 3)
+        );
+        assert_eq!(a, b);
         // Every array is arena-addressed (nothing was deserialized),
         // and a heap-backed arena accounts them all as heap RSS.
         let m = o2.memory();

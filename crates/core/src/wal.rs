@@ -501,7 +501,7 @@ impl WalDir {
     /// directory holds no checkpoint (fresh namespace), the opened
     /// checkpoint, its base DAG and the valid WAL prefix otherwise.
     /// Nothing is relabeled, except a HOPL v3 checkpoint, which is
-    /// upgraded in place first ([`Self::upgrade_v3_checkpoint`]).
+    /// upgraded in place first (`upgrade_v3_checkpoint`).
     /// Crash artifacts — a stale `checkpoint.tmp`, a torn WAL tail,
     /// leftovers of a superseded generation — are tolerated, never an
     /// error. Idempotent: calling it twice yields the same answer (the

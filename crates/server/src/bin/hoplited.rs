@@ -60,11 +60,11 @@ SERVE:
                            namespace with history ignores its FILE)
     --metrics-addr ADDR    also serve Prometheus-style text on
                            http://ADDR/metrics (HTTP/1.0 GET; port 0 =
-                           ephemeral) — counters, latency quantiles,
-                           and the slow-query log as comment lines —
-                           plus /healthz (process live) and /readyz
-                           (200 once loading/WAL replay finishes and no
-                           rebuild is wedged; 503 before)
+                           ephemeral) — counters and latency
+                           quantiles — plus /healthz (process live)
+                           and /readyz (200 once loading/WAL replay
+                           finishes and no rebuild is wedged; 503
+                           before)
     --trace-out FILE       write one JSON build-trace line per --frozen
                            namespace (SCC/order/distribute/freeze span
                            timings and the per-hop labeling histogram)

@@ -20,7 +20,7 @@
 //! batch runs the [`hoplite_core::QueryFilters`] O(1) pre-filter stack
 //! before any label intersection and fans out through
 //! [`hoplite_core::parallel::par_query_batch_into`] exactly like the
-//! in-process [`hoplite_core::Oracle::reaches_batch`] API. Serving
+//! in-process [`hoplite_core::Oracle::reaches_batch_into`] API. Serving
 //! needs epoll or kqueue; elsewhere [`Server::bind`] fails with
 //! `ErrorKind::Unsupported`.
 //!
@@ -64,7 +64,7 @@ pub mod server;
 
 pub use client::{Client, ClientConfig, ClientError};
 pub use loadgen::{LoadReport, LoadSpec};
-pub use obs::{LogLevel, QueryObs, ServerObs, SlowLog, SlowQuery};
+pub use obs::{LogLevel, ServerObs};
 pub use protocol::{
     ErrorCode, FrameAccumulator, IndexBackend, MetricsReport, MetricsSummary, NamespaceInfo,
     NamespaceKind, NamespaceStats, PackedPairs, Request, RequestRef, Response, WireError,

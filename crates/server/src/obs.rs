@@ -4,31 +4,30 @@
 //! Three concerns live here, all allocation-free on the hot path:
 //!
 //! * **A leveled structured logger** — [`log`] plus the
-//!   [`log_error!`]/[`log_warn!`]/[`log_info!`]/[`log_debug!`] macros —
-//!   writing `timestamp LEVEL [context] message` lines to stderr. The
-//!   threshold comes from `HOPLITE_LOG` (`debug|info|warn|error`,
-//!   default `info`), read once per process. Timestamps are UTC,
-//!   derived with the civil-from-days algorithm so no clock crate is
-//!   needed.
+//!   [`log_error!`](crate::log_error)/[`log_warn!`](crate::log_warn)/
+//!   [`log_info!`](crate::log_info)/[`log_debug!`](crate::log_debug)
+//!   macros — writing `timestamp LEVEL [context] message` lines to
+//!   stderr. The threshold comes from `HOPLITE_LOG`
+//!   (`debug|info|warn|error`, default `info`), read once per process.
+//!   Timestamps are UTC, derived with the civil-from-days algorithm so
+//!   no clock crate is needed.
 //! * **Recording state** — [`ServerObs`] (reactor tick duration,
 //!   coalesce batch size, per-connection queue depth, accept→reply
-//!   latency, backpressure stalls) and the per-namespace [`QueryObs`]
-//!   (query latency split by outcome, batch latency, and a
-//!   [`SlowLog`] keeping the worst queries seen). Every member is a
-//!   lock-free [`Counter`] or [`Histogram`]; the slow log takes its
-//!   mutex only when a query beats the current worst-N floor.
-//! * **Exposition** — [`collect_metrics`] folds everything into the
+//!   latency, backpressure stalls). Every member is a lock-free
+//!   [`Counter`] or [`Histogram`]. Each frozen namespace keeps its own
+//!   kernel-call latency and outcome counters in the registry.
+//! * **Exposition** — `collect_metrics` folds everything into the
 //!   wire-level [`MetricsReport`] served by the `METRICS` op, and
 //!   [`render_prometheus`] turns that report into Prometheus-style
 //!   text for the `--metrics-addr` HTTP endpoint
-//!   ([`spawn_metrics_http`], a deliberately tiny HTTP/1.0 `GET
+//!   (`spawn_metrics_http`, a deliberately tiny HTTP/1.0 `GET
 //!   /metrics` responder).
 
 use std::fmt;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, SystemTime};
 
@@ -98,7 +97,7 @@ pub fn log_enabled(level: LogLevel) -> bool {
 /// Emits one structured line to stderr:
 /// `2026-08-07T12:34:56.789Z INFO [serve] message`. The `context`
 /// names the subsystem or connection the message is about. Prefer the
-/// [`log_info!`]-family macros, which format lazily.
+/// [`log_info!`](crate::log_info)-family macros, which format lazily.
 pub fn log(level: LogLevel, context: &str, message: fmt::Arguments<'_>) {
     if !log_enabled(level) {
         return;
@@ -182,164 +181,8 @@ fn civil_from_days(z: i64) -> (i64, u32, u32) {
 }
 
 // ---------------------------------------------------------------------
-// Slow-query log
-// ---------------------------------------------------------------------
-
-/// One retained worst-case query.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SlowQuery {
-    /// Source vertex.
-    pub u: u32,
-    /// Target vertex.
-    pub v: u32,
-    /// Wall time the query took.
-    pub duration_ns: u64,
-    /// Which stage answered it (`filter`/`signature`/`merge`/…).
-    pub path: &'static str,
-}
-
-/// Keeps the worst `capacity` queries seen, by duration. The common
-/// case — a query no slower than everything already retained — is a
-/// single relaxed atomic load; the mutex is taken only on a new
-/// worst-N entrant, which by construction becomes rare as the floor
-/// rises.
-pub struct SlowLog {
-    capacity: usize,
-    /// Once full: the smallest retained duration. Queries at or below
-    /// it cannot displace anything, so they skip the lock entirely.
-    floor: AtomicU64,
-    entries: Mutex<Vec<SlowQuery>>,
-}
-
-impl SlowLog {
-    /// A log retaining the worst `capacity` queries (clamped ≥ 1).
-    pub fn new(capacity: usize) -> SlowLog {
-        SlowLog {
-            capacity: capacity.max(1),
-            floor: AtomicU64::new(0),
-            entries: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// Offers one finished query; retained iff it beats the floor.
-    pub fn record(&self, u: u32, v: u32, duration_ns: u64, path: &'static str) {
-        if duration_ns <= self.floor.load(Ordering::Relaxed) {
-            return;
-        }
-        let mut entries = self.entries.lock().unwrap_or_else(PoisonError::into_inner);
-        let entry = SlowQuery {
-            u,
-            v,
-            duration_ns,
-            path,
-        };
-        if entries.len() < self.capacity {
-            entries.push(entry);
-        } else {
-            let (worst_idx, worst) = entries
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, e)| e.duration_ns)
-                .map(|(i, e)| (i, e.duration_ns))
-                .expect("capacity >= 1");
-            if duration_ns <= worst {
-                // Lost the race against a concurrent recorder; refresh
-                // the floor so the next such query skips the lock.
-                self.floor.store(worst, Ordering::Relaxed);
-                return;
-            }
-            entries[worst_idx] = entry;
-        }
-        if entries.len() == self.capacity {
-            let floor = entries
-                .iter()
-                .map(|e| e.duration_ns)
-                .min()
-                .expect("capacity >= 1");
-            self.floor.store(floor, Ordering::Relaxed);
-        }
-    }
-
-    /// The retained queries, slowest first.
-    pub fn snapshot(&self) -> Vec<SlowQuery> {
-        let mut entries = self
-            .entries
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clone();
-        entries.sort_by_key(|q| std::cmp::Reverse(q.duration_ns));
-        entries
-    }
-}
-
-impl Default for SlowLog {
-    fn default() -> Self {
-        SlowLog::new(16)
-    }
-}
-
-// ---------------------------------------------------------------------
 // Recording state
 // ---------------------------------------------------------------------
-
-/// Per-namespace query-path observability: latency split by the stage
-/// that decided each single query, whole-batch latency, and the
-/// worst-query log. Lives inside the registry's frozen-namespace
-/// state; the histograms are lock-free so any number of serving
-/// threads record concurrently.
-pub struct QueryObs {
-    /// Single `REACH` latency for queries the O(1) pre-filter stack
-    /// decided.
-    pub filter_ns: Histogram,
-    /// Single `REACH` latency for queries the top-hop reach masks
-    /// decided (the `signature` stage).
-    pub signature_ns: Histogram,
-    /// Single `REACH` latency for queries that ran the label merge.
-    pub merge_ns: Histogram,
-    /// Whole-`BATCH` call latency (all pairs, one record).
-    pub batch_ns: Histogram,
-    /// Worst single queries seen, whatever their path.
-    pub slow: SlowLog,
-}
-
-impl QueryObs {
-    /// Fresh, empty recording state.
-    pub fn new() -> QueryObs {
-        QueryObs {
-            filter_ns: Histogram::new(),
-            signature_ns: Histogram::new(),
-            merge_ns: Histogram::new(),
-            batch_ns: Histogram::new(),
-            slow: SlowLog::default(),
-        }
-    }
-
-    /// Records one finished single query, classified by the stage the
-    /// tally says decided it.
-    pub fn record_single(
-        &self,
-        u: u32,
-        v: u32,
-        duration_ns: u64,
-        tally: &hoplite_core::QueryTally,
-    ) {
-        let (histogram, path) = if tally.filter_decided > 0 {
-            (&self.filter_ns, "filter")
-        } else if tally.signature_cut > 0 {
-            (&self.signature_ns, "signature")
-        } else {
-            (&self.merge_ns, "merge")
-        };
-        histogram.record(duration_ns);
-        self.slow.record(u, v, duration_ns, path);
-    }
-}
-
-impl Default for QueryObs {
-    fn default() -> Self {
-        QueryObs::new()
-    }
-}
 
 /// Server-wide serving-loop observability, recorded by the reactor
 /// thread and read by metrics scrapes.
@@ -389,8 +232,8 @@ impl Default for ServerObs {
 // Collection
 // ---------------------------------------------------------------------
 
-/// Folds the server counters, serving-loop histograms, and (frozen)
-/// per-namespace query observability into one [`MetricsReport`] — the
+/// Folds the server counters, serving-loop histograms, and every
+/// namespace's query series into one [`MetricsReport`] — the
 /// single source both the `METRICS` wire op and the `/metrics` text
 /// endpoint serve from. An empty `ns_filter` includes every
 /// namespace; a non-empty one restricts the per-namespace section to
@@ -472,26 +315,11 @@ pub(crate) fn collect_metrics(
     report
 }
 
-/// Every namespace's retained slow queries, as `(namespace, query)`
-/// pairs sorted slowest-first within each namespace.
-pub(crate) fn collect_slow(registry: &Registry, ns_filter: &str) -> Vec<(String, SlowQuery)> {
-    let mut out = Vec::new();
-    for (name, handle) in registry.handles() {
-        if !ns_filter.is_empty() && name != ns_filter {
-            continue;
-        }
-        for q in handle.slow_queries() {
-            out.push((name.clone(), q));
-        }
-    }
-    out
-}
-
 // ---------------------------------------------------------------------
 // Prometheus-style text exposition
 // ---------------------------------------------------------------------
 
-/// Splits `ns_query_latency_ns{ns="g",outcome="merge"}` into the base
+/// Splits `ns_query_outcome_total{ns="g",outcome="merge"}` into the base
 /// name and its label body (without braces).
 fn split_name(name: &str) -> (&str, Option<&str>) {
     match (name.find('{'), name.ends_with('}')) {
@@ -528,11 +356,10 @@ fn series(base: &str, suffix: &str, labels: Option<&str>, extra: Option<&str>) -
     out
 }
 
-/// Renders a [`MetricsReport`] (plus the slow-query log, emitted as
-/// trailing comment lines) as Prometheus-style text: counters as
+/// Renders a [`MetricsReport`] as Prometheus-style text: counters as
 /// plain series, histograms as summaries with `quantile` labels and
 /// `_count`/`_sum`/`_max` companions.
-pub fn render_prometheus(report: &MetricsReport, slow: &[(String, SlowQuery)]) -> String {
+pub fn render_prometheus(report: &MetricsReport) -> String {
     let mut out = String::new();
     let mut typed: std::collections::HashSet<&str> = std::collections::HashSet::new();
     for (name, value) in &report.counters {
@@ -572,12 +399,6 @@ pub fn render_prometheus(report: &MetricsReport, slow: &[(String, SlowQuery)]) -
             "{} {}\n",
             series(base, "_max", labels, None),
             summary.max
-        ));
-    }
-    for (ns, q) in slow {
-        out.push_str(&format!(
-            "# slow_query ns={ns:?} u={} v={} duration_ns={} path={}\n",
-            q.u, q.v, q.duration_ns, q.path
         ));
     }
     out
@@ -656,8 +477,7 @@ fn answer_http(
     let (method, path) = (parts.next().unwrap_or(""), parts.next().unwrap_or(""));
     let (status, body) = if method == "GET" && (path == "/metrics" || path == "/") {
         let report = collect_metrics(registry, counters, obs, "");
-        let slow = collect_slow(registry, "");
-        ("200 OK", render_prometheus(&report, &slow))
+        ("200 OK", render_prometheus(&report))
     } else if method == "GET" && path == "/healthz" {
         ("200 OK", "ok\n".to_owned())
     } else if method == "GET" && path == "/readyz" {
@@ -704,44 +524,6 @@ mod tests {
         // 2024-02-29 exists; 2023 had no Feb 29.
         let t = SystemTime::UNIX_EPOCH + Duration::from_secs(1_709_164_800);
         assert!(format_utc(t).starts_with("2024-02-29T"));
-    }
-
-    #[test]
-    fn slow_log_retains_the_worst_n() {
-        let log = SlowLog::new(3);
-        for (i, d) in [50u64, 10, 30, 40, 20, 60, 5].iter().enumerate() {
-            log.record(i as u32, i as u32, *d, "merge");
-        }
-        let worst: Vec<u64> = log.snapshot().iter().map(|q| q.duration_ns).collect();
-        assert_eq!(worst, [60, 50, 40]);
-        // Floor is now 40: a 39ns query cannot enter.
-        log.record(99, 99, 39, "merge");
-        assert_eq!(log.snapshot().len(), 3);
-        assert!(log.snapshot().iter().all(|q| q.u != 99));
-    }
-
-    #[test]
-    fn query_obs_classifies_by_tally() {
-        let obs = QueryObs::new();
-        let tally = hoplite_core::QueryTally {
-            filter_decided: 1,
-            ..Default::default()
-        };
-        obs.record_single(0, 1, 100, &tally);
-        let tally = hoplite_core::QueryTally {
-            signature_cut: 1,
-            ..Default::default()
-        };
-        obs.record_single(0, 2, 200, &tally);
-        let tally = hoplite_core::QueryTally::default();
-        obs.record_single(0, 3, 300, &tally);
-        assert_eq!(obs.filter_ns.count(), 1);
-        assert_eq!(obs.signature_ns.count(), 1);
-        assert_eq!(obs.merge_ns.count(), 1);
-        let slow = obs.slow.snapshot();
-        assert_eq!(slow.len(), 3);
-        assert_eq!(slow[0].path, "merge");
-        assert_eq!(slow[0].duration_ns, 300);
     }
 
     #[test]
@@ -792,9 +574,12 @@ mod tests {
             })
             .sum();
         assert_eq!(outcome_total, 18, "every query died in exactly one stage");
-        assert!(report
-            .histogram("ns_batch_latency_ns{ns=\"g\"}")
-            .is_some_and(|s| s.count == 1));
+        assert!(
+            report
+                .histogram("ns_batch_latency_ns{ns=\"g\"}")
+                .is_some_and(|s| s.count == 17),
+            "16 singles and one batch"
+        );
 
         // A filtered collection keeps server metrics, drops other ns.
         registry.insert_frozen("other", Oracle::new(&g)).unwrap();
@@ -802,12 +587,11 @@ mod tests {
         assert!(filtered.counter("ns_queries_total{ns=\"g\"}").is_some());
         assert!(filtered.counter("ns_queries_total{ns=\"other\"}").is_none());
 
-        let text = render_prometheus(&report, &collect_slow(&registry, ""));
+        let text = render_prometheus(&report);
         assert!(text.contains("# TYPE server_frames_total counter"));
         assert!(text.contains("server_frames_total 17"));
         assert!(text.contains("reactor_tick_ns{quantile=\"0.99\"}"));
-        assert!(text.contains("ns_query_latency_ns_count{ns=\"g\",outcome="));
-        assert!(text.contains("# slow_query ns=\"g\""));
+        assert!(text.contains("ns_batch_latency_ns_count{ns=\"g\"} 17"));
         for line in text.lines().filter(|l| !l.starts_with('#')) {
             let mut parts = line.split(' ');
             let (name, value) = (parts.next().unwrap(), parts.next().unwrap());

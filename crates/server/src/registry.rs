@@ -24,7 +24,6 @@ use std::sync::{Arc, Mutex, PoisonError, RwLock};
 use hoplite_core::{DynamicOracle, Histogram, MutationError, Oracle, WalConfig, WalDir};
 use hoplite_graph::{Dag, GraphError};
 
-use crate::obs::{QueryObs, SlowQuery};
 use crate::protocol::{
     MetricsReport, MetricsSummary, NamespaceInfo, NamespaceKind, NamespaceStats, MAX_NAME_LEN,
 };
@@ -114,13 +113,18 @@ struct FrozenNs {
     filter_hits: AtomicU64,
     signature_hits: AtomicU64,
     merge_runs: AtomicU64,
-    /// Latency histograms (split by deciding stage) and the slow-query
-    /// log — the namespace's contribution to the `METRICS` op.
-    obs: QueryObs,
+    /// Wall-clock nanoseconds per kernel call, whatever its width: a
+    /// coalesced wire tick, a `BATCH`, or one in-process `REACH`.
+    batch_ns: Histogram,
 }
 
 impl FrozenNs {
-    fn record(&self, tally: &hoplite_core::QueryTally) {
+    /// The one recording path of a frozen read: `pairs` queries
+    /// answered by one kernel call that began at `started`, decided
+    /// where `tally` says.
+    fn record(&self, pairs: usize, started: std::time::Instant, tally: &hoplite_core::QueryTally) {
+        self.batch_ns.record(started.elapsed().as_nanos() as u64);
+        self.queries.fetch_add(pairs as u64, Ordering::Relaxed);
         self.filter_hits
             .fetch_add(tally.filter_decided, Ordering::Relaxed);
         self.signature_hits
@@ -345,25 +349,23 @@ impl NamespaceHandle {
     /// Does `u` reach `v`? Reflexive, like every oracle in the
     /// workspace.
     ///
-    /// Frozen namespaces answer through the full [`Oracle`] hot path:
-    /// the O(1) pre-filter stack ([`hoplite_core::QueryFilters`] —
-    /// topological levels, spanning-tree and GRAIL-style intervals,
-    /// degree shortcuts) decides most queries before the label
-    /// intersection runs, so the wire handler's per-query cost is
-    /// usually a handful of array probes.
+    /// Frozen namespaces answer through the full [`Oracle`] hot path
+    /// ([`Oracle::reaches_tallied`]): the O(1) pre-filter stack
+    /// ([`hoplite_core::QueryFilters`] — topological levels,
+    /// spanning-tree and GRAIL-style intervals, degree shortcuts)
+    /// decides most queries before the label intersection runs. The
+    /// call is recorded like a [`Self::reach_batch_into`] call of one
+    /// pair.
     pub fn reach(&self, u: u32, v: u32) -> Result<bool, ServeError> {
         match &self.inner {
             Inner::Frozen(ns) => {
                 let n = ns.oracle.num_vertices();
                 self.check(u, n)?;
                 self.check(v, n)?;
-                ns.queries.fetch_add(1, Ordering::Relaxed);
                 let mut tally = hoplite_core::QueryTally::default();
                 let started = std::time::Instant::now();
                 let answer = ns.oracle.reaches_tallied(u, v, &mut tally);
-                ns.obs
-                    .record_single(u, v, started.elapsed().as_nanos() as u64, &tally);
-                ns.record(&tally);
+                ns.record(1, started, &tally);
                 Ok(answer)
             }
             Inner::Dynamic(ns) => {
@@ -412,11 +414,9 @@ impl NamespaceHandle {
                     self.check(u, n)?;
                     self.check(v, n)?;
                 }
-                ns.queries.fetch_add(pairs.len() as u64, Ordering::Relaxed);
                 let started = std::time::Instant::now();
                 let tally = ns.oracle.reaches_batch_into(pairs, out, threads);
-                ns.obs.batch_ns.record(started.elapsed().as_nanos() as u64);
-                ns.record(&tally);
+                ns.record(pairs.len(), started, &tally);
                 Ok(())
             }
             Inner::Dynamic(ns) => {
@@ -608,9 +608,9 @@ impl NamespaceHandle {
     }
 
     /// Appends this namespace's series to a [`MetricsReport`]: the
-    /// query/outcome counters for every kind, plus the latency
-    /// histograms the frozen hot path records. Dynamic namespaces
-    /// answer through their overlay mutex and are not timed.
+    /// query/outcome counters for every kind, plus the kernel-call
+    /// latency the frozen hot path records. Dynamic namespaces answer
+    /// through their overlay mutex and are not timed.
     pub(crate) fn fold_metrics(&self, name: &str, report: &mut MetricsReport) {
         match &self.inner {
             Inner::Frozen(ns) => {
@@ -628,19 +628,9 @@ impl NamespaceHandle {
                         counter.load(Ordering::Relaxed),
                     ));
                 }
-                for (outcome, hist) in [
-                    ("filter", &ns.obs.filter_ns),
-                    ("signature", &ns.obs.signature_ns),
-                    ("merge", &ns.obs.merge_ns),
-                ] {
-                    report.histograms.push((
-                        format!("ns_query_latency_ns{{ns={name:?},outcome=\"{outcome}\"}}"),
-                        MetricsSummary::from(&hist.snapshot()),
-                    ));
-                }
                 report.histograms.push((
                     format!("ns_batch_latency_ns{{ns={name:?}}}"),
-                    MetricsSummary::from(&ns.obs.batch_ns.snapshot()),
+                    MetricsSummary::from(&ns.batch_ns.snapshot()),
                 ));
             }
             Inner::Dynamic(ns) => {
@@ -672,15 +662,6 @@ impl NamespaceHandle {
                     MetricsSummary::from(&ns.rebuild_ns.snapshot()),
                 ));
             }
-        }
-    }
-
-    /// This namespace's retained worst queries (frozen only), slowest
-    /// first.
-    pub(crate) fn slow_queries(&self) -> Vec<SlowQuery> {
-        match &self.inner {
-            Inner::Frozen(ns) => ns.obs.slow.snapshot(),
-            Inner::Dynamic(_) => Vec::new(),
         }
     }
 }
@@ -822,7 +803,7 @@ impl Registry {
                     filter_hits: AtomicU64::new(0),
                     signature_hits: AtomicU64::new(0),
                     merge_runs: AtomicU64::new(0),
-                    obs: QueryObs::new(),
+                    batch_ns: Histogram::new(),
                 })),
             },
         )
@@ -1279,6 +1260,48 @@ mod tests {
             stats.signature_bytes > 0,
             "frozen namespaces report their reach-mask bytes"
         );
+    }
+
+    /// An in-process `reach` is recorded as a kernel call of one pair:
+    /// k singles and m batches make k + m latency records, and every
+    /// query lands in exactly one outcome counter.
+    #[test]
+    fn singles_and_batches_share_one_recording_path() {
+        let n = 200;
+        let g = hoplite_graph::gen::random_digraph(n, 300, 5);
+        let registry = Registry::new();
+        registry.insert_frozen("g", Oracle::new(&g)).unwrap();
+        let ns = registry.get("g").unwrap();
+        let mut rng = hoplite_graph::gen::Rng::new(17);
+        let mut pair = || (rng.gen_index(n) as u32, rng.gen_index(n) as u32);
+        let k = 37;
+        for _ in 0..k {
+            let (u, v) = pair();
+            ns.reach(u, v).unwrap();
+        }
+        let widths = [1, 5, 64, 300];
+        for len in widths {
+            let pairs: Vec<(u32, u32)> = (0..len).map(|_| pair()).collect();
+            ns.reach_batch_into(&pairs, &mut vec![false; len], 2)
+                .unwrap();
+        }
+
+        let mut report = MetricsReport::default();
+        ns.fold_metrics("g", &mut report);
+        let calls = report.histogram("ns_batch_latency_ns{ns=\"g\"}").unwrap();
+        assert_eq!(calls.count, (k + widths.len()) as u64);
+        let total = (k + widths.iter().sum::<usize>()) as u64;
+        assert_eq!(report.counter("ns_queries_total{ns=\"g\"}"), Some(total));
+        let outcomes: u64 = ["filter", "signature", "merge"]
+            .iter()
+            .map(|o| {
+                report
+                    .counter(&format!("ns_query_outcome_total{{ns=\"g\",outcome={o:?}}}"))
+                    .unwrap()
+            })
+            .sum();
+        assert_eq!(outcomes, total);
+        assert_eq!(report.histograms.len(), 1, "{:?}", report.histograms);
     }
 
     /// A dynamic namespace's snapshot carries reach masks like a frozen

@@ -1,5 +1,5 @@
 //! The TCP server: [`Server::bind`] starts the epoll/kqueue reactor
-//! of [`crate::reactor`] on a background thread and hands back a
+//! (the private `reactor` module) on a background thread and hands back a
 //! [`ServerHandle`] that reports counters and shuts it down.
 //!
 //! One thread multiplexes every connection and coalesces queries
@@ -251,14 +251,10 @@ impl ServerHandle {
         crate::obs::collect_metrics(&self.registry, &self.counters, &self.obs, ns)
     }
 
-    /// Prometheus-style text exposition of [`ServerHandle::metrics`],
-    /// with the slow-query log appended as comment lines — exactly
-    /// what the `--metrics-addr` HTTP endpoint returns.
+    /// Prometheus-style text exposition of [`ServerHandle::metrics`] —
+    /// exactly what the `--metrics-addr` HTTP endpoint returns.
     pub fn metrics_text(&self) -> String {
-        crate::obs::render_prometheus(
-            &self.metrics(""),
-            &crate::obs::collect_slow(&self.registry, ""),
-        )
+        crate::obs::render_prometheus(&self.metrics(""))
     }
 
     /// Starts the `GET /metrics` HTTP/1.0 responder on `addr` (port 0

@@ -1,20 +1,21 @@
-//! Multi-core query serving with a frozen Distribution-Labeling
-//! oracle.
+//! Multi-core query serving with a frozen reachability oracle.
 //!
 //! The intro's motivating workloads (social-network analysis, ontology
 //! reasoning, web-graph services) are read-heavy: build once, answer
 //! millions of reachability probes. A built oracle is immutable, so a
 //! serving tier just shares it across threads — this example builds a
-//! web-style DAG, replays a 400 k-query batch at increasing thread
-//! counts, and prints the scaling curve.
+//! web-style DAG, replays a 400 k-query batch through
+//! `Oracle::reaches_batch_into` at increasing thread counts, and
+//! prints the scaling curve.
 //!
 //! ```text
 //! cargo run --release --example parallel_service
 //! ```
 
-use hoplite::core::parallel::{measure_scaling, par_query_batch};
-use hoplite::core::{DistributionLabeling, DlConfig};
+use std::time::Instant;
+
 use hoplite::graph::gen::{self, Rng};
+use hoplite::Oracle;
 
 fn main() {
     // A skewed, web-like DAG: 60 k vertices, 180 k edges.
@@ -25,13 +26,13 @@ fn main() {
         dag.num_edges()
     );
 
-    let t = std::time::Instant::now();
-    let dl = DistributionLabeling::build(&dag, &DlConfig::default());
+    let t = Instant::now();
+    let oracle = Oracle::new(dag.graph());
     println!(
-        "DL build: {:.0} ms, {} label entries ({:.2} per vertex)",
+        "build: {:.0} ms, {} label entries ({:.2} per vertex)",
         t.elapsed().as_secs_f64() * 1e3,
-        dl.labeling().total_entries(),
-        dl.labeling().total_entries() as f64 / dag.num_vertices() as f64
+        oracle.label_entries(),
+        oracle.label_entries() as f64 / dag.num_vertices() as f64
     );
 
     // A 400 k uniform-random batch — the worst case for the oracle
@@ -46,20 +47,25 @@ fn main() {
         "\n{:>8} {:>12} {:>12} {:>9}",
         "threads", "elapsed ms", "Mqueries/s", "speedup"
     );
-    let reports = measure_scaling(dl.labeling(), &pairs, &[1, 2, 4, 8]);
-    let base = reports[0].qps();
-    for r in &reports {
+    // The answer buffer is reused at every width, as a server reuses
+    // one across requests.
+    let mut answers = vec![false; pairs.len()];
+    let mut base_qps = None;
+    for threads in [1, 2, 4, 8] {
+        let start = Instant::now();
+        oracle.reaches_batch_into(&pairs, &mut answers, threads);
+        let elapsed = start.elapsed().as_secs_f64();
+        let qps = pairs.len() as f64 / elapsed;
+        let base = *base_qps.get_or_insert(qps);
         println!(
-            "{:>8} {:>12.1} {:>12.2} {:>8.2}x",
-            r.threads,
-            r.elapsed.as_secs_f64() * 1e3,
-            r.qps() / 1e6,
-            r.qps() / base
+            "{threads:>8} {:>12.1} {:>12.2} {:>8.2}x",
+            elapsed * 1e3,
+            qps / 1e6,
+            qps / base
         );
     }
 
     // The batch API preserves order, so positional post-processing is
     // safe — e.g. joining answers back to request ids.
-    let answers = par_query_batch(dl.labeling(), &pairs[..8], 4);
-    println!("\nfirst 8 answers: {answers:?}");
+    println!("\nfirst 8 answers: {:?}", &answers[..8]);
 }

@@ -35,7 +35,7 @@
 //! * [`hoplite_baselines`] (re-exported as [`baselines`]) — GRAIL,
 //!   Path-Tree, Interval, PWAH-8, K-Reach, set-cover 2-HOP, TF-label,
 //!   Pruned Landmark, SCARAB, online search, full TC.
-//! * [`hoplite_bench`] (re-exported as [`bench`](crate::bench)) — dataset analogues,
+//! * [`hoplite_bench`] (re-exported as [`bench`](mod@bench)) — dataset analogues,
 //!   query workloads, and the harness regenerating the paper's
 //!   Tables 1–7 and Figures 3–4 (`cargo run -p hoplite-bench --bin
 //!   paper -- all`).

@@ -10,33 +10,31 @@
 
 use std::sync::Arc;
 
-use hoplite::core::{FilterVerdict, Parallelism, QueryTally};
+use hoplite::core::{par_query_batch_into, FilterVerdict, Parallelism, QueryTally};
 use hoplite::graph::gen::{self, Rng};
 use hoplite::graph::traversal;
 use hoplite::server::{Client, Registry, Server, ServerConfig};
 use hoplite::{DiGraph, DlConfig, Oracle, VertexId};
 
 /// Checks every query entry point against BFS on all n² pairs:
-/// filtered and unfiltered singles, filtered and unfiltered batches at
-/// 1 and 3 threads, and the batch kernel against the tallied singles
-/// at 1, 2 and 3 threads.
+/// filtered singles, unfiltered singles (the labeling's own query on
+/// the pair's components), filtered and unfiltered batches at 1 and 3
+/// threads, and the batch kernel against the tallied singles at 1, 2
+/// and 3 threads.
 fn check_entry_points(g: &DiGraph, oracle: &Oracle, what: &str) {
     let n = g.num_vertices();
+    let (labeling, comp_of) = (oracle.inner().labeling(), oracle.comp_of());
     traversal::assert_matches_bfs(g, &format!("{what}, filtered"), |u, v| oracle.reaches(u, v));
     traversal::assert_matches_bfs(g, &format!("{what}, unfiltered"), |u, v| {
-        oracle.reaches_unfiltered(u, v)
+        labeling.query(comp_of[u as usize], comp_of[v as usize])
     });
     let pairs: Vec<(VertexId, VertexId)> = (0..n as VertexId)
         .flat_map(|u| (0..n as VertexId).map(move |v| (u, v)))
         .collect();
     for threads in [1, 3] {
-        for (path, batch) in [
-            ("filtered", oracle.reaches_batch(&pairs, threads)),
-            (
-                "unfiltered",
-                oracle.reaches_batch_unfiltered(&pairs, threads),
-            ),
-        ] {
+        for (path, filters) in [("filtered", Some(oracle.filters())), ("unfiltered", None)] {
+            let mut batch = vec![false; pairs.len()];
+            par_query_batch_into(labeling, filters, comp_of, &pairs, &mut batch, threads);
             let what = format!("{what}, {path} batch, {threads} threads");
             traversal::assert_matches_bfs(g, &what, |u, v| batch[u as usize * n + v as usize]);
         }

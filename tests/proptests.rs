@@ -12,8 +12,9 @@ use proptest::prelude::*;
 
 use hoplite::baselines::{Grail, IntervalIndex, KReach, PathTree, Pwah8, TfLabel};
 use hoplite::core::{
-    sorted_intersect, DistributionLabeling, DlConfig, HierarchicalLabeling, HlConfig, LabelPath,
-    LabelingBuilder, OrderKind, QueryTally, ReachIndex, TOP_HOPS,
+    par_query_batch_into, sorted_intersect, DistributionLabeling, DlConfig, HierarchicalLabeling,
+    HlConfig, LabelPath, LabelingBuilder, OrderKind, QueryFilters, QueryTally, ReachIndex,
+    TOP_HOPS,
 };
 use hoplite::graph::{scc, traversal, Dag, DiGraph};
 
@@ -57,8 +58,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// The mask-accelerated hot path (`Oracle::reaches`), the
-    /// filter-free label path (`reaches_unfiltered`, masks on), the
-    /// tallied batch path, and BFS ground truth all agree on random
+    /// filter-free label path (`Labeling::query` on the components,
+    /// masks on), the tallied batch path, the unfiltered batch kernel,
+    /// and BFS ground truth all agree on random
     /// *cyclic* digraphs, and every verdict the top-hop reach masks
     /// give (the `signature` stage) is BFS's. Condensations of at most
     /// `TOP_HOPS` components make every vertex a top hop, so there the
@@ -70,7 +72,9 @@ proptest! {
         let labeling = oracle.inner().labeling();
         let n = g.num_vertices();
         traversal::assert_matches_bfs(&g, "filtered", |u, v| oracle.reaches(u, v));
-        traversal::assert_matches_bfs(&g, "unfiltered", |u, v| oracle.reaches_unfiltered(u, v));
+        traversal::assert_matches_bfs(&g, "unfiltered", |u, v| {
+            labeling.query(comp_of[u as usize], comp_of[v as usize])
+        });
         traversal::assert_matches_bfs(&g, "mask-decided", |u, v| {
             match labeling.query_traced(comp_of[u as usize], comp_of[v as usize]) {
                 (answer, LabelPath::Masked) => answer,
@@ -79,10 +83,14 @@ proptest! {
         });
         let pairs: Vec<(u32, u32)> =
             (0..n as u32).flat_map(|u| (0..n as u32).map(move |v| (u, v))).collect();
-        let (answers, tally) = oracle.reaches_batch_tallied(&pairs, 3);
+        let mut answers = vec![false; pairs.len()];
+        let tally = oracle.reaches_batch_into(&pairs, &mut answers, 3);
         traversal::assert_matches_bfs(&g, "tallied batch", |u, v| {
             answers[u as usize * n + v as usize]
         });
+        let mut unfiltered = vec![false; pairs.len()];
+        par_query_batch_into(labeling, None, comp_of, &pairs, &mut unfiltered, 3);
+        prop_assert_eq!(&unfiltered, &answers);
         prop_assert_eq!(tally.total(), pairs.len() as u64);
         // The batch kernel decides every pair at the stage the
         // single-query path does.
@@ -318,32 +326,37 @@ proptest! {
         prop_assert_eq!(p.graph(), p2.graph());
     }
 
-    /// Parallel batch evaluation is exactly the sequential answer at
-    /// any thread count (order preserved, no lost or duplicated work).
+    /// Parallel batch evaluation over label-space pairs (identity
+    /// `comp_of`), with and without the DAG's filter stack, is BFS's
+    /// answer at any thread count (order preserved, no lost or
+    /// duplicated work, every pair tallied once).
     #[test]
     fn parallel_batch_matches_sequential(
         dag in arb_dag(PAST_TOP_HOPS, 300),
-        threads in 1usize..9,
+        threads in 0usize..9,
         seed in 0u64..100,
     ) {
-        use hoplite::core::parallel::{par_count_reachable, par_query_batch};
         use hoplite::graph::gen::Rng;
         let dl = DistributionLabeling::build(&dag, &DlConfig::default());
         prop_assert!(dl.labeling().total_entries() > 0);
         let n = dag.num_vertices();
+        let identity: Vec<u32> = (0..n as u32).collect();
         let mut rng = Rng::new(seed);
         let pairs: Vec<(u32, u32)> = (0..64)
             .map(|_| (rng.gen_index(n) as u32, rng.gen_index(n) as u32))
             .collect();
-        let expected: Vec<bool> = pairs.iter().map(|&(u, v)| dl.query(u, v)).collect();
-        prop_assert_eq!(
-            par_query_batch(dl.labeling(), &pairs, threads),
-            expected.clone()
-        );
-        prop_assert_eq!(
-            par_count_reachable(dl.labeling(), &pairs, threads),
-            expected.iter().filter(|&&b| b).count() as u64
-        );
+        let expected: Vec<bool> = pairs
+            .iter()
+            .map(|&(u, v)| traversal::reaches(dag.graph(), u, v))
+            .collect();
+        let filters = QueryFilters::build(&dag);
+        for filters in [None, Some(&filters)] {
+            let mut out: Vec<bool> = expected.iter().map(|b| !b).collect();
+            let tally =
+                par_query_batch_into(dl.labeling(), filters, &identity, &pairs, &mut out, threads);
+            prop_assert_eq!(&out, &expected);
+            prop_assert_eq!(tally.total(), pairs.len() as u64);
+        }
     }
 
     /// Latency-histogram round-trip: recording arbitrary values and

@@ -22,8 +22,8 @@ fn batch_path_matches_singles_and_bfs() {
         .map(|_| (rng.gen_index(40) as VertexId, rng.gen_index(40) as VertexId))
         .collect();
     for threads in [1, 2, 8] {
-        let batch = oracle.reaches_batch(&pairs, threads);
-        assert_eq!(batch.len(), pairs.len());
+        let mut batch = vec![false; pairs.len()];
+        oracle.reaches_batch_into(&pairs, &mut batch, threads);
         for (&(u, v), &got) in pairs.iter().zip(&batch) {
             assert_eq!(
                 got,
