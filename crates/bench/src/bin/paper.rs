@@ -349,13 +349,7 @@ fn ablation(cfg: &RunConfig) {
         let load = equal_workload(&dag, cfg.queries.min(20_000), cfg.seed);
         for (name, order) in orders {
             let t = Instant::now();
-            let dl = DistributionLabeling::build(
-                &dag,
-                &DlConfig {
-                    order,
-                    ..DlConfig::default()
-                },
-            );
+            let dl = DistributionLabeling::build(&dag, &DlConfig { order });
             let build_ms = t.elapsed().as_secs_f64() * 1e3;
             let t = Instant::now();
             let mut hits = 0usize;

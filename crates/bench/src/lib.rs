@@ -17,11 +17,11 @@
 //!   index-size series of Figures 3–4.
 //! * [`perf`] — the hot-path JSON benchmark behind `paper perf`
 //!   (`BENCH_*.json`): stages of named metrics and one gate table. The
-//!   DL build timed at 1, 2, 3, 4 and 8 threads plus
-//!   `Parallelism::Auto`, filtered vs unfiltered query throughput with
+//!   DL build time, filtered vs unfiltered query throughput with
 //!   per-layer filter verdicts and the filter/mask/merge stage tally,
-//!   thread scaling, cold start, the instrumentation's cost per kernel
-//!   call, a dynamic stage and the wire stages.
+//!   query thread scaling at 1, 2, 3, 4 and 8 threads, cold start, the
+//!   instrumentation's cost per kernel call, a dynamic stage and the
+//!   wire stages.
 //!
 //! The `paper` binary (`cargo run --release -p hoplite-bench --bin
 //! paper -- all`) drives everything.

@@ -2,10 +2,10 @@
 //!
 //! Every stage returns one [`Stage`]: a name and its named metrics. The
 //! report is those stages plus the gate table, written by
-//! [`PerfReport::to_json`] as schema 10:
+//! [`PerfReport::to_json`] as schema 11:
 //!
 //! ```text
-//! { "bench": "perf", "schema": 10, "quick", "seed", "host_cores",
+//! { "bench": "perf", "schema": 11, "quick", "seed", "host_cores",
 //!   "stages": { stage: { metric: value } },
 //!   "gates": [ { stage, metric, op, bound, value, pass } ] }
 //! ```
@@ -14,22 +14,20 @@
 //! the writer nor the schema number changes. The stages:
 //!
 //! * `random_dag`, `deep_chain`, `kronecker` — one per graph family:
-//!   the `Parallelism::Auto` build, filtered vs unfiltered batch
+//!   the [`Oracle`] build, filtered vs unfiltered batch
 //!   throughput through [`par_query_batch_into`] with and without the
 //!   oracle's filter stack, the per-layer
 //!   [`FilterVerdict`] counts, the [`QueryTally`] stage mix (pre-filter
 //!   / reach masks / merge) and the index footprint. `deep_chain` is
 //!   adversarial for the level cut; `kronecker` has scale-free degrees,
 //!   where a few top hops cover most pairs.
-//! * `build` — the Distribution-Labeling build on the headline graph,
-//!   timed round-robin at every width in `WIDTHS` and at
-//!   [`Parallelism::Auto`]; every width must emit **byte-identical
-//!   labels** to the 1-thread build before any number is reported.
-//! * `threads_N` — one per width: that build time and the filtered
-//!   batch throughput at N threads, the thread-scaling curve; `scaling`
-//!   holds the best parallel width against one thread.
+//! * `build` — the Distribution-Labeling build on the headline graph.
+//! * `threads_N` — one per query width: the filtered batch throughput
+//!   at N threads, the thread-scaling curve; `scaling` holds the best
+//!   parallel width against one thread.
 //! * `cold_start` — the saved HOPL v4 arena opened read into the heap
-//!   vs mapped.
+//!   vs mapped: open times, and the share of the file each open copies
+//!   onto the heap.
 //! * `metrics_overhead` — what the served batch path's instrumentation
 //!   costs per kernel call, as a share of the call.
 //! * `dynamic` — a durable [`hoplite_server::Registry`] namespace under
@@ -58,14 +56,12 @@ use std::time::Instant;
 
 use hoplite_core::{
     par_query_batch_into, DistributionLabeling, DlConfig, FilterVerdict, Histogram, OpenOptions,
-    Oracle, Parallelism, QueryTally,
+    Oracle, QueryTally,
 };
 use hoplite_graph::{gen, Dag};
 use hoplite_server::{loadgen, LoadSpec, ServeError};
 
-/// Build widths. Each is timed round-robin with `Auto`, checked to
-/// emit labels byte-identical to the first (1-thread) build, and read
-/// by the scaling curve.
+/// Query widths of the scaling curve, one thread first.
 const WIDTHS: [usize; 5] = [1, 2, 3, 4, 8];
 
 /// The graph families, headline first.
@@ -81,7 +77,7 @@ const ROUNDS: usize = 2;
 const PAIRED_ROUNDS: usize = 7;
 
 /// Best-of rounds per cold-start open: opens are fast, and extra
-/// rounds steady the ratio the cold-start gate reads.
+/// rounds steady the reported open times.
 const OPEN_ROUNDS: usize = 3;
 
 /// Pairs per kernel call in the metrics-overhead stage: one `BATCH`
@@ -194,9 +190,9 @@ pub struct Gate {
 }
 
 /// The `--check` gate table. A row is conditional only on whether the
-/// run could measure what it reads: the cold-start gate binds on full
-/// runs, the scaling gates on hosts with ≥ 2 cores (the CI
-/// `perf-multicore` job), and the wire gates when the wire stages ran.
+/// run could measure what it reads: the scaling gate binds on hosts
+/// with ≥ 2 cores (the CI `perf-multicore` job), and the wire gates
+/// when the wire stages ran.
 pub fn gate_table(quick: bool, host_cores: usize, wire: bool) -> Vec<Gate> {
     use Bound::*;
     let mut rows = vec![
@@ -205,10 +201,10 @@ pub fn gate_table(quick: bool, host_cores: usize, wire: bool) -> Vec<Gate> {
         // "The filter stack is not a pessimization", with 5% for the
         // jitter a shared host still puts on single windows.
         ("random_dag".into(), "filtered_vs_unfiltered", AtLeast(0.95)),
-        // `Parallelism::Auto` never picks a loser: at most 1.10x the
-        // best timed width, plus 25 ms so quick-mode noise on tiny
-        // graphs cannot flake CI.
-        ("build".into(), "auto_vs_best_ms", AtMost(25.0)),
+        // What mapping saves: a mapped open puts none of the arena on
+        // the heap (measured 0), the read fallback all of it (~1.0). A
+        // byte count, not a timing, so it binds in quick runs too.
+        ("cold_start".into(), "mapped_heap_frac", AtMost(0.05)),
         // Instrumentation on the served batch path costs at most 3% of
         // the kernel call it wraps.
         ("metrics_overhead".into(), "cost_ratio", AtMost(0.03)),
@@ -227,18 +223,10 @@ pub fn gate_table(quick: bool, host_cores: usize, wire: bool) -> Vec<Gate> {
     for family in FAMILIES {
         rows.push((family.into(), "tally_unaccounted", AtMost(0.0)));
     }
-    if !quick {
-        // A mapped open beats reading the same arena into the heap
-        // severalfold. The full-run ratio measured 6.8-8.8x on one host
-        // and 3.6-6.5x on a shared 2-CPU VM; quick mode's index is small
-        // enough that constant costs blur it.
-        rows.push(("cold_start".into(), "mapped_vs_read_speedup", AtLeast(4.0)));
-    }
     if host_cores >= 2 {
-        // The best parallel width at least matches one thread (same 5%
-        // and 25 ms allowances as above).
+        // The best parallel query width at least matches one thread
+        // (same 5% allowance as above).
         rows.push(("scaling".into(), "parallel_query_vs_one", AtLeast(0.95)));
-        rows.push(("scaling".into(), "parallel_build_vs_one_ms", AtMost(25.0)));
     }
     if wire {
         // Far below observed numbers (a 1-core box sustains > 160k q/s
@@ -314,7 +302,7 @@ impl PerfReport {
         }
     }
 
-    /// The machine-readable report (schema 10).
+    /// The machine-readable report (schema 11).
     pub fn to_json(&self) -> String {
         let stages: Vec<String> = self
             .stages
@@ -346,7 +334,7 @@ impl PerfReport {
             })
             .collect();
         format!(
-            "{{\n  \"bench\": \"perf\",\n  \"schema\": 10,\n  \"quick\": {},\n  \"seed\": {},\n  \
+            "{{\n  \"bench\": \"perf\",\n  \"schema\": 11,\n  \"quick\": {},\n  \"seed\": {},\n  \
              \"host_cores\": {},\n  \"stages\": {{\n{}\n  }},\n  \"gates\": [\n{}\n  ]\n}}",
             self.quick,
             self.seed,
@@ -393,32 +381,7 @@ fn best_ms<T>(rounds: usize, mut f: impl FnMut() -> T) -> (T, f64) {
     (value, best)
 }
 
-/// Panics unless `dl` and `reference` carry byte-identical labels.
-fn assert_identical_labels(
-    engine: &str,
-    dl: &DistributionLabeling,
-    reference: &DistributionLabeling,
-) {
-    assert_eq!(
-        dl.order(),
-        reference.order(),
-        "engine {engine} used a different order"
-    );
-    for v in 0..reference.labeling().num_vertices() as u32 {
-        assert_eq!(
-            dl.labeling().out_label(v),
-            reference.labeling().out_label(v),
-            "engine {engine} diverged at L_out({v})"
-        );
-        assert_eq!(
-            dl.labeling().in_label(v),
-            reference.labeling().in_label(v),
-            "engine {engine} diverged at L_in({v})"
-        );
-    }
-}
-
-/// One family's stage: builds (Auto, timed), queries (filtered +
+/// One family's stage: builds (timed), queries (filtered +
 /// unfiltered, timed), classifies and stage-tallies the workload,
 /// cross-checking the filtered, unfiltered and tallied answers. Returns
 /// the built oracle and the exact pair workload too, so later stages
@@ -430,16 +393,16 @@ fn run_family(
     threads: usize,
     seed: u64,
 ) -> (Stage, Oracle, Vec<(u32, u32)>) {
-    eprintln!("# perf[{kind}]: building (auto) ...");
-    let (oracle, build_auto_ms) = best_ms(ROUNDS, || Oracle::new(dag.graph()));
+    eprintln!("# perf[{kind}]: building ...");
+    let (oracle, build_ms) = best_ms(ROUNDS, || Oracle::new(dag.graph()));
     let n = dag.num_vertices();
     let mut rng = gen::Rng::new(seed ^ 0x9E37_79B9);
     let pairs: Vec<(u32, u32)> = (0..queries)
         .map(|_| (rng.gen_index(n) as u32, rng.gen_index(n) as u32))
         .collect();
-    // Unfiltered and filtered rounds alternate, best-of per side, like
-    // the build widths: both paths see the same machine-load phases,
-    // which the filtered-vs-unfiltered gate depends on.
+    // Unfiltered and filtered rounds alternate, best-of per side: both
+    // paths see the same machine-load phases, which the
+    // filtered-vs-unfiltered gate depends on.
     eprintln!(
         "# perf[{kind}]: timing unfiltered vs filtered batch \
          ({queries} queries, {threads} threads) ..."
@@ -483,7 +446,7 @@ fn run_family(
         ("label_entries", oracle.label_entries() as f64),
         ("filter_integers", filters.size_in_integers() as f64),
         ("mask_bytes", oracle.inner().labeling().mask_bytes() as f64),
-        ("build_auto_ms", build_auto_ms),
+        ("build_ms", build_ms),
         ("queries", q),
         ("threads", threads as f64),
         ("reachable", filtered.iter().filter(|&&b| b).count() as f64),
@@ -505,73 +468,24 @@ fn run_family(
     (Stage::new(kind, metrics), oracle, pairs)
 }
 
-/// The `build` stage: the DL build timed round-robin over [`WIDTHS`]
-/// and `Auto` (width-major inside each round, best-of across rounds).
-/// On shared hosts machine-load phases last seconds, and measuring each
-/// width in its own phase can skew identical code paths by tens of
-/// percent; interleaving exposes every width to the same phases, which
-/// the Auto-vs-best gate depends on. Returns the best time per width
-/// too, for the scaling curve.
-fn run_build(dag: &Dag) -> (Stage, [f64; WIDTHS.len()]) {
-    let build = |parallelism: Parallelism| {
-        let cfg = DlConfig {
-            parallelism,
-            ..DlConfig::default()
-        };
-        move || DistributionLabeling::build(dag, &cfg)
-    };
-    let mut width_ms = [f64::INFINITY; WIDTHS.len()];
-    let mut auto_ms = f64::INFINITY;
-    let mut reference: Option<DistributionLabeling> = None;
-    for round in 0..ROUNDS {
-        eprintln!(
-            "# perf[build]: timing widths {WIDTHS:?} and auto, round {} ...",
-            round + 1
-        );
-        for (&width, best) in WIDTHS.iter().zip(&mut width_ms) {
-            let (dl, ms) = time_ms(build(Parallelism::Threads(width)));
-            *best = best.min(ms);
-            match &reference {
-                None => reference = Some(dl),
-                Some(r) if round == 0 => assert_identical_labels(&format!("t{width}"), &dl, r),
-                Some(_) => {}
-            }
-        }
-        let (dl, ms) = time_ms(build(Parallelism::Auto));
-        auto_ms = auto_ms.min(ms);
-        if round == 0 {
-            assert_identical_labels("auto", &dl, reference.as_ref().expect("built above"));
-        }
-    }
-    let best = width_ms.iter().copied().fold(f64::INFINITY, f64::min);
-    let stage = Stage::new(
-        "build",
-        vec![
-            ("auto_ms", auto_ms),
-            (
-                "auto_threads",
-                Parallelism::Auto.resolve(dag.num_vertices()) as f64,
-            ),
-            ("best_width_ms", best),
-            ("auto_vs_best_ms", auto_ms - 1.10 * best),
-        ],
-    );
-    (stage, width_ms)
+/// The `build` stage: the Distribution-Labeling build alone, best of
+/// [`ROUNDS`].
+fn run_build(dag: &Dag) -> Stage {
+    eprintln!("# perf[build]: timing the DL build ...");
+    let (_, build_ms) = best_ms(ROUNDS, || {
+        DistributionLabeling::build(dag, &DlConfig::default())
+    });
+    Stage::new("build", vec![("build_ms", build_ms)])
 }
 
 /// The thread-scaling curve on the headline index and pairs: one
-/// `threads_N` stage per width, with the build time [`run_build`]
-/// measured and the filtered batch throughput at N threads, then
-/// `scaling` — the best parallel width against one thread.
-fn run_scaling(
-    oracle: &Oracle,
-    pairs: &[(u32, u32)],
-    reachable: f64,
-    width_ms: &[f64],
-) -> Vec<Stage> {
+/// `threads_N` stage per width of [`WIDTHS`] with the filtered batch
+/// throughput at N threads, then `scaling` — the best parallel width
+/// against one thread.
+fn run_scaling(oracle: &Oracle, pairs: &[(u32, u32)], reachable: f64) -> Vec<Stage> {
     let mut stages = Vec::new();
     let mut qps = Vec::new();
-    for (&threads, &build_ms) in WIDTHS.iter().zip(width_ms) {
+    for threads in WIDTHS {
         eprintln!("# perf[scaling]: filtered batch at {threads} thread(s) ...");
         let mut answers = vec![false; pairs.len()];
         let (_, ms) = best_ms(ROUNDS, || {
@@ -585,26 +499,24 @@ fn run_scaling(
         qps.push(pairs.len() as f64 / (ms / 1e3));
         stages.push(Stage::new(
             format!("threads_{threads}"),
-            vec![("build_ms", build_ms), ("query_qps", qps[qps.len() - 1])],
+            vec![("query_qps", qps[qps.len() - 1])],
         ));
     }
     // WIDTHS[0] is the one-thread point.
     let best_query = qps[1..].iter().copied().fold(0.0, f64::max);
-    let best_build = width_ms[1..].iter().copied().fold(f64::INFINITY, f64::min);
     stages.push(Stage::new(
         "scaling",
-        vec![
-            ("parallel_query_vs_one", best_query / qps[0]),
-            ("parallel_build_vs_one_ms", best_build - 1.05 * width_ms[0]),
-        ],
+        vec![("parallel_query_vs_one", best_query / qps[0])],
     ));
     stages
 }
 
 /// The `cold_start` stage: persist the built index as a HOPL v4 arena,
 /// drop every in-memory structure, and time opening it read into the
-/// heap (`mmap: false`) and mapped, verified and unverified. Answers of
-/// every reopened oracle are cross-checked against the builder's
+/// heap (`mmap: false`) and mapped, verified and unverified. Beside the
+/// times it reports what each open put on the heap as a share of the
+/// file — what mapping saves, exact where the times are noisy. Answers
+/// of every reopened oracle are cross-checked against the builder's
 /// before any number is reported; the temp file is removed either way.
 fn run_cold_start(oracle: &Oracle, pairs: &[(u32, u32)], seed: u64) -> Stage {
     // The stamp carries a process-wide counter besides pid + seed:
@@ -636,6 +548,8 @@ fn run_cold_start(oracle: &Oracle, pairs: &[(u32, u32)], seed: u64) -> Stage {
     let (mapped, mapped_open_ms) = best_ms(OPEN_ROUNDS, open(true, true));
     let (unverified, mapped_unverified_open_ms) = best_ms(OPEN_ROUNDS, open(true, false));
     std::fs::remove_file(&path).ok();
+    let heap_frac = |o: &Oracle| o.memory().heap_bytes as f64 / file_bytes;
+    let (read_heap_frac, mapped_heap_frac) = (heap_frac(&read), heap_frac(&mapped));
 
     let probe = &pairs[..pairs.len().min(20_000)];
     let answers = |o: &Oracle| {
@@ -664,6 +578,8 @@ fn run_cold_start(oracle: &Oracle, pairs: &[(u32, u32)], seed: u64) -> Stage {
             ("mapped_open_ms", mapped_open_ms),
             ("mapped_unverified_open_ms", mapped_unverified_open_ms),
             ("mapped_vs_read_speedup", read_open_ms / mapped_open_ms),
+            ("read_heap_frac", read_heap_frac),
+            ("mapped_heap_frac", mapped_heap_frac),
         ],
     )
 }
@@ -967,7 +883,7 @@ const FULL: Scale = Scale {
 /// Runs every stage and cross-checks equivalence along the way.
 ///
 /// # Panics
-/// Panics if any build width or query path disagrees with the reference
+/// Panics if any query path disagrees with the reference
 /// answers — a perf report for a wrong oracle is worthless.
 pub fn run_perf(opts: &PerfOptions) -> PerfReport {
     run_at(if opts.quick { &QUICK } else { &FULL }, opts)
@@ -983,14 +899,14 @@ fn run_at(scale: &Scale, opts: &PerfOptions) -> PerfReport {
     let chain = gen::deep_chain_dag(chain_n, chains, cross, seed);
     let kron = gen::kronecker_dag(scale.kronecker.0, scale.kronecker.1, seed);
 
-    let (build, width_ms) = run_build(&dag);
+    let build = run_build(&dag);
     let (main, oracle, pairs) = run_family(FAMILIES[0], &dag, scale.queries, host_cores, seed);
     let reachable = main.metric("reachable");
     let mut stages = vec![build, main];
     for (kind, family) in FAMILIES[1..].iter().zip([&chain, &kron]) {
         stages.push(run_family(kind, family, scale.queries, host_cores, seed).0);
     }
-    stages.extend(run_scaling(&oracle, &pairs, reachable, &width_ms));
+    stages.extend(run_scaling(&oracle, &pairs, reachable));
     stages.push(run_cold_start(&oracle, &pairs, seed));
     stages.push(run_metrics_overhead(
         &oracle,
@@ -1293,10 +1209,12 @@ mod tests {
             report.metric("metrics_overhead", "iterations"),
             f64::from(INSTRUMENT_ITERS)
         );
+        assert!(report.metric("build", "build_ms") > 0.0);
         for width in WIDTHS {
             let stage = format!("threads_{width}");
             assert!(report.metric(&stage, "query_qps") > 0.0, "{stage}");
         }
+        assert!(report.metric("scaling", "parallel_query_vs_one") > 0.0);
     }
 
     /// Every gate row trips when the one metric it reads misses its
@@ -1310,16 +1228,14 @@ mod tests {
             [
                 "random_dag.filter_hit_rate",
                 "random_dag.filtered_vs_unfiltered",
-                "build.auto_vs_best_ms",
+                "cold_start.mapped_heap_frac",
                 "metrics_overhead.cost_ratio",
                 "dynamic.rebuilds",
                 "dynamic.read_p99_during_rebuild_ns",
                 "random_dag.tally_unaccounted",
                 "deep_chain.tally_unaccounted",
                 "kronecker.tally_unaccounted",
-                "cold_start.mapped_vs_read_speedup",
                 "scaling.parallel_query_vs_one",
-                "scaling.parallel_build_vs_one_ms",
                 "wire_100.errors",
                 "wire_100.qps",
                 "wire_1000.errors",
@@ -1367,11 +1283,10 @@ mod tests {
             .iter()
             .filter(|id| !quick_one_core.contains(id))
             .collect();
-        assert!(dropped.iter().all(|id| id.starts_with("cold_start.")
-            || id.starts_with("scaling.")
+        assert!(dropped.iter().all(|id| id.starts_with("scaling.")
             || id.starts_with("wire_")
             || id.starts_with("overload.")));
-        assert_eq!(dropped.len(), 1 + 2 + 6 + 5);
+        assert_eq!(dropped.len(), 1 + 6 + 5);
         // The quick sweep's steps carry their own gates.
         let quick_wire = gate_ids(&gate_table(true, 1, true));
         assert!(quick_wire.contains(&"wire_64.qps".to_string()));
@@ -1401,7 +1316,7 @@ mod tests {
             vec![("answer", 42.0), ("nan", f64::NAN), ("inf", f64::INFINITY)],
         ));
         let json = report.to_json();
-        assert!(json.contains("\"schema\": 10"), "{json}");
+        assert!(json.contains("\"schema\": 11"), "{json}");
         assert!(
             json.contains("\"added_in_test\": { \"answer\": 42, \"nan\": null, \"inf\": null }"),
             "{json}"
@@ -1413,6 +1328,27 @@ mod tests {
         assert!(!json.contains("NaN") && !json.contains("inf,"), "{json}");
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());
+    }
+
+    /// The cold-start gate reads what mapping saves: the mapped open
+    /// copies none of the arena onto the heap, and the read fallback's
+    /// fraction, in the mapped slot, trips the gate.
+    #[test]
+    fn read_fallback_heap_fraction_trips_the_cold_start_gate() {
+        let mut report = tiny();
+        assert_eq!(report.metric("cold_start", "mapped_heap_frac"), 0.0);
+        let read = report.metric("cold_start", "read_heap_frac");
+        assert!(read > 0.9, "the read fallback copies the arena: {read}");
+        set(&mut report, "cold_start", "mapped_heap_frac", read);
+        let failed = report
+            .check()
+            .expect_err("a heap-read arena must trip the gate");
+        assert!(
+            failed
+                .iter()
+                .any(|f| f.starts_with("cold_start.mapped_heap_frac = ")),
+            "{failed:?}"
+        );
     }
 
     /// Instrumentation that also spins for 5% of a kernel call trips the

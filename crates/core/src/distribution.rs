@@ -50,41 +50,23 @@
 //! ### The build engine
 //!
 //! The textbook transcription of Algorithm 2 pays a full sorted-merge
-//! `L_out(u) ∩ L_in(v_i)` on **every** BFS pop. Two observations make
-//! the build much faster without changing a single emitted label:
+//! `L_out(u) ∩ L_in(v_i)` on **every** BFS pop. Within one hop's BFS the
+//! right-hand side of every pruning test is the *same* list (`L_in(v_i)`
+//! for the reverse side, `L_out(v_i)` for the forward side), so the
+//! engine snapshots it once per side into an epoch-stamped, rank-indexed
+//! membership array: each test becomes `O(|L_out(u)|)` probes with O(1)
+//! lookups, and the epoch stamp makes the per-side reset O(1) instead of
+//! O(n). The emitted labels are byte-identical to the paper-literal
+//! per-pop sorted merge minus its rank < [`TOP_HOPS`] entries, enforced
+//! by tests against a test-only transcription of that loop.
 //!
-//! 1. **Rank-bitmap pruning.** Within one hop's BFS the right-hand side
-//!    of every pruning test is the *same* list (`L_in(v_i)` for the
-//!    reverse side, `L_out(v_i)` for the forward side). Snapshotting it
-//!    once per hop into an epoch-stamped, rank-indexed membership array
-//!    turns each test into `O(|L_out(u)|)` probes with O(1) lookups —
-//!    and the epoch stamp makes the per-hop reset O(1) instead of O(n).
-//! 2. **N-thread chunked hop distribution** ([`Parallelism`]). Each
-//!    hop's BFSs run *level-synchronously*: a frontier is scanned, the
-//!    survivors get rank `r` appended, and their unvisited neighbors
-//!    form the next frontier. Within one level every frontier entry is
-//!    independent (the prune test reads only that vertex's own list
-//!    plus the per-hop snapshot), so large frontiers are split into
-//!    vertex-range chunks pulled from a shared atomic cursor by a
-//!    `std::thread`-scoped worker pool, with a barrier at each level.
-//!    The set of vertices a hop labels is order-independent (each
-//!    vertex is claimed and tested exactly once, against state fixed at
-//!    hop start), so every thread count emits labels *byte-identical*
-//!    to the paper-literal per-pop sorted merge minus its rank <
-//!    [`TOP_HOPS`] entries — enforced by tests across {1, 2, 3, 4, 8}
-//!    threads against a test-only transcription of that loop.
-//!
-//! Levels too small to be worth waking the pool — every level at
-//! width 1, and most levels of the heavily pruned low-rank hops at any
-//! width — are scanned by the coordinating thread alone, with plain
-//! (non-RMW) visited claims and no chunk cursor, so a one-thread build
-//! pays nothing for the pool it does not use.
+//! The engine runs on one thread: past the mask-swept top hops, BFS
+//! levels wide enough to share out over threads (≥ 512 entries) hold 537
+//! of 1,822,184 frontier entries on a 48k-vertex `random_dag` and none
+//! on `deep_chain`; only power-law graphs gave a level-splitting pool
+//! work, for about 1.2× at two threads.
 
-use std::cell::UnsafeCell;
-use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
-
-use hoplite_graph::{Dag, DiGraph, VertexId};
+use hoplite_graph::{Dag, VertexId};
 
 use crate::label::{Labeling, LabelingBuilder, ReachMasks, TOP_HOPS};
 use crate::metrics::BuildTrace;
@@ -92,97 +74,59 @@ use crate::oracle::ReachIndex;
 use crate::order::OrderKind;
 use crate::store::Store;
 
-/// Below this vertex count [`Parallelism::Auto`] uses one thread: the
-/// per-hop coordination costs more than tiny BFSs save.
-const PARALLEL_MIN_VERTICES: usize = 2_048;
-
-/// Frontier entries per chunk claimed from the shared cursor.
-const CHUNK: usize = 256;
-
-/// Frontiers smaller than this are scanned inline by the coordinating
-/// thread — waking the pool costs more than the scan itself. Pruned
-/// BFS frontiers are tiny for most hops; the pool engages exactly on
-/// the early high-rank hops whose frontiers span much of the graph.
-const PAR_FRONTIER_MIN: usize = 2 * CHUNK;
-
-/// Cap on [`Parallelism::Auto`]'s pool size: chunk scanning saturates
-/// memory bandwidth well before this on every graph we measure.
-const MAX_AUTO_THREADS: usize = 8;
-
-/// How many OS threads [`DistributionLabeling::build`] may use. Every
-/// width emits byte-identical labels; the policy trades construction
-/// time only.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
-pub enum Parallelism {
-    /// One thread per available core (capped at `MAX_AUTO_THREADS`)
-    /// when the DAG has at least `PARALLEL_MIN_VERTICES` vertices and
-    /// the host has ≥ 2 cores; one thread otherwise.
-    #[default]
-    Auto,
-    /// Exactly this many threads (clamped to ≥ 1; `Threads(1)` builds
-    /// on the calling thread alone).
-    Threads(usize),
-}
-
-impl Parallelism {
-    /// The thread count this policy resolves to for an `n`-vertex DAG
-    /// on the current host — the number the build engine actually
-    /// uses, exposed so reports (`paper perf`) state it without
-    /// re-deriving the policy.
-    pub fn resolve(self, n: usize) -> usize {
-        match self {
-            Parallelism::Threads(t) => t.max(1),
-            Parallelism::Auto => {
-                if n >= PARALLEL_MIN_VERTICES {
-                    std::thread::available_parallelism()
-                        .map_or(1, |p| p.get().min(MAX_AUTO_THREADS))
-                } else {
-                    1
-                }
-            }
-        }
-    }
-}
-
 /// Configuration for [`DistributionLabeling::build`].
 #[derive(Clone, Debug, Default)]
 pub struct DlConfig {
     /// Vertex processing order (default: the paper's degree product).
     pub order: OrderKind,
-    /// Thread policy for the hop-distribution loop.
-    pub parallelism: Parallelism,
 }
 
-/// Epoch-stamped membership set over hop ranks `0..n`.
+/// Epoch-stamped membership set over `0..n`: the per-side snapshot of
+/// one hop's label (over ranks) and the BFS visited set (over vertices).
 ///
-/// `load` snapshots one sorted rank list in `O(len)`; `intersects`
-/// then answers "does this other list share an element?" in
-/// `O(len(other))` with O(1) probes. Bumping the epoch invalidates the
-/// whole set in O(1), so per-hop reuse never pays a clear.
-#[derive(Clone, Debug)]
-struct RankSet {
+/// Starting an epoch invalidates the whole set in O(1), so per-side
+/// reuse never pays a clear; `load` snapshots one sorted rank list in
+/// `O(len)`, and `intersects` then answers "does this other list share
+/// an element?" in `O(len(other))` with O(1) probes.
+struct EpochSet {
     stamp: Vec<u32>,
     epoch: u32,
 }
 
-impl RankSet {
+impl EpochSet {
     fn new(n: usize) -> Self {
-        RankSet {
+        EpochSet {
             stamp: vec![0; n],
             epoch: 0,
         }
     }
 
-    /// Starts a fresh epoch containing exactly `ranks`.
-    fn load(&mut self, ranks: &[u32]) {
+    /// Starts a fresh, empty epoch.
+    fn clear(&mut self) {
         if self.epoch == u32::MAX {
             self.stamp.fill(0);
             self.epoch = 0;
         }
         self.epoch += 1;
+    }
+
+    /// Starts a fresh epoch containing exactly `ranks`.
+    fn load(&mut self, ranks: &[u32]) {
+        self.clear();
         for &r in ranks {
             self.stamp[r as usize] = self.epoch;
         }
+    }
+
+    /// Adds `x`; `true` iff it was not in the set yet.
+    #[inline]
+    fn insert(&mut self, x: u32) -> bool {
+        let stamp = &mut self.stamp[x as usize];
+        if *stamp == self.epoch {
+            return false;
+        }
+        *stamp = self.epoch;
+        true
     }
 
     /// `true` iff any rank in `ranks` is in the current epoch's set.
@@ -216,22 +160,21 @@ impl DistributionLabeling {
     /// # Ok::<(), hoplite_graph::GraphError>(())
     /// ```
     pub fn build(dag: &Dag, cfg: &DlConfig) -> Self {
-        Self::build_ordered(dag, cfg.order.compute(dag), cfg)
+        Self::build_traced(dag, cfg, None)
     }
 
     /// [`Self::build`] with construction-phase span tracing: the order
     /// computation, the hop-distribution loop, and the label freeze
     /// each record a span into `trace`, and every hop (both BFS sides)
-    /// records one sample into the trace's per-hop duration histogram,
-    /// at every thread count. With `trace = None` this is exactly
-    /// [`Self::build`] — the engine takes one dead branch per hop and
-    /// records nothing.
+    /// records one sample into the trace's per-hop duration histogram.
+    /// With `trace = None` this is exactly [`Self::build`] — the engine
+    /// takes one dead branch per hop and records nothing.
     pub fn build_traced(dag: &Dag, cfg: &DlConfig, trace: Option<&BuildTrace>) -> Self {
         let order = match trace {
             Some(t) => t.span("order", || cfg.order.compute(dag)),
             None => cfg.order.compute(dag),
         };
-        Self::build_ordered_traced(dag, order, cfg, trace)
+        Self::label_in_order(dag, order, trace)
     }
 
     /// Runs Algorithm 2 with an explicit processing order (`order[0]`
@@ -242,29 +185,12 @@ impl DistributionLabeling {
     /// # Panics
     /// Panics if `order` is not a permutation of `0..n`.
     pub fn build_with_order(dag: &Dag, order: Vec<VertexId>) -> Self {
-        Self::build_ordered(dag, order, &DlConfig::default())
+        Self::label_in_order(dag, order, None)
     }
 
-    /// [`Self::build_with_order`] with an explicit thread policy
-    /// (`cfg.order` is ignored in favor of `order`).
-    ///
-    /// # Panics
-    /// Panics if `order` is not a permutation of `0..n`.
-    pub fn build_ordered(dag: &Dag, order: Vec<VertexId>, cfg: &DlConfig) -> Self {
-        Self::build_ordered_traced(dag, order, cfg, None)
-    }
-
-    /// [`Self::build_ordered`] with optional span tracing (see
-    /// [`Self::build_traced`]).
-    ///
-    /// # Panics
-    /// Panics if `order` is not a permutation of `0..n`.
-    pub fn build_ordered_traced(
-        dag: &Dag,
-        order: Vec<VertexId>,
-        cfg: &DlConfig,
-        trace: Option<&BuildTrace>,
-    ) -> Self {
+    /// The body of every build: reach masks for the top hops, the
+    /// distribution of every other hop, the freeze.
+    fn label_in_order(dag: &Dag, order: Vec<VertexId>, trace: Option<&BuildTrace>) -> Self {
         let n = dag.num_vertices();
         assert_eq!(order.len(), n, "order must cover every vertex");
         debug_assert!({
@@ -274,10 +200,9 @@ impl DistributionLabeling {
                 !std::mem::replace(s, true)
             })
         });
-        let threads = cfg.parallelism.resolve(n);
         let engine = || {
             let masks = ReachMasks::compute(dag, &order[..n.min(TOP_HOPS)]);
-            let lists = build_chunked(dag, &order, &masks, threads, trace);
+            let lists = distribute(dag, &order, &masks, trace);
             (lists, masks)
         };
         let (lists, masks) = match trace {
@@ -363,422 +288,105 @@ impl DistributionLabeling {
     }
 }
 
-// ---------------------------------------------------------------------
-// The chunked engine
-// ---------------------------------------------------------------------
-//
-// Why chunking a pruned BFS is sound *and* byte-identical: within one
-// hop, a visited vertex `u` is popped exactly once (the visited set
-// claims it), its prune test reads only `u`'s own label list — which no
-// other vertex's processing in this hop can touch — and the fixed
-// per-hop snapshot. So the set of vertices that survive (and therefore
-// receive rank `r`) is a function of the hop-start state alone, not of
-// the processing order. Chunks may interleave arbitrarily across
-// threads and levels may gather next-frontiers in any order; the
-// emitted labels cannot differ.
-//
-// The mask probe is sound for the same reason: it reads `u`'s own mask
-// and the hop's, both fixed before distribution starts.
-//
-// Snapshot timing: both snapshots are taken at hop start, *before* the
-// reverse BFS runs. The paper's loop intersects with `L_out(v_i)` after
-// its reverse BFS (which may have appended `r` to it), but the forward
-// prune test compares against `L_in(w)` lists that cannot contain `r`
-// before their own append — so the timing difference is unobservable.
+// Why the engine's labels equal the paper's: within one hop side, a
+// vertex `u` is popped at most once (the visited set claims it), and
+// its prune test reads only `u`'s own list — which no other vertex's
+// processing in this side can touch — and the hop's snapshot, fixed
+// before the side's BFS starts. So the set of vertices that receive
+// rank `r` does not depend on the order they are visited in. The mask
+// probe is sound for the same reason: it reads `u`'s own mask and the
+// hop's, both fixed before distribution starts.
 
-/// Which side of a hop a level belongs to.
-#[derive(Copy, Clone)]
-enum Side {
-    /// BFS over in-neighbors, appending to `L_out`.
-    Reverse,
-    /// BFS over out-neighbors, appending to `L_in`.
-    Forward,
-}
-
-/// Epoch-stamped visited set with thread-safe claiming. The epoch is
-/// bumped by the coordinator between levels/sides (never concurrently
-/// with claims), so `Relaxed` loads of it are safe.
-struct AtomicVisited {
-    stamp: Vec<AtomicU32>,
-    epoch: AtomicU32,
-}
-
-impl AtomicVisited {
-    fn new(n: usize) -> Self {
-        AtomicVisited {
-            stamp: (0..n).map(|_| AtomicU32::new(0)).collect(),
-            epoch: AtomicU32::new(0),
-        }
-    }
-
-    /// Starts a fresh epoch. Coordinator only, with the pool idle.
-    fn next_epoch(&self) {
-        let e = self.epoch.load(Ordering::Relaxed);
-        if e == u32::MAX {
-            for s in &self.stamp {
-                s.store(0, Ordering::Relaxed);
-            }
-            self.epoch.store(1, Ordering::Relaxed);
-        } else {
-            self.epoch.store(e + 1, Ordering::Relaxed);
-        }
-    }
-
-    /// `true` iff this call claimed `v` for the current epoch. With
-    /// `PARKED` the caller is the coordinator with the pool parked —
-    /// the only thread touching the stamps — so a plain load + store
-    /// suffices; otherwise the swap makes exactly one of the
-    /// concurrent claimers win. The job/done mutex handoffs order the
-    /// two modes' accesses.
-    #[inline]
-    fn claim<const PARKED: bool>(&self, v: VertexId) -> bool {
-        let e = self.epoch.load(Ordering::Relaxed);
-        let stamp = &self.stamp[v as usize];
-        if PARKED {
-            if stamp.load(Ordering::Relaxed) == e {
-                return false;
-            }
-            stamp.store(e, Ordering::Relaxed);
-            true
-        } else {
-            stamp.swap(e, Ordering::Relaxed) != e
-        }
-    }
-}
-
-/// A label side (`&mut [Vec<u32>]`) shared across chunk workers.
-///
-/// Safety contract: a level's frontier contains each vertex at most
-/// once ([`AtomicVisited::claim`]) and chunks partition the frontier,
-/// so no two threads ever hold the same cell; the coordinator touches
-/// cells outside a level scan only while the pool is parked
-/// (established by the job/done mutex handoffs).
-struct SharedLists {
-    ptr: *mut Vec<u32>,
-    len: usize,
-}
-
-// SAFETY: the pointer targets a `Vec<Vec<u32>>` that outlives the
-// scoped pool, and the struct docs' contract keeps every cell
-// exclusive to one thread at a time.
-unsafe impl Send for SharedLists {}
-unsafe impl Sync for SharedLists {}
-
-impl SharedLists {
-    fn new(lists: &mut [Vec<u32>]) -> Self {
-        SharedLists {
-            ptr: lists.as_mut_ptr(),
-            len: lists.len(),
-        }
-    }
-
-    /// # Safety
-    /// No other live reference to cell `v` may exist (see the struct
-    /// docs for how the engine guarantees that).
-    #[inline]
-    #[allow(clippy::mut_from_ref)]
-    unsafe fn cell(&self, v: VertexId) -> &mut Vec<u32> {
-        debug_assert!((v as usize) < self.len);
-        &mut *self.ptr.add(v as usize)
-    }
-}
-
-/// [`RankSet`] behind an `UnsafeCell` so the coordinator can reload it
-/// between hops while workers hold shared references during levels.
-struct SyncRankSet(UnsafeCell<RankSet>);
-
-// SAFETY: reloaded only by the coordinator while the pool is parked;
-// workers only read it during a level.
-unsafe impl Sync for SyncRankSet {}
-
-/// One level's worth of parallel work: scan `frontier`, append rank
-/// `r` to survivors on `side`. `word` is the hop's own reach mask on
-/// that side (`B(h)` reverse, `F(h)` forward). The frontier buffer
-/// lives on the coordinator's stack and is stable for the job's
-/// lifetime.
-#[derive(Copy, Clone)]
-struct LevelJob {
-    side: Side,
-    r: u32,
-    word: u64,
-    frontier: *const VertexId,
-    frontier_len: usize,
-}
-
-// SAFETY: the coordinator keeps the frontier buffer alive and
-// untouched until every worker has reported the job done.
-unsafe impl Send for LevelJob {}
-
-/// Latest published job plus the lifecycle flags workers watch.
-struct JobSlot {
-    /// Bumped on every publication; workers compare-and-sleep on it.
-    seq: u64,
-    /// Terminates the pool.
-    stop: bool,
-    job: Option<LevelJob>,
-}
-
-/// Everything the coordinator and the pool share: the graph, the
-/// reach masks, both label sides, both per-hop snapshots, the visited
-/// set, job dispatch, the chunk cursor, the gathered next frontier,
-/// and completion tracking.
-struct Engine<'g> {
-    g: &'g DiGraph,
-    masks: &'g ReachMasks,
-    out: SharedLists,
-    in_: SharedLists,
-    members_rev: SyncRankSet,
-    members_fwd: SyncRankSet,
-    visited: AtomicVisited,
-    job: Mutex<JobSlot>,
-    job_cv: Condvar,
-    done: Mutex<usize>,
-    done_cv: Condvar,
-    cursor: AtomicUsize,
-    next: Mutex<Vec<VertexId>>,
-}
-
-/// Rank-bitmap engine: level-synchronous BFS from every hop of rank ≥
-/// [`TOP_HOPS`], where large frontiers are split into [`CHUNK`]-sized
-/// ranges pulled from a shared atomic cursor by `threads − 1`
-/// long-lived scoped workers (plus the coordinator itself). Small
-/// frontiers — the common case on pruned hops, and every frontier at
-/// `threads == 1` — are scanned inline without waking the pool. With a
-/// trace, each distributed hop (both BFS sides) lands in the trace's
-/// per-hop histogram.
-fn build_chunked(
+/// The hop loop: for every hop of rank ≥ [`TOP_HOPS`], a reverse pruned
+/// BFS appending its rank to `L_out`, then a forward one appending to
+/// `L_in`, each tested against a snapshot of the hop's own opposite
+/// list taken as the side starts — the paper's order. With a trace,
+/// each hop (both sides) lands in the trace's per-hop histogram.
+fn distribute(
     dag: &Dag,
     order: &[VertexId],
     masks: &ReachMasks,
-    threads: usize,
     trace: Option<&BuildTrace>,
 ) -> LabelingBuilder {
     let n = dag.num_vertices();
-    let mut out: Vec<Vec<u32>> = vec![Vec::new(); n];
-    let mut in_: Vec<Vec<u32>> = vec![Vec::new(); n];
-    let workers = threads.saturating_sub(1);
-    {
-        let engine = Engine {
-            g: dag.graph(),
-            masks,
-            out: SharedLists::new(&mut out),
-            in_: SharedLists::new(&mut in_),
-            members_rev: SyncRankSet(UnsafeCell::new(RankSet::new(n))),
-            members_fwd: SyncRankSet(UnsafeCell::new(RankSet::new(n))),
-            visited: AtomicVisited::new(n),
-            job: Mutex::new(JobSlot {
-                seq: 0,
-                stop: false,
-                job: None,
-            }),
-            job_cv: Condvar::new(),
-            done: Mutex::new(0),
-            done_cv: Condvar::new(),
-            cursor: AtomicUsize::new(0),
-            next: Mutex::new(Vec::new()),
-        };
-        std::thread::scope(|s| {
-            for _ in 0..workers {
-                s.spawn(|| engine.worker_loop());
-            }
-            engine.run_hops(order, workers, trace);
-            engine.job.lock().expect("job lock").stop = true;
-            engine.job_cv.notify_all();
-        });
+    let g = dag.graph();
+    let mut lists = LabelingBuilder::new(n);
+    let mut members = EpochSet::new(n);
+    let mut bfs = PrunedBfs {
+        visited: EpochSet::new(n),
+        queue: Vec::new(),
+    };
+    for (rank, &h) in order.iter().enumerate().skip(TOP_HOPS) {
+        let hop_started = trace.map(|_| std::time::Instant::now());
+        let r = rank as u32;
+        // Reverse: `u` reaches the hop through a top hop iff
+        // `F(u) & B(h) ≠ 0`. A zero hop word (no top hop on this side
+        // of the hop, the common case on sparse graphs) skips the mask
+        // load.
+        members.load(&lists.in_[h as usize]);
+        let word = masks.in_[h as usize];
+        bfs.run(
+            h,
+            r,
+            &mut lists.out,
+            |u, list| (word != 0 && masks.out[u as usize] & word != 0) || members.intersects(list),
+            |u| g.in_neighbors(u),
+        );
+        // Forward: the hop reaches `w` through a top hop iff
+        // `F(h) & B(w) ≠ 0`.
+        members.load(&lists.out[h as usize]);
+        let word = masks.out[h as usize];
+        bfs.run(
+            h,
+            r,
+            &mut lists.in_,
+            |w, list| (word != 0 && masks.in_[w as usize] & word != 0) || members.intersects(list),
+            |w| g.out_neighbors(w),
+        );
+        if let (Some(t), Some(started)) = (trace, hop_started) {
+            t.record_hop(started.elapsed().as_nanos() as u64);
+        }
     }
-    LabelingBuilder { out, in_ }
+    lists
 }
 
-impl Engine<'_> {
-    /// The coordinator body of [`build_chunked`]: the per-hop loop.
-    fn run_hops(&self, order: &[VertexId], workers: usize, trace: Option<&BuildTrace>) {
-        let mut frontier: Vec<VertexId> = Vec::new();
-        let mut next: Vec<VertexId> = Vec::new();
-        for (rank, &vi) in order.iter().enumerate().skip(TOP_HOPS) {
-            let hop_started = trace.map(|_| std::time::Instant::now());
-            let r = rank as u32;
-            // Hop-start snapshots for both sides (see the timing note
-            // above). SAFETY: the pool is parked between levels, so no
-            // worker holds a snapshot or a label cell.
-            unsafe {
-                (*self.members_rev.0.get()).load(self.in_.cell(vi));
-                (*self.members_fwd.0.get()).load(self.out.cell(vi));
-            }
-            for side in [Side::Reverse, Side::Forward] {
-                let word = match side {
-                    Side::Reverse => self.masks.in_[vi as usize],
-                    Side::Forward => self.masks.out[vi as usize],
-                };
-                self.visited.next_epoch();
-                let claimed = self.visited.claim::<true>(vi);
-                debug_assert!(claimed, "fresh epoch cannot have claimed vi");
-                frontier.clear();
-                frontier.push(vi);
-                while !frontier.is_empty() {
-                    next.clear();
-                    if workers == 0 || frontier.len() < PAR_FRONTIER_MIN {
-                        self.scan::<true>(side, r, word, &frontier, &mut next);
-                    } else {
-                        let job = LevelJob {
-                            side,
-                            r,
-                            word,
-                            frontier: frontier.as_ptr(),
-                            frontier_len: frontier.len(),
-                        };
-                        self.run_level_parallel(&job, workers, &mut next);
-                    }
-                    std::mem::swap(&mut frontier, &mut next);
-                }
-            }
-            if let (Some(t), Some(started)) = (trace, hop_started) {
-                t.record_hop(started.elapsed().as_nanos() as u64);
-            }
-        }
-    }
+/// One side of one hop's distribution, with its scratch kept across
+/// hops.
+struct PrunedBfs {
+    visited: EpochSet,
+    queue: Vec<VertexId>,
+}
 
-    /// Scans one slice of a level's frontier on `side`: prune-test each
-    /// vertex against the hop's mask `word` and the hop-start snapshot,
-    /// append `r` to survivors, claim-and-collect their unvisited
-    /// neighbors into `discovered`. `PARKED` selects the claim mode
-    /// ([`AtomicVisited::claim`]).
-    #[inline]
-    fn scan<const PARKED: bool>(
-        &self,
-        side: Side,
+impl PrunedBfs {
+    /// BFS from hop `h` over `neighbors`: every popped vertex `u` with
+    /// `!pruned(u, lists[u])` gets rank `r` appended and its unvisited
+    /// neighbors queued; a pruned vertex is not expanded.
+    fn run<'g>(
+        &mut self,
+        h: VertexId,
         r: u32,
-        word: u64,
-        frontier: &[VertexId],
-        discovered: &mut Vec<VertexId>,
+        lists: &mut [Vec<u32>],
+        pruned: impl Fn(VertexId, &[u32]) -> bool,
+        neighbors: impl Fn(VertexId) -> &'g [VertexId],
     ) {
-        let g = self.g;
-        // SAFETY (snapshots): reloaded only while the pool is parked.
-        // Reverse: `u` reaches the hop through a top hop iff
-        // `F(u) & B(h) ≠ 0`; forward: `F(h) & B(w) ≠ 0`.
-        match side {
-            Side::Reverse => self.scan_side::<PARKED>(
-                frontier,
-                r,
-                &self.masks.out,
-                word,
-                &self.out,
-                unsafe { &*self.members_rev.0.get() },
-                |u| g.in_neighbors(u),
-                discovered,
-            ),
-            Side::Forward => self.scan_side::<PARKED>(
-                frontier,
-                r,
-                &self.masks.in_,
-                word,
-                &self.in_,
-                unsafe { &*self.members_fwd.0.get() },
-                |w| g.out_neighbors(w),
-                discovered,
-            ),
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    #[inline]
-    fn scan_side<'a, const PARKED: bool>(
-        &self,
-        frontier: &[VertexId],
-        r: u32,
-        masks: &[u64],
-        word: u64,
-        lists: &SharedLists,
-        members: &RankSet,
-        neighbors: impl Fn(VertexId) -> &'a [VertexId],
-        discovered: &mut Vec<VertexId>,
-    ) {
-        for &u in frontier {
-            // A zero hop word (no top hop on this side of the hop, the
-            // common case on sparse graphs) skips the mask load.
-            if word != 0 && masks[u as usize] & word != 0 {
-                continue;
-            }
-            // SAFETY: `u` appears exactly once in this level's frontier
-            // and the chunks partition it.
-            let list = unsafe { lists.cell(u) };
-            if members.intersects(list) {
+        self.visited.clear();
+        self.visited.insert(h);
+        self.queue.clear();
+        self.queue.push(h);
+        let mut head = 0;
+        while let Some(&u) = self.queue.get(head) {
+            head += 1;
+            let list = &mut lists[u as usize];
+            if pruned(u, list) {
                 continue;
             }
             list.push(r);
             for &w in neighbors(u) {
-                if self.visited.claim::<PARKED>(w) {
-                    discovered.push(w);
+                if self.visited.insert(w) {
+                    self.queue.push(w);
                 }
             }
         }
-    }
-
-    /// Claims chunks from the shared cursor until the frontier is
-    /// exhausted, collecting discovered vertices into `local`.
-    fn drain_chunks(&self, job: &LevelJob, local: &mut Vec<VertexId>) {
-        // SAFETY: the coordinator keeps the frontier buffer alive and
-        // untouched until every participant reported done.
-        let frontier = unsafe { std::slice::from_raw_parts(job.frontier, job.frontier_len) };
-        loop {
-            let start = self.cursor.fetch_add(CHUNK, Ordering::Relaxed);
-            if start >= frontier.len() {
-                return;
-            }
-            let chunk = &frontier[start..(start + CHUNK).min(frontier.len())];
-            self.scan::<false>(job.side, job.r, job.word, chunk, local);
-        }
-    }
-
-    /// A pool worker: sleep until a new job (or stop) is published,
-    /// drain chunks, hand discovered vertices to the shared next
-    /// frontier, report done.
-    fn worker_loop(&self) {
-        let mut last_seen = 0u64;
-        let mut local: Vec<VertexId> = Vec::new();
-        loop {
-            let job = {
-                let mut slot = self.job.lock().expect("job lock");
-                loop {
-                    if slot.stop {
-                        return;
-                    }
-                    if slot.seq != last_seen {
-                        break;
-                    }
-                    slot = self.job_cv.wait(slot).expect("job wait");
-                }
-                last_seen = slot.seq;
-                slot.job.expect("seq bumped with a job published")
-            };
-            self.drain_chunks(&job, &mut local);
-            if !local.is_empty() {
-                self.next.lock().expect("next lock").append(&mut local);
-            }
-            *self.done.lock().expect("done lock") += 1;
-            // Only the coordinator waits on this; notify_one suffices.
-            self.done_cv.notify_one();
-        }
-    }
-
-    /// Fans one big level out over the pool: publish the job,
-    /// participate in the chunk scan, wait for every worker (the level
-    /// barrier), gather the next frontier.
-    fn run_level_parallel(&self, job: &LevelJob, workers: usize, next: &mut Vec<VertexId>) {
-        self.cursor.store(0, Ordering::Relaxed);
-        *self.done.lock().expect("done lock") = 0;
-        {
-            let mut slot = self.job.lock().expect("job lock");
-            slot.seq += 1;
-            slot.job = Some(*job);
-        }
-        self.job_cv.notify_all();
-        self.drain_chunks(job, next);
-        let mut done = self.done.lock().expect("done lock");
-        while *done < workers {
-            done = self.done_cv.wait(done).expect("done wait");
-        }
-        drop(done);
-        next.append(&mut self.next.lock().expect("next lock"));
     }
 }
 
@@ -837,7 +445,7 @@ mod tests {
                 OrderKind::CoverSize,
             ] {
                 let what = format!("{order:?}, random_dag seed {seed}");
-                let dl = assert_matches_reference(&dag, order, 2, &what);
+                let dl = assert_matches_reference(&dag, order, &what);
                 assert!(dl.labeling().total_entries() > 0, "{what}");
                 traversal::assert_matches_bfs(dag.graph(), &what, |u, v| dl.query(u, v));
             }
@@ -981,9 +589,8 @@ mod tests {
 
     /// The paper-literal Algorithm 2: one BFS per hop and side, with a
     /// full sorted-merge prune test on every pop. The engine must emit
-    /// exactly these lists minus their rank < [`TOP_HOPS`] entries at
-    /// every width, and [`DistributionLabeling::full_labels`] exactly
-    /// these lists.
+    /// exactly these lists minus their rank < [`TOP_HOPS`] entries, and
+    /// [`DistributionLabeling::full_labels`] exactly these lists.
     fn sorted_merge_reference(dag: &Dag, order: &[VertexId]) -> LabelingBuilder {
         fn distribute<'g>(
             side: &mut [Vec<u32>],
@@ -1031,26 +638,14 @@ mod tests {
         b
     }
 
-    /// Builds with `kind` at `threads` and asserts the order, every
-    /// stored list (the reference's with ranks < [`TOP_HOPS`] removed)
-    /// and every full label list are byte-identical to
-    /// [`sorted_merge_reference`].
-    fn assert_matches_reference(
-        dag: &Dag,
-        kind: OrderKind,
-        threads: usize,
-        what: &str,
-    ) -> DistributionLabeling {
+    /// Builds with `kind` and asserts the order, every stored list (the
+    /// reference's with ranks < [`TOP_HOPS`] removed) and every full
+    /// label list are byte-identical to [`sorted_merge_reference`].
+    fn assert_matches_reference(dag: &Dag, kind: OrderKind, what: &str) -> DistributionLabeling {
         let order = kind.compute(dag);
         let reference = sorted_merge_reference(dag, &order);
-        let dl = DistributionLabeling::build(
-            dag,
-            &DlConfig {
-                order: kind,
-                parallelism: Parallelism::Threads(threads),
-            },
-        );
-        assert_eq!(dl.order(), &order[..], "{what}, t={threads}");
+        let dl = DistributionLabeling::build(dag, &DlConfig { order: kind });
+        assert_eq!(dl.order(), &order[..], "{what}");
         let trimmed = |list: &[u32]| -> Vec<u32> {
             list.iter()
                 .copied()
@@ -1063,29 +658,22 @@ mod tests {
             assert_eq!(
                 dl.labeling().out_label(v),
                 trimmed(want_out),
-                "{what}, t={threads}, L_out({v})"
+                "{what}, L_out({v})"
             );
             assert_eq!(
                 dl.labeling().in_label(v),
                 trimmed(want_in),
-                "{what}, t={threads}, L_in({v})"
+                "{what}, L_in({v})"
             );
-            assert_eq!(
-                &full.out[v as usize], want_out,
-                "{what}, t={threads}, full L_out({v})"
-            );
-            assert_eq!(
-                &full.in_[v as usize], want_in,
-                "{what}, t={threads}, full L_in({v})"
-            );
+            assert_eq!(&full.out[v as usize], want_out, "{what}, full L_out({v})");
+            assert_eq!(&full.in_[v as usize], want_in, "{what}, full L_in({v})");
         }
         dl
     }
 
     /// [`TOP_HOPS`] stars of 25 + 25 private leaves (degree product
     /// 676) ahead of a 600-wide fan `w → mids → s` (product 601): the
-    /// first distributed hops have levels wide enough
-    /// (≥ PAR_FRONTIER_MIN) to wake the pool.
+    /// first distributed hops run BFS levels of 600 vertices.
     fn wide_fan_behind_top_hops() -> Dag {
         let mut edges = Vec::new();
         let mut next = TOP_HOPS as VertexId;
@@ -1104,12 +692,11 @@ mod tests {
         Dag::from_edges(s as usize + 601, &edges).unwrap()
     }
 
-    /// The identity matrix: widths {1, 2, 3, 4, 8} emit the reference's
-    /// labels byte for byte, on the random, power-law and tree families,
-    /// on graphs both larger and smaller than the chunk size
-    /// (CHUNK = 256 frontier entries), and every answer matches BFS.
+    /// The engine emits the reference's labels byte for byte on the
+    /// random, power-law and tree families, on a wide fan and on graphs
+    /// of 80 vertices, and every answer matches BFS.
     #[test]
-    fn chunked_engine_byte_identical_across_thread_matrix() {
+    fn engine_byte_identical_to_sorted_merge_reference() {
         let mut graphs = vec![
             (wide_fan_behind_top_hops(), "wide fan behind the top hops"),
             (gen::random_dag(600, 2_400, 5), "random 600"),
@@ -1117,71 +704,57 @@ mod tests {
             (gen::tree_plus_dag(500, 60, 8), "tree 500"),
         ];
         for seed in 0..4 {
-            graphs.push((gen::random_dag(80, 240, seed), "random 80 (sub-chunk)"));
+            graphs.push((gen::random_dag(80, 240, seed), "random 80"));
             graphs.push((gen::power_law_dag(80, 240, seed), "power-law 80"));
             graphs.push((gen::tree_plus_dag(80, 20, seed), "tree 80"));
         }
         for (dag, what) in &graphs {
-            for threads in [1usize, 2, 3, 4, 8] {
-                let dl = assert_matches_reference(dag, OrderKind::DegProduct, threads, what);
-                let what = format!("{what}, t={threads}");
-                traversal::assert_matches_bfs(dag.graph(), &what, |u, v| dl.query(u, v));
-            }
+            let dl = assert_matches_reference(dag, OrderKind::DegProduct, what);
+            traversal::assert_matches_bfs(dag.graph(), what, |u, v| dl.query(u, v));
         }
     }
 
     /// The engine must also hold on degenerate shapes where one side's
-    /// BFS is empty or the whole graph is edge-free — all far smaller
-    /// than one chunk.
+    /// BFS is empty or the whole graph is edge-free.
     #[test]
-    fn chunked_engine_handles_degenerate_graphs() {
+    fn engine_handles_degenerate_graphs() {
         for dag in [
             Dag::from_edges(0, &[]).unwrap(),
             Dag::from_edges(1, &[]).unwrap(),
             Dag::from_edges(5, &[]).unwrap(),
             Dag::from_edges(4, &[(0, 1), (1, 2), (2, 3)]).unwrap(),
         ] {
-            for threads in [1usize, 2, 8] {
-                let dl =
-                    assert_matches_reference(&dag, OrderKind::DegProduct, threads, "degenerate");
-                let what = format!("degenerate n={}, t={threads}", dag.num_vertices());
-                traversal::assert_matches_bfs(dag.graph(), &what, |u, v| dl.query(u, v));
-            }
+            let what = format!("degenerate n={}", dag.num_vertices());
+            let dl = assert_matches_reference(&dag, OrderKind::DegProduct, &what);
+            traversal::assert_matches_bfs(dag.graph(), &what, |u, v| dl.query(u, v));
         }
     }
 
     /// Tracing must be an observer: a traced build emits exactly the
     /// labels of the untraced one, records the expected spans, and
     /// records one per-hop sample per distributed hop (every vertex
-    /// past the top hops) at every width.
+    /// past the top hops).
     #[test]
     fn traced_build_is_label_identical_and_records_spans() {
         use crate::metrics::BuildTrace;
         let dag = gen::random_dag(120, 360, 9);
         let plain = DistributionLabeling::build(&dag, &DlConfig::default());
-        for threads in [1usize, 4] {
-            let trace = BuildTrace::new();
-            let cfg = DlConfig {
-                parallelism: Parallelism::Threads(threads),
-                ..DlConfig::default()
-            };
-            let traced = DistributionLabeling::build_traced(&dag, &cfg, Some(&trace));
-            assert_eq!(traced.order(), plain.order());
-            for v in 0..dag.num_vertices() as VertexId {
-                assert_eq!(
-                    traced.labeling().out_label(v),
-                    plain.labeling().out_label(v)
-                );
-                assert_eq!(traced.labeling().in_label(v), plain.labeling().in_label(v));
-            }
-            let names: Vec<String> = trace.spans().iter().map(|s| s.name.clone()).collect();
-            assert_eq!(names, ["order", "distribute", "freeze"], "t={threads}");
+        let trace = BuildTrace::new();
+        let traced = DistributionLabeling::build_traced(&dag, &DlConfig::default(), Some(&trace));
+        assert_eq!(traced.order(), plain.order());
+        for v in 0..dag.num_vertices() as VertexId {
             assert_eq!(
-                trace.hop_snapshot().count(),
-                (dag.num_vertices() - TOP_HOPS) as u64,
-                "t={threads}"
+                traced.labeling().out_label(v),
+                plain.labeling().out_label(v)
             );
+            assert_eq!(traced.labeling().in_label(v), plain.labeling().in_label(v));
         }
+        let names: Vec<String> = trace.spans().iter().map(|s| s.name.clone()).collect();
+        assert_eq!(names, ["order", "distribute", "freeze"]);
+        assert_eq!(
+            trace.hop_snapshot().count(),
+            (dag.num_vertices() - TOP_HOPS) as u64
+        );
     }
 
     #[test]

@@ -143,7 +143,6 @@ impl HierarchicalLabeling {
                 &core.dag,
                 &DlConfig {
                     order: cfg.core_order,
-                    ..DlConfig::default()
                 },
             );
             let full = dl.full_labels();

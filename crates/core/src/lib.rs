@@ -51,7 +51,7 @@ pub mod store;
 pub mod wal;
 
 pub use backbone::Backbone;
-pub use distribution::{DistributionLabeling, DlConfig, Parallelism};
+pub use distribution::{DistributionLabeling, DlConfig};
 pub use dynamic::{DynamicOracle, MutationError, RebuildPlan, RebuiltIndex};
 pub use filter::{FilterVerdict, QueryFilters};
 pub use hierarchical::{CoreLabeler, HierarchicalLabeling, HlConfig};

@@ -10,7 +10,7 @@
 
 use std::sync::Arc;
 
-use hoplite::core::{par_query_batch_into, FilterVerdict, Parallelism, QueryTally};
+use hoplite::core::{par_query_batch_into, FilterVerdict, OrderKind, QueryTally};
 use hoplite::graph::gen::{self, Rng};
 use hoplite::graph::traversal;
 use hoplite::server::{Client, Registry, Server, ServerConfig};
@@ -82,21 +82,22 @@ fn filtered_unfiltered_and_bfs_agree_on_random_cyclic_digraphs() {
 
 #[test]
 fn every_build_engine_feeds_an_equivalent_oracle() {
-    let g = gen::random_digraph(70, 250, 99);
-    for parallelism in [
-        Parallelism::Auto,
-        Parallelism::Threads(1),
-        Parallelism::Threads(2),
-        Parallelism::Threads(8),
+    // Sparse enough to condense past the top hops, so every order's
+    // non-degree masks and label lists are exercised.
+    let g = gen::random_digraph(120, 160, 0xFADE);
+    for order in [
+        OrderKind::DegProduct,
+        OrderKind::DegSum,
+        OrderKind::Random(99),
+        OrderKind::Topological,
+        OrderKind::CoverSize,
     ] {
-        let oracle = Oracle::with_config(
-            &g,
-            &DlConfig {
-                parallelism,
-                ..DlConfig::default()
-            },
+        let oracle = Oracle::with_config(&g, &DlConfig { order });
+        assert!(
+            oracle.label_entries() > 0,
+            "{order:?}: lists past the top hops"
         );
-        check_entry_points(&g, &oracle, &format!("{parallelism:?}"));
+        check_entry_points(&g, &oracle, &format!("{order:?}"));
     }
 }
 

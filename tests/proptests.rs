@@ -124,7 +124,6 @@ proptest! {
     fn dl_complete_under_random_orders(dag in arb_dag(PAST_TOP_HOPS, 300), seed in 0u64..1000) {
         let dl = DistributionLabeling::build(&dag, &DlConfig {
             order: OrderKind::Random(seed),
-            ..DlConfig::default()
         });
         prop_assert!(dl.labeling().total_entries() > 0);
         let what = format!("DL, Random({seed}) order");

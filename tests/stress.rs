@@ -86,7 +86,6 @@ fn deep_path_sampled_verification() {
         &dag,
         &DlConfig {
             order: hoplite::OrderKind::Random(17),
-            ..DlConfig::default()
         },
     );
     // Random order behaves like randomized divide-and-conquer on a
@@ -130,7 +129,6 @@ fn dl_degree_order_degenerates_on_paths() {
         &dag,
         &DlConfig {
             order: hoplite::OrderKind::Random(3),
-            ..DlConfig::default()
         },
     );
     let (dq, rq) = (
