@@ -41,7 +41,7 @@ commands:
   smoke         fast non-timed sanity check (one dataset, one method)
   ablation      DL order / HL eps / core-labeler tables
   scarab-depth  recursive SCARAB study (§2.3's open option)
-  perf          hot-path JSON benchmark: build widths, query filters,
+  perf          hot-path JSON benchmark: DL build, query filters,
                 thread scaling, cold start, metrics overhead, a dynamic
                 stage, and a wire sweep (100/1k/10k connections on full
                 runs) plus an overload drill against a child server

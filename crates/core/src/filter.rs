@@ -10,7 +10,7 @@
 //! [`crate::parallel`], and (through the `Oracle`) the `hoplite-server`
 //! REACH/BATCH handlers.
 //!
-//! Four observations are precomputed in `O(n + m)` from the DAG and
+//! Three observations are precomputed in `O(n + m)` from the DAG and
 //! packed into one 32-byte `FilterRecord` per vertex:
 //!
 //! * **Topological levels** (negative cut): `u → v` implies
@@ -29,9 +29,10 @@
 //!   opposite root and child visit orders — pairs that slip through
 //!   one forest's intervals are usually caught by the other's, and
 //!   both live in the record already loaded.
-//! * **Degree-zero shortcuts** (negative cut): a sink source-side
-//!   (`N_out(u) = ∅`) reaches nothing but itself; a source target-side
-//!   (`N_in(v) = ∅`) is reached by nothing but itself.
+//!
+//! A degree-zero cut (a sink `u` or a source `v`) would add nothing:
+//! a source has level 0, so the level cut already fires for it, and a
+//! sink has `mpost = post`, so the min-post interval cut does.
 //!
 //! Every observation is *sound* in isolation, so [`QueryFilters::check`]
 //! may apply them in any order; the order below is tuned cheap-first.
@@ -55,8 +56,6 @@ pub enum FilterVerdict {
     LevelCut,
     /// Spanning-forest interval positive cut fired.
     TreeHit,
-    /// Degree-zero source/sink shortcut fired.
-    DegreeCut,
     /// GRAIL min-post interval negative cut fired.
     IntervalCut,
     /// No filter decided; the caller must run the label intersection.
@@ -69,9 +68,7 @@ impl FilterVerdict {
     pub fn decided(self) -> Option<bool> {
         match self {
             FilterVerdict::SameComponent | FilterVerdict::TreeHit => Some(true),
-            FilterVerdict::LevelCut | FilterVerdict::DegreeCut | FilterVerdict::IntervalCut => {
-                Some(false)
-            }
+            FilterVerdict::LevelCut | FilterVerdict::IntervalCut => Some(false),
             FilterVerdict::Fallthrough => None,
         }
     }
@@ -82,27 +79,20 @@ impl FilterVerdict {
             FilterVerdict::SameComponent => "same_component",
             FilterVerdict::LevelCut => "level_cut",
             FilterVerdict::TreeHit => "tree_hit",
-            FilterVerdict::DegreeCut => "degree_cut",
             FilterVerdict::IntervalCut => "interval_cut",
             FilterVerdict::Fallthrough => "fallthrough",
         }
     }
 
     /// All verdicts in [`QueryFilters::classify`] evaluation order.
-    pub const ALL: [FilterVerdict; 6] = [
+    pub const ALL: [FilterVerdict; 5] = [
         FilterVerdict::SameComponent,
         FilterVerdict::LevelCut,
         FilterVerdict::TreeHit,
-        FilterVerdict::DegreeCut,
         FilterVerdict::IntervalCut,
         FilterVerdict::Fallthrough,
     ];
 }
-
-/// [`FilterRecord::flags`] bit: `N_out(v) = ∅`.
-const FLAG_SINK: u32 = 1;
-/// [`FilterRecord::flags`] bit: `N_in(v) = ∅`.
-const FLAG_SOURCE: u32 = 2;
 
 /// Every per-vertex filter quantity packed into one 32-byte record
 /// (exactly half a cache line), so a query touches one line per side
@@ -128,8 +118,43 @@ pub(crate) struct FilterRecord {
     post2: u32,
     /// Minimum reachable postorder in the second forest.
     mpost2: u32,
-    /// [`FLAG_SINK`] | [`FLAG_SOURCE`].
-    flags: u32,
+    /// Reserved: written as 0 and never read. It keeps the record at
+    /// 32 bytes and the v4 `FILTREC` layout unchanged, so arenas that
+    /// hold older (degree-flag) values here still open.
+    reserved: u32,
+}
+
+impl FilterRecord {
+    /// Negative cut for `self = u`, `r = v`: `u → v` implies
+    /// `level(u) < level(v)`. Sound only for `u` and `v` in different
+    /// components — on a projected set same-SCC vertices share one
+    /// record, so [`QueryFilters::classify`] checks
+    /// [`Self::same_component`] before it reports this cut.
+    #[inline]
+    fn level_cut(&self, r: &FilterRecord) -> bool {
+        self.level >= r.level
+    }
+
+    /// Preorder numbers are unique per component, so equal `pre`
+    /// means the same component (on a projected set, the same SCC).
+    #[inline]
+    fn same_component(&self, r: &FilterRecord) -> bool {
+        self.pre == r.pre
+    }
+
+    /// Positive cut: `r` is a DFS-tree descendant of `self`, hence
+    /// reachable.
+    #[inline]
+    fn tree_hit(&self, r: &FilterRecord) -> bool {
+        self.pre <= r.pre && r.pre < self.pre_end
+    }
+
+    /// Negative cut: in either DFS forest, `r`'s GRAIL interval is not
+    /// contained in `self`'s, hence unreachable.
+    #[inline]
+    fn interval_cut(&self, r: &FilterRecord) -> bool {
+        r.mpost < self.mpost || r.post > self.post || r.mpost2 < self.mpost2 || r.post2 > self.post2
+    }
 }
 
 /// Byte size of one [`FilterRecord`] — eight `u32` fields, no padding.
@@ -233,7 +258,7 @@ fn min_reachable_post(dag: &Dag, post: &[u32]) -> Vec<u32> {
 /// let f = QueryFilters::build(&dag);
 /// assert_eq!(f.check(0, 2), Some(true));   // spanning-tree descendant
 /// assert_eq!(f.check(2, 0), Some(false));  // level cut
-/// assert_eq!(f.check(2, 3), Some(false));  // 2 is a sink
+/// assert_eq!(f.check(2, 3), Some(false));  // level cut (equal levels)
 /// # Ok::<(), hoplite_graph::GraphError>(())
 /// ```
 #[derive(Clone, Debug)]
@@ -251,7 +276,6 @@ impl QueryFilters {
     /// exactly.
     pub fn build(dag: &Dag) -> Self {
         let n = dag.num_vertices();
-        let g = dag.graph();
         let level = dag.longest_path_levels();
 
         let (pre, pre_end, post) = dfs_forest(dag, false);
@@ -270,8 +294,7 @@ impl QueryFilters {
                 mpost: mpost[v],
                 post2: post2[v],
                 mpost2: mpost2[v],
-                flags: (g.out_degree(v as VertexId) == 0) as u32 * FLAG_SINK
-                    + (g.in_degree(v as VertexId) == 0) as u32 * FLAG_SOURCE,
+                reserved: 0,
             })
             .collect::<Vec<_>>();
 
@@ -335,7 +358,7 @@ impl QueryFilters {
     }
 
     /// Footprint in 32-bit integers (the workspace's index-size unit):
-    /// eight per vertex (seven quantities plus the packed flag word).
+    /// eight per vertex (seven quantities plus the reserved word).
     pub fn size_in_integers(&self) -> u64 {
         8 * self.recs.len() as u64
     }
@@ -353,43 +376,6 @@ impl QueryFilters {
         crate::label::prefetch_index(&self.recs[..], v as usize);
     }
 
-    /// Negative cut: `true` ⇒ `u` does **not** reach `v` (`u ≠ v`).
-    ///
-    /// Sound on projected sets too: equal preorder numbers mean `u`
-    /// and `v` share an SCC (reachable), so the cut must not fire.
-    #[inline]
-    pub fn level_cut(&self, u: VertexId, v: VertexId) -> bool {
-        let (ru, rv) = (&self.recs[u as usize], &self.recs[v as usize]);
-        ru.level >= rv.level && ru.pre != rv.pre
-    }
-
-    /// Positive cut: `true` ⇒ `v` is a DFS-tree descendant of `u`,
-    /// hence reachable.
-    #[inline]
-    pub fn tree_hit(&self, u: VertexId, v: VertexId) -> bool {
-        let (ru, rv) = (&self.recs[u as usize], &self.recs[v as usize]);
-        ru.pre <= rv.pre && rv.pre < ru.pre_end
-    }
-
-    /// Negative cut: `true` ⇒ unreachable because `u` is a sink or `v`
-    /// is a source (`u ≠ v`).
-    ///
-    /// Sound on projected sets too: same-SCC pairs (equal preorder
-    /// numbers) are reachable, so the cut must not fire for them.
-    #[inline]
-    pub fn degree_cut(&self, u: VertexId, v: VertexId) -> bool {
-        let (ru, rv) = (&self.recs[u as usize], &self.recs[v as usize]);
-        ((ru.flags & FLAG_SINK) | (rv.flags & FLAG_SOURCE)) != 0 && ru.pre != rv.pre
-    }
-
-    /// Negative cut: `true` ⇒ in either DFS forest, the GRAIL interval
-    /// of `v` is not contained in `u`'s, hence unreachable.
-    #[inline]
-    pub fn interval_cut(&self, u: VertexId, v: VertexId) -> bool {
-        let (ru, rv) = (&self.recs[u as usize], &self.recs[v as usize]);
-        rv.mpost < ru.mpost || rv.post > ru.post || rv.mpost2 < ru.mpost2 || rv.post2 > ru.post2
-    }
-
     /// Runs the filter stack cheap-first and reports which layer
     /// decided. [`FilterVerdict::Fallthrough`] means the caller must
     /// run the label intersection.
@@ -402,24 +388,19 @@ impl QueryFilters {
             return FilterVerdict::SameComponent;
         }
         let (ru, rv) = (self.recs[u as usize], self.recs[v as usize]);
-        if ru.level >= rv.level {
-            // Preorder numbers are unique per component, so equal `pre`
-            // means `u` and `v` share an SCC (possible only on a
-            // projected set — see [`QueryFilters::project`]): reachable.
-            return if ru.pre == rv.pre {
+        if ru.level_cut(&rv) {
+            // Same-SCC pairs share a record, so they land here (only
+            // on a projected set — see [`QueryFilters::project`]).
+            return if ru.same_component(&rv) {
                 FilterVerdict::SameComponent
             } else {
                 FilterVerdict::LevelCut
             };
         }
-        if ru.pre <= rv.pre && rv.pre < ru.pre_end {
+        if ru.tree_hit(&rv) {
             return FilterVerdict::TreeHit;
         }
-        if ((ru.flags & FLAG_SINK) | (rv.flags & FLAG_SOURCE)) != 0 {
-            return FilterVerdict::DegreeCut;
-        }
-        if rv.mpost < ru.mpost || rv.post > ru.post || rv.mpost2 < ru.mpost2 || rv.post2 > ru.post2
-        {
+        if ru.interval_cut(&rv) {
             return FilterVerdict::IntervalCut;
         }
         FilterVerdict::Fallthrough
@@ -438,26 +419,33 @@ mod tests {
     use super::*;
     use hoplite_graph::{gen, traversal};
 
+    /// The DAG families the soundness tests run over.
+    fn random_dags(seed: u64) -> [Dag; 3] {
+        [
+            gen::random_dag(60, 180, seed),
+            gen::tree_plus_dag(60, 15, seed),
+            gen::power_law_dag(60, 180, seed),
+        ]
+    }
+
     /// Soundness: on arbitrary DAGs every decided verdict must agree
     /// with BFS ground truth, for every layer individually.
     #[test]
     fn every_layer_is_sound_on_random_dags() {
         for seed in 0..6 {
-            for dag in [
-                gen::random_dag(60, 180, seed),
-                gen::tree_plus_dag(60, 15, seed),
-                gen::power_law_dag(60, 180, seed),
-            ] {
+            for dag in random_dags(seed) {
                 let f = QueryFilters::build(&dag);
                 let n = dag.num_vertices() as VertexId;
                 for u in 0..n {
                     for v in 0..n {
                         let truth = traversal::reaches(dag.graph(), u, v);
+                        let (ru, rv) = (&f.recs[u as usize], &f.recs[v as usize]);
                         if u != v {
-                            if f.tree_hit(u, v) {
+                            assert!(!ru.same_component(rv), "({u},{v}) seed {seed}");
+                            if ru.tree_hit(rv) {
                                 assert!(truth, "tree_hit false positive ({u},{v}) seed {seed}");
                             }
-                            if f.level_cut(u, v) || f.degree_cut(u, v) || f.interval_cut(u, v) {
+                            if ru.level_cut(rv) || ru.interval_cut(rv) {
                                 assert!(!truth, "negative cut false ({u},{v}) seed {seed}");
                             }
                         }
@@ -483,20 +471,62 @@ mod tests {
         }
     }
 
+    /// Why there is no degree-zero cut: every pair whose `u` is a sink
+    /// or whose `v` is a source, in different components, is already
+    /// decided unreachable by the level cut or the interval cut. `dag`
+    /// is the condensation the records were built over, `comp_of` maps
+    /// the filter set's vertices onto it.
+    fn assert_degree_zero_pairs_are_cut(
+        f: &QueryFilters,
+        dag: &Dag,
+        comp_of: &[VertexId],
+        what: &str,
+    ) -> usize {
+        let g = dag.graph();
+        let n = f.num_vertices() as VertexId;
+        let mut checked = 0;
+        for u in 0..n {
+            for v in 0..n {
+                let (cu, cv) = (comp_of[u as usize], comp_of[v as usize]);
+                if cu == cv || (g.out_degree(cu) != 0 && g.in_degree(cv) != 0) {
+                    continue;
+                }
+                let verdict = f.classify(u, v);
+                assert!(
+                    matches!(
+                        verdict,
+                        FilterVerdict::LevelCut | FilterVerdict::IntervalCut
+                    ),
+                    "{what}: ({u},{v}) classified {verdict:?}"
+                );
+                checked += 1;
+            }
+        }
+        checked
+    }
+
     #[test]
-    fn degree_shortcuts_fire_on_sources_and_sinks() {
-        // 0 → 1, 2 isolated: 2 is both source and sink.
-        let dag = Dag::from_edges(3, &[(0, 1)]).unwrap();
-        let f = QueryFilters::build(&dag);
-        assert_eq!(f.check(1, 2), Some(false), "1 is a sink");
-        assert_eq!(f.check(2, 0), Some(false), "0 is a source");
-        assert_eq!(f.check(2, 2), Some(true), "reflexive");
-        assert!(f.degree_cut(1, 0));
+    fn sinks_and_sources_are_cut_by_level_or_interval() {
+        let mut checked = 0;
+        for seed in 0..6 {
+            for dag in random_dags(seed) {
+                let f = QueryFilters::build(&dag);
+                let identity: Vec<VertexId> = (0..dag.num_vertices() as VertexId).collect();
+                checked += assert_degree_zero_pairs_are_cut(&f, &dag, &identity, "dag");
+            }
+        }
+        for seed in 0..4u64 {
+            let g = gen::random_digraph(40, 60, 31 + seed);
+            let cond = Dag::condense(&g);
+            let proj = QueryFilters::build(&cond.dag).project(&cond.comp_of);
+            checked += assert_degree_zero_pairs_are_cut(&proj, &cond.dag, &cond.comp_of, "cyclic");
+        }
+        assert!(checked > 10_000, "only {checked} degree-zero pairs");
     }
 
     #[test]
     fn verdict_names_and_order_are_stable() {
-        assert_eq!(FilterVerdict::ALL.len(), 6);
+        assert_eq!(FilterVerdict::ALL.len(), 5);
         let names: Vec<&str> = FilterVerdict::ALL.iter().map(|v| v.name()).collect();
         assert_eq!(
             names,
@@ -504,7 +534,6 @@ mod tests {
                 "same_component",
                 "level_cut",
                 "tree_hit",
-                "degree_cut",
                 "interval_cut",
                 "fallthrough"
             ]

@@ -856,6 +856,36 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
+    /// The filter record's last word is reserved: arenas that still
+    /// carry the old degree flags there (sink = 1, source = 2) open and
+    /// answer exactly like ones that hold 0.
+    #[test]
+    fn filter_records_ignore_the_reserved_word() {
+        let g = gen::random_digraph(60, 90, 95);
+        let o = Oracle::new(&g);
+        let mut buf = Vec::new();
+        o.save_arena(&mut buf).unwrap();
+        let (sections, _, _) = parse_arena_table(&buf, ARENA_VERSION).unwrap();
+        let i = sections.iter().position(|s| &s.tag == SEC_FILTREC).unwrap();
+        let s = &sections[i];
+        for rec in buf[s.offset..s.offset + s.len].chunks_exact_mut(FILTER_RECORD_BYTES) {
+            let reserved = &mut rec[FILTER_RECORD_BYTES - 4..];
+            assert_eq!(reserved, [0; 4], "the reserved word is written as 0");
+            reserved.copy_from_slice(&3u32.to_le_bytes());
+        }
+        // Re-seal the section, the table and the header checksums.
+        let sum = checksum(&buf[s.offset..s.offset + s.len]);
+        let entry = ARENA_HEADER_LEN + i * SECTION_ENTRY_LEN;
+        buf[entry + 24..entry + 32].copy_from_slice(&sum.to_le_bytes());
+        let table_end = ARENA_HEADER_LEN + sections.len() * SECTION_ENTRY_LEN;
+        let table_sum = checksum(&buf[ARENA_HEADER_LEN..table_end]);
+        buf[48..56].copy_from_slice(&table_sum.to_le_bytes());
+        let header_sum = checksum(&buf[..56]);
+        buf[56..64].copy_from_slice(&header_sum.to_le_bytes());
+        let o2 = Oracle::open_arena_bytes(&buf).unwrap();
+        traversal::assert_matches_bfs(&g, "flagged arena", |u, v| o2.reaches(u, v));
+    }
+
     #[test]
     fn empty_oracle_arena_roundtrips() {
         let g = hoplite_graph::DiGraph::empty(0);

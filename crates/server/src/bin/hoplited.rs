@@ -38,7 +38,7 @@ USAGE:
 
 SERVE:
     --listen ADDR          bind address, e.g. 127.0.0.1:7411 (port 0 = ephemeral)
-    --reactor              accepted and ignored: the epoll/kqueue reactor
+    --reactor              accepted and ignored: the epoll reactor (Linux)
                            is the only serving loop
     --batch-threads N      fan-out width for BATCH queries (default: cores, max 8)
     --frozen NAME=FILE     build a frozen namespace from a graph file

@@ -13,7 +13,7 @@
 //! namespaces — and a [`Server`] answers the length-prefixed binary
 //! protocol of [`protocol`]: `PING`, `REACH`, `BATCH`, `ADD_EDGE`,
 //! `REMOVE_EDGE`, `STATS`, `LIST`, `METRICS`. The server is one
-//! epoll/kqueue reactor thread that multiplexes 10k+ sockets and
+//! epoll reactor thread that multiplexes 10k+ sockets and
 //! coalesces the `REACH`/`BATCH` frames of every connection into one
 //! batch-kernel call per namespace per tick. Frozen labels are
 //! immutable, so the query fast path takes no lock; each coalesced
@@ -21,7 +21,7 @@
 //! before any label intersection and fans out through
 //! [`hoplite_core::parallel::par_query_batch_into`] exactly like the
 //! in-process [`hoplite_core::Oracle::reaches_batch_into`] API. Serving
-//! needs epoll or kqueue; elsewhere [`Server::bind`] fails with
+//! needs epoll (Linux); elsewhere [`Server::bind`] fails with
 //! `ErrorKind::Unsupported`.
 //!
 //! ## Quickstart
@@ -57,7 +57,7 @@ pub mod client;
 pub mod loadgen;
 pub mod obs;
 pub mod protocol;
-#[cfg(unix)]
+#[cfg(target_os = "linux")]
 mod reactor;
 pub mod registry;
 pub mod server;

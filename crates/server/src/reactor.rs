@@ -1,10 +1,9 @@
-//! The serving loop: one epoll/kqueue reactor thread multiplexing
-//! every connection, with cross-connection batch coalescing.
+//! The serving loop: one epoll reactor thread multiplexing every
+//! connection, with cross-connection batch coalescing. Linux only.
 //!
-//! A single thread owns *all* sockets through an OS readiness queue
-//! (`epoll(7)` on Linux, `kqueue(2)` on the BSDs/macOS — declared as a
-//! std-only `extern "C"` shim, the same pattern as the
-//! `hoplite_core::store` mmap shim), so 10k mostly-idle connections
+//! A single thread owns *all* sockets through `epoll(7)` — declared as
+//! a std-only `extern "C"` shim, the same pattern as the
+//! `hoplite_core::store` mmap shim — so 10k mostly-idle connections
 //! cost file descriptors and buffer bytes, not threads, and nobody is
 //! ever refused below the fd limit.
 //!

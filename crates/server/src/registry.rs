@@ -352,7 +352,7 @@ impl NamespaceHandle {
     /// Frozen namespaces answer through the full [`Oracle`] hot path
     /// ([`Oracle::reaches_tallied`]): the O(1) pre-filter stack
     /// ([`hoplite_core::QueryFilters`] — topological levels,
-    /// spanning-tree and GRAIL-style intervals, degree shortcuts)
+    /// spanning-tree and GRAIL-style intervals)
     /// decides most queries before the label intersection runs. The
     /// call is recorded like a [`Self::reach_batch_into`] call of one
     /// pair.

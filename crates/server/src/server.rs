@@ -1,4 +1,4 @@
-//! The TCP server: [`Server::bind`] starts the epoll/kqueue reactor
+//! The TCP server: [`Server::bind`] starts the epoll reactor
 //! (the private `reactor` module) on a background thread and hands back a
 //! [`ServerHandle`] that reports counters and shuts it down.
 //!
@@ -9,9 +9,8 @@
 //! get an `ERROR` reply and the connection stays usable (the length
 //! prefix already delimited the bad bytes); an oversized length prefix
 //! gets a final `ERROR` and the connection is closed, because framing
-//! can no longer be trusted. Serving needs a readiness backend (epoll
-//! or kqueue); elsewhere [`Server::bind`] fails with
-//! `ErrorKind::Unsupported`.
+//! can no longer be trusted. Serving needs epoll (Linux); elsewhere
+//! [`Server::bind`] fails with `ErrorKind::Unsupported`.
 
 use std::io;
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
@@ -22,7 +21,7 @@ use std::time::Duration;
 
 use crate::obs::ServerObs;
 use crate::protocol::{MetricsReport, MAX_FRAME_LEN};
-#[cfg(unix)]
+#[cfg(target_os = "linux")]
 use crate::reactor::spawn as spawn_reactor;
 use crate::registry::Registry;
 
@@ -120,8 +119,8 @@ pub(crate) struct ServerCounters {
     pub(crate) connections_reaped: AtomicU64,
 }
 
-/// Without epoll or kqueue there is no serving loop.
-#[cfg(not(unix))]
+/// Without epoll (Linux) there is no serving loop.
+#[cfg(not(target_os = "linux"))]
 fn spawn_reactor(
     _: TcpListener,
     _: Arc<Registry>,
@@ -132,7 +131,7 @@ fn spawn_reactor(
 ) -> io::Result<JoinHandle<()>> {
     Err(io::Error::new(
         io::ErrorKind::Unsupported,
-        "serving needs a readiness backend (epoll or kqueue)",
+        "serving needs epoll (Linux)",
     ))
 }
 

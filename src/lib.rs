@@ -42,7 +42,7 @@
 //! * [`hoplite_server`] (re-exported as [`server`]) — a
 //!   dependency-free TCP query service: length-prefixed binary wire
 //!   protocol, multi-namespace registry (frozen [`Oracle`] snapshots
-//!   and mutable [`hoplite_core::DynamicOracle`]s), an epoll/kqueue
+//!   and mutable [`hoplite_core::DynamicOracle`]s), an epoll (Linux)
 //!   reactor serving loop, a blocking client, and the `hoplited`
 //!   daemon.
 //!

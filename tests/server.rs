@@ -466,7 +466,7 @@ fn hoplited_refuses_a_v1_index_at_startup() {
     );
 }
 
-/// Edge cases of the epoll/kqueue reactor: partial frames, idle
+/// Edge cases of the epoll reactor: partial frames, idle
 /// sockets, write backpressure, a 1k-connection sweep against ground
 /// truth, and shutdown with a frame in flight.
 mod reactor {
