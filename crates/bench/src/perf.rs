@@ -25,7 +25,7 @@
 //! * `threads_N` — one per query width: the filtered batch throughput
 //!   at N threads, the thread-scaling curve; `scaling` holds the best
 //!   parallel width against one thread.
-//! * `cold_start` — the saved HOPL v4 arena opened read into the heap
+//! * `cold_start` — the saved HOPL v5 arena opened read into the heap
 //!   vs mapped: open times, and the share of the file each open copies
 //!   onto the heap.
 //! * `metrics_overhead` — what the served batch path's instrumentation
@@ -450,6 +450,7 @@ fn run_family(
         ("label_entries", oracle.label_entries() as f64),
         ("filter_integers", filters.size_in_integers() as f64),
         ("mask_bytes", oracle.inner().labeling().mask_bytes() as f64),
+        ("mask_hops", oracle.inner().labeling().mask_hops() as f64),
         ("build_ms", build_ms),
         ("queries", q),
         ("threads", threads as f64),
@@ -515,7 +516,7 @@ fn run_scaling(oracle: &Oracle, pairs: &[(u32, u32)], reachable: f64) -> Vec<Sta
     stages
 }
 
-/// The `cold_start` stage: persist the built index as a HOPL v4 arena,
+/// The `cold_start` stage: persist the built index as a HOPL v5 arena,
 /// drop every in-memory structure, and time opening it read into the
 /// heap (`mmap: false`) and mapped, verified and unverified. Beside the
 /// times it reports what each open put on the heap as a share of the
@@ -610,18 +611,18 @@ fn served_instrumentation() -> impl FnMut(&QueryTally) {
 /// (normally [`served_instrumentation`]) as a share of one
 /// [`KERNEL_CALL_PAIRS`]-pair [`Oracle::reaches_batch_into`] call on
 /// the same index. `instrument` runs `iters` times in a tight loop on a
-/// real call's tally; the kernel time is the best round's mean over
-/// every full chunk of `pairs`. Timing the instrumentation directly,
-/// rather than racing an instrumented loop against a plain one,
-/// resolves a cost far below the noise of two kernel loops on a shared
-/// host. The per-pair tally the kernel keeps is inside the kernel time,
-/// so this stage does not measure it.
+/// real call's tally and the stage's kernel time in ns, the best
+/// round's mean over every full chunk of `pairs`. Timing the
+/// instrumentation directly, rather than racing an instrumented loop
+/// against a plain one, resolves a cost far below the noise of two
+/// kernel loops on a shared host. The per-pair tally the kernel keeps
+/// is inside the kernel time, so this stage does not measure it.
 fn run_metrics_overhead(
     oracle: &Oracle,
     pairs: &[(u32, u32)],
     threads: usize,
     iters: u32,
-    mut instrument: impl FnMut(&QueryTally),
+    mut instrument: impl FnMut(&QueryTally, f64),
 ) -> Stage {
     let calls = pairs.len() / KERNEL_CALL_PAIRS;
     assert!(
@@ -644,7 +645,7 @@ fn run_metrics_overhead(
     }
     let started = Instant::now();
     for _ in 0..iters {
-        instrument(std::hint::black_box(&tally));
+        instrument(std::hint::black_box(&tally), kernel_ns);
     }
     let instrumentation_ns = started.elapsed().as_nanos() as f64 / f64::from(iters);
     Stage::new(
@@ -912,12 +913,13 @@ fn run_at(scale: &Scale, opts: &PerfOptions) -> PerfReport {
     }
     stages.extend(run_scaling(&oracle, &pairs, reachable));
     stages.push(run_cold_start(&oracle, &pairs, seed));
+    let mut served = served_instrumentation();
     stages.push(run_metrics_overhead(
         &oracle,
         &pairs,
         host_cores,
         INSTRUMENT_ITERS,
-        served_instrumentation(),
+        |tally, _| served(tally),
     ));
     let (dn, dm, mutations, threshold) = scale.dynamic;
     let readers = (host_cores - 1).clamp(1, scale.max_readers);
@@ -1357,17 +1359,16 @@ mod tests {
     }
 
     /// Instrumentation that also spins for 5% of a kernel call trips the
-    /// overhead gate.
+    /// overhead gate. The spin is calibrated against the kernel time the
+    /// same stage measured, so host load cannot shrink the ratio.
     #[test]
     fn injected_instrumentation_cost_trips_the_overhead_gate() {
         let dag = gen::random_dag(300, 1_200, 5);
         let (_, oracle, pairs) = run_family("random_dag", &dag, 5_000, 2, 5);
-        let real = run_metrics_overhead(&oracle, &pairs, 2, 1_000, served_instrumentation());
-        let kernel_ns = real.metric("kernel_call_ns");
-        let spin = std::time::Duration::from_nanos((kernel_ns * 0.05) as u64);
         let mut served = served_instrumentation();
-        let injected = run_metrics_overhead(&oracle, &pairs, 2, 200, |tally: &QueryTally| {
+        let injected = run_metrics_overhead(&oracle, &pairs, 2, 200, |tally, kernel_ns| {
             served(tally);
+            let spin = std::time::Duration::from_nanos((kernel_ns * 0.05).ceil() as u64);
             let started = Instant::now();
             while started.elapsed() < spin {}
         });

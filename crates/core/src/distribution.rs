@@ -17,22 +17,36 @@
 //!
 //! ### The top hops live in reach masks
 //!
-//! The [`TOP_HOPS`] highest-ranked hops are not distributed into the
-//! lists at all. One topological sweep per side records, for every
-//! vertex `c`, which of them `c` reaches (`F(c)`) and which reach `c`
-//! (`B(c)`) — see [`crate::label`]. Distribution then starts at rank
+//! The `K` highest-ranked hops are not kept in the lists. One
+//! topological sweep per side and mask word records, for every vertex
+//! `c`, which of them `c` reaches (`F(c)`) and which reach `c`
+//! (`B(c)`) — see [`crate::label`]. Distribution starts at rank
 //! [`TOP_HOPS`], so the 64 least-pruned BFS passes never run, and the
-//! lists keep exactly the paper's entries of rank ≥ [`TOP_HOPS`]:
+//! lists keep exactly the paper's entries of rank ≥ `K`:
 //!
 //! * a `u → v` path through a top hop shows as `F(u) & B(v) ≠ 0`;
-//! * otherwise the pair's highest-ranked witness has rank ≥
-//!   [`TOP_HOPS`] and is still in both lists.
+//! * otherwise the pair's highest-ranked witness has rank ≥ `K` and is
+//!   still in both lists.
 //!
 //! By the same argument a hop-`h` BFS prunes `u` on the reverse side
 //! when `F(u) & B(h) ≠ 0`, and `w` on the forward side when
 //! `F(h) & B(w) ≠ 0`, before its rank-set test.
 //! [`DistributionLabeling::full_labels`] restores the top hops' exact
 //! Algorithm 2 entries from the masks.
+//!
+//! ### How wide the masks are
+//!
+//! `K` starts at 64 and widens one band at a time, 64 → 128 → 256
+//! ([`crate::label::MAX_MASK_HOPS`]), while a band's list entries
+//! outnumber the mask integers it would add: `4·C` for ranks 64–127
+//! and `8·C` for ranks 128–255, over `C` vertices. The hop loop decides
+//! at each band's end, when every stored entry belongs to that band:
+//! if the band pays, its mask words are swept and every list is
+//! emptied, and pruning carries on against the wider masks. Index
+//! integers therefore never grow, and the lists left are the 64-hop
+//! build's minus the ranks the masks took. When no band widens, the
+//! rule costs one running entry count. Deep chains widen to 256;
+//! random and Kronecker DAGs stay at 64.
 //!
 //! ### Hop ids are ranks
 //!
@@ -57,8 +71,8 @@
 //! membership array: each test becomes `O(|L_out(u)|)` probes with O(1)
 //! lookups, and the epoch stamp makes the per-side reset O(1) instead of
 //! O(n). The emitted labels are byte-identical to the paper-literal
-//! per-pop sorted merge minus its rank < [`TOP_HOPS`] entries, enforced
-//! by tests against a test-only transcription of that loop.
+//! per-pop sorted merge minus its rank < `K` entries, enforced by tests
+//! against a test-only transcription of that loop at every `K`.
 //!
 //! The engine runs on one thread: past the mask-swept top hops, BFS
 //! levels wide enough to share out over threads (≥ 512 entries) hold 537
@@ -68,7 +82,7 @@
 
 use hoplite_graph::{Dag, VertexId};
 
-use crate::label::{Labeling, LabelingBuilder, ReachMasks, TOP_HOPS};
+use crate::label::{Labeling, LabelingBuilder, ReachMasks, MAX_MASK_HOPS, TOP_HOPS};
 use crate::metrics::BuildTrace;
 use crate::oracle::ReachIndex;
 use crate::order::OrderKind;
@@ -142,7 +156,7 @@ impl EpochSet {
 pub struct DistributionLabeling {
     labeling: Labeling,
     /// `order[r]` = vertex processed at rank `r`. A [`Store`] so a
-    /// HOPL v4 open addresses the persisted table in place.
+    /// HOPL v5 open addresses the persisted table in place.
     order: Store<u32>,
 }
 
@@ -201,8 +215,8 @@ impl DistributionLabeling {
             })
         });
         let engine = || {
-            let masks = ReachMasks::compute(dag, &order[..n.min(TOP_HOPS)]);
-            let lists = distribute(dag, &order, &masks, trace);
+            let mut masks = ReachMasks::compute(dag, &order[..n.min(TOP_HOPS)]);
+            let lists = distribute(dag, &order, &mut masks, trace);
             (lists, masks)
         };
         let (lists, masks) = match trace {
@@ -225,7 +239,7 @@ impl DistributionLabeling {
         &self.labeling
     }
 
-    /// Reassembles an oracle from persisted parts: a HOPL v4 open
+    /// Reassembles an oracle from persisted parts: a HOPL v5 open
     /// hands in the label stores and the mapped order table.
     pub(crate) fn from_parts(labeling: Labeling, order: impl Into<Store<u32>>) -> Self {
         DistributionLabeling {
@@ -263,25 +277,30 @@ impl DistributionLabeling {
         let l = &self.labeling;
         let n = l.num_vertices();
         let mut b = LabelingBuilder::new(n);
-        let top_entries = |own: u64, hop_mask: &dyn Fn(VertexId) -> u64| -> Vec<u32> {
+        let top_entries = |own: &[u64], hop_mask: fn(&Labeling, VertexId) -> &[u64]| -> Vec<u32> {
             let mut ranks = Vec::new();
-            let mut bits = own;
-            while bits != 0 {
-                let i = bits.trailing_zeros();
-                bits &= bits - 1;
-                let below = (1u64 << i) - 1;
-                if own & hop_mask(self.order[i as usize]) & below == 0 {
-                    ranks.push(i);
+            for (w, &word) in own.iter().enumerate() {
+                let mut bits = word;
+                while bits != 0 {
+                    let bit = bits.trailing_zeros();
+                    bits &= bits - 1;
+                    let i = 64 * w as u32 + bit;
+                    let hop = hop_mask(l, self.order[i as usize]);
+                    let between = own[..w].iter().zip(hop).any(|(a, b)| a & b != 0)
+                        || word & hop[w] & ((1u64 << bit) - 1) != 0;
+                    if !between {
+                        ranks.push(i);
+                    }
                 }
             }
             ranks
         };
         for c in 0..n as VertexId {
             let out = &mut b.out[c as usize];
-            *out = top_entries(l.out_mask(c), &|h| l.in_mask(h));
+            *out = top_entries(l.out_mask(c), Labeling::in_mask);
             out.extend_from_slice(l.out_label(c));
             let in_ = &mut b.in_[c as usize];
-            *in_ = top_entries(l.in_mask(c), &|h| l.out_mask(h));
+            *in_ = top_entries(l.in_mask(c), Labeling::out_mask);
             in_.extend_from_slice(l.in_label(c));
         }
         b
@@ -297,15 +316,49 @@ impl DistributionLabeling {
 // probe is sound for the same reason: it reads `u`'s own mask and the
 // hop's, both fixed before distribution starts.
 
+/// Whether a band of hops moves from the lists into the masks: its
+/// `entries` list entries against the `integers` its mask words add.
+#[cfg(not(test))]
+fn widens(_hops: usize, entries: u64, integers: u64) -> bool {
+    entries > integers
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Test seam: `Some(k)` widens every band that ends at or below
+    /// `k` hops and no other, whatever the band holds.
+    pub(crate) static FORCED_MASK_HOPS: std::cell::Cell<Option<usize>> =
+        const { std::cell::Cell::new(None) };
+}
+
+#[cfg(test)]
+fn widens(hops: usize, entries: u64, integers: u64) -> bool {
+    match FORCED_MASK_HOPS.get() {
+        Some(k) => hops <= k,
+        None => entries > integers,
+    }
+}
+
+/// `true` iff some word of `a & b` is nonzero.
+#[inline(always)]
+fn meets(a: &[u64], b: &[u64]) -> bool {
+    a.iter().zip(b).any(|(x, y)| x & y != 0)
+}
+
 /// The hop loop: for every hop of rank ≥ [`TOP_HOPS`], a reverse pruned
 /// BFS appending its rank to `L_out`, then a forward one appending to
 /// `L_in`, each tested against a snapshot of the hop's own opposite
 /// list taken as the side starts — the paper's order. With a trace,
 /// each hop (both sides) lands in the trace's per-hop histogram.
+///
+/// It also runs the widening rule (see the module docs): when the band
+/// `[K, 2K)` ends with every stored entry in it and those entries
+/// outnumber the `4 · (K / 64) · n` integers its mask words take, the
+/// band moves into `masks` and every list is emptied.
 fn distribute(
     dag: &Dag,
     order: &[VertexId],
-    masks: &ReachMasks,
+    masks: &mut ReachMasks,
     trace: Option<&BuildTrace>,
 ) -> LabelingBuilder {
     let n = dag.num_vertices();
@@ -316,33 +369,52 @@ fn distribute(
         visited: EpochSet::new(n),
         queue: Vec::new(),
     };
+    // Entries stored since the masks last widened, while the rule is
+    // still open: it stops at the first band that does not pay.
+    let mut entries = 0u64;
+    let mut widening = true;
     for (rank, &h) in order.iter().enumerate().skip(TOP_HOPS) {
         let hop_started = trace.map(|_| std::time::Instant::now());
         let r = rank as u32;
         // Reverse: `u` reaches the hop through a top hop iff
-        // `F(u) & B(h) ≠ 0`. A zero hop word (no top hop on this side
-        // of the hop, the common case on sparse graphs) skips the mask
-        // load.
+        // `F(u) & B(h) ≠ 0`. A zero hop record side (no top hop on
+        // this side of the hop, the common case on sparse graphs)
+        // skips the mask loads.
         members.load(&lists.in_[h as usize]);
-        let word = masks.in_[h as usize];
-        bfs.run(
+        let hop = masks.in_(h);
+        let any = hop.iter().any(|&w| w != 0);
+        entries += bfs.run(
             h,
             r,
             &mut lists.out,
-            |u, list| (word != 0 && masks.out[u as usize] & word != 0) || members.intersects(list),
+            |u, list| (any && meets(masks.out(u), hop)) || members.intersects(list),
             |u| g.in_neighbors(u),
         );
         // Forward: the hop reaches `w` through a top hop iff
         // `F(h) & B(w) ≠ 0`.
         members.load(&lists.out[h as usize]);
-        let word = masks.out[h as usize];
-        bfs.run(
+        let hop = masks.out(h);
+        let any = hop.iter().any(|&w| w != 0);
+        entries += bfs.run(
             h,
             r,
             &mut lists.in_,
-            |w, list| (word != 0 && masks.in_[w as usize] & word != 0) || members.intersects(list),
+            |w, list| (any && meets(masks.in_(w), hop)) || members.intersects(list),
             |w| g.out_neighbors(w),
         );
+        let k = masks.hops();
+        if widening && rank + 1 == 2 * k {
+            let integers = 4 * (k / 64) as u64 * n as u64;
+            widening = widens(2 * k, entries, integers);
+            if widening {
+                masks.widen(dag, &order[k..2 * k]);
+                for l in lists.out.iter_mut().chain(lists.in_.iter_mut()) {
+                    *l = Vec::new();
+                }
+                entries = 0;
+                widening = masks.hops() < MAX_MASK_HOPS;
+            }
+        }
         if let (Some(t), Some(started)) = (trace, hop_started) {
             t.record_hop(started.elapsed().as_nanos() as u64);
         }
@@ -360,7 +432,8 @@ struct PrunedBfs {
 impl PrunedBfs {
     /// BFS from hop `h` over `neighbors`: every popped vertex `u` with
     /// `!pruned(u, lists[u])` gets rank `r` appended and its unvisited
-    /// neighbors queued; a pruned vertex is not expanded.
+    /// neighbors queued; a pruned vertex is not expanded. Returns the
+    /// entries appended.
     fn run<'g>(
         &mut self,
         h: VertexId,
@@ -368,12 +441,12 @@ impl PrunedBfs {
         lists: &mut [Vec<u32>],
         pruned: impl Fn(VertexId, &[u32]) -> bool,
         neighbors: impl Fn(VertexId) -> &'g [VertexId],
-    ) {
+    ) -> u64 {
         self.visited.clear();
         self.visited.insert(h);
         self.queue.clear();
         self.queue.push(h);
-        let mut head = 0;
+        let (mut head, mut appended) = (0, 0);
         while let Some(&u) = self.queue.get(head) {
             head += 1;
             let list = &mut lists[u as usize];
@@ -381,12 +454,14 @@ impl PrunedBfs {
                 continue;
             }
             list.push(r);
+            appended += 1;
             for &w in neighbors(u) {
                 if self.visited.insert(w) {
                     self.queue.push(w);
                 }
             }
         }
+        appended
     }
 }
 
@@ -401,9 +476,9 @@ impl ReachIndex for DistributionLabeling {
 
     fn size_in_integers(&self) -> u64 {
         // Labels + offsets + the rank→vertex table + the reach masks
-        // (two u64 = four u32 per component): the masks hold the top
-        // hops' answers the lists no longer do.
-        self.labeling.size_in_integers() + 5 * self.order.len() as u64
+        // (K / 32 u32 per component): the masks hold the top hops'
+        // answers the lists no longer do.
+        self.labeling.size_in_integers() + self.order.len() as u64 + self.labeling.mask_bytes() / 4
     }
 }
 
@@ -445,7 +520,7 @@ mod tests {
                 OrderKind::CoverSize,
             ] {
                 let what = format!("{order:?}, random_dag seed {seed}");
-                let dl = assert_matches_reference(&dag, order, &what);
+                let dl = assert_matches_reference(&dag, order, None, &what);
                 assert!(dl.labeling().total_entries() > 0, "{what}");
                 traversal::assert_matches_bfs(dag.graph(), &what, |u, v| dl.query(u, v));
             }
@@ -481,16 +556,21 @@ mod tests {
         assert_eq!(dl.labeling().total_entries(), 0);
         assert_eq!(
             (dl.labeling().out_mask(0), dl.labeling().in_mask(0)),
-            (1, 1)
+            (&[1][..], &[1][..])
         );
         let full = dl.full_labels();
         assert_eq!((&full.out[0][..], &full.in_[0][..]), (&[0][..], &[0][..]));
     }
 
+    /// Bit `i` of a mask's words.
+    fn bit(words: &[u64], i: usize) -> bool {
+        words[i / 64] >> (i % 64) & 1 == 1
+    }
+
     /// `F` and `B` are exact: bit `i` of `F(c)` iff `c` reaches the
     /// rank-`i` hop, of `B(c)` iff that hop reaches `c` — on graphs
     /// smaller than [`TOP_HOPS`] (every vertex a top hop, every list
-    /// empty), around it, and larger.
+    /// empty), around it, and larger, and at every forced mask width.
     #[test]
     fn masks_match_bfs_on_small_dags() {
         let mut dags = vec![
@@ -498,27 +578,28 @@ mod tests {
             Dag::from_edges(1, &[]).unwrap(),
             Dag::from_edges(4, &[(0, 1), (1, 2), (2, 3)]).unwrap(),
         ];
-        for (n, seed) in [(20, 1), (63, 2), (64, 3), (65, 4), (150, 5)] {
+        for (n, seed) in [(20, 1), (63, 2), (64, 3), (65, 4), (150, 5), (300, 6)] {
             dags.push(gen::random_dag(n, 3 * n, seed));
         }
-        for dag in &dags {
+        for (dag, k) in dags.iter().flat_map(|d| [(d, 64), (d, 128), (d, 256)]) {
             let n = dag.num_vertices();
-            let dl = DistributionLabeling::build(dag, &DlConfig::default());
+            let dl = build_forcing(dag, OrderKind::DegProduct, k);
             let l = dl.labeling();
+            let k = l.mask_hops();
             for c in 0..n as VertexId {
-                for (i, &h) in dl.order().iter().take(TOP_HOPS).enumerate() {
-                    let what = format!("n={n}, c={c}, top hop {i} = {h}");
+                for (i, &h) in dl.order().iter().take(k).enumerate() {
+                    let what = format!("n={n}, K={k}, c={c}, top hop {i} = {h}");
                     let reaches = |a, b| traversal::reaches(dag.graph(), a, b);
-                    assert_eq!(l.out_mask(c) >> i & 1 == 1, reaches(c, h), "F: {what}");
-                    assert_eq!(l.in_mask(c) >> i & 1 == 1, reaches(h, c), "B: {what}");
+                    assert_eq!(bit(l.out_mask(c), i), reaches(c, h), "F: {what}");
+                    assert_eq!(bit(l.in_mask(c), i), reaches(h, c), "B: {what}");
                 }
             }
-            if n <= TOP_HOPS {
+            if n <= k {
                 assert_eq!(l.total_entries(), 0, "n={n}: every vertex is a top hop");
             }
             for c in 0..n as VertexId {
                 let mut stored = l.out_label(c).iter().chain(l.in_label(c));
-                assert!(stored.all(|&r| r as usize >= TOP_HOPS), "n={n}, c={c}");
+                assert!(stored.all(|&r| r as usize >= k), "n={n}, c={c}");
             }
             traversal::assert_matches_bfs(dag.graph(), &format!("masks, n={n}"), |u, v| {
                 dl.query(u, v)
@@ -589,7 +670,7 @@ mod tests {
 
     /// The paper-literal Algorithm 2: one BFS per hop and side, with a
     /// full sorted-merge prune test on every pop. The engine must emit
-    /// exactly these lists minus their rank < [`TOP_HOPS`] entries, and
+    /// exactly these lists minus their rank < `K` entries, and
     /// [`DistributionLabeling::full_labels`] exactly these lists.
     fn sorted_merge_reference(dag: &Dag, order: &[VertexId]) -> LabelingBuilder {
         fn distribute<'g>(
@@ -638,19 +719,36 @@ mod tests {
         b
     }
 
-    /// Builds with `kind` and asserts the order, every stored list (the
-    /// reference's with ranks < [`TOP_HOPS`] removed) and every full
-    /// label list are byte-identical to [`sorted_merge_reference`].
-    fn assert_matches_reference(dag: &Dag, kind: OrderKind, what: &str) -> DistributionLabeling {
+    /// Builds with `kind` under the widening rule, or with every band
+    /// up to `k` hops widened and none past it.
+    fn build_forcing(
+        dag: &Dag,
+        kind: OrderKind,
+        k: impl Into<Option<usize>>,
+    ) -> DistributionLabeling {
+        FORCED_MASK_HOPS.set(k.into());
+        let dl = DistributionLabeling::build(dag, &DlConfig { order: kind });
+        FORCED_MASK_HOPS.set(None);
+        dl
+    }
+
+    /// Builds with `kind` (at a forced mask width `k`, or by the rule)
+    /// and asserts the order, every stored list (the reference's with
+    /// ranks below the labeling's `K` removed) and every full label
+    /// list are byte-identical to [`sorted_merge_reference`].
+    fn assert_matches_reference(
+        dag: &Dag,
+        kind: OrderKind,
+        k: impl Into<Option<usize>>,
+        what: &str,
+    ) -> DistributionLabeling {
         let order = kind.compute(dag);
         let reference = sorted_merge_reference(dag, &order);
-        let dl = DistributionLabeling::build(dag, &DlConfig { order: kind });
+        let dl = build_forcing(dag, kind, k);
         assert_eq!(dl.order(), &order[..], "{what}");
+        let k = dl.labeling().mask_hops();
         let trimmed = |list: &[u32]| -> Vec<u32> {
-            list.iter()
-                .copied()
-                .filter(|&r| r as usize >= TOP_HOPS)
-                .collect()
+            list.iter().copied().filter(|&r| r as usize >= k).collect()
         };
         let full = dl.full_labels();
         for v in 0..dag.num_vertices() as VertexId {
@@ -693,8 +791,10 @@ mod tests {
     }
 
     /// The engine emits the reference's labels byte for byte on the
-    /// random, power-law and tree families, on a wide fan and on graphs
-    /// of 80 vertices, and every answer matches BFS.
+    /// random, power-law, tree and deep-chain families, on a wide fan
+    /// and on graphs of 80 vertices, at mask widths 64, 128 and 256
+    /// (lists are the reference's minus ranks below `K`), and every
+    /// answer matches BFS.
     #[test]
     fn engine_byte_identical_to_sorted_merge_reference() {
         let mut graphs = vec![
@@ -702,6 +802,7 @@ mod tests {
             (gen::random_dag(600, 2_400, 5), "random 600"),
             (gen::power_law_dag(300, 900, 7), "power-law 300"),
             (gen::tree_plus_dag(500, 60, 8), "tree 500"),
+            (gen::deep_chain_dag(700, 8, 120, 3), "deep chain 700"),
         ];
         for seed in 0..4 {
             graphs.push((gen::random_dag(80, 240, seed), "random 80"));
@@ -709,8 +810,72 @@ mod tests {
             graphs.push((gen::tree_plus_dag(80, 20, seed), "tree 80"));
         }
         for (dag, what) in &graphs {
-            let dl = assert_matches_reference(dag, OrderKind::DegProduct, what);
-            traversal::assert_matches_bfs(dag.graph(), what, |u, v| dl.query(u, v));
+            for k in [64, 128, 256] {
+                let what = format!("{what}, K = {k}");
+                let dl = assert_matches_reference(dag, OrderKind::DegProduct, k, &what);
+                if dag.num_vertices() >= k {
+                    assert_eq!(dl.labeling().mask_hops(), k, "{what}");
+                }
+                traversal::assert_matches_bfs(dag.graph(), &what, |u, v| dl.query(u, v));
+            }
+        }
+    }
+
+    /// The widening rule: a deep chain's bands hold more entries than
+    /// their mask words, so it widens to 256 hops; a random DAG's do
+    /// not, so it stays at 64. Either way the lists are the 64-hop
+    /// build's minus the ranks the masks took, the list entries plus
+    /// mask integers never exceed that build's, and sampled rows match
+    /// BFS.
+    #[test]
+    fn widening_rule_pays_for_itself() {
+        use hoplite_graph::traversal::{collect_reachable, Direction, TraversalScratch};
+        let size = |dl: &DistributionLabeling| {
+            let l = dl.labeling();
+            l.total_entries() + l.mask_bytes() / 4
+        };
+        for (dag, want, what) in [
+            (gen::deep_chain_dag(16_000, 64, 5_333, 7), 256, "deep chain"),
+            (gen::random_dag(2_000, 8_000, 7), 64, "random"),
+        ] {
+            let n = dag.num_vertices();
+            let ruled = build_forcing(&dag, OrderKind::DegProduct, None);
+            let narrow = build_forcing(&dag, OrderKind::DegProduct, 64);
+            let (l, l64) = (ruled.labeling(), narrow.labeling());
+            assert_eq!(l.mask_hops(), want, "{what}");
+            assert_eq!(l.mask_bytes(), (want / 4 * n) as u64, "{what}");
+            let trimmed = |list: &[u32]| -> Vec<u32> {
+                list.iter()
+                    .copied()
+                    .filter(|&r| r as usize >= want)
+                    .collect()
+            };
+            for v in 0..n as VertexId {
+                assert_eq!(
+                    l.out_label(v),
+                    trimmed(l64.out_label(v)),
+                    "{what}, L_out({v})"
+                );
+                assert_eq!(l.in_label(v), trimmed(l64.in_label(v)), "{what}, L_in({v})");
+            }
+            assert!(size(&ruled) <= size(&narrow), "{what}");
+            if want > 64 {
+                assert!(size(&ruled) < size(&narrow), "{what}");
+            }
+            let mut scratch = TraversalScratch::new(n);
+            for u in (0..n as VertexId).step_by(n / 40) {
+                let mut row = Vec::new();
+                collect_reachable(dag.graph(), u, Direction::Forward, &mut scratch, &mut row);
+                let mut reach = vec![false; n];
+                row.iter().for_each(|&w| reach[w as usize] = true);
+                for v in 0..n as VertexId {
+                    assert_eq!(
+                        ruled.query(u, v),
+                        reach[v as usize],
+                        "{what}: reach({u}, {v})"
+                    );
+                }
+            }
         }
     }
 
@@ -725,7 +890,7 @@ mod tests {
             Dag::from_edges(4, &[(0, 1), (1, 2), (2, 3)]).unwrap(),
         ] {
             let what = format!("degenerate n={}", dag.num_vertices());
-            let dl = assert_matches_reference(&dag, OrderKind::DegProduct, &what);
+            let dl = assert_matches_reference(&dag, OrderKind::DegProduct, None, &what);
             traversal::assert_matches_bfs(dag.graph(), &what, |u, v| dl.query(u, v));
         }
     }

@@ -118,9 +118,8 @@ pub(crate) struct FilterRecord {
     post2: u32,
     /// Minimum reachable postorder in the second forest.
     mpost2: u32,
-    /// Reserved: written as 0 and never read. It keeps the record at
-    /// 32 bytes and the v4 `FILTREC` layout unchanged, so arenas that
-    /// hold older (degree-flag) values here still open.
+    /// Reserved: written as 0 and never read (it held degree flags
+    /// before). It keeps the record at 32 bytes.
     reserved: u32,
 }
 
@@ -158,7 +157,7 @@ impl FilterRecord {
 }
 
 /// Byte size of one [`FilterRecord`] — eight `u32` fields, no padding.
-/// This is the unit the HOPL v4 `FILTREC` arena section is measured
+/// This is the unit the HOPL v5 `FILTREC` arena section is measured
 /// in; the const assertion below keeps the wire contract honest.
 pub(crate) const FILTER_RECORD_BYTES: usize = 32;
 const _: () = assert!(std::mem::size_of::<FilterRecord>() == FILTER_RECORD_BYTES);
@@ -301,7 +300,7 @@ impl QueryFilters {
         QueryFilters { recs: recs.into() }
     }
 
-    /// Wraps a store of records directly — the HOPL v4 arena path. The
+    /// Wraps a store of records directly — the HOPL v5 arena path. The
     /// 32-byte filter records are persisted verbatim, so a mapped open
     /// performs **no** filter recomputation (the expensive-to-derive /
     /// cheap-to-store trade O'Reach points out).
@@ -310,7 +309,7 @@ impl QueryFilters {
     }
 
     /// The records as raw little-endian bytes — the persistence
-    /// layer's view (written verbatim as the v4 `FILTREC` section).
+    /// layer's view (written verbatim as the v5 `FILTREC` section).
     pub(crate) fn record_bytes(&self) -> &[u8] {
         // SAFETY: `FilterRecord` is Pod (`repr(C)`, padding-free), so
         // viewing the slice as bytes is always defined.

@@ -264,7 +264,7 @@ impl ReachIndex for HierarchicalLabeling {
     }
 
     fn memory_bytes(&self) -> u64 {
-        // Include the 16 B/vertex reach-mask arrays the default
+        // Include the 16 B/vertex reach-mask records the default
         // 4·size_in_integers() knows nothing about (the complete lists
         // alone are the paper's index size; the masks only shortcut).
         self.labeling.memory().total()

@@ -14,29 +14,34 @@
 //!
 //! ### Top-hop reach masks
 //!
-//! On top of the CSR, [`Labeling`] keeps two exact 64-bit *reach masks*
-//! per vertex over the [`TOP_HOPS`] highest-ranked hops — O'Reach's
-//! supportive vertices (Hanauer, Schulz & Trummer) stored the way
-//! pruned landmark labeling stores its bit-parallel roots (Akiba,
-//! Iwata & Yoshida): bit `i` of `F(v)` is set iff `v` reaches top hop
-//! `i`, and bit `i` of `B(v)` iff top hop `i` reaches `v`.
-//! [`Labeling::query`] tests them before touching either list:
+//! On top of the CSR, [`Labeling`] keeps two exact *reach masks* per
+//! vertex over its `K` highest-ranked hops — O'Reach's supportive
+//! vertices (Hanauer, Schulz & Trummer) stored the way pruned landmark
+//! labeling stores its bit-parallel roots (Akiba, Iwata & Yoshida):
+//! bit `i` of `F(v)` is set iff `v` reaches top hop `i`, and bit `i`
+//! of `B(v)` iff top hop `i` reaches `v`. `K` is 64, 128 or 256
+//! ([`Labeling::mask_hops`]), so each mask is `W = K / 64` words, and
+//! a vertex's `F` and `B` words sit side by side in one record of
+//! `2·W` words — at 256 hops one 64-byte line. [`Labeling::query`]
+//! tests them before touching either list, word by word:
 //!
 //! * `F(u) & B(v) ≠ 0` — a top hop lies on a `u → v` path: reachable;
 //! * `B(u) & !B(v) ≠ 0` or `F(v) & !F(u) ≠ 0` — some top hop reaches
 //!   `u` but not `v`, or is reached from `v` but not from `u`:
 //!   unreachable.
 //!
-//! Both tests are exact for masks over *any* set of at most
-//! [`TOP_HOPS`] vertices, so every labeling carries them:
-//! Distribution-Labeling stores the masks *instead of* its 64 top hops'
-//! label entries (the masks hold answers the lists no longer do, so no
-//! query path may skip them), while labelings that keep full lists (HL,
-//! the 2HOP baseline) add masks over the DAG's [`TOP_HOPS`] highest
-//! degree products (DL's default order) as a pure O(1) shortcut. Pairs
-//! the masks leave open run a size-adaptive kernel: an 8-lane unrolled
-//! merge on near-equal list lengths, galloping
-//! ([`sorted_intersect_adaptive`]) on skewed ones.
+//! Both tests are exact for masks over *any* set of top hops, so exact
+//! masks never pass both, and the first word that passes one answers.
+//! Every labeling carries masks: Distribution-Labeling stores them
+//! *instead of* its top hops' label entries, at the width its
+//! widening rule picks (see [`crate::distribution`]; the masks hold
+//! answers the lists no longer do, so no query path may skip them),
+//! while labelings that keep full lists (HL, TF, the 2HOP baseline)
+//! add masks over the DAG's [`TOP_HOPS`] highest degree products (DL's
+//! default order) as a pure O(1) shortcut. Pairs the masks leave open
+//! run a size-adaptive kernel: an 8-lane unrolled merge on near-equal
+//! list lengths, galloping ([`sorted_intersect_adaptive`]) on skewed
+//! ones.
 
 use hoplite_graph::{Dag, VertexId};
 
@@ -191,48 +196,116 @@ fn prefetch_list(hops: &[u32], lo: usize, hi: usize) {
     }
 }
 
-/// Hops the reach masks cover: the `TOP_HOPS` highest-ranked, one bit
-/// each of a `u64`. Distribution-Labeling stores these hops in the
-/// masks and starts list distribution at rank `TOP_HOPS`.
+/// Hops every labeling's reach masks cover at least: one `u64` word
+/// per side. [`LabelingBuilder::finish`] (HL, TF, 2HOP) covers exactly
+/// these; Distribution-Labeling starts list distribution here and may
+/// widen its masks up to [`MAX_MASK_HOPS`] (see [`crate::distribution`]).
 pub const TOP_HOPS: usize = 64;
 
-/// The exact reach masks of every vertex over up to [`TOP_HOPS`] top
-/// hops: `out[v]` = `F(v)`, `in_[v]` = `B(v)` (see the module docs).
+/// The widest reach masks a labeling may carry: 256 hops, four words
+/// per side, so one component's `F`/`B` record is one 64-byte line.
+/// A format constant of HOPL v5, not a knob.
+pub const MAX_MASK_HOPS: usize = 256;
+
+/// Bits per mask word.
+const WORD_HOPS: usize = u64::BITS as usize;
+
+/// The exact reach masks of every vertex over `64 · words` top hops,
+/// one record of `2 · words` words per vertex: `F(v)`'s words, then
+/// `B(v)`'s (see the module docs). Bit `i % 64` of word `i / 64` stands
+/// for top hop `i`.
 pub(crate) struct ReachMasks {
-    pub(crate) out: Vec<u64>,
-    pub(crate) in_: Vec<u64>,
+    words: usize,
+    recs: Vec<u64>,
 }
 
 impl ReachMasks {
-    /// One topological sweep per side, `O(n + m)` word ops: a vertex's
-    /// `B` is its own bit (when `top[i]` is it) OR'd with its
-    /// in-neighbors' `B`, sources first; `F` likewise over
-    /// out-neighbors, sinks first.
+    /// Masks over `top`, the at most [`TOP_HOPS`] highest-ranked hops:
+    /// one word per side.
     ///
     /// # Panics
     /// Panics if `top` holds more than [`TOP_HOPS`] vertices.
     pub(crate) fn compute(dag: &Dag, top: &[VertexId]) -> Self {
         assert!(top.len() <= TOP_HOPS, "at most {TOP_HOPS} top hops");
+        let mut masks = ReachMasks {
+            words: 0,
+            recs: Vec::new(),
+        };
+        masks.widen(dag, top);
+        masks
+    }
+
+    /// Top hops covered: `64 · words`.
+    pub(crate) fn hops(&self) -> usize {
+        self.words * WORD_HOPS
+    }
+
+    /// `F(v)`'s words.
+    #[inline(always)]
+    pub(crate) fn out(&self, v: VertexId) -> &[u64] {
+        let at = v as usize * 2 * self.words;
+        &self.recs[at..at + self.words]
+    }
+
+    /// `B(v)`'s words.
+    #[inline(always)]
+    pub(crate) fn in_(&self, v: VertexId) -> &[u64] {
+        let at = (v as usize * 2 + 1) * self.words;
+        &self.recs[at..at + self.words]
+    }
+
+    /// Appends the words of the next `band` of top hops, ranked right
+    /// after the ones covered so far (at least one word, even for an
+    /// empty band). One topological sweep per side and word, `O(n + m)`
+    /// word ops each: a vertex's `B` word is its own bit (when it is
+    /// the word's hop `j`) OR'd with its in-neighbors' words, sources
+    /// first; `F` likewise over out-neighbors, sinks first.
+    ///
+    /// # Panics
+    /// Panics if the masks would cover more than [`MAX_MASK_HOPS`].
+    pub(crate) fn widen(&mut self, dag: &Dag, band: &[VertexId]) {
+        let added = band.len().div_ceil(WORD_HOPS).max(1);
+        let (old, words) = (self.words, self.words + added);
+        assert!(
+            words * WORD_HOPS <= MAX_MASK_HOPS,
+            "at most {MAX_MASK_HOPS} top hops"
+        );
+        let n = dag.num_vertices();
         let g = dag.graph();
-        let mut own = vec![0u64; dag.num_vertices()];
-        for (i, &h) in top.iter().enumerate() {
-            own[h as usize] = 1 << i;
+        let mut recs = vec![0u64; n * 2 * words];
+        for v in 0..n {
+            let (from, to) = (v * 2 * old, v * 2 * words);
+            recs[to..to + old].copy_from_slice(&self.recs[from..from + old]);
+            recs[to + words..to + words + old]
+                .copy_from_slice(&self.recs[from + old..from + 2 * old]);
         }
-        let mut in_ = own.clone();
-        for &v in dag.topo_order() {
-            in_[v as usize] = g
-                .in_neighbors(v)
-                .iter()
-                .fold(in_[v as usize], |m, &u| m | in_[u as usize]);
+        for w in 0..added {
+            let hops = band.get(w * WORD_HOPS..).unwrap_or(&[]);
+            let mut own = vec![0u64; n];
+            for (j, &h) in hops.iter().take(WORD_HOPS).enumerate() {
+                own[h as usize] = 1 << j;
+            }
+            let mut in_ = own.clone();
+            for &v in dag.topo_order() {
+                in_[v as usize] = g
+                    .in_neighbors(v)
+                    .iter()
+                    .fold(in_[v as usize], |m, &u| m | in_[u as usize]);
+            }
+            let mut out = own;
+            for &v in dag.topo_order().iter().rev() {
+                out[v as usize] = g
+                    .out_neighbors(v)
+                    .iter()
+                    .fold(out[v as usize], |m, &x| m | out[x as usize]);
+            }
+            for v in 0..n {
+                recs[v * 2 * words + old + w] = out[v];
+                recs[v * 2 * words + words + old + w] = in_[v];
+            }
         }
-        let mut out = own;
-        for &v in dag.topo_order().iter().rev() {
-            out[v as usize] = g
-                .out_neighbors(v)
-                .iter()
-                .fold(out[v as usize], |m, &w| m | out[w as usize]);
-        }
-        ReachMasks { out, in_ }
+        self.words = words;
+        self.recs = recs;
     }
 }
 
@@ -241,8 +314,8 @@ impl ReachMasks {
 /// Finish with [`LabelingBuilder::finish`] (lists must already be
 /// sorted, e.g. hops appended in rank order) or
 /// [`LabelingBuilder::finish_sorting`] (sorts and dedups first). Both
-/// compute the reach masks over the first [`TOP_HOPS`] vertices of the
-/// order they are given, so the lists must answer every pair a path
+/// compute 64-hop reach masks over the first [`TOP_HOPS`] vertices of
+/// the order they are given, so the lists must answer every pair a path
 /// through those hops does not — complete lists always do.
 #[derive(Clone, Debug)]
 pub struct LabelingBuilder {
@@ -295,12 +368,8 @@ impl LabelingBuilder {
             .iter()
             .chain(self.in_.iter())
             .all(|l| l.windows(2).all(|w| w[0] < w[1])));
-        let ReachMasks {
-            out: out_masks,
-            in_: in_masks,
-        } = masks;
-        assert_eq!(out_masks.len(), self.num_vertices());
-        assert_eq!(in_masks.len(), self.num_vertices());
+        let ReachMasks { words, recs } = masks;
+        assert_eq!(recs.len(), 2 * words * self.num_vertices());
         let (out_offsets, out_hops) = pack(&self.out);
         let (in_offsets, in_hops) = pack(&self.in_);
         Labeling {
@@ -308,8 +377,8 @@ impl LabelingBuilder {
             out_hops: out_hops.into(),
             in_offsets: in_offsets.into(),
             in_hops: in_hops.into(),
-            out_masks: out_masks.into(),
-            in_masks: in_masks.into(),
+            masks: Store::aligned_copy(&recs),
+            mask_words: words,
         }
     }
 }
@@ -350,7 +419,7 @@ pub enum LabelPath {
 ///
 /// Every array lives in a [`Store`]: owned `Vec`s when built in
 /// process, typed windows into one shared arena when opened from a
-/// HOPL v4 file (see [`crate::store`]). The accessors below cannot tell
+/// HOPL v5 file (see [`crate::store`]). The accessors below cannot tell
 /// the difference.
 #[derive(Clone, Debug)]
 pub struct Labeling {
@@ -358,10 +427,13 @@ pub struct Labeling {
     out_hops: Store<u32>,
     in_offsets: Store<u32>,
     in_hops: Store<u32>,
-    /// `out_masks[v]` = `F(v)`: bit `i` ⇔ `v` reaches top hop `i`.
-    out_masks: Store<u64>,
-    /// `in_masks[v]` = `B(v)`: bit `i` ⇔ top hop `i` reaches `v`.
-    in_masks: Store<u64>,
+    /// One record of `2 · mask_words` words per vertex: `F(v)` (bit
+    /// `i` ⇔ `v` reaches top hop `i`), then `B(v)` (bit `i` ⇔ top hop
+    /// `i` reaches `v`).
+    masks: Store<u64>,
+    /// Words per mask side `W`, so the masks cover `64 · W` top hops:
+    /// 1, 2 or 4.
+    mask_words: usize,
 }
 
 impl Labeling {
@@ -386,22 +458,32 @@ impl Labeling {
         &self.in_hops[lo..hi]
     }
 
-    /// `F(v)`: bit `i` set iff `v` reaches top hop `i`.
-    #[inline]
-    pub fn out_mask(&self, v: VertexId) -> u64 {
-        self.out_masks[v as usize]
+    /// `K`, the top hops the reach masks cover: 64, 128 or 256. Hop
+    /// ids below `K` live only in the masks.
+    pub fn mask_hops(&self) -> usize {
+        self.mask_words * WORD_HOPS
     }
 
-    /// `B(v)`: bit `i` set iff top hop `i` reaches `v`.
+    /// `F(v)`'s `K / 64` words: bit `i % 64` of word `i / 64` set iff
+    /// `v` reaches top hop `i`.
     #[inline]
-    pub fn in_mask(&self, v: VertexId) -> u64 {
-        self.in_masks[v as usize]
+    pub fn out_mask(&self, v: VertexId) -> &[u64] {
+        let at = v as usize * 2 * self.mask_words;
+        &self.masks[at..at + self.mask_words]
     }
 
-    /// Footprint of the mask arrays in bytes (16 per vertex),
+    /// `B(v)`'s `K / 64` words: bit `i % 64` of word `i / 64` set iff
+    /// top hop `i` reaches `v`.
+    #[inline]
+    pub fn in_mask(&self, v: VertexId) -> &[u64] {
+        let at = (v as usize * 2 + 1) * self.mask_words;
+        &self.masks[at..at + self.mask_words]
+    }
+
+    /// Footprint of the mask records in bytes (`K / 4` per vertex),
     /// whichever backing they live in.
     pub fn mask_bytes(&self) -> u64 {
-        ((self.out_masks.len() + self.in_masks.len()) * std::mem::size_of::<u64>()) as u64
+        (self.masks.len() * std::mem::size_of::<u64>()) as u64
     }
 
     /// True byte footprint of the label store — CSR offsets, hop
@@ -412,8 +494,7 @@ impl Labeling {
         m.add(MemorySplit::of(&self.out_hops));
         m.add(MemorySplit::of(&self.in_offsets));
         m.add(MemorySplit::of(&self.in_hops));
-        m.add(MemorySplit::of(&self.out_masks));
-        m.add(MemorySplit::of(&self.in_masks));
+        m.add(MemorySplit::of(&self.masks));
         m
     }
 
@@ -423,24 +504,48 @@ impl Labeling {
     }
 
     /// The reach-mask stage: `Some(answer)` when the masks decide
-    /// `u → v` (`u != v`), `None` when the lists must.
+    /// `u → v` (`u != v`), `None` when the lists must. Reads the two
+    /// vertices' records, monomorphized on the word count.
     #[inline(always)]
     pub(crate) fn mask_verdict(&self, u: VertexId, v: VertexId) -> Option<bool> {
-        let (fu, bu) = (self.out_masks[u as usize], self.in_masks[u as usize]);
-        let (fv, bv) = (self.out_masks[v as usize], self.in_masks[v as usize]);
-        if fu & bv != 0 {
-            Some(true)
-        } else if (bu & !bv) | (fv & !fu) != 0 {
-            Some(false)
-        } else {
-            None
+        match self.mask_words {
+            1 => self.verdict::<1>(u, v),
+            2 => self.verdict::<2>(u, v),
+            _ => self.verdict::<4>(u, v),
         }
+    }
+
+    /// [`Self::mask_verdict`] over `W` words per side: reachable if a
+    /// word of `F(u) & B(v)` is nonzero, unreachable if a word of
+    /// `(B(u) & !B(v)) | (F(v) & !F(u))` is. Exact masks never pass
+    /// both tests, so the first deciding word answers.
+    #[inline(always)]
+    fn verdict<const W: usize>(&self, u: VertexId, v: VertexId) -> Option<bool> {
+        let ru = &self.masks[u as usize * 2 * W..][..2 * W];
+        let rv = &self.masks[v as usize * 2 * W..][..2 * W];
+        for w in 0..W {
+            let (fu, bu, fv, bv) = (ru[w], ru[W + w], rv[w], rv[W + w]);
+            if fu & bv != 0 {
+                return Some(true);
+            }
+            if (bu & !bv) | (fv & !fu) != 0 {
+                return Some(false);
+            }
+        }
+        None
     }
 
     /// The list stage: does `L_out(u)` share a hop with `L_in(v)`?
     #[inline(always)]
     pub(crate) fn lists_intersect(&self, u: VertexId, v: VertexId) -> bool {
         sorted_intersect_adaptive(self.out_label(u), self.in_label(v))
+    }
+
+    /// Hints the mask records of `u` and `v` toward L1.
+    #[inline(always)]
+    pub(crate) fn prefetch_masks(&self, u: VertexId, v: VertexId) {
+        prefetch_index(&self.masks[..], u as usize * 2 * self.mask_words);
+        prefetch_index(&self.masks[..], v as usize * 2 * self.mask_words);
     }
 
     /// Hints `L_out(u)`'s and `L_in(v)`'s CSR offsets toward L1, so a
@@ -525,35 +630,36 @@ impl Labeling {
         )
     }
 
-    /// The mask arrays `(out_masks, in_masks)` — the persistence
+    /// The mask records and the words per side — the persistence
     /// layer's view.
-    pub(crate) fn mask_parts(&self) -> (&[u64], &[u64]) {
-        (&self.out_masks, &self.in_masks)
+    pub(crate) fn mask_parts(&self) -> (&[u64], usize) {
+        (&self.masks, self.mask_words)
     }
 
-    /// Assembles a labeling directly from stores — the HOPL v4 arena
+    /// Assembles a labeling directly from stores — the HOPL v5 arena
     /// path: nothing is copied and nothing is re-derived. The caller
     /// (the arena reader) must have validated that offsets are
-    /// monotone; sorted lists and exact masks are the checksummed
-    /// arena's writer guarantee.
+    /// monotone and that `mask_words` is 1, 2 or 4 with a record of
+    /// `2 · mask_words` words per vertex; sorted lists and exact masks
+    /// are the checksummed arena's writer guarantee.
     pub(crate) fn from_stores_unchecked(
         out_offsets: Store<u32>,
         out_hops: Store<u32>,
         in_offsets: Store<u32>,
         in_hops: Store<u32>,
-        out_masks: Store<u64>,
-        in_masks: Store<u64>,
+        masks: Store<u64>,
+        mask_words: usize,
     ) -> Self {
         debug_assert_eq!(out_offsets.len(), in_offsets.len());
-        debug_assert_eq!(out_offsets.len(), out_masks.len() + 1);
-        debug_assert_eq!(out_masks.len(), in_masks.len());
+        debug_assert!(matches!(mask_words, 1 | 2 | 4));
+        debug_assert_eq!((out_offsets.len() - 1) * 2 * mask_words, masks.len());
         Labeling {
             out_offsets,
             out_hops,
             in_offsets,
             in_hops,
-            out_masks,
-            in_masks,
+            masks,
+            mask_words,
         }
     }
 }
@@ -687,11 +793,11 @@ mod tests {
         let l = b.finish(&path, &[1]);
         // F: 0 and 1 reach hop 1; B: 1, 2 and 3 are reached from it.
         assert_eq!(
-            (0..4).map(|v| l.out_mask(v)).collect::<Vec<_>>(),
+            (0..4).map(|v| l.out_mask(v)[0]).collect::<Vec<_>>(),
             [1, 1, 0, 0]
         );
         assert_eq!(
-            (0..4).map(|v| l.in_mask(v)).collect::<Vec<_>>(),
+            (0..4).map(|v| l.in_mask(v)[0]).collect::<Vec<_>>(),
             [0, 1, 1, 1]
         );
         assert_eq!(l.query_traced(0, 3), (true, LabelPath::Masked));

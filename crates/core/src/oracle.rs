@@ -68,7 +68,7 @@ pub trait ReachIndex: Send {
 /// assert!(!oracle.reaches(4, 5));
 /// ```
 ///
-/// A built oracle can be shipped to query-serving replicas as a HOPL v4
+/// A built oracle can be shipped to query-serving replicas as a HOPL v5
 /// arena with [`Oracle::save_arena`] (see [`crate::persist`]), opened
 /// zero-copy with [`Oracle::open`], and served over the network by
 /// `hoplite-server`.
@@ -91,7 +91,7 @@ pub struct Oracle {
     dl: DistributionLabeling,
     /// O(1) pre-filters, projected into original-vertex space. Built
     /// from the DAG on construction; addressed in place (no
-    /// recomputation) on HOPL v4 opens.
+    /// recomputation) on HOPL v5 opens.
     filters: QueryFilters,
 }
 
@@ -150,7 +150,7 @@ impl Oracle {
         }
     }
 
-    /// Reassembles an oracle from fully persisted state — the HOPL v4
+    /// Reassembles an oracle from fully persisted state — the HOPL v5
     /// arena path: the filter records arrive ready-made (and possibly
     /// mapped), so nothing is derived here — not even the DAG, which
     /// materializes from its CSR sections on first [`Oracle::dag`]
@@ -341,7 +341,7 @@ impl Oracle {
     }
 
     /// [`StoreBackend::Mapped`] iff the hot arrays live in a shared
-    /// arena (the label store is the tell — every v4 section shares
+    /// arena (the label store is the tell — every v5 section shares
     /// one buffer).
     pub fn backend(&self) -> StoreBackend {
         self.dl.labeling().backend()

@@ -17,7 +17,9 @@
 //! 1. **Decide.** The O(1) stages run on every pair: the pre-filter
 //!    stack ([`QueryFilters`]), the `comp_of` mapping, and the top-hop
 //!    reach masks (see [`crate::label`]). Filter records (or,
-//!    unfiltered, `comp_of` entries) are prefetched 12 pairs ahead.
+//!    unfiltered, `comp_of` entries) are prefetched 12 pairs ahead, and
+//!    so are the two mask records when the masks cover more than 64
+//!    hops.
 //!    Decided answers go straight to the output. Each pair left open
 //!    is queued as `(index, cu, cv)`, and its two CSR offsets are
 //!    prefetched.
@@ -62,7 +64,7 @@
 use hoplite_graph::VertexId;
 
 use crate::filter::QueryFilters;
-use crate::label::{prefetch_index, Labeling};
+use crate::label::{prefetch_index, Labeling, TOP_HOPS};
 
 /// Where a workload's queries died, per stage: the O(1) pre-filter
 /// stack, the O(1) top-hop reach masks, or the intersection kernel.
@@ -211,6 +213,10 @@ impl Kernel<'_> {
             filters,
             comp_of,
         } = self;
+        // Past 64 hops a component's mask record is 32 or 64 bytes, and
+        // the records of a large graph outgrow the cache: fetch them
+        // ahead too. At 64 hops four records share a line.
+        let wide_masks = labeling.mask_hops() > TOP_HOPS;
         let mut tally = QueryTally::default();
         let mut queue: Vec<Undecided> = Vec::with_capacity(part.len().min(BLOCK_PAIRS));
         for (b, out) in out.chunks_mut(BLOCK_PAIRS).enumerate() {
@@ -218,7 +224,7 @@ impl Kernel<'_> {
             // Stage 1: decide in O(1), queue the rest.
             for (i, slot) in out.iter_mut().enumerate() {
                 if let Some(&(pu, pv)) = part.get(start + i + PREFETCH_DISTANCE) {
-                    self.lookahead(pu, pv);
+                    self.lookahead(pu, pv, wide_masks);
                 }
                 let (u, v) = part[start + i];
                 match decide(labeling, filters, comp_of, u, v, &mut tally) {
@@ -245,15 +251,20 @@ impl Kernel<'_> {
         tally
     }
 
-    /// Stage 1's lookahead: the first lines a pair will load.
+    /// Stage 1's lookahead: the first lines a pair will load, and with
+    /// `wide_masks` its two mask records.
     #[inline(always)]
-    fn lookahead(self, u: VertexId, v: VertexId) {
+    fn lookahead(self, u: VertexId, v: VertexId, wide_masks: bool) {
         match self.filters {
             Some(f) => f.prefetch(u, v),
             None => {
                 prefetch_index(self.comp_of, u as usize);
                 prefetch_index(self.comp_of, v as usize);
             }
+        }
+        if wide_masks {
+            let (cu, cv) = (self.comp_of[u as usize], self.comp_of[v as usize]);
+            self.labeling.prefetch_masks(cu, cv);
         }
     }
 }

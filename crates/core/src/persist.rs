@@ -1,4 +1,4 @@
-//! Binary persistence for built oracles: the HOPL v4 zero-copy arena.
+//! Binary persistence for built oracles: the HOPL v5 zero-copy arena.
 //!
 //! The paper's headline is cheap construction, but a production user
 //! still wants to build once and ship the index to query-serving
@@ -6,12 +6,13 @@
 //! serve --index NAME=FILE` opens an [`Oracle::save_arena`] file and
 //! answers it over the wire.
 //!
-//! ## HOPL v4 — the zero-copy arena
+//! ## HOPL v5 — the zero-copy arena
 //!
 //! [`Oracle::save_arena`] / [`Oracle::open`] turn the file itself into
 //! the index: a 64-byte header, a checksummed section table, and raw
 //! little-endian arrays at 64-byte-aligned offsets — including the
-//! top-hop reach masks **and the 32-byte filter records**, the state
+//! top-hop reach masks (one `MASKS` record of `2·W` words per
+//! component, `W` in the header) **and the 32-byte filter records**, the state
 //! O'Reach observes is cheap to store and expensive to derive.
 //! [`Oracle::open`] maps the file ([`crate::store::ArenaBuf`]),
 //! validates the table, and serves straight out of the mapping: no
@@ -27,9 +28,10 @@
 //!
 //! ## One version
 //!
-//! v4 is the only version the readers accept. Indexes are derived
-//! data, so an older file (the v1 streaming format, or a v3 arena
-//! whose labels still carry the top hops beside rank-band signatures)
+//! v5 is the only version the readers accept. Indexes are derived
+//! data, so an older file (the v1 streaming format, a v3 arena whose
+//! labels still carry the top hops beside rank-band signatures, or a
+//! v4 arena with its masks fixed at 64 hops in two separate arrays)
 //! is not migrated: every reader refuses it with a
 //! [`PersistError::Format`] naming its version and the rebuild route
 //! — build the oracle from the edge list again
@@ -38,10 +40,10 @@
 //!
 //! A WAL checkpoint has no edge list to rebuild from: the arena is the
 //! only copy of a durable namespace's base graph. So the crate keeps
-//! one narrow v3 reader, for the component and condensation-DAG
-//! sections v3 and v4 share, and [`crate::wal::WalDir::recover`] uses
-//! it to relabel a v3 checkpoint into a v4 one in place. Index files
-//! opened for serving stay v4-only.
+//! one narrow legacy reader, for the component and condensation-DAG
+//! sections v3, v4 and v5 share, and [`crate::wal::WalDir::recover`]
+//! uses it to relabel a v3 or v4 checkpoint into a v5 one in place.
+//! Index files opened for serving stay v5-only.
 //!
 //! ```
 //! use hoplite_graph::DiGraph;
@@ -113,19 +115,20 @@ impl From<std::io::Error> for PersistError {
 // ---------------------------------------------------------------------
 
 /// HOPL version of the arena format.
-pub const ARENA_VERSION: u32 = 4;
-/// The previous arena version. Its header, section table, component
-/// tables and condensation-DAG sections are laid out exactly as v4's;
-/// its label sections are not (the lists kept the top hops, beside
-/// rank-band signatures whose shift sat in header bytes 32..36).
-const LEGACY_ARENA_VERSION: u32 = 3;
+pub const ARENA_VERSION: u32 = 5;
+/// The previous arena versions. Their header, section table, component
+/// tables and condensation-DAG sections are laid out exactly as v5's;
+/// their label sections are not: v3's lists kept the top hops, beside
+/// rank-band signatures whose shift sat in header bytes 32..36, and
+/// v4 kept 64-hop masks in separate `OUT_MASK`/`IN_MASK` arrays.
+const LEGACY_ARENA_VERSIONS: [u32; 2] = [3, 4];
 /// Fixed arena header length; the section table starts right after.
 const ARENA_HEADER_LEN: usize = 64;
 /// One section-table entry: 8-byte tag + offset + length + checksum.
 const SECTION_ENTRY_LEN: usize = 32;
 /// Alignment of every section offset (and the whole file length).
 const SECTION_ALIGN: usize = crate::store::ARENA_ALIGN;
-/// Ceiling on the section count a reader accepts (14 today; slack for
+/// Ceiling on the section count a reader accepts (13 today; slack for
 /// forward-compatible additions, tight enough that a corrupt count
 /// cannot drive a large allocation).
 const MAX_SECTIONS: u32 = 64;
@@ -142,8 +145,7 @@ const SEC_OUT_OFF: &[u8; 8] = b"OUT_OFF\0";
 const SEC_OUT_HOP: &[u8; 8] = b"OUT_HOP\0";
 const SEC_IN_OFF: &[u8; 8] = b"IN_OFF\0\0";
 const SEC_IN_HOP: &[u8; 8] = b"IN_HOP\0\0";
-const SEC_OUT_MASK: &[u8; 8] = b"OUT_MASK";
-const SEC_IN_MASK: &[u8; 8] = b"IN_MASK\0";
+const SEC_MASKS: &[u8; 8] = b"MASKS\0\0\0";
 const SEC_FILTREC: &[u8; 8] = b"FILTREC\0";
 
 fn align_up(x: usize, align: usize) -> usize {
@@ -168,7 +170,7 @@ impl SectionData<'_> {
         }
     }
 
-    /// The section's file bytes, borrowed in place. HOPL v4 is a
+    /// The section's file bytes, borrowed in place. HOPL v5 is a
     /// little-endian-only format served by reinterpreting mapped
     /// bytes, so on LE targets (the only ones [`arena_endianness_ok`]
     /// admits) the live arrays *are* the encoding — one borrow, zero
@@ -193,7 +195,7 @@ impl SectionData<'_> {
     }
 }
 
-/// HOPL v4 serves typed slices straight out of the file bytes, so the
+/// HOPL v5 serves typed slices straight out of the file bytes, so the
 /// format is little-endian-only end to end — a big-endian host must
 /// refuse instead of silently writing or reading byte-swapped arrays.
 fn arena_endianness_ok() -> Result<(), PersistError> {
@@ -237,10 +239,10 @@ impl Default for OpenOptions {
 }
 
 impl Oracle {
-    /// Serializes the oracle as a HOPL v4 arena: header, checksummed
+    /// Serializes the oracle as a HOPL v5 arena: header, checksummed
     /// section table, then every array — component tables,
     /// condensation-DAG CSR (both directions), rank order, label CSRs,
-    /// top-hop reach masks, and the 32-byte filter records — as raw
+    /// top-hop reach mask records, and the 32-byte filter records — as raw
     /// little-endian bytes at 64-byte-aligned offsets. A file written
     /// here opens in O(header) via [`Oracle::open`]: nothing needs to
     /// be re-derived, re-validated element-by-element, or copied.
@@ -248,7 +250,7 @@ impl Oracle {
         arena_endianness_ok().map_err(std::io::Error::other)?;
         let labeling = self.inner().labeling();
         let (oo, oh, io_, ih) = labeling.csr_parts();
-        let (out_masks, in_masks) = labeling.mask_parts();
+        let (masks, mask_words) = labeling.mask_parts();
         let (doo, dot, dio, dit) = self.dag().graph().csr_parts();
         let sections: Vec<(&[u8; 8], SectionData)> = vec![
             (SEC_COMP_OF, SectionData::U32(self.comp_of())),
@@ -262,8 +264,7 @@ impl Oracle {
             (SEC_OUT_HOP, SectionData::U32(oh)),
             (SEC_IN_OFF, SectionData::U32(io_)),
             (SEC_IN_HOP, SectionData::U32(ih)),
-            (SEC_OUT_MASK, SectionData::U64(out_masks)),
-            (SEC_IN_MASK, SectionData::U64(in_masks)),
+            (SEC_MASKS, SectionData::U64(masks)),
             (SEC_FILTREC, SectionData::Raw(self.filters().record_bytes())),
         ];
 
@@ -293,9 +294,10 @@ impl Oracle {
         header.extend_from_slice(&(sections.len() as u32).to_le_bytes());
         header.extend_from_slice(&(self.num_vertices() as u64).to_le_bytes());
         header.extend_from_slice(&(self.num_components() as u64).to_le_bytes());
-        // Bytes 32..40 are reserved and zero (v3 kept its signature
-        // shift at 32).
-        header.extend_from_slice(&[0u8; 8]);
+        // Bytes 32..36 hold the mask words per side; 36..40 are
+        // reserved and zero.
+        header.extend_from_slice(&(mask_words as u32).to_le_bytes());
+        header.extend_from_slice(&[0u8; 4]);
         header.extend_from_slice(&(file_len as u64).to_le_bytes());
         header.extend_from_slice(&checksum(&table).to_le_bytes());
         debug_assert_eq!(header.len(), 56);
@@ -317,7 +319,7 @@ impl Oracle {
         w.flush()
     }
 
-    /// Opens an on-disk HOPL v4 arena with the default
+    /// Opens an on-disk HOPL v5 arena with the default
     /// [`OpenOptions`]: mapped (unix `mmap`, aligned read elsewhere),
     /// checksums verified, served zero-copy. Any other version is a
     /// [`PersistError::Format`] naming it and the rebuild route.
@@ -349,7 +351,7 @@ impl Oracle {
         open_arena(Arc::new(buf), opts.verify)
     }
 
-    /// Opens a HOPL v4 arena already in memory (network-shipped
+    /// Opens a HOPL v5 arena already in memory (network-shipped
     /// indexes, tests). The bytes are copied once into an aligned
     /// buffer; everything else is identical to [`Oracle::open`].
     pub fn open_arena_bytes(bytes: &[u8]) -> Result<Oracle, PersistError> {
@@ -381,7 +383,7 @@ fn arena_version(bytes: &[u8]) -> Result<u32, PersistError> {
     Ok(u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes")))
 }
 
-/// Rejects anything but a HOPL v4 prefix: the magic, then the version
+/// Rejects anything but a HOPL v5 prefix: the magic, then the version
 /// word. Needs only the first 8 bytes, so a legacy file gets its
 /// version named however short it is.
 fn check_magic_and_version(bytes: &[u8]) -> Result<(), PersistError> {
@@ -423,8 +425,8 @@ fn parse_arena_table(bytes: &[u8], version: u32) -> Result<(Vec<Section>, u64, u
             "implausible vertex/component counts ({n}/{c})"
         )));
     }
-    if version == ARENA_VERSION && u64_at(32) != 0 {
-        return Err(arena_err("reserved header bytes 32..40 are not zero"));
+    if version == ARENA_VERSION && u32_at(36) != 0 {
+        return Err(arena_err("reserved header bytes 36..40 are not zero"));
     }
     let file_len = u64_at(40);
     if file_len != bytes.len() as u64 {
@@ -520,17 +522,26 @@ fn verify_section_checksums(bytes: &[u8], sections: &[Section]) -> Result<(), Pe
     Ok(())
 }
 
-/// The graph a HOPL v3 arena captured, as `(comp_of, condensation
-/// DAG)` — the one thing this build still reads from a v3 file, so
-/// that a WAL checkpoint written before v4 can be relabeled
-/// ([`crate::wal::WalDir::recover`]). Every section is checksummed and
-/// every id range-checked; the label sections are ignored. `Ok(None)`
-/// when `bytes` is not a v3 arena.
-pub(crate) fn read_v3_graph(bytes: &[u8]) -> Result<Option<(Vec<u32>, DiGraph)>, PersistError> {
-    if arena_version(bytes)? != LEGACY_ARENA_VERSION {
+/// The version of a HOPL v3 or v4 prefix, `None` for anything else
+/// (another version, or no HOPL magic). Needs only the first 8 bytes.
+pub(crate) fn legacy_arena_version(bytes: &[u8]) -> Option<u32> {
+    arena_version(bytes)
+        .ok()
+        .filter(|v| LEGACY_ARENA_VERSIONS.contains(v))
+}
+
+/// The graph a HOPL v3 or v4 arena captured, as `(comp_of,
+/// condensation DAG)` — the one thing this build still reads from an
+/// older file, so that a WAL checkpoint written before v5 can be
+/// relabeled ([`crate::wal::WalDir::recover`]). Every section is
+/// checksummed and every id range-checked; the label sections are
+/// ignored. `Ok(None)` when `bytes` is not a v3 or v4 arena.
+pub(crate) fn read_legacy_graph(bytes: &[u8]) -> Result<Option<(Vec<u32>, DiGraph)>, PersistError> {
+    let Some(version) = legacy_arena_version(bytes) else {
+        arena_version(bytes)?;
         return Ok(None);
-    }
-    let (sections, n, c) = parse_arena_table(bytes, LEGACY_ARENA_VERSION)?;
+    };
+    let (sections, n, c) = parse_arena_table(bytes, version)?;
     verify_section_checksums(bytes, &sections)?;
     let (n, c) = (n as usize, c as usize);
     let u32s = |tag: &[u8; 8], want: usize| -> Result<Vec<u32>, PersistError> {
@@ -611,8 +622,13 @@ fn open_arena(buf: Arc<ArenaBuf>, verify: bool) -> Result<Oracle, PersistError> 
     let order: Store<u32> = typed(&buf, find(SEC_ORDER)?, c)?;
     let out_offsets: Store<u32> = typed(&buf, find(SEC_OUT_OFF)?, c + 1)?;
     let in_offsets: Store<u32> = typed(&buf, find(SEC_IN_OFF)?, c + 1)?;
-    let out_masks: Store<u64> = typed(&buf, find(SEC_OUT_MASK)?, c)?;
-    let in_masks: Store<u64> = typed(&buf, find(SEC_IN_MASK)?, c)?;
+    let mask_words = u32::from_le_bytes(bytes[32..36].try_into().expect("4 bytes")) as usize;
+    if !matches!(mask_words, 1 | 2 | 4) {
+        return Err(arena_err(format!(
+            "mask words {mask_words} per side is not 1, 2 or 4"
+        )));
+    }
+    let masks: Store<u64> = typed(&buf, find(SEC_MASKS)?, c * 2 * mask_words)?;
     let filtrec = typed::<crate::filter::FilterRecord>(&buf, find(SEC_FILTREC)?, n)?;
 
     // Entry arrays are sized by their offset arrays' final values —
@@ -664,8 +680,8 @@ fn open_arena(buf: Arc<ArenaBuf>, verify: bool) -> Result<Oracle, PersistError> 
         out_hops,
         in_offsets,
         in_hops,
-        out_masks,
-        in_masks,
+        masks,
+        mask_words,
     );
     let dl = DistributionLabeling::from_parts(labeling, order);
     let filters = QueryFilters::from_store(filtrec);
@@ -754,54 +770,136 @@ mod tests {
         assert!(err.to_string().contains("length"), "{err}");
     }
 
-    /// The v3 graph reader returns exactly the components and
-    /// condensation a v3 arena holds, ignores its label sections, and
-    /// fails closed (an error, never a panic) on truncation, bit flips
-    /// and other versions.
+    /// `bytes` (a v5 arena) relabeled as an older version: the version
+    /// word, a signature shift (v3) or zeros (v4) in header bytes
+    /// 32..40, both covering checksums resealed.
+    fn relabeled_as(bytes: &[u8], version: u32) -> Vec<u8> {
+        let mut old = bytes.to_vec();
+        old[4..8].copy_from_slice(&version.to_le_bytes());
+        let shift = if version == 3 { 7u64 } else { 0 };
+        old[32..40].copy_from_slice(&shift.to_le_bytes());
+        let count = u32::from_le_bytes(old[12..16].try_into().unwrap()) as usize;
+        let table_sum = checksum(&old[64..64 + count * 32]);
+        old[48..56].copy_from_slice(&table_sum.to_le_bytes());
+        let header_sum = checksum(&old[..56]);
+        old[56..64].copy_from_slice(&header_sum.to_le_bytes());
+        old
+    }
+
+    /// The legacy graph reader returns exactly the components and
+    /// condensation a v3 or v4 arena holds, ignores its label
+    /// sections, and fails closed (an error, never a panic) on
+    /// truncation, bit flips and other versions.
     #[test]
-    fn v3_graph_reader_reads_the_graph_and_fails_closed() {
+    fn legacy_graph_reader_reads_the_graph_and_fails_closed() {
         let g = gen::random_digraph(90, 200, 95);
         let o = Oracle::new(&g);
-        let mut v4 = Vec::new();
-        o.save_arena(&mut v4).unwrap();
-        assert!(read_v3_graph(&v4).unwrap().is_none(), "v4 is not v3");
-        // Relabel as v3: version word, a signature shift where v4 keeps
-        // zeros, both covering checksums resealed.
-        let mut v3 = v4.clone();
-        v3[4..8].copy_from_slice(&LEGACY_ARENA_VERSION.to_le_bytes());
-        v3[32..36].copy_from_slice(&7u32.to_le_bytes());
-        let count = u32::from_le_bytes(v3[12..16].try_into().unwrap()) as usize;
-        let table_sum = checksum(&v3[64..64 + count * 32]);
-        v3[48..56].copy_from_slice(&table_sum.to_le_bytes());
-        let header_sum = checksum(&v3[..56]);
-        v3[56..64].copy_from_slice(&header_sum.to_le_bytes());
-        let (comp_of, condensation) = read_v3_graph(&v3).unwrap().expect("a v3 arena");
-        assert_eq!(comp_of, o.comp_of());
-        let edges = |g: &DiGraph| {
-            let mut e: Vec<(u32, u32)> = g.edges().collect();
-            e.sort_unstable();
-            (g.num_vertices(), e)
-        };
-        assert_eq!(edges(&condensation), edges(o.dag().graph()));
-        for keep in [8, 63, 64, 200, v3.len() / 2, v3.len() - 1] {
-            assert!(read_v3_graph(&v3[..keep]).is_err(), "keep={keep}");
+        let mut v5 = Vec::new();
+        o.save_arena(&mut v5).unwrap();
+        assert!(
+            read_legacy_graph(&v5).unwrap().is_none(),
+            "v5 is not legacy"
+        );
+        for version in LEGACY_ARENA_VERSIONS {
+            let old = relabeled_as(&v5, version);
+            let what = format!("v{version}");
+            assert_eq!(legacy_arena_version(&old), Some(version));
+            let (comp_of, condensation) = read_legacy_graph(&old).unwrap().expect(&what);
+            assert_eq!(comp_of, o.comp_of(), "{what}");
+            let edges = |g: &DiGraph| {
+                let mut e: Vec<(u32, u32)> = g.edges().collect();
+                e.sort_unstable();
+                (g.num_vertices(), e)
+            };
+            assert_eq!(edges(&condensation), edges(o.dag().graph()), "{what}");
+            for keep in [8, 63, 64, 200, old.len() / 2, old.len() - 1] {
+                assert!(
+                    read_legacy_graph(&old[..keep]).is_err(),
+                    "{what}, keep={keep}"
+                );
+            }
+            // The header, the table, and the first byte of every
+            // non-empty section (offset at entry + 8, length at
+            // entry + 16).
+            let count = u32::from_le_bytes(old[12..16].try_into().unwrap()) as usize;
+            let mut flips = vec![9, 20, 70, 100];
+            for entry in old[64..64 + count * 32].chunks_exact(32) {
+                let offset = u64::from_le_bytes(entry[8..16].try_into().unwrap()) as usize;
+                if u64::from_le_bytes(entry[16..24].try_into().unwrap()) > 0 {
+                    flips.push(offset);
+                }
+            }
+            for at in flips {
+                let mut bad = old.clone();
+                bad[at] ^= 0x10;
+                assert!(read_legacy_graph(&bad).is_err(), "{what}, byte {at}");
+            }
+            // Serving reads only v5.
+            let refused = Oracle::open_arena_bytes(&old).unwrap_err().to_string();
+            assert!(refused.contains(&format!("version {version}")), "{refused}");
         }
-        // The header, the table, and the first byte of every non-empty
-        // section (offset at entry + 8, length at entry + 16).
-        let mut flips = vec![9, 20, 70, 100];
-        for entry in v3[64..64 + count * 32].chunks_exact(32) {
-            let offset = u64::from_le_bytes(entry[8..16].try_into().unwrap()) as usize;
-            if u64::from_le_bytes(entry[16..24].try_into().unwrap()) > 0 {
-                flips.push(offset);
+        assert!(read_legacy_graph(b"HOPL\x01\x00\x00\x00")
+            .unwrap()
+            .is_none());
+        assert!(read_legacy_graph(b"NOPE\x03\x00\x00\x00").is_err());
+    }
+
+    /// v5 round-trips at every mask width, in memory and mapped: the
+    /// header records the words per side, the `MASKS` section holds
+    /// one record of `2·W` words per component, and the reopened
+    /// oracle answers like BFS and re-saves to the same bytes. A
+    /// header that names another width is refused.
+    #[test]
+    fn arena_roundtrips_at_every_mask_width() {
+        let g = gen::random_digraph(700, 1_000, 97);
+        let path = std::env::temp_dir().join(format!(
+            "hoplite-arena-width-{}-{:p}.hopl",
+            std::process::id(),
+            &g
+        ));
+        for k in [64, 128, 256] {
+            crate::distribution::FORCED_MASK_HOPS.set(Some(k));
+            let o = Oracle::new(&g);
+            crate::distribution::FORCED_MASK_HOPS.set(None);
+            let c = o.num_components();
+            assert!(c >= 256, "{c} components");
+            assert_eq!(o.inner().labeling().mask_hops(), k);
+            let mut buf = Vec::new();
+            o.save_arena(&mut buf).unwrap();
+            assert_eq!(
+                u32::from_le_bytes(buf[32..36].try_into().unwrap()),
+                k as u32 / 64
+            );
+            let (sections, _, _) = parse_arena_table(&buf, ARENA_VERSION).unwrap();
+            assert_eq!(find_section(&sections, SEC_MASKS).unwrap().len, c * k / 4);
+            std::fs::write(&path, &buf).unwrap();
+            for (o2, what) in [
+                (Oracle::open_arena_bytes(&buf).unwrap(), "in memory"),
+                (Oracle::open(&path).unwrap(), "mapped"),
+            ] {
+                let what = format!("K = {k}, {what}");
+                let l = o2.inner().labeling();
+                assert_eq!(l.mask_hops(), k, "{what}");
+                assert_eq!(o2.label_entries(), o.label_entries(), "{what}");
+                for x in 0..c as u32 {
+                    assert_eq!(l.out_mask(x), o.inner().labeling().out_mask(x), "{what}");
+                    assert_eq!(l.in_mask(x), o.inner().labeling().in_mask(x), "{what}");
+                }
+                traversal::assert_matches_bfs(&g, &what, |u, v| o2.reaches(u, v));
+                let mut resaved = Vec::new();
+                o2.save_arena(&mut resaved).unwrap();
+                assert!(resaved == buf, "{what}: re-save is byte-identical");
+            }
+            for words in [0u32, 3, 8] {
+                let mut bad = buf.clone();
+                bad[32..36].copy_from_slice(&words.to_le_bytes());
+                let header_sum = checksum(&bad[..56]);
+                bad[56..64].copy_from_slice(&header_sum.to_le_bytes());
+                let err = Oracle::open_arena_bytes(&bad).unwrap_err().to_string();
+                assert!(err.contains("mask words") || err.contains("MASKS"), "{err}");
             }
         }
-        for at in flips {
-            let mut bad = v3.clone();
-            bad[at] ^= 0x10;
-            assert!(read_v3_graph(&bad).is_err(), "byte {at}");
-        }
-        assert!(read_v3_graph(b"HOPL\x01\x00\x00\x00").unwrap().is_none());
-        assert!(read_v3_graph(b"NOPE\x03\x00\x00\x00").is_err());
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

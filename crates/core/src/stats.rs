@@ -15,13 +15,13 @@ pub struct LabelStats {
     pub max_label: usize,
     /// Mean of `|L_out(v)| + |L_in(v)|` per vertex.
     pub avg_per_vertex: f64,
-    /// Bytes spent on the per-vertex top-hop reach masks (16 per
-    /// vertex: one `u64` per side).
+    /// Bytes spent on the per-vertex top-hop reach masks (`K / 4` per
+    /// vertex: `K / 64` words per side).
     pub mask_bytes: u64,
     /// Process-private heap bytes of the label store (CSR offsets,
     /// hop arrays, reach masks).
     pub heap_bytes: u64,
-    /// Bytes addressed inside a shared mapped arena (a HOPL v4
+    /// Bytes addressed inside a shared mapped arena (a HOPL v5
     /// [`crate::Oracle::open`]); 0 for owned labelings.
     pub mapped_bytes: u64,
 }

@@ -8,7 +8,7 @@
 //! * **Owned** — a `Vec<T>`, produced by construction. Nothing about
 //!   the build pipeline changes.
 //! * **Mapped** — a typed window into one page-aligned, reference-
-//!   counted [`ArenaBuf`] (an `mmap` of a HOPL v4 file on unix, a
+//!   counted [`ArenaBuf`] (an `mmap` of a HOPL v5 file on unix, a
 //!   page-aligned heap read elsewhere). Opening an index then costs
 //!   O(header): the arrays are *addressed*, never copied, and any
 //!   number of [`Store`]s — across namespaces, replicas, and reloads —
@@ -35,7 +35,7 @@ use std::io::Read;
 use std::path::Path;
 use std::sync::Arc;
 
-/// Alignment of every [`ArenaBuf`] and every section inside a HOPL v4
+/// Alignment of every [`ArenaBuf`] and every section inside a HOPL v5
 /// arena: one cache line on the serving hosts we target, and a common
 /// divisor of every element alignment a store carries. (`mmap` returns
 /// page-aligned memory, which is stricter still.)
@@ -430,6 +430,19 @@ impl<T: Pod> Store<T> {
         }
     }
 
+    /// A heap copy of `items` that starts on an [`ARENA_ALIGN`]ed line,
+    /// as every arena section does, so records of one line's size never
+    /// straddle two. Reports [`StoreBackend::Heap`].
+    pub(crate) fn aligned_copy(items: &[T]) -> Store<T> {
+        // SAFETY: `T: Pod` has no padding, so every byte of the live
+        // slice is initialized.
+        let bytes = unsafe {
+            std::slice::from_raw_parts(items.as_ptr() as *const u8, std::mem::size_of_val(items))
+        };
+        let buf = Arc::new(ArenaBuf::from_bytes(bytes));
+        Store::mapped(&buf, 0, items.len()).expect("a copy fits its own buffer")
+    }
+
     /// A typed window of `len` elements at `byte_offset` into `buf`.
     ///
     /// Fails (with a static description) if the window is out of
@@ -730,6 +743,19 @@ mod tests {
             "overflow"
         );
         assert!(Store::<u32>::mapped(&buf, 64, 0).is_ok(), "empty at end");
+    }
+
+    #[test]
+    fn aligned_copies_start_a_line_and_report_heap() {
+        let items: Vec<u64> = (0..9).collect();
+        let s = Store::aligned_copy(&items);
+        assert_eq!(&s[..], &items[..]);
+        assert_eq!(s.as_ptr() as usize % ARENA_ALIGN, 0);
+        assert_eq!(
+            (s.backend(), s.heap_bytes(), s.mapped_bytes()),
+            (StoreBackend::Heap, 72, 0)
+        );
+        assert!(Store::<u64>::aligned_copy(&[]).is_empty());
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //!
 //! ```text
 //! <wal-dir>/<ns>/
-//!     checkpoint.<N>   HOPL v4 arena of the generation-N base DAG
+//!     checkpoint.<N>   HOPL v5 arena of the generation-N base DAG
 //!     wal.<N>          edge ops acknowledged since checkpoint N
 //! ```
 //!
@@ -34,7 +34,7 @@
 //!   either side leaves at least one complete generation on disk, and
 //!   [`WalDir::recover`] picks the newest valid one.
 //!
-//! The checkpoint itself is the HOPL v4 arena ([`Oracle::save_arena`])
+//! The checkpoint itself is the HOPL v5 arena ([`Oracle::save_arena`])
 //! of the very index the namespace serves: a rebuild labels its folded
 //! base once and stages that [`Oracle`] here, and recovery opens the
 //! arena and hands it back in [`Recovered::index`] for the namespace to
@@ -42,9 +42,9 @@
 //! every condensation component is a singleton and the original vertex
 //! numbering is recovered by inverting `comp_of` — see [`recover_dag`].
 //! The one exception to "without relabeling" is a checkpoint written
-//! as a HOPL v3 arena, before the top-hop reach masks changed the
-//! labels: recovery reads its graph, relabels it, and replaces it with
-//! a v4 checkpoint in place (same generation, same base, same log).
+//! as a HOPL v3 or v4 arena, before the reach masks took their present
+//! layout: recovery reads its graph, relabels it, and replaces it with
+//! a v5 checkpoint in place (same generation, same base, same log).
 
 use std::borrow::Cow;
 use std::fmt;
@@ -500,12 +500,12 @@ impl WalDir {
     /// Recovers the newest valid generation: `Ok(None)` if the
     /// directory holds no checkpoint (fresh namespace), the opened
     /// checkpoint, its base DAG and the valid WAL prefix otherwise.
-    /// Nothing is relabeled, except a HOPL v3 checkpoint, which is
-    /// upgraded in place first (`upgrade_v3_checkpoint`).
+    /// Nothing is relabeled, except a HOPL v3 or v4 checkpoint, which
+    /// is upgraded in place first (`upgrade_legacy_checkpoint`).
     /// Crash artifacts — a stale `checkpoint.tmp`, a torn WAL tail,
     /// leftovers of a superseded generation — are tolerated, never an
     /// error. Idempotent: calling it twice yields the same answer (the
-    /// fault suite leans on this), and only the v3 upgrade writes.
+    /// fault suite leans on this), and only the upgrade writes.
     pub fn recover(&self) -> io::Result<Option<Recovered>> {
         let mut gens = self.generations()?;
         gens.reverse();
@@ -516,7 +516,7 @@ impl WalDir {
         for gen in gens {
             let index = match Oracle::open(self.checkpoint_path(gen)) {
                 Ok(index) => index,
-                Err(e) => match self.upgrade_v3_checkpoint(gen) {
+                Err(e) => match self.upgrade_legacy_checkpoint(gen) {
                     Ok(Some(index)) => index,
                     // A checkpoint is only ever published by an atomic
                     // rename, so an invalid one means real corruption;
@@ -526,7 +526,7 @@ impl WalDir {
                         continue;
                     }
                     Err(up) => {
-                        last_err = Some(format!("checkpoint.{gen}: v3 upgrade failed: {up}"));
+                        last_err = Some(format!("checkpoint.{gen}: {up}"));
                         continue;
                     }
                 },
@@ -556,24 +556,32 @@ impl WalDir {
         ))
     }
 
-    /// Replaces a HOPL v3 `checkpoint.<generation>` with a v4 one over
-    /// the same graph, and opens it: reads the graph v3 and v4 lay out
-    /// alike, labels it with the default configuration, stages the
-    /// arena and renames it over the old file (the commit point, as in
-    /// [`Durability::rotate`]; a crash before it leaves the v3 file to
-    /// upgrade again). `Ok(None)` when the file is not a v3 arena.
-    fn upgrade_v3_checkpoint(&self, generation: u64) -> io::Result<Option<Oracle>> {
+    /// Replaces a HOPL v3 or v4 `checkpoint.<generation>` with a v5
+    /// one over the same graph, and opens it: reads the graph all three
+    /// versions lay out alike, labels it with the default
+    /// configuration, stages the arena and renames it over the old file
+    /// (the commit point, as in [`Durability::rotate`]; a crash before
+    /// it leaves the old file to upgrade again). `Ok(None)` when the
+    /// file is not a v3 or v4 arena; errors name the version.
+    fn upgrade_legacy_checkpoint(&self, generation: u64) -> io::Result<Option<Oracle>> {
         let path = self.checkpoint_path(generation);
         let bytes = fs::read(&path)?;
-        let Some((comp_of, condensation)) = persist::read_v3_graph(&bytes).map_err(invalid_data)?
-        else {
+        let Some(version) = persist::legacy_arena_version(&bytes) else {
             return Ok(None);
         };
-        let base = base_dag(&comp_of, &condensation)?;
-        self.prepare_checkpoint(&Oracle::new(base.graph()))?;
-        fs::rename(self.tmp_path(), &path)?;
-        sync_dir(&self.dir)?;
-        Oracle::open(&path).map(Some).map_err(invalid_data)
+        let upgrade = || -> io::Result<Oracle> {
+            let (comp_of, condensation) = persist::read_legacy_graph(&bytes)
+                .map_err(invalid_data)?
+                .expect("a legacy arena");
+            let base = base_dag(&comp_of, &condensation)?;
+            self.prepare_checkpoint(&Oracle::new(base.graph()))?;
+            fs::rename(self.tmp_path(), &path)?;
+            sync_dir(&self.dir)?;
+            Oracle::open(&path).map_err(invalid_data)
+        };
+        upgrade()
+            .map(Some)
+            .map_err(|e| io::Error::new(e.kind(), format!("v{version} upgrade failed: {e}")))
     }
 
     /// Initializes generation 0 for a fresh namespace: stages and

@@ -384,6 +384,34 @@ fn put_text(out: &mut Vec<u8>, text: &str) {
     out.extend_from_slice(&text.as_bytes()[..end]);
 }
 
+/// Appends a `BOOLS` reply payload over `answers` to `out`: exactly
+/// the bytes `Response::Bools(answers.to_vec()).encode_into(out)`
+/// appends, without building the vector — the reactor encodes `BATCH`
+/// replies straight from its answer buffer. On error `out` is left as
+/// it was.
+pub fn encode_bools_into(out: &mut Vec<u8>, answers: &[bool]) -> Result<(), WireError> {
+    let start = out.len();
+    out.push(PROTOCOL_VERSION);
+    let encoded = put_bools(out, answers);
+    if encoded.is_err() {
+        out.truncate(start);
+    }
+    encoded
+}
+
+/// The `BOOLS` opcode and bit-packed body.
+fn put_bools(out: &mut Vec<u8>, answers: &[bool]) -> Result<(), WireError> {
+    if answers.len() as u64 > MAX_BATCH_PAIRS as u64 {
+        return Err(WireError::Malformed(format!(
+            "answer batch of {} exceeds the {MAX_BATCH_PAIRS} limit",
+            answers.len()
+        )));
+    }
+    out.push(RE_BOOLS);
+    pack_bools(out, answers);
+    Ok(())
+}
+
 fn pack_bools(out: &mut Vec<u8>, bools: &[bool]) {
     put_u32(out, bools.len() as u32);
     let mut byte = 0u8;
@@ -470,10 +498,10 @@ impl fmt::Display for NamespaceKind {
 /// wire twin of [`hoplite_core::StoreBackend`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum IndexBackend {
-    /// Process-private heap (built in process, or a HOPL v4 arena
+    /// Process-private heap (built in process, or a HOPL v5 arena
     /// read onto the heap).
     Heap,
-    /// One shared HOPL v4 arena (`Oracle::open`), page-cache-shared
+    /// One shared HOPL v5 arena (`Oracle::open`), page-cache-shared
     /// across replicas of the same file.
     Mapped,
 }
@@ -604,7 +632,7 @@ pub struct NamespaceStats {
     /// Process-private heap bytes of the index (labels, reach masks,
     /// filter records, component tables, DAG, overlay).
     pub heap_bytes: u64,
-    /// Bytes addressed inside a shared mapped arena (a HOPL v4
+    /// Bytes addressed inside a shared mapped arena (a HOPL v5
     /// `Oracle::open`); these are page cache, shared across every
     /// replica and namespace serving the same file.
     pub mapped_bytes: u64,
@@ -1078,16 +1106,7 @@ impl Response {
                 out.push(RE_BOOL);
                 out.push(*b as u8);
             }
-            Response::Bools(bs) => {
-                if bs.len() as u64 > MAX_BATCH_PAIRS as u64 {
-                    return Err(WireError::Malformed(format!(
-                        "answer batch of {} exceeds the {MAX_BATCH_PAIRS} limit",
-                        bs.len()
-                    )));
-                }
-                out.push(RE_BOOLS);
-                pack_bools(out, bs);
-            }
+            Response::Bools(bs) => put_bools(out, bs)?,
             Response::Stats(s) => {
                 out.push(RE_STATS);
                 out.push(s.kind.to_u8());
@@ -1344,10 +1363,26 @@ mod tests {
         roundtrip_resp(Response::Pong);
         roundtrip_resp(Response::Bool(true));
         roundtrip_resp(Response::Bool(false));
-        for k in [0usize, 1, 7, 8, 9, 64, 65] {
+        for k in [0usize, 1, 7, 8, 9, 64, 65, 4096] {
             let bs: Vec<bool> = (0..k).map(|i| i % 3 == 0).collect();
+            // The borrowed encoder writes the owned reply's bytes.
+            let mut borrowed = vec![0xAA];
+            encode_bools_into(&mut borrowed, &bs).unwrap();
+            assert_eq!(
+                borrowed[1..],
+                Response::Bools(bs.clone()).encode().unwrap(),
+                "{k}"
+            );
             roundtrip_resp(Response::Bools(bs));
         }
+        let mut out = vec![1, 2, 3];
+        let oversized = vec![true; MAX_BATCH_PAIRS as usize + 1];
+        assert!(encode_bools_into(&mut out, &oversized).is_err());
+        assert_eq!(
+            out,
+            [1, 2, 3],
+            "a refused encode leaves the buffer as it was"
+        );
         roundtrip_resp(Response::Stats(NamespaceStats {
             kind: NamespaceKind::Dynamic,
             vertices: 10,

@@ -45,6 +45,7 @@
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
+use std::ops::Range;
 use std::os::unix::io::{AsRawFd, RawFd};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -52,7 +53,10 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crate::obs::ServerObs;
-use crate::protocol::{ErrorCode, FrameAccumulator, RequestRef, Response, MAX_BATCH_PAIRS};
+use crate::protocol::{
+    encode_bools_into, ErrorCode, FrameAccumulator, RequestRef, Response, WireError,
+    MAX_BATCH_PAIRS,
+};
 use crate::registry::{NamespaceHandle, Registry, ServeError};
 use crate::server::{ServerConfig, ServerCounters};
 
@@ -206,7 +210,14 @@ struct Job {
 struct Slot {
     token: u64,
     arrived: Instant,
-    response: Option<Response>,
+    reply: Option<Reply>,
+}
+
+/// A slot's reply: a response, or a `BATCH` frame's answers as a range
+/// of the tick's answer buffer, encoded straight from it.
+enum Reply {
+    Response(Response),
+    Bools(Range<usize>),
 }
 
 /// Everything decoded this tick: per-connection replies are emitted in
@@ -218,8 +229,9 @@ struct Tick {
     /// Every namespace a frame has named, by name: its index in `jobs`.
     names: HashMap<String, usize>,
     jobs: Vec<Job>,
-    /// The kernel's answers for the job being run, kept across ticks
-    /// like the jobs' pair vectors.
+    /// The kernel's answers for every job of the tick, one range per
+    /// job, read by `scatter` and kept across ticks like the jobs'
+    /// pair vectors.
     answers: Vec<bool>,
     /// Connections touched this tick (deduplicated coarsely); flushed
     /// and swept after scatter.
@@ -272,7 +284,7 @@ impl Tick {
         self.slots.push(Slot {
             token,
             arrived,
-            response,
+            reply: response.map(Reply::Response),
         });
     }
 }
@@ -740,10 +752,10 @@ fn retry_after_ms(config: &ServerConfig) -> u32 {
 }
 
 /// Runs every namespace's coalesced batch through one kernel call
-/// into the tick's answer buffer, then fills the targets' slots. Every
-/// job leaves emptied and its handle dropped; its vectors and the
-/// answer buffer are kept for the next tick, each at most one maximal
-/// batch's worth.
+/// into its own range of the tick's answer buffer, then fills the
+/// targets' slots. Every job leaves emptied and its handle dropped;
+/// its vectors are kept for the next tick, each at most one maximal
+/// batch's worth. The answers stay until `scatter` has encoded them.
 fn run_jobs(tick: &mut Tick, config: &ServerConfig, counters: &ServerCounters, obs: &ServerObs) {
     let dispatch = Instant::now();
     for job in &mut tick.jobs {
@@ -765,8 +777,6 @@ fn run_jobs(tick: &mut Tick, config: &ServerConfig, counters: &ServerCounters, o
         job.pairs.shrink_to(MAX_BATCH_PAIRS as usize);
         job.targets.clear();
     }
-    tick.answers.clear();
-    tick.answers.shrink_to(MAX_BATCH_PAIRS as usize);
 }
 
 /// One namespace's kernel call for this tick.
@@ -790,9 +800,9 @@ fn run_job(
         job.targets.retain_mut(|target| {
             let slot = &mut slots[target.slot];
             if dispatch.duration_since(slot.arrived) > deadline {
-                slot.response = Some(Response::deadline_exceeded(
+                slot.reply = Some(Reply::Response(Response::deadline_exceeded(
                     "request aged past its deadline before dispatch",
-                ));
+                )));
                 return false;
             }
             job.pairs
@@ -807,13 +817,13 @@ fn run_job(
         }
     }
     obs.coalesce_batch.record(job.pairs.len() as u64);
-    answers.clear();
-    answers.resize(job.pairs.len(), false);
+    let base = answers.len();
+    answers.resize(base + job.pairs.len(), false);
     // Unreachable in practice: every pair was validated at decode
     // time. Fail the frames of this namespace rather than the whole
     // tick.
     let failed = handle
-        .reach_batch_into(&job.pairs, answers, config.batch_threads)
+        .reach_batch_into(&job.pairs, &mut answers[base..], config.batch_threads)
         .err()
         .map(|e| e.to_string());
     if job.targets.len() > 1 {
@@ -823,45 +833,54 @@ fn run_job(
             .fetch_add(job.targets.len() as u64, Ordering::Relaxed);
     }
     for target in &job.targets {
-        let response = match &failed {
-            Some(message) => Response::Error(message.clone()),
-            None => {
-                let slice = &answers[target.start..target.start + target.len];
-                if target.batch {
-                    Response::Bools(slice.to_vec())
-                } else {
-                    Response::Bool(slice[0])
-                }
-            }
+        let start = base + target.start;
+        let reply = match &failed {
+            Some(message) => Reply::Response(Response::Error(message.clone())),
+            None if target.batch => Reply::Bools(start..start + target.len),
+            None => Reply::Response(Response::Bool(answers[start])),
         };
-        slots[target.slot].response = Some(response);
+        slots[target.slot].reply = Some(reply);
     }
 }
 
 /// Appends every slot's encoded reply to its connection's write
-/// buffer, in slot order — which is per-connection arrival order.
+/// buffer, in slot order — which is per-connection arrival order —
+/// then empties the tick's answer buffer, keeping at most one maximal
+/// batch's worth of it.
 fn scatter(tick: &mut Tick, slab: &mut Slab, counters: &ServerCounters, obs: &ServerObs) {
     for slot in tick.slots.drain(..) {
-        let response = slot
-            .response
-            .unwrap_or_else(|| Response::Error("internal: request went unanswered".into()));
+        let reply = slot.reply.unwrap_or_else(|| {
+            Reply::Response(Response::Error("internal: request went unanswered".into()))
+        });
         // Count before the connection lookup: a frame whose connection
         // died mid-tick was still served, and the books must reconcile
         // (frames = answers + sheds + deadline refusals).
-        count_reply(counters, &response);
+        counters.frames.fetch_add(1, Ordering::Relaxed);
+        if let Reply::Response(response) = &reply {
+            count_refusal(counters, response);
+        }
         let Some(conn) = slab.get_mut(slot.token) else {
             continue; // connection died mid-tick; drop its replies
         };
-        encode_frame(&mut conn.out, &response);
+        match reply {
+            Reply::Response(response) => {
+                encode_frame(&mut conn.out, |out| response.encode_into(out))
+            }
+            Reply::Bools(range) => {
+                let answers = &tick.answers[range];
+                encode_frame(&mut conn.out, |out| encode_bools_into(out, answers))
+            }
+        }
         obs.reply_latency_ns
             .record(slot.arrived.elapsed().as_nanos() as u64);
     }
+    tick.answers.clear();
+    tick.answers.shrink_to(MAX_BATCH_PAIRS as usize);
 }
 
-/// Books one outgoing reply into the shared counters, so the
+/// Books an outgoing error or refusal into its counter, so the
 /// exposition reconciles with what peers observed.
-fn count_reply(counters: &ServerCounters, response: &Response) {
-    counters.frames.fetch_add(1, Ordering::Relaxed);
+fn count_refusal(counters: &ServerCounters, response: &Response) {
     let counter = match response {
         Response::Error(_)
         | Response::Fail {
@@ -881,13 +900,13 @@ fn count_reply(counters: &ServerCounters, response: &Response) {
     counter.fetch_add(1, Ordering::Relaxed);
 }
 
-/// Encodes `response` in place as one length-prefixed frame appended
-/// to `out`: the payload goes straight into the buffer and the length
-/// prefix is patched in after it.
-fn encode_frame(out: &mut Vec<u8>, response: &Response) {
+/// Encodes one length-prefixed frame in place at the end of `out`:
+/// `put` appends the payload straight into the buffer (or leaves it
+/// untouched on error) and the length prefix is patched in after it.
+fn encode_frame(out: &mut Vec<u8>, put: impl FnOnce(&mut Vec<u8>) -> Result<(), WireError>) {
     let start = out.len();
     out.extend_from_slice(&[0; 4]);
-    if let Err(e) = response.encode_into(out) {
+    if let Err(e) = put(out) {
         Response::Error(format!("internal encode failure: {e}"))
             .encode_into(out)
             .expect("plain error replies always encode");

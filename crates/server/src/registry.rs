@@ -101,7 +101,7 @@ impl From<MutationError> for ServeError {
 struct FrozenNs {
     /// The snapshot, behind its own `Arc` so `LIST`-able namespaces,
     /// replicas, and reloads can *share* one index (and, for a mapped
-    /// HOPL v4 oracle, one arena) instead of cloning it — see
+    /// HOPL v5 oracle, one arena) instead of cloning it — see
     /// [`Registry::insert_frozen`].
     oracle: Arc<Oracle>,
     queries: AtomicU64,

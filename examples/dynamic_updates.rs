@@ -7,7 +7,7 @@
 //! confirmed on the query path), reachability queries interleave with
 //! the updates, and the oracle transparently rebuilds when either
 //! overlay gets large. Also demonstrates saving the final index to
-//! disk as a HOPL v4 arena and opening it back.
+//! disk as a HOPL v5 arena and opening it back.
 //!
 //! ```sh
 //! cargo run --release --example dynamic_updates
@@ -92,7 +92,7 @@ fn main() {
         oracle.rebuilds()
     );
 
-    // Fold the overlay and ship the final index to a file as a HOPL v4
+    // Fold the overlay and ship the final index to a file as a HOPL v5
     // arena, then open it the way a serving replica would.
     oracle.rebuild();
     let final_index = Oracle::new(oracle.snapshot().graph());

@@ -116,7 +116,7 @@ fn main() {
         );
     }
 
-    // Zero-copy reload: persist the snapshot as a HOPL v4 arena, open
+    // Zero-copy reload: persist the snapshot as a HOPL v5 arena, open
     // it mapped (O(header) — no deserialization, no filter/reach-mask
     // recompute), and atomically swap it in. One `Arc<Oracle>` backs
     // both the fresh "web" and a fan-out replica namespace, so the

@@ -678,21 +678,25 @@ fn checkpoints_are_plain_hopl_arenas() {
 // Checkpoints written in the previous arena format.
 // ---------------------------------------------------------------------
 
-/// Rewrites a v4 arena as the v3 file the previous format wrote: the
-/// version word, a rank-band signature shift in header bytes 32..36,
-/// the `OUT_SIG`/`IN_SIG` tags where v4 has its mask sections, and
-/// both covering checksums resealed.
-fn as_v3_arena(v4: &[u8]) -> Vec<u8> {
-    let mut buf = v4.to_vec();
-    buf[4..8].copy_from_slice(&3u32.to_le_bytes());
-    buf[32..36].copy_from_slice(&9u32.to_le_bytes());
+/// Rewrites a v5 arena as the file an older format wrote: the version
+/// word; header bytes 32..40 holding a rank-band signature shift (v3)
+/// or zeros (v4); the tag of the first label section v3 or v4 kept
+/// where v5 has its `MASKS` records; both covering checksums
+/// resealed.
+fn as_legacy_arena(v5: &[u8], version: u32) -> Vec<u8> {
+    let mut buf = v5.to_vec();
+    buf[4..8].copy_from_slice(&version.to_le_bytes());
+    let shift = if version == 3 { 9u64 } else { 0 };
+    buf[32..40].copy_from_slice(&shift.to_le_bytes());
     let count = u32::from_le_bytes(buf[12..16].try_into().unwrap()) as usize;
     let table_end = 64 + count * 32;
     for entry in buf[64..table_end].chunks_exact_mut(32) {
-        match &entry[..8] {
-            b"OUT_MASK" => entry[..8].copy_from_slice(b"OUT_SIG\0"),
-            b"IN_MASK\0" => entry[..8].copy_from_slice(b"IN_SIG\0\0"),
-            _ => {}
+        if &entry[..8] == b"MASKS\0\0\0" {
+            entry[..8].copy_from_slice(if version == 3 {
+                b"OUT_SIG\0"
+            } else {
+                b"OUT_MASK"
+            });
         }
     }
     let table_sum = checksum(&buf[64..table_end]);
@@ -704,13 +708,24 @@ fn as_v3_arena(v4: &[u8]) -> Vec<u8> {
 
 /// A durable namespace whose checkpoint is a HOPL v3 arena — written
 /// before the top-hop reach masks changed the labels — still opens:
-/// recovery relabels the checkpoint's graph into a v4 checkpoint in
+/// recovery relabels the checkpoint's graph into a v5 checkpoint in
 /// place, the log replays on top, and the served answers match BFS
 /// over the acknowledged edges. A damaged v3 checkpoint is an error
 /// naming the failed upgrade, not an empty namespace.
 #[test]
 fn a_v3_checkpoint_is_upgraded_in_place_and_its_log_replays() {
-    let root = temp_dir("v3");
+    legacy_checkpoint_is_upgraded_in_place(3);
+}
+
+/// The same for a HOPL v4 checkpoint, written while the masks were
+/// fixed at 64 hops in two separate arrays.
+#[test]
+fn a_v4_checkpoint_is_upgraded_in_place_and_its_log_replays() {
+    legacy_checkpoint_is_upgraded_in_place(4);
+}
+
+fn legacy_checkpoint_is_upgraded_in_place(version: u32) {
+    let root = temp_dir(&format!("v{version}"));
     let n = 150usize;
     let base = gen::random_dag(n, 450, 21);
     let seed_edges: Vec<(u32, u32)> = base.graph().edges().collect();
@@ -738,43 +753,43 @@ fn a_v3_checkpoint_is_upgraded_in_place_and_its_log_replays() {
     drop(dur);
 
     let path = root.join("checkpoint.0");
-    let v3 = as_v3_arena(&fs::read(&path).unwrap());
-    fs::write(&path, &v3).unwrap();
+    let old = as_legacy_arena(&fs::read(&path).unwrap(), version);
+    fs::write(&path, &old).unwrap();
     let refused = Oracle::open(&path).unwrap_err().to_string();
-    assert!(refused.contains("version 3"), "{refused}");
+    assert!(refused.contains(&format!("version {version}")), "{refused}");
 
-    // A bit flip in a v3 section fails the upgrade, and with no older
-    // generation that is an error.
-    let comp_of_at = u64::from_le_bytes(v3[72..80].try_into().unwrap()) as usize;
-    let mut damaged = v3.clone();
+    // A bit flip in a legacy section fails the upgrade, and with no
+    // older generation that is an error.
+    let comp_of_at = u64::from_le_bytes(old[72..80].try_into().unwrap()) as usize;
+    let mut damaged = old.clone();
     damaged[comp_of_at] ^= 0x01;
     fs::write(&path, &damaged).unwrap();
     let err = wal
         .recover()
         .err()
-        .expect("damaged v3 checkpoint")
+        .expect("damaged legacy checkpoint")
         .to_string();
-    assert!(err.contains("v3 upgrade"), "{err}");
-    fs::write(&path, &v3).unwrap();
+    assert!(err.contains(&format!("v{version} upgrade")), "{err}");
+    fs::write(&path, &old).unwrap();
 
-    // The registry opens the v3 directory: the seed it is handed loses
-    // to the upgraded checkpoint plus its log.
+    // The registry opens the legacy directory: the seed it is handed
+    // loses to the upgraded checkpoint plus its log.
     let truth = apply_ops(&seed_edges, &ops);
     {
         let registry = Registry::new();
         let decoy = Dag::from_edges(n, &[]).unwrap();
         registry
             .open_durable("old", decoy, &root, WalConfig::sync_every_record(), None)
-            .expect("open durable over a v3 checkpoint");
+            .expect("open durable over a legacy checkpoint");
         let handle = registry.get("old").unwrap();
         traversal::assert_matches_bfs(&graph_of(n, &truth), "served after the upgrade", |u, v| {
             handle.reach(u, v).expect("reach")
         });
     }
 
-    // On disk the checkpoint is now v4 over the same base, with labels,
+    // On disk the checkpoint is now v5 over the same base, with labels,
     // and recovering again is a plain, stable open.
-    let upgraded = Oracle::open(&path).expect("checkpoint.0 is v4 after the upgrade");
+    let upgraded = Oracle::open(&path).expect("checkpoint.0 is v5 after the upgrade");
     assert!(upgraded.label_entries() > 0);
     traversal::assert_matches_bfs(base.graph(), "upgraded checkpoint", |u, v| {
         upgraded.reaches(u, v)

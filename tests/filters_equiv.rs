@@ -2,7 +2,7 @@
 //! filtered `Oracle` hot path, the unfiltered label-intersection path,
 //! and BFS ground truth must agree on random cyclic digraphs, plain
 //! DAGs and DAGs with many small SCCs — on the freshly built oracle,
-//! after a HOPL v4 `save_arena`/open round-trip, and through the
+//! after a HOPL v5 `save_arena`/open round-trip, and through the
 //! `hoplite-server` wire path. This is the root facade's all-pairs BFS
 //! sweep: singles and batches, filtered and unfiltered, at 1 and 3
 //! threads, plus the batch kernel's stage tally against the per-pair

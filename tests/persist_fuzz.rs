@@ -1,4 +1,4 @@
-//! Failure injection for the persistence layer: the HOPL v4 arena
+//! Failure injection for the persistence layer: the HOPL v5 arena
 //! reader fed hostile bytes must return a structured [`PersistError`]
 //! — never panic, never serve an oracle that answers wrong — and a
 //! file in any other HOPL version must be refused by version.
@@ -13,10 +13,10 @@ use hoplite::graph::{gen, traversal, DiGraph};
 use hoplite::Oracle;
 
 // ---------------------------------------------------------------------
-// HOPL v4 arena failure injection
+// HOPL v5 arena failure injection
 // ---------------------------------------------------------------------
 
-/// A serialized v4 arena over a small cyclic digraph.
+/// A serialized v5 arena over a small cyclic digraph.
 fn arena_fixture() -> (DiGraph, Vec<u8>) {
     let g = gen::random_digraph(36, 120, 15);
     let oracle = Oracle::new(&g);
@@ -189,7 +189,7 @@ fn v1_files_are_refused_with_a_typed_rebuild_error() {
     }
     std::fs::remove_file(&path).ok();
     // Any other version word is refused the same way.
-    for version in [0, 2, 3, 5, u32::MAX] {
+    for version in [0, 2, 3, 4, 6, u32::MAX] {
         assert_refused_by_version(
             Oracle::open_arena_bytes(&legacy_file(version, &[])),
             version,
@@ -198,33 +198,53 @@ fn v1_files_are_refused_with_a_typed_rebuild_error() {
     }
 }
 
-#[test]
-fn v3_arenas_are_refused_with_a_typed_rebuild_error() {
-    // A v3 arena kept the top hops in its label lists beside rank-band
-    // signatures; its lists alone would answer wrong under v4's masks.
-    // A well-formed v4 arena relabeled v3 (checksums resealed, so only
-    // the version word differs) is refused by every reader.
+/// A well-formed v5 arena relabeled `version` (checksums resealed, so
+/// only the version word differs) is refused by every reader.
+fn assert_relabeled_arena_refused(version: u32) {
     let (_, buf) = arena_fixture();
-    let mut v3 = buf.clone();
-    v3[4..8].copy_from_slice(&3u32.to_le_bytes());
-    reseal_arena(&mut v3);
-    assert_refused_by_version(Oracle::open_arena_bytes(&v3), 3, "bytes");
-    let path = std::env::temp_dir().join(format!("hoplite-fuzz-v3-{}.hopl", std::process::id()));
-    std::fs::write(&path, &v3).expect("write temp v3 file");
-    assert_refused_by_version(Oracle::open(&path), 3, "open");
+    let mut old = buf;
+    old[4..8].copy_from_slice(&version.to_le_bytes());
+    reseal_arena(&mut old);
+    assert_refused_by_version(Oracle::open_arena_bytes(&old), version, "bytes");
+    let path = std::env::temp_dir().join(format!(
+        "hoplite-fuzz-v{version}-{}.hopl",
+        std::process::id()
+    ));
+    std::fs::write(&path, &old).expect("write temp arena");
+    assert_refused_by_version(Oracle::open(&path), version, "open");
     let read = hoplite::core::OpenOptions {
         mmap: false,
         ..Default::default()
     };
-    assert_refused_by_version(Oracle::open_with(&path, &read), 3, "open_with read");
+    assert_refused_by_version(Oracle::open_with(&path, &read), version, "open_with read");
     std::fs::remove_file(&path).ok();
-    // v4 requires the header word v3 used for its signature shift to
-    // be zero.
-    let mut shifted = buf;
+}
+
+#[test]
+fn v3_arenas_are_refused_with_a_typed_rebuild_error() {
+    // A v3 arena kept the top hops in its label lists beside rank-band
+    // signatures; its lists alone would answer wrong under v5's masks.
+    assert_relabeled_arena_refused(3);
+    // v5 keeps the mask words per side in the header word v3 used for
+    // its signature shift, and requires the word after it to be zero.
+    let (_, buf) = arena_fixture();
+    let mut shifted = buf.clone();
     shifted[32] = 7;
     reseal_arena(&mut shifted);
     let err = Oracle::open_arena_bytes(&shifted).unwrap_err();
+    assert!(err.to_string().contains("mask words"), "{err}");
+    let mut reserved = buf;
+    reserved[36] = 7;
+    reseal_arena(&mut reserved);
+    let err = Oracle::open_arena_bytes(&reserved).unwrap_err();
     assert!(err.to_string().contains("reserved"), "{err}");
+}
+
+#[test]
+fn v4_arenas_are_refused_with_a_typed_rebuild_error() {
+    // A v4 arena kept 64-hop masks in two arrays; v5 reads one record
+    // per component at the width its header names.
+    assert_relabeled_arena_refused(4);
 }
 
 /// `(offset, len)` of the section tagged `tag` in an arena's table.
@@ -242,9 +262,10 @@ fn section(buf: &[u8], tag: &[u8; 8]) -> (usize, usize) {
 fn mask_bit_flips_fail_the_section_checksum() {
     // The masks hold answers the label lists no longer carry, so a
     // flipped mask bit would answer wrong: every one must be caught.
-    let (_, buf) = arena_fixture();
-    for (tag, name) in [(b"OUT_MASK", "OUT_MASK"), (b"IN_MASK\0", "IN_MASK")] {
-        let (offset, len) = section(&buf, tag);
+    let (_, narrow) = arena_fixture();
+    let (_, wide) = wide_arena_fixture();
+    for (buf, name) in [(narrow, "MASKS at 64 hops"), (wide, "MASKS at 256 hops")] {
+        let (offset, len) = section(&buf, b"MASKS\0\0\0");
         assert!(len > 0, "{name} is empty");
         for at in [offset, offset + len / 2, offset + len - 1] {
             for bit in [0, 5] {
@@ -252,12 +273,76 @@ fn mask_bit_flips_fail_the_section_checksum() {
                 bad[at] ^= 1 << bit;
                 let err = Oracle::open_arena_bytes(&bad).unwrap_err();
                 assert!(
-                    err.to_string()
-                        .contains(&format!("{name} checksum mismatch")),
+                    err.to_string().contains("MASKS checksum mismatch"),
                     "{name} byte {at} bit {bit}: {err}"
                 );
             }
         }
+    }
+}
+
+/// A serialized K = 256 arena: a deep chain whose rank bands hold
+/// more label entries than their mask words, so DL widens its masks to
+/// 256 hops.
+fn wide_arena_fixture() -> (Oracle, Vec<u8>) {
+    let dag = gen::deep_chain_dag(16_000, 64, 5_333, 7);
+    let oracle = Oracle::new(dag.graph());
+    assert_eq!(oracle.inner().labeling().mask_hops(), 256);
+    let mut buf = Vec::new();
+    oracle.save_arena(&mut buf).expect("in-memory write");
+    (oracle, buf)
+}
+
+#[test]
+fn wide_mask_arena_roundtrips_and_fails_closed() {
+    let (built, buf) = wide_arena_fixture();
+    assert_eq!(u32::from_le_bytes(buf[32..36].try_into().unwrap()), 4);
+    let n = built.num_vertices();
+    let mut rng = gen::Rng::new(256);
+    let pairs: Vec<(u32, u32)> = (0..20_000)
+        .map(|_| (rng.gen_index(n) as u32, rng.gen_index(n) as u32))
+        .collect();
+    let mut want = vec![false; pairs.len()];
+    built.reaches_batch_into(&pairs, &mut want, 1);
+    let path = std::env::temp_dir().join(format!("hoplite-fuzz-wide-{}.hopl", std::process::id()));
+    std::fs::write(&path, &buf).expect("write temp arena");
+    for (what, opened) in [
+        ("bytes", Oracle::open_arena_bytes(&buf)),
+        ("mapped", Oracle::open(&path)),
+    ] {
+        let opened = opened.expect(what);
+        assert_eq!(opened.inner().labeling().mask_hops(), 256, "{what}");
+        let mut got: Vec<bool> = want.iter().map(|b| !b).collect();
+        opened.reaches_batch_into(&pairs, &mut got, 1);
+        assert!(got == want, "{what}: answers differ from the built oracle");
+        for &(u, v) in pairs.iter().take(200) {
+            let truth = traversal::reaches(
+                built.dag().graph(),
+                built.comp_of()[u as usize],
+                built.comp_of()[v as usize],
+            );
+            assert_eq!(opened.reaches(u, v), truth, "{what}: reach({u}, {v})");
+        }
+    }
+    std::fs::remove_file(&path).ok();
+    // A header that names a narrower record than the MASKS section
+    // holds is a size mismatch, not a misread.
+    for words in [1u32, 2] {
+        let mut bad = buf.clone();
+        bad[32..36].copy_from_slice(&words.to_le_bytes());
+        reseal_arena(&mut bad);
+        let err = Oracle::open_arena_bytes(&bad).unwrap_err();
+        assert!(err.to_string().contains("MASKS"), "{words} words: {err}");
+    }
+    for cut in [
+        0,
+        63,
+        64 + 13 * 32,
+        buf.len() / 3,
+        buf.len() / 2,
+        buf.len() - 1,
+    ] {
+        assert!(Oracle::open_arena_bytes(&buf[..cut]).is_err(), "cut={cut}");
     }
 }
 

@@ -122,10 +122,11 @@ fn oracle_label_metrics_exposed() {
     let labeling = oracle.inner().labeling();
     assert!(labeling.total_entries() == oracle.label_entries());
     // At most 60 components: every one is a top hop, so the reach
-    // masks (16 B per component) hold the whole index and the label
-    // lists are empty.
+    // masks (one 16 B record per component) hold the whole index and
+    // the label lists are empty.
     assert!(c <= hoplite::core::TOP_HOPS);
     assert_eq!(oracle.label_entries(), 0);
+    assert_eq!(labeling.mask_hops(), hoplite::core::TOP_HOPS);
     assert_eq!(labeling.mask_bytes(), 16 * c as u64);
-    assert!((0..c as u32).all(|x| labeling.out_mask(x) & labeling.in_mask(x) != 0));
+    assert!((0..c as u32).all(|x| labeling.out_mask(x)[0] & labeling.in_mask(x)[0] != 0));
 }

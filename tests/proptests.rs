@@ -16,7 +16,7 @@ use hoplite::core::{
     HlConfig, LabelPath, LabelingBuilder, OrderKind, QueryFilters, QueryTally, ReachIndex,
     TOP_HOPS,
 };
-use hoplite::graph::{scc, traversal, Dag, DiGraph};
+use hoplite::graph::{gen, scc, traversal, Dag, DiGraph};
 
 /// Vertex counts past [`TOP_HOPS`]: DL stores label lists only for the
 /// ranks after its top hops, so a DL property checked on fewer vertices
@@ -464,5 +464,41 @@ proptest! {
         }
         let rebuilt = DiGraph::from_edges(n, &edges).expect("valid");
         traversal::assert_matches_bfs(&rebuilt, "overlay", |u, v| oracle.query(u, v));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Deep chains past 256 components, where DL's hop loop reaches the
+    /// end of every band its widening rule weighs: the oracle, its
+    /// unfiltered labels, and a save/open round trip answer like BFS,
+    /// and the lists hold no rank the masks cover.
+    #[test]
+    fn deep_chains_past_256_components_match_bfs(
+        n in 257usize..600,
+        chains in 1usize..24,
+        cross in 0usize..400,
+        seed in 0u64..1000,
+    ) {
+        let dag = gen::deep_chain_dag(n, chains, cross, seed);
+        let g = dag.graph();
+        let oracle = hoplite::Oracle::new(g);
+        prop_assert!(oracle.num_components() > 256);
+        let labeling = oracle.inner().labeling();
+        let k = labeling.mask_hops() as u32;
+        prop_assert!(
+            (0..oracle.num_components() as u32)
+                .all(|c| labeling.out_label(c).iter().chain(labeling.in_label(c)).all(|&r| r >= k))
+        );
+        traversal::assert_matches_bfs(g, "deep chain", |u, v| oracle.reaches(u, v));
+        let comp_of = oracle.comp_of();
+        traversal::assert_matches_bfs(g, "deep chain, labels", |u, v| {
+            labeling.query(comp_of[u as usize], comp_of[v as usize])
+        });
+        let mut arena = Vec::new();
+        oracle.save_arena(&mut arena).expect("write arena");
+        let reopened = hoplite::Oracle::open_arena_bytes(&arena).expect("open arena");
+        traversal::assert_matches_bfs(g, "deep chain, reopened", |u, v| reopened.reaches(u, v));
     }
 }

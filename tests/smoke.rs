@@ -43,7 +43,7 @@ fn oracle_reports_nonempty_index_stats() {
     let labeling = oracle.inner().labeling();
     assert!(
         (0..labeling.num_vertices() as u32)
-            .all(|x| labeling.out_mask(x) & labeling.in_mask(x) != 0),
+            .all(|x| labeling.out_mask(x)[0] & labeling.in_mask(x)[0] != 0),
         "labels were built"
     );
     // Three independent views of the component structure must agree:
